@@ -2,9 +2,9 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle sweep fuzz-smoke chaos cluster-drill bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
+.PHONY: tier1 build vet lint test race shuffle sweep fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
 
-tier1: build lint race shuffle chaos cluster-drill fuzz-smoke
+tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
 build:
 	go build ./...
@@ -74,6 +74,13 @@ cluster-drill:
 	go test -race -count=1 ./internal/coordinator
 	go test -race -count=1 -run '^TestCluster' ./internal/chaos
 	FAULTPOINTS=coord.dial.0=error go test -race -count=1 -run '^TestClusterEnvPartitionSmoke$$' ./internal/chaos
+
+# The end-to-end benchmark harness is its own module, so `go build ./...`
+# never compiles it: vet and test it here, or a change to an API it calls
+# (Planner.RunParallel, coordinator.Plan, the planwire helpers) would pass
+# tier 1 and fail only when the benchmark runs.
+perfbench-check:
+	cd perfbench && go vet . && go test -count=1 .
 
 # Reduced-scale paper benchmarks (Tables I-III, figures, ablations) plus
 # the parallel batch-routing benchmark.

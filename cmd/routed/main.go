@@ -76,7 +76,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "max concurrent searches per /v1/plan batch (0 = GOMAXPROCS)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain budget before in-flight searches are aborted")
 		cacheMB      = flag.Int64("cache-mb", 64, "result-cache byte budget in MiB (0 = caching off)")
-		backends     = flag.String("backends", "", "comma-separated backend URLs; when set, streamed /v1/plan shards across them (coordinator mode)")
+		backends     = flag.String("backends", "", "comma-separated backend URLs; when set, /v1/plan shards across them (coordinator mode)")
 		beInflight   = flag.Int("backend-inflight", 0, "nets queued per backend before dispatch backpressures (0 = 32)")
 		circFails    = flag.Int("circuit-failures", 0, "consecutive exchange failures that open a backend circuit (0 = 3)")
 		circCooldown = flag.Duration("circuit-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = 5s)")
@@ -147,8 +147,8 @@ func main() {
 		extra = append(extra, progress)
 	}
 
-	// Coordinator mode: with -backends set, streamed /v1/plan shards
-	// across the listed workers (buffered endpoints keep routing locally).
+	// Coordinator mode: with -backends set, /v1/plan (buffered and
+	// streamed) shards across the listed workers; /v1/route stays local.
 	var coord *coordinator.Coordinator
 	if *backends != "" {
 		var urls []string

@@ -141,6 +141,38 @@ func runStream(t *testing.T, url string, nets []api.NetSpec) ([]api.NetResult, *
 	return res, stats, err
 }
 
+// runBuffered sends nets through url as one buffered plan, with the same
+// grid, workers, and cache bypass as the streamed drills.
+func runBuffered(t *testing.T, url string, nets []api.NetSpec) *api.PlanResponse {
+	t.Helper()
+	hdr := clusterHeader()
+	c := client.New(url, client.WithMaxAttempts(2), client.WithBackoff(time.Millisecond))
+	resp, err := c.Plan(context.Background(), &api.PlanRequest{
+		Grid: hdr.Grid, Nets: nets, Workers: hdr.Workers, Cache: hdr.Cache,
+	})
+	if err != nil {
+		t.Fatalf("buffered sharded plan: %v", err)
+	}
+	return resp
+}
+
+// assertBufferedEqual checks a buffered plan through the front: its nets
+// come back in request order, each equal to the serial result, with equal
+// stats.
+func assertBufferedEqual(t *testing.T, resp *api.PlanResponse, nets []api.NetSpec, want []string, wantStats api.PlanStats) {
+	t.Helper()
+	if len(resp.Nets) != len(nets) {
+		t.Fatalf("buffered plan returned %d nets, want %d", len(resp.Nets), len(nets))
+	}
+	for i := range nets {
+		if resp.Nets[i].Name != nets[i].Name {
+			t.Fatalf("buffered net %d is %q, want %q (request order lost)", i, resp.Nets[i].Name, nets[i].Name)
+		}
+	}
+	assertResultsEqual(t, resp.Nets, want)
+	assertStatsEqual(t, resp.Stats, wantStats)
+}
+
 // serialPlan routes nets on a fresh single server — the ground truth every
 // drill's sharded output must match byte-for-byte.
 func serialPlan(t *testing.T, nets []api.NetSpec) ([]string, api.PlanStats) {
@@ -208,7 +240,7 @@ func assertFrontCacheEmpty(t *testing.T, svc *server.Server) {
 
 // TestClusterShardedEqualsSerial is the baseline differential: three
 // healthy backends, no faults — results and aggregate stats identical to
-// the serial plan, and the front's own cache untouched.
+// the serial plan in both wire forms, and the front's own cache untouched.
 func TestClusterShardedEqualsSerial(t *testing.T) {
 	checkGoroutines(t)
 	nets := clusterNets(48)
@@ -223,10 +255,40 @@ func TestClusterShardedEqualsSerial(t *testing.T) {
 	assertResultsEqual(t, res, want)
 	assertStatsEqual(t, *stats, wantStats)
 	assertFrontCacheEmpty(t, svc)
+	assertBufferedEqual(t, runBuffered(t, fts.URL, nets), nets, want, wantStats)
+	assertFrontCacheEmpty(t, svc)
 	if m.CoordFailovers.Value() != 0 || m.CoordDegradedLocal.Value() != 0 {
 		t.Fatalf("healthy cluster took failovers=%d degraded=%d",
 			m.CoordFailovers.Value(), m.CoordDegradedLocal.Value())
 	}
+}
+
+// TestClusterBufferedDeadlineIs504 pins what a buffered plan through the
+// coordinator answers when every net fails after the plan's deadline: the
+// 504 a local plan answers, counted as one request abort, with the front
+// cache untouched.
+func TestClusterBufferedDeadlineIs504(t *testing.T) {
+	checkGoroutines(t)
+	backends := startBackends(t, 2)
+	svc, fts, _, m := startFront(t, backendURLs(backends), nil)
+	// 201x201 at the paper's pitch takes far longer than the 1 ms budget.
+	body := `{"grid":{"w":201,"h":201,"pitch_mm":0.125},"timeout_ms":1,"cache":{"mode":"bypass"},"nets":[
+	  {"name":"slow","src":{"x":1,"y":1},"dst":{"x":199,"y":199},"src_period_ps":300,"dst_period_ps":300}]}`
+	resp, err := http.Post(fts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if got := m.RequestAborts.Value(); got != 1 {
+		t.Fatalf("request_aborts = %d, want 1", got)
+	}
+	if got := m.Searches.Value(); got != 0 {
+		t.Fatalf("front ran %d searches itself; the plan must shard", got)
+	}
+	assertFrontCacheEmpty(t, svc)
 }
 
 // TestClusterPacedStreamCompletes regression-tests the end-of-input
@@ -292,8 +354,8 @@ func TestClusterPacedStreamCompletes(t *testing.T) {
 
 // TestClusterKilledBackendFailsOver kills one backend before the plan: its
 // circuit opens on the first refused exchange and every net on its arc
-// fails over, with the output still byte-identical and /healthz reporting
-// the open circuit.
+// fails over, with the output still byte-identical in both wire forms and
+// /healthz reporting the open circuit.
 func TestClusterKilledBackendFailsOver(t *testing.T) {
 	checkGoroutines(t)
 	nets := clusterNets(36)
@@ -308,6 +370,8 @@ func TestClusterKilledBackendFailsOver(t *testing.T) {
 	}
 	assertResultsEqual(t, res, want)
 	assertStatsEqual(t, *stats, wantStats)
+	assertFrontCacheEmpty(t, svc)
+	assertBufferedEqual(t, runBuffered(t, fts.URL, nets), nets, want, wantStats)
 	assertFrontCacheEmpty(t, svc)
 	if m.CoordFailovers.Value() == 0 {
 		t.Fatal("killed backend produced no failovers")

@@ -1,8 +1,9 @@
 // Package coordinator is the sharding front end of the routing cluster: it
-// consumes a streamed /v1/plan (NDJSON in, NDJSON out), shards the nets
-// across N backend workers by consistent hashing on their canonical
-// problem hash, and merges the results back in completion order with
-// correct aggregate statistics.
+// consumes a /v1/plan net by net (the server's plan pipeline hands it both
+// wire forms), shards the nets across N backend workers by consistent
+// hashing on their canonical problem hash — each exchange is an NDJSON
+// stream — and merges the results back in completion order with correct
+// aggregate statistics.
 //
 // The robustness ladder, in order of escalation:
 //
@@ -115,7 +116,7 @@ func (b *backend) lastError() string {
 	return b.lastErr
 }
 
-// Coordinator shards streamed plans across backends. Build with New, wire
+// Coordinator shards plans across backends. Build with New, wire
 // into server.Config, optionally Start the health prober, and Close on
 // shutdown.
 type Coordinator struct {
@@ -278,9 +279,10 @@ func checkPoint(site string, idx int) error {
 	return faultpoint.Check(site + "." + strconv.Itoa(idx))
 }
 
-// Net is one decoded, validated, content-addressed net of a streamed plan
-// — the handler canonicalizes and hashes before handing nets over, so the
-// coordinator never re-validates.
+// Net is one decoded, validated, content-addressed net of a plan — the
+// server's plan pipeline canonicalizes and hashes before handing nets over
+// (to the coordinator or to the in-process planner), so the router never
+// re-validates.
 type Net struct {
 	Spec api.NetSpec
 	Hash api.ProblemHash

@@ -1,14 +1,13 @@
 // Package engine is the concurrent execution substrate for batch routing:
-// a bounded worker pool that maps an indexed task set over a fixed number
-// of goroutines with deterministic result placement.
+// a bounded worker pool that maps a task over values arriving on a channel,
+// containing each task's panics and delivering results as they finish.
 //
-// Determinism comes from indexing, not scheduling: every task writes only
-// its own slot of the result slice, so the output is identical regardless
-// of which worker ran which task or in what order. Cancellation is
-// cooperative — the context is handed to every task, and the routing tasks
-// built on core.Route abort themselves when it fires — so Map always
-// returns a fully-populated slice (aborted tasks record their abort error
-// in their own result).
+// The pool itself promises no result order; callers that need one (the
+// planner's RunParallel puts results back in spec order) place results by
+// a key of their own. Cancellation is cooperative — the context is handed
+// to every task, and the routing tasks built on core.Route abort
+// themselves when it fires — so a canceled pool still gives every value a
+// (fast-failing) result rather than stranding the sender.
 package engine
 
 import (
@@ -38,105 +37,30 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) across at most `workers`
-// goroutines (<= 0 selects GOMAXPROCS) and returns the results in index
-// order. Tasks are claimed from a shared counter, so long tasks do not
-// convoy behind short ones. Map returns only after every task has run.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) T) []T {
-	return MapIndexed(ctx, workers, n, func(ctx context.Context, _, i int) T {
-		return fn(ctx, i)
-	})
-}
-
-// MapIndexedRecover is MapIndexed with per-task panic containment: a task
-// that panics is recovered on its worker goroutine and its result slot is
-// filled by onPanic(i, v, stack) instead of crashing the pool (a panic on
-// a bare worker goroutine would kill the whole process — no caller can
-// recover it). The surviving tasks are unaffected; determinism is
-// unchanged. The planner routes every batch through this boundary, so a
-// panic that escapes the search layer's own containment (e.g. in result
-// verification or telemetry) still degrades to a single failed net.
-//
-// The engine.task failpoint fires before each task runs, letting the
-// chaos suite drive this boundary directly.
-func MapIndexedRecover[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, worker, i int) T, onPanic func(i int, v any, stack []byte) T) []T {
-	return MapIndexed(ctx, workers, n, func(ctx context.Context, worker, i int) (out T) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = onPanic(i, r, debug.Stack())
-			}
-		}()
-		faultpoint.Must("engine.task")
-		return fn(ctx, worker, i)
-	})
-}
-
-// MapIndexed is Map with the claiming worker's index passed to fn
-// (0 <= worker < Workers(workers, n)). The worker index identifies the
-// goroutine, not the task: telemetry uses it to attribute per-net spans to
-// pool slots and to measure worker utilization. Determinism is unchanged —
-// results depend only on the task index.
-//
-// A panicking task is NOT contained here: the panic propagates on the
-// worker goroutine and takes the process down, exactly like a panic in a
-// plain `go` statement. Callers running untrusted or intricate task bodies
-// should use MapIndexedRecover.
-func MapIndexed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, worker, i int) T) []T {
-	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(ctx, 0, i)
-		}
-		return out
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			// Adopt the pprof labels riding ctx (e.g. the server's
-			// request_id). A new goroutine inherits its spawner's label
-			// set, but ctx may carry labels the spawning goroutine never
-			// applied to itself, so they are installed explicitly: CPU
-			// profiles then attribute worker time to the request that
-			// scheduled it. The single-worker path above runs on the
-			// caller's goroutine, whose labels are the caller's business.
-			pprof.SetGoroutineLabels(ctx)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(ctx, worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
-}
-
 // StreamRecover maps fn over values arriving on `in` across up to `workers`
-// goroutines, delivering each result to `out` as soon as it is ready. It is
-// the unbounded-batch counterpart of MapIndexedRecover: tasks are claimed by
-// receiving from the channel, results arrive in completion order (not
-// submission order), and a panicking task is recovered on its worker and
-// replaced by onPanic(v, r, stack) instead of killing the pool. The
-// engine.task failpoint fires before each task, as in the batch path.
+// goroutines (<= 0 selects GOMAXPROCS), delivering each result to `out` as
+// soon as it is ready. Tasks are claimed by receiving from the channel, so
+// long tasks do not convoy behind short ones, and results arrive in
+// completion order (not submission order). fn receives the claiming
+// worker's index (0 <= worker < workers): telemetry uses it to attribute
+// per-net spans to pool slots and to measure worker utilization.
+//
+// A panicking task is recovered on its worker and replaced by
+// onPanic(v, r, stack) instead of killing the pool (a panic on a bare
+// worker goroutine would kill the whole process — no caller can recover
+// it); the surviving tasks are unaffected. The planner routes every batch
+// through this boundary, so a panic that escapes the search layer's own
+// containment (e.g. in result verification or telemetry) still degrades
+// to a single failed net. The engine.task failpoint fires before each
+// task runs, letting the chaos suite drive this boundary directly.
 //
 // out is called under an internal mutex — implementations may write to a
 // shared encoder without their own locking — and never concurrently with a
 // task's own fn on the same value. StreamRecover returns the number of
 // values consumed, after every in-flight task has delivered its result; the
-// caller signals completion by closing `in`. Cancellation is cooperative
-// exactly as in Map: fn observes ctx and is expected to fail fast, so a
-// canceled stream still drains the channel (each remaining value gets a
-// fast-failing result) rather than stranding the sender.
+// caller signals completion by closing `in`. fn observes ctx and is
+// expected to fail fast once it fires, so a canceled stream still drains
+// the channel.
 func StreamRecover[T, R any](ctx context.Context, workers int, in <-chan T, fn func(ctx context.Context, worker int, v T) R, out func(R), onPanic func(v T, r any, stack []byte) R) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -160,6 +84,12 @@ func StreamRecover[T, R any](ctx context.Context, workers int, in <-chan T, fn f
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
+			// Adopt the pprof labels riding ctx (e.g. the server's
+			// request_id). A new goroutine inherits its spawner's label
+			// set, but ctx may carry labels the spawning goroutine never
+			// applied to itself, so they are installed explicitly: CPU
+			// profiles then attribute worker time to the request that
+			// scheduled it.
 			pprof.SetGoroutineLabels(ctx)
 			for v := range in {
 				consumed.Add(1)

@@ -119,23 +119,31 @@ func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
 // RunStream routes nets as they arrive on specs, calling emit for every
 // finished net in completion order, and returns the batch statistics once
 // specs is closed and every in-flight net has finished. It is the
-// streaming counterpart of RunParallel, built for the NDJSON /v1/plan
-// transport: results flow out while later nets are still being decoded,
-// so a large plan needs neither the full spec list nor the full result
-// list in memory.
+// planner's one batch engine: RunParallel is RunStream over a slice, and
+// the NDJSON /v1/plan transport feeds it net by net, so a large plan
+// needs neither the full spec list nor the full result list in memory.
 //
 // emit is serialized — at most one call at a time — and must not block
 // longer than it takes to encode the result: every worker's next net
-// waits behind it. Per-net failures are reported in the emitted results
-// exactly as in RunParallel. Spec validation is streaming too: an empty
-// or duplicate net name fails that net (there is no whole-request rewind
-// in a stream), with the duplicate check covering every name seen so far.
+// waits behind it. Per-net failures are reported in the emitted results,
+// not returned. Spec validation is streaming too: an empty or duplicate
+// net name fails that net (there is no whole-request rewind in a stream),
+// with the duplicate check covering every name seen so far.
 //
-// Cross-net reuse (the plan-scoped ShareCache and canonical-problem
-// memoization) matches RunParallel, so a streamed plan's results are
-// byte-identical to the same specs routed in one batch. The returned
-// stats report Workers as the pool that a buffered run of the same net
-// count would have used.
+// Cross-net reuse: one ShareCache for the whole plan (bound artifacts flow
+// between nets) and whole-result memoization for canonically equal specs.
+// Both are plan-scoped, so nothing leaks between plans, and both preserve
+// byte-identical results; Options.DisableSharing turns them off.
+// PlanNetsExclusive never comes through here — it mutates its grid between
+// nets, which invalidates every premise of the cache. The returned stats
+// report Workers as the pool a buffered run of the same net count uses.
+//
+// When the Options carry a Tracer and the pool has more than one worker,
+// the shared tracer is fanned in through core.SynchronizedTracer so
+// concurrent searches never race on it; the merged observation interleaves
+// nets in completion order. When the Options carry a telemetry sink, every
+// net's span events (see traceNet) and its searches' events are emitted
+// labeled with the net name and worker index.
 func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetSpec, emit func(NetResult)) (PlanStats, error) {
 	opts := pl.opts
 	pool := workers
@@ -149,24 +157,27 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	if bs != nil {
 		opts.Share = bs.share
 	}
-	sink := opts.Telemetry
 
 	var seenMu sync.Mutex
 	seen := make(map[string]bool)
 	start := time.Now()
 	stats := PlanStats{}
+	// StreamRecover is the second containment line behind the search
+	// wrappers' own recovery: a panic escaping routeNet (verification,
+	// telemetry, a bug in this package) fails that one net instead of
+	// crashing the whole batch on a bare worker goroutine.
 	received := engine.StreamRecover(ctx, pool, specs,
 		func(ctx context.Context, worker int, spec NetSpec) NetResult {
-			if err := claimName(&seenMu, seen, spec.Name); err != nil {
-				return NetResult{Spec: spec, Err: err}
-			}
-			compute := func() NetResult {
-				if sink == nil {
-					return pl.routeNet(ctx, spec, opts)
+			route := func(ctx context.Context, opts core.Options) NetResult {
+				if err := claimName(&seenMu, seen, spec.Name); err != nil {
+					return NetResult{Spec: spec, Err: err}
 				}
-				return pl.routeNetTraced(ctx, spec, opts, worker)
+				return bs.route(spec, func() NetResult { return pl.routeNet(ctx, spec, opts) })
 			}
-			return bs.route(spec, compute)
+			if opts.Telemetry == nil {
+				return route(ctx, opts)
+			}
+			return pl.traceNet(ctx, spec, opts, worker, route)
 		},
 		func(res NetResult) {
 			stats.add(&res) // under StreamRecover's emit mutex
@@ -190,7 +201,7 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 }
 
 // claimName registers a net name, failing on the stream-level validation
-// errors that a buffered run rejects up front.
+// errors that RunParallel rejects up front.
 func claimName(mu *sync.Mutex, seen map[string]bool, name string) error {
 	if name == "" {
 		return errors.New("planner: net with empty name")

@@ -202,7 +202,7 @@ type Plan struct {
 
 // Planner routes nets over a fixed floorplan and technology. The grid and
 // delay model are shared read-only by every search, so one Planner may
-// route many nets concurrently (see RunParallel).
+// route many nets concurrently (see RunStream).
 type Planner struct {
 	fp   *floorplan.Floorplan
 	g    *grid.Grid
@@ -211,7 +211,7 @@ type Planner struct {
 	opts core.Options
 
 	// widthModels caches delay models for non-nominal wire widths
-	// (NetSpec.WireWidths); mu makes the cache safe under RunParallel.
+	// (NetSpec.WireWidths); mu makes the cache safe under concurrent nets.
 	mu          sync.Mutex
 	widthModels map[float64]*elmore.Model
 }
@@ -296,9 +296,9 @@ func (pl *Planner) RouteNetContext(ctx context.Context, spec NetSpec) NetResult 
 	return pl.routeNet(ctx, spec, pl.opts)
 }
 
-// routeNet routes one net with an explicit option set — RunParallel clones
-// the planner's options per net to label telemetry with the net name and
-// worker index without mutating shared state.
+// routeNet routes one net with an explicit option set — the batch engine
+// clones the planner's options per net to label telemetry with the net
+// name and worker index without mutating shared state.
 //
 // Retry-once policy: when the whole width pass fails with a contained
 // panic or an injected fault, the net is re-run exactly once. The first
@@ -429,80 +429,51 @@ func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 
 // RunParallel routes every net concurrently across up to `workers`
 // goroutines (<= 0 selects GOMAXPROCS) over the shared read-only grid and
-// delay model. Results keep the order of specs and are bit-identical to a
-// serial PlanNets run: each net's search is an independent deterministic
-// dynamic program, so scheduling cannot change its outcome. The context's
-// deadline/cancellation aborts in-flight and pending searches promptly;
-// aborted nets record an error wrapping core.ErrAborted.
-//
-// When the planner's Options carry a Tracer, the shared tracer is fanned
-// in through core.SynchronizedTracer so concurrent searches never race on
-// it; the merged observation interleaves nets in completion order. When
-// the Options carry a telemetry sink, every net's span events (net_queued,
-// net_start with the claiming worker, net_end with the effort counters and
-// failure cause) and its searches' events are emitted labeled with the net
-// name and worker index.
+// delay model. It is RunStream over a slice: the specs are validated up
+// front (no nets, an empty or a duplicate name fail the whole call before
+// anything routes), and the results are put back in spec order. They are
+// bit-identical to a serial PlanNets run: each net's search is an
+// independent deterministic dynamic program, so scheduling cannot change
+// its outcome. The context's deadline/cancellation aborts in-flight and
+// pending searches promptly; aborted nets record an error wrapping
+// core.ErrAborted. Tracing and telemetry follow RunStream.
 func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec) (*Plan, error) {
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
 	}
-	workers = engine.Workers(workers, len(specs))
-	opts := pl.opts
-	if workers > 1 {
-		opts.Trace = core.SynchronizedTracer(opts.Trace)
+	in := make(chan NetSpec, len(specs))
+	at := make(map[string]int, len(specs)) // names are unique once validated
+	for i, s := range specs {
+		in <- s
+		at[s.Name] = i
 	}
-	// Cross-net reuse: one ShareCache for the whole plan (bound artifacts
-	// flow between nets) and whole-result memoization for canonically equal
-	// specs. Both are plan-scoped, so nothing leaks between requests, and
-	// both preserve byte-identical results; Options.DisableSharing turns
-	// them off. PlanNetsExclusive never comes through here — it mutates its
-	// grid between nets, which invalidates every premise of the cache.
-	bs := newBatchState(pl.g, opts)
-	if bs != nil {
-		opts.Share = bs.share
-	}
-	sink := opts.Telemetry
-	if sink != nil {
-		for _, s := range specs {
-			sink.Emit(telemetry.Event{
-				Kind: telemetry.EventNetQueued, TimeNS: telemetry.Now(),
-				Net: s.Name, Worker: -1,
-			})
-		}
-	}
-	start := time.Now()
-	// MapIndexedRecover is the second containment line behind the search
-	// wrappers' own recovery: a panic escaping routeNet (verification,
-	// telemetry, a bug in this package) fails that one net instead of
-	// crashing the whole batch on a bare worker goroutine.
-	nets := engine.MapIndexedRecover(ctx, workers, len(specs), func(ctx context.Context, worker, i int) NetResult {
-		return bs.route(specs[i], func() NetResult {
-			if sink == nil {
-				return pl.routeNet(ctx, specs[i], opts)
-			}
-			return pl.routeNetTraced(ctx, specs[i], opts, worker)
-		})
-	}, func(i int, v any, stack []byte) NetResult {
-		return NetResult{
-			Spec:     specs[i],
-			Panicked: true,
-			Err:      fmt.Errorf("planner: net %q: %w", specs[i].Name, core.NewInternalError(v, stack)),
-		}
+	close(in)
+	nets := make([]NetResult, len(specs))
+	stats, err := pl.RunStream(ctx, engine.Workers(workers, len(specs)), in, func(res NetResult) {
+		nets[at[res.Spec.Name]] = res
 	})
-	plan := &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets}
-	plan.Stats = PlanStats{Workers: workers, Elapsed: time.Since(start)}
-	for i := range nets {
-		plan.Stats.add(&nets[i])
+	if err != nil {
+		return nil, err
 	}
-	return plan, nil
+	return &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets, Stats: stats}, nil
 }
 
-// routeNetTraced wraps one net's routing in a net_start/net_end span, with
-// the plan's sink relabeled so every event carries the net and worker, and
-// the worker goroutine pprof-labeled with the net and algorithm (joining
-// any request_id label already riding ctx) so CPU profiles break search
-// time down per net.
-func (pl *Planner) routeNetTraced(ctx context.Context, spec NetSpec, opts core.Options, worker int) NetResult {
+// traceNet wraps one net's trip through the batch engine in its span
+// events — net_queued as the engine takes the net in, net_start with the
+// claiming worker, net_end with the effort counters and failure cause —
+// with the plan's sink relabeled so every event the net's searches emit
+// carries the net and worker, and the worker goroutine pprof-labeled with
+// the net and algorithm (joining any request_id label already riding ctx)
+// so CPU profiles break search time down per net. Every net the engine
+// takes in is queued and ended once — memo followers and misnamed nets
+// too — so a finished plan leaves nets_queued equal to nets_done +
+// nets_failed; only a panic that escapes the net to the engine's boundary
+// skips its net_end.
+func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options, worker int, route func(context.Context, core.Options) NetResult) NetResult {
+	opts.Telemetry.Emit(telemetry.Event{
+		Kind: telemetry.EventNetQueued, TimeNS: telemetry.Now(),
+		Net: spec.Name, Worker: -1,
+	})
 	netSink := telemetry.WithFields(opts.Telemetry, spec.Name, worker)
 	opts.Telemetry = netSink
 	netSink.Emit(telemetry.Event{Kind: telemetry.EventNetStart, TimeNS: telemetry.Now()})
@@ -512,7 +483,7 @@ func (pl *Planner) routeNetTraced(ctx context.Context, spec NetSpec, opts core.O
 	}
 	var res NetResult
 	pprof.Do(ctx, pprof.Labels("net", spec.Name, "algo", algo), func(ctx context.Context) {
-		res = pl.routeNet(ctx, spec, opts)
+		res = route(ctx, opts)
 	})
 	end := telemetry.Event{
 		Kind: telemetry.EventNetEnd, TimeNS: telemetry.Now(),
@@ -594,23 +565,6 @@ func reserve(g *grid.Grid, p *route.Path) {
 			g.AddObstacle(geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X + 1, MaxY: pt.Y + 1})
 		}
 	}
-}
-
-// AllAborted returns a representative abort error when every net of the
-// plan failed with core.ErrAborted — the signature of a batch whose
-// deadline expired before any routing finished — and nil otherwise. The
-// service layer uses it to report such a batch as a timeout instead of a
-// plan of failures.
-func (p *Plan) AllAborted() error {
-	if len(p.Nets) == 0 {
-		return nil
-	}
-	for _, n := range p.Nets {
-		if n.Err == nil || !errors.Is(n.Err, core.ErrAborted) {
-			return nil
-		}
-	}
-	return p.Nets[0].Err
 }
 
 // Failed returns the nets that could not be routed.

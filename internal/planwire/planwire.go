@@ -2,9 +2,9 @@
 // engine types of the planner: grid construction from a GridSpec, NetSpec
 // conversion, and the rendering of routed nets and batch statistics back
 // into their response shapes. It exists one layer below internal/server so
-// that every front end — the HTTP handlers and the sharding coordinator's
-// local degraded path — renders results through the same code and cannot
-// drift apart byte-wise.
+// that every front end — the HTTP plan pipeline and the sharding
+// coordinator's local degraded path — renders results through the same
+// code and cannot drift apart byte-wise.
 package planwire
 
 import (
@@ -40,8 +40,9 @@ func BuildGrid(spec *api.GridSpec) (*grid.Grid, error) {
 	return g, nil
 }
 
-// NewStreamPlanner builds a planner over the grid of a streamed plan whose
-// nets are not known yet, with the given telemetry sink installed.
+// NewStreamPlanner builds a planner over a plan's grid, with the given
+// telemetry sink installed; the nets are streamed into it afterwards
+// (Planner.RunStream), whichever wire form they arrived in.
 func NewStreamPlanner(spec *api.GridSpec, tc *tech.Tech, sink telemetry.Sink) (*planner.Planner, error) {
 	g, err := BuildGrid(spec)
 	if err != nil {
@@ -141,7 +142,7 @@ func NetResultOnWire(n *planner.NetResult, g *grid.Grid) api.NetResult {
 
 // PlanStatsOnWire renders a batch's aggregate stats. They reflect work
 // actually performed this request; cached nets contribute nothing here
-// beyond the NetsRouted adjustment the handlers apply.
+// beyond the NetsRouted adjustment the plan pipeline applies.
 func PlanStatsOnWire(st planner.PlanStats) api.PlanStats {
 	return api.PlanStats{
 		Workers:           st.Workers,

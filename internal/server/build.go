@@ -4,30 +4,17 @@ import (
 	"fmt"
 
 	"clockroute/api"
-	"clockroute/internal/candidate"
 	"clockroute/internal/core"
 	"clockroute/internal/elmore"
 	"clockroute/internal/geom"
 	"clockroute/internal/grid"
-	"clockroute/internal/planner"
 	"clockroute/internal/planwire"
-	"clockroute/internal/route"
 	"clockroute/internal/tech"
-	"clockroute/internal/telemetry"
 )
-
-// The wire/engine conversion helpers live in internal/planwire so the
-// sharding coordinator's local degraded path renders results through
-// exactly the same code as these handlers. The thin aliases below keep the
-// server package's historical surface (tests and tools call server.GateName
-// and friends) without duplicating any conversion logic.
-
-// buildGrid materializes a validated GridSpec.
-func buildGrid(spec *api.GridSpec) (*grid.Grid, error) { return planwire.BuildGrid(spec) }
 
 // buildRoute turns a decoded RouteRequest into a core problem and request.
 func buildRoute(req *api.RouteRequest, tc *tech.Tech) (*core.Problem, core.Request, error) {
-	g, err := buildGrid(&req.Grid)
+	g, err := planwire.BuildGrid(&req.Grid)
 	if err != nil {
 		return nil, core.Request{}, err
 	}
@@ -52,45 +39,6 @@ func buildRoute(req *api.RouteRequest, tc *tech.Tech) (*core.Problem, core.Reque
 	}, nil
 }
 
-// buildPlan turns a decoded PlanRequest into a planner over the requested
-// grid plus its net specs, with the service's telemetry sink installed so
-// every net and search span lands on the shared registry.
-func buildPlan(req *api.PlanRequest, tc *tech.Tech, sink telemetry.Sink) (*planner.Planner, []planner.NetSpec, error) {
-	g, err := buildGrid(&req.Grid)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := planner.NewFromGrid(g, tc, core.Options{Telemetry: sink})
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: planner: %w", err)
-	}
-	specs := make([]planner.NetSpec, len(req.Nets))
-	for i := range req.Nets {
-		specs[i] = planwire.SpecFromNet(&req.Nets[i])
-	}
-	return pl, specs, nil
-}
-
-// buildStreamPlanner is buildPlan for the NDJSON transport, where the nets
-// are not known yet: just the planner over the header's grid.
-func buildStreamPlanner(spec *api.GridSpec, tc *tech.Tech, sink telemetry.Sink) (*planner.Planner, error) {
-	return planwire.NewStreamPlanner(spec, tc, sink)
-}
-
-// specFromNet converts one wire net into a planner spec.
-func specFromNet(n *api.NetSpec) planner.NetSpec { return planwire.SpecFromNet(n) }
-
-// GateName renders a gate label for the wire (see planwire.GateName).
-func GateName(g candidate.Gate) string { return planwire.GateName(g) }
-
-// ParseGate is the inverse of GateName (see planwire.ParseGate).
-func ParseGate(s string) (candidate.Gate, error) { return planwire.ParseGate(s) }
-
-// pathOnWire renders a path's nodes and gate labels for a response.
-func pathOnWire(p *route.Path, g *grid.Grid) (pts []api.Point, gates []string) {
-	return planwire.PathOnWire(p, g)
-}
-
 // routeResponse renders a search result.
 func routeResponse(res *core.Result, g *grid.Grid) *api.RouteResponse {
 	out := &api.RouteResponse{
@@ -112,27 +60,7 @@ func routeResponse(res *core.Result, g *grid.Grid) *api.RouteResponse {
 		},
 	}
 	if res.Path != nil {
-		out.Path, out.Gates = pathOnWire(res.Path, g)
-	}
-	return out
-}
-
-// netResultOnWire renders one routed net (see planwire.NetResultOnWire).
-func netResultOnWire(n *planner.NetResult, g *grid.Grid) api.NetResult {
-	return planwire.NetResultOnWire(n, g)
-}
-
-// planStatsOnWire renders a batch's aggregate stats.
-func planStatsOnWire(st planner.PlanStats) api.PlanStats { return planwire.PlanStatsOnWire(st) }
-
-// planResponse renders a routed batch, keeping request order.
-func planResponse(plan *planner.Plan) *api.PlanResponse {
-	out := &api.PlanResponse{
-		Nets:  make([]api.NetResult, len(plan.Nets)),
-		Stats: planStatsOnWire(plan.Stats),
-	}
-	for i := range plan.Nets {
-		out.Nets[i] = netResultOnWire(&plan.Nets[i], plan.Grid)
+		out.Path, out.Gates = planwire.PathOnWire(res.Path, g)
 	}
 	return out
 }

@@ -31,7 +31,6 @@ import (
 	"clockroute/internal/coordinator"
 	"clockroute/internal/core"
 	"clockroute/internal/faultpoint"
-	"clockroute/internal/planner"
 	"clockroute/internal/resultcache"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
@@ -90,11 +89,12 @@ type Config struct {
 	// instance in trouble. Zero disables the slow-driven degraded state.
 	SlowDegradeThreshold int
 	// Coordinator, when non-nil, turns this instance into the sharding
-	// front end of a cluster: streamed /v1/plan requests are distributed
-	// across its backends (see internal/coordinator) while the buffered
-	// endpoints keep routing in-process. /healthz then reports each
-	// backend's circuit state. The caller owns the coordinator's
-	// lifecycle (Start/Close).
+	// front end of a cluster: /v1/plan requests, buffered and streamed
+	// alike, are distributed across its backends (see internal/coordinator)
+	// and never touch this instance's own result cache, while /v1/route
+	// keeps routing in-process. /healthz then reports each backend's
+	// circuit state. The caller owns the coordinator's lifecycle
+	// (Start/Close).
 	Coordinator *coordinator.Coordinator
 }
 
@@ -593,150 +593,6 @@ func searchErr(err error) error {
 		return fmt.Errorf("%w: %w", core.ErrAborted, err)
 	}
 	return err
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	// The NDJSON content type selects the streaming transport; everything
-	// else is the buffered JSON endpoint. A configured coordinator takes
-	// over the streaming transport — the wire contract is identical, the
-	// nets just route on the backends instead of in-process.
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, api.ContentTypeNDJSON) {
-		if s.cfg.Coordinator != nil {
-			s.handlePlanStreamCoord(w, r)
-			return
-		}
-		s.handlePlanStream(w, r)
-		return
-	}
-	start := time.Now()
-	m := s.cfg.Metrics
-	m.Requests.Inc()
-	defer s.observeLatency(start)
-	rec := telemetry.RecorderFromContext(r.Context())
-	tc, _ := telemetry.TraceFromContext(r.Context())
-	rid := telemetry.RequestIDFromContext(r.Context())
-
-	endDecode := rec.Phase("decode")
-	if err := faultpoint.Check("server.decode"); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := api.DecodePlanRequest(r.Body)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// Per-net content addresses: each net of the batch is its own cache
-	// entry, so a plan that re-poses known problems (a sweep, a retry, a
-	// shared template grid) routes only the novel ones.
-	hashes := make([]api.ProblemHash, len(req.Nets))
-	for i := range req.Nets {
-		p, err := api.CanonicalizeNet(&req.Grid, &req.Nets[i])
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		hashes[i] = p.Hash()
-		// Register each net's content address so its span carries it the
-		// moment a worker opens the net — a slow miss in the tree is then
-		// directly replayable against /v1/route.
-		rec.SetNetAttr(req.Nets[i].Name, "problem_hash", hashes[i].Hex())
-	}
-	mode := s.cacheMode(req.Cache)
-	endDecode()
-
-	leave, ok := s.enter()
-	if !ok {
-		s.fail(w, http.StatusServiceUnavailable, errors.New("server: shutting down"))
-		return
-	}
-	defer leave()
-
-	endCache := rec.Phase("cache")
-	results := make([]api.NetResult, len(req.Nets))
-	have := make([]bool, len(req.Nets))
-	if mode == api.CacheModeDefault {
-		for i := range req.Nets {
-			if nr, ok := s.cachedNetResult(hashes[i], req.Nets[i].Name); ok {
-				results[i], have[i] = nr, true
-			}
-		}
-	}
-	var missIdx []int
-	for i := range req.Nets {
-		if !have[i] {
-			missIdx = append(missIdx, i)
-		}
-	}
-	endCache()
-
-	stats := api.PlanStats{NetsRouted: len(req.Nets) - len(missIdx)}
-	if len(missIdx) > 0 {
-		// Only the misses pay for admission and search slots.
-		endAdmission := rec.Phase("admission")
-		release, err := s.admit(r.Context())
-		if err != nil {
-			s.refuse(w, err)
-			return
-		}
-		defer release()
-		endAdmission()
-		if s.testHookAdmitted != nil {
-			s.testHookAdmitted()
-		}
-
-		pl, specs, err := buildPlan(req, s.cfg.Tech, s.requestSink(rec, tc, rid))
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		missSpecs := make([]planner.NetSpec, len(missIdx))
-		for j, i := range missIdx {
-			missSpecs[j] = specs[i]
-		}
-		workers := req.Workers
-		if workers <= 0 || workers > s.cfg.MaxWorkers {
-			workers = s.cfg.MaxWorkers
-		}
-		ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-		defer cancel()
-		endSearch := rec.Phase("search")
-		plan, err := pl.RunParallel(ctx, workers, missSpecs)
-		endSearch()
-		if err != nil {
-			// Spec-level validation failures; routing errors live per net.
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		// A batch whose every net was aborted is a deadline failure, not a
-		// result — unless cached nets already carry part of the answer.
-		if len(missIdx) == len(req.Nets) {
-			if aborted := plan.AllAborted(); aborted != nil {
-				s.failSearch(w, aborted)
-				return
-			}
-		}
-		for j, i := range missIdx {
-			n := &plan.Nets[j]
-			nr := netResultOnWire(n, plan.Grid)
-			nr.ProblemHash = hashes[i].Hex()
-			results[i] = nr
-			// Fill rule: only a clean, first-attempt success may populate
-			// the cache. A net that panicked (even if its retry healed) or
-			// failed stores nothing — nothing downstream of a quarantined
-			// search is ever served to a later request.
-			if mode != api.CacheModeBypass && n.Err == nil && !n.Panicked && !n.Retried {
-				s.fillNetResult(hashes[i], nr)
-			}
-		}
-		stats = planStatsOnWire(plan.Stats)
-		stats.NetsRouted += len(req.Nets) - len(missIdx)
-	}
-
-	endEncode := rec.Phase("encode")
-	w.Header().Set("X-Cache", xcache(len(missIdx) == 0))
-	writeJSON(w, http.StatusOK, &api.PlanResponse{Nets: results, Stats: stats})
-	endEncode()
 }
 
 // observeLatency records one request's wall time on the latency histogram.

@@ -17,6 +17,7 @@ import (
 	"clockroute/api"
 	"clockroute/internal/candidate"
 	"clockroute/internal/elmore"
+	"clockroute/internal/planwire"
 	"clockroute/internal/route"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
@@ -85,7 +86,7 @@ func TestRouteRoundTrip(t *testing.T) {
 	// Rebuild the path from the wire form and re-check it against the
 	// grid and period with the independent verifier.
 	spec := api.GridSpec{W: W, H: H, PitchMM: pitch}
-	g, err := buildGrid(&spec)
+	g, err := planwire.BuildGrid(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRouteRoundTrip(t *testing.T) {
 		p.Nodes[i] = pt.X + pt.Y*W
 	}
 	for i, s := range rr.Gates {
-		gt, err := ParseGate(s)
+		gt, err := planwire.ParseGate(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,6 +162,9 @@ func TestPlanRoundTrip(t *testing.T) {
 	if m.NetsDone.Value() != 3 {
 		t.Errorf("net spans missing from registry: nets_done = %d", m.NetsDone.Value())
 	}
+	if q, ended := m.NetsQueued.Value(), m.NetsDone.Value()+m.NetsFailed.Value(); q != ended {
+		t.Errorf("nets_queued = %d, want nets_done + nets_failed = %d", q, ended)
+	}
 }
 
 // TestRouteInfeasible: a period far below what the pitch allows has no
@@ -198,23 +202,37 @@ func TestRouteBadRequests(t *testing.T) {
 
 // TestRouteDeadline: a deadline far below the search cost returns 504 and
 // the search is genuinely aborted (visible on the abort and search-error
-// counters, not just the status line).
+// counters, not just the status line). A buffered plan whose every net
+// aborts, with none cached, is the same deadline failure; its deadline
+// also covers building the planner, so the abort may land before any
+// search span opens.
 func TestRouteDeadline(t *testing.T) {
-	_, ts, m := newTestServer(t, Config{})
 	// 201x201 at the paper's pitch with a tightish period takes far longer
 	// than 1 ms.
-	resp, body := postJSON(t, ts.URL+"/v1/route", routeBody(201, 201, 0.125, 300, 1, 1, 199, 199, 1))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "abort") {
-		t.Errorf("error body should carry the abort cause: %s", body)
-	}
-	if m.RequestAborts.Value() != 1 {
-		t.Errorf("request_aborts = %d, want 1", m.RequestAborts.Value())
-	}
-	if m.SearchErrors.Value() < 1 {
-		t.Errorf("search span shows no abort (search_errors = %d)", m.SearchErrors.Value())
+	for _, tc := range []struct {
+		name, body string
+		searched   bool // the aborted search must show on search_errors
+	}{
+		{"route", routeBody(201, 201, 0.125, 300, 1, 1, 199, 199, 1), true},
+		{"plan", `{"grid":{"w":201,"h":201,"pitch_mm":0.125},"timeout_ms":1,"nets":[` +
+			netJSON("slow", 1, 1, 199, 199, 300) + `]}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts, m := newTestServer(t, Config{})
+			resp, body := postJSON(t, ts.URL+"/v1/"+tc.name, tc.body)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "abort") {
+				t.Errorf("error body should carry the abort cause: %s", body)
+			}
+			if m.RequestAborts.Value() != 1 {
+				t.Errorf("request_aborts = %d, want 1", m.RequestAborts.Value())
+			}
+			if tc.searched && m.SearchErrors.Value() < 1 {
+				t.Errorf("search span shows no abort (search_errors = %d)", m.SearchErrors.Value())
+			}
+		})
 	}
 }
 
@@ -278,6 +296,60 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	}
 	if code := <-second; code != http.StatusOK {
 		t.Errorf("queued request finished %d, want 200", code)
+	}
+}
+
+// TestAdmissionSkippedForCachedPlan: a buffered plan whose every net is
+// cached is answered from memory while the in-flight slot and the queue
+// are both full — warm hits skip admission control entirely — and a plan
+// with a net left to route is still shed.
+func TestAdmissionSkippedForCachedPlan(t *testing.T) {
+	cfg := cacheTestConfig()
+	cfg.MaxInFlight, cfg.MaxQueue = 1, 1
+	s, ts, m := newTestServer(t, cfg)
+	warm := planBody([]string{netJSON("a", 1, 1, 20, 20, 500), netJSON("b", 2, 2, 18, 3, 500)}, "")
+	if resp, body := postJSON(t, ts.URL+"/v1/plan", warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warmup status %d: %s", resp.StatusCode, body)
+	}
+
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // a failed check must not strand the held route
+	var once sync.Once
+	s.testHookAdmitted = func() { once.Do(func() { <-hold }) }
+	codes := make(chan int, 2)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/route", "application/json", strings.NewReader(quickBody()))
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go post()
+	waitFor(t, func() bool { return s.InFlight() == 1 })
+	go post()
+	waitFor(t, func() bool { return s.Queued() == 1 })
+
+	resp, body := postJSON(t, ts.URL+"/v1/plan", warm)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("cached plan under saturation: status %d X-Cache=%q: %s",
+			resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	cold := planBody([]string{netJSON("a", 1, 1, 20, 20, 500), netJSON("c", 0, 5, 21, 7, 500)}, "")
+	if resp, body := postJSON(t, ts.URL+"/v1/plan", cold); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("plan with a miss under saturation: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	if m.Shed.Value() != 1 {
+		t.Errorf("shed counter = %d, want 1", m.Shed.Value())
+	}
+
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("held route finished %d, want 200", code)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 
 	"clockroute/api"
 	"clockroute/client"
+	"clockroute/internal/telemetry"
 )
 
 // streamNets builds n nets over a small set of distinct problems on a
@@ -59,7 +62,7 @@ func TestPlanStreamMatchesBuffered(t *testing.T) {
 	nets := streamNets(24, W, H)
 
 	// Cache disabled on both servers so each transport routes every net.
-	_, tsBuf, _ := newTestServer(t, Config{})
+	_, tsBuf, mBuf := newTestServer(t, Config{})
 	breq := &api.PlanRequest{Grid: api.GridSpec{W: W, H: H, PitchMM: 0.25}, Workers: 4, Nets: nets}
 	body, _ := json.Marshal(breq)
 	resp, raw := postJSON(t, tsBuf.URL+"/v1/plan", string(body))
@@ -71,7 +74,7 @@ func TestPlanStreamMatchesBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, tsStr, _ := newTestServer(t, Config{})
+	_, tsStr, mStr := newTestServer(t, Config{})
 	c := client.New(tsStr.URL)
 	got := make(map[string]api.NetResult, len(nets))
 	stats, err := c.PlanStream(context.Background(), streamHeader(W, H), client.NetsFromSlice(nets),
@@ -100,6 +103,13 @@ func TestPlanStreamMatchesBuffered(t *testing.T) {
 	if stats.NetsRouted != bs.NetsRouted || stats.NetsFailed != bs.NetsFailed ||
 		stats.TotalConfigs != bs.TotalConfigs || stats.Workers != bs.Workers {
 		t.Errorf("stream stats %+v diverged from buffered %+v", stats, bs)
+	}
+	// Every net that enters the engine leaves it, in either wire form.
+	for form, m := range map[string]*telemetry.Metrics{"buffered": mBuf, "streamed": mStr} {
+		q, ended := m.NetsQueued.Value(), m.NetsDone.Value()+m.NetsFailed.Value()
+		if q != int64(len(nets)) || q != ended {
+			t.Errorf("%s: nets_queued = %d, nets_done + nets_failed = %d, want both %d", form, q, ended, len(nets))
+		}
 	}
 }
 
@@ -252,6 +262,53 @@ func TestPlanStreamBadLineTrailer(t *testing.T) {
 	if msg, _ := lines[1]["error"].(string); !strings.Contains(msg, "net 2") {
 		t.Errorf("trailer = %v, want an error naming net line 2", lines[1])
 	}
+}
+
+// explodingBody yields r's bytes, then panics where it would report EOF.
+type explodingBody struct{ r io.Reader }
+
+func (b explodingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		panic("body exploded")
+	}
+	return n, err
+}
+
+func (explodingBody) Close() error { return nil }
+
+// TestPlanStreamPanicEndsWithTrailer: a panic in a committed stream's
+// decode loop is contained — the results already routed stay valid, an
+// error trailer ends the stream, the panic is counted, and the router is
+// drained before the handler returns, leaving no goroutine behind.
+func TestPlanStreamPanicEndsWithTrailer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := telemetry.NewMetrics()
+	s := New(Config{Metrics: m})
+	var body strings.Builder
+	hdr, _ := json.Marshal(streamHeader(24, 24))
+	body.Write(append(hdr, '\n'))
+	for _, n := range streamNets(3, 24, 24) {
+		line, _ := json.Marshal(n)
+		body.Write(append(line, '\n'))
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", explodingBody{strings.NewReader(body.String())})
+	req.Header.Set("Content-Type", api.ContentTypeNDJSON)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	if rec.Code != http.StatusOK || len(lines) != 4 {
+		t.Fatalf("status %d with %d lines, want 200 with 3 results + trailer:\n%s", rec.Code, len(lines), rec.Body)
+	}
+	var tr api.PlanStreamTrailer
+	if err := json.Unmarshal([]byte(lines[3]), &tr); err != nil || !strings.Contains(tr.Error, "body exploded") {
+		t.Fatalf("trailer %s (%v), want the contained panic", lines[3], err)
+	}
+	if s.Panics() != 1 || m.RequestPanics.Value() != 1 {
+		t.Errorf("panics = %d, request_panics = %d, want 1/1", s.Panics(), m.RequestPanics.Value())
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestPlanStreamDuplicateNameTrailer mirrors the buffered endpoint's 400:

@@ -34,7 +34,9 @@ const (
 	// EventSearchEnd closes a search span with its Stats fields filled;
 	// Err holds the abort cause or infeasibility, empty on success.
 	EventSearchEnd
-	// EventNetQueued records a net entering the batch engine's queue.
+	// EventNetQueued records the batch engine taking a net in
+	// (planner.RunStream, for either wire form), just before a worker
+	// starts it.
 	EventNetQueued
 	// EventNetStart records a worker picking the net up; Worker is set.
 	EventNetStart
