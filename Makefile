@@ -2,7 +2,7 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle sweep fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
+.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
 
 tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
@@ -30,12 +30,6 @@ race:
 # tests (shared pools, package-level state) that a fixed order would mask.
 shuffle:
 	go test -shuffle=on -count=1 ./...
-
-# Full kernel-equivalence regression gate: >=500 seeded mixed-size
-# instances, every kernel, admissible bounds on vs off, byte-for-byte.
-# Tier-1 runs the reduced 60-instance stream; this is the deep sweep.
-sweep:
-	go test -tags slowtest -count=1 -run '^TestKernelEquivalenceSweepFull$$' ./internal/core
 
 # Short fuzzing pass over every untrusted-input decoder: the netlist
 # loader, the candidate store, and the two service request decoders.

@@ -130,7 +130,9 @@ func BenchmarkFigure6_Wavefront(b *testing.B) {
 }
 
 // BenchmarkAblation_Pruning quantifies what (c,d) dominance pruning buys:
-// the same small instance with pruning on and off.
+// the same small instance with pruning on and off. Both arms run the
+// published algorithm (bounds off), so the A* layer's own pruning cannot
+// mask the device under test.
 func BenchmarkAblation_Pruning(b *testing.B) {
 	s := bench.ReducedScale().WithPitch(2.0) // tiny reach keeps "off" finite
 	prob, err := s.Build(tech.CongPan70nm())
@@ -141,8 +143,8 @@ func BenchmarkAblation_Pruning(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"on", core.Options{}},
-		{"off", core.Options{DisablePruning: true}},
+		{"on", core.Options{DisableBounds: true}},
+		{"off", core.Options{DisableBounds: true, DisablePruning: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var configs int
@@ -159,15 +161,17 @@ func BenchmarkAblation_Pruning(b *testing.B) {
 }
 
 // BenchmarkAblation_Lookahead measures the edge feasibility look-ahead
-// (d' ≤ T − K(r) − min(R)·c') of RBP step 5.
+// (d' ≤ T − K(r) − min(R)·c') of RBP step 5, with bounds off in both arms:
+// the delay-aware segment bound subsumes the look-ahead, so with bounds on
+// the two arms would examine the same candidates.
 func BenchmarkAblation_Lookahead(b *testing.B) {
 	prob := reducedProblem(b)
 	for _, mode := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"on", core.Options{}},
-		{"off", core.Options{DisableLookahead: true}},
+		{"on", core.Options{DisableBounds: true}},
+		{"off", core.Options{DisableBounds: true, DisableLookahead: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var configs int

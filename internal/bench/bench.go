@@ -22,6 +22,12 @@ import (
 	"clockroute/internal/tech"
 )
 
+// published runs the kernels as the paper publishes them: without the
+// admissible A* bound layer, so the Configs and MaxQ columns count the
+// published algorithm's effort rather than the pruned kernel's. Routed
+// results are identical either way (the bounds' exactness contract).
+var published = core.Options{DisableBounds: true}
+
 // Scale fixes the experimental geometry: die size, grid pitch, and the
 // source/sink positions (40 mm apart in the paper).
 type Scale struct {

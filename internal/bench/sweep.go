@@ -47,7 +47,7 @@ func SweepPeriods(tc *tech.Tech, s Scale, lo, hi, step float64) (*Sweep, error) 
 	out := &Sweep{Scale: s}
 	for T := lo; T <= hi+1e-9; T += step {
 		pt := SweepPoint{PeriodPS: T}
-		res, err := core.RBP(prob, T, core.Options{})
+		res, err := core.RBP(prob, T, published)
 		if err == nil {
 			if _, verr := route.VerifySingleClock(res.Path, prob.Grid, prob.Model, T); verr != nil {
 				return nil, fmt.Errorf("bench: sweep T=%g failed verification: %w", T, verr)

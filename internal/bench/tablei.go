@@ -45,7 +45,7 @@ func TableI(tc *tech.Tech, s Scale, targets []int) (*TableIReport, error) {
 	}
 	rep := &TableIReport{Scale: s}
 
-	fp, err := core.FastPath(prob, core.Options{})
+	fp, err := core.FastPath(prob, published)
 	if err != nil {
 		return nil, fmt.Errorf("bench: fast path: %w", err)
 	}
@@ -56,7 +56,7 @@ func TableI(tc *tech.Tech, s Scale, targets []int) (*TableIReport, error) {
 		return nil, err
 	}
 	for _, T := range periods {
-		res, err := core.RBP(prob, T, core.Options{})
+		res, err := core.RBP(prob, T, published)
 		if err != nil {
 			return nil, fmt.Errorf("bench: RBP at T=%g: %w", T, err)
 		}

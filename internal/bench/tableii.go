@@ -70,9 +70,9 @@ func TableII(tc *tech.Tech, base Scale, pitches []float64, targets []int) (*Tabl
 			var res *core.Result
 			var runErr error
 			if math.IsInf(T, 1) {
-				res, runErr = core.FastPath(prob, core.Options{})
+				res, runErr = core.FastPath(prob, published)
 			} else {
-				res, runErr = core.RBP(prob, T, core.Options{})
+				res, runErr = core.RBP(prob, T, published)
 				if runErr == nil {
 					if _, err := route.VerifySingleClock(res.Path, prob.Grid, prob.Model, T); err != nil {
 						return nil, fmt.Errorf("bench: pitch %g T=%g failed verification: %w", pitch, T, err)

@@ -38,7 +38,7 @@ func TableIII(tc *tech.Tech, s Scale, pairs [][2]float64) (*TableIIIReport, erro
 	rep := &TableIIIReport{Scale: s}
 	for _, pr := range pairs {
 		ts, tt := pr[0], pr[1]
-		res, err := core.GALS(prob, ts, tt, core.Options{})
+		res, err := core.GALS(prob, ts, tt, published)
 		if err != nil {
 			return nil, fmt.Errorf("bench: GALS Ts=%g Tt=%g: %w", ts, tt, err)
 		}

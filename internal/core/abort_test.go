@@ -130,6 +130,30 @@ func TestOptionsDeadlineAbortsWithoutContext(t *testing.T) {
 			t.Errorf("%s: abort took %v", name, e)
 		}
 	}
+
+	// A search shorter than one abort stride must still see an expired
+	// deadline or a firing hook: the first pop polls both.
+	small := problemOn(t, grid.MustNew(6, 1, 0.5), geom.Pt(0, 0), geom.Pt(5, 0))
+	sentinel := errors.New("shed")
+	for label, o := range map[string]Options{
+		"deadline": {Deadline: time.Now().Add(-time.Second)},
+		"hook":     {Abort: func() error { return sentinel }},
+	} {
+		for name, run := range map[string]func() (*Result, error){
+			"fastpath": func() (*Result, error) { return FastPath(small, o) },
+			"rbp":      func() (*Result, error) { return RBP(small, 400, o) },
+			"array":    func() (*Result, error) { return RBPArrayQueues(small, 400, o) },
+			"gals":     func() (*Result, error) { return GALS(small, 400, 300, o) },
+		} {
+			if res, err := run(); !errors.Is(err, ErrAborted) {
+				configs := 0
+				if res != nil {
+					configs = res.Stats.Configs
+				}
+				t.Errorf("small %s %s: err = %v after %d configs, want ErrAborted", label, name, err, configs)
+			}
+		}
+	}
 }
 
 func TestAbortHookErrorIsWrapped(t *testing.T) {

@@ -21,9 +21,11 @@ import (
 //  2. A per-period segment reach N: the maximum number of grid edges one
 //     clocked-to-clocked segment can span under period T (a capped Pareto
 //     DP along an ideal unobstructed line — obstacles only remove buffer
-//     sites, so a real segment can never span more). dist and N convert
-//     into a lower bound on the registers (RBP), delay (FastPath), or
-//     latency (GALS, latch) any completion must still pay.
+//     sites, so a real segment can never span more). dist and N give the
+//     edges the current segment must still cross once later segments
+//     span all they can within the budget; a segBound delay table turns
+//     that into a test on the candidate's own (c, d) (RBP, GALS,
+//     FastPath), and the latch router telescopes it into a latency bound.
 //  3. An incumbent: a feasible solution cost U obtained cheaply before the
 //     main search, against which the lower bounds prune. The primary probe
 //     runs the exact segment DP along one BFS shortest path (microseconds);
@@ -38,9 +40,10 @@ import (
 // dominance order at a fixed (node, wave) — if a candidate is pruned, any
 // candidate it would have dominated is pruned too. Combined with the
 // value-ordered heaps (pqueue.Heap.Tie) this makes the bounded kernel's
-// surviving candidate set and pop order identical to the unbounded
-// kernel's, so routed results match bit for bit. DESIGN.md ("Search
-// kernel") carries the full argument.
+// live (not doomed) candidates and their pop order identical to the
+// unbounded kernel's, so routed results match bit for bit; only the
+// effort counters differ. DESIGN.md ("Search kernel") carries the full
+// argument, including why the single-shot A(v)/F(v) marks stay exact.
 
 // boundEps pads incumbent comparisons so float rounding in the precomputed
 // bound (one multiply) versus the kernel's incremental accumulation can
@@ -81,13 +84,13 @@ type Bounds struct {
 	ownSink  []int32 // pooled storage behind distSink on uncached runs
 	queue    []int32 // BFS worklist, reused by both passes
 
-	// Segment-DP buffers (segmentReach, pathMinRegs, pathMinDelay).
+	// Segment-DP buffers (sweepLine, pathMinRegs, pathMinLat, pathMinDelay).
 	fa, fb []segState
-	path   []int32   // one BFS shortest path, sink first
-	seedsA []int32   // pathMinRegs wave seed positions (current wave)
-	seedsB []int32   // pathMinRegs wave seed positions (next wave)
-	fifoK  []int32   // pathMinLat: fewest sink-side registers per FIFO site
-	rem    []float64 // remTable: remaining-delay lower bound by distance
+	path   []int32      // one BFS shortest path, sink first
+	seedsA []int32      // pathMinRegs wave seed positions (current wave)
+	seedsB []int32      // pathMinRegs wave seed positions (next wave)
+	fifoK  []int32      // pathMinLat: fewest sink-side registers per FIFO site
+	rem    [2][]float64 // segBound remainder tables (GALS uses one per domain)
 }
 
 // segState is one Pareto point of the segment DP.
@@ -191,43 +194,57 @@ func MinEdgeDelay(m *elmore.Model) float64 { return m.EdgeR() * m.EdgeC() / 2 }
 // grid's diameter never matter), so huge periods cost O(maxReach) instead
 // of exploding.
 func (b *Bounds) segmentReach(m *elmore.Model, T float64, maxReach int, start2 *tech.Element, closeK, closeMinR float64) int {
-	tc := m.Tech()
-	reg := tc.Register
-	c0, d0 := reg.C, reg.Setup
+	reg := m.Tech().Register
+	seed := segState{reg.C, reg.Setup}
 	if start2 != nil {
-		c0 = math.Min(c0, start2.C)
-		d0 = math.Min(d0, start2.Setup)
+		seed = segState{math.Min(seed.c, start2.C), math.Min(seed.d, start2.Setup)}
 	}
 	limit := T - closeK
-	cur := b.fa[:0]
-	if d0+closeMinR*c0 <= limit {
-		cur = append(cur, segState{c0, d0})
+	return b.sweepLine(m, seed, maxReach, func(s segState) bool { return s.d+closeMinR*s.c <= limit }, nil)
+}
+
+// sweepLine runs the ideal-line Pareto DP shared by segmentReach and
+// segBound: from seed (step 0), each step crosses one edge and may then
+// insert one library buffer, keeping the states viable accepts. visit, when
+// non-nil, sees every non-empty step's frontier, the seed's included. The
+// sweep stops after maxSteps steps or once the frontier empties, and
+// returns the last step with a non-empty frontier (0 when even the seed is
+// not viable).
+func (b *Bounds) sweepLine(m *elmore.Model, seed segState, maxSteps int, viable func(segState) bool, visit func(k int, st []segState)) int {
+	tc := m.Tech()
+	cur, next := b.fa[:0], b.fb[:0]
+	if viable(seed) {
+		cur = append(cur, seed)
+		if visit != nil {
+			visit(0, cur)
+		}
 	}
-	next := b.fb[:0]
-	reach := 0
-	for j := 1; j <= maxReach && len(cur) > 0; j++ {
+	last := 0
+	for k := 1; k <= maxSteps && len(cur) > 0; k++ {
 		next = next[:0]
 		for _, s := range cur {
 			c2, d2 := m.AddEdge(s.c, s.d)
-			if d2+closeMinR*c2 <= limit {
-				next = appendState(next, segState{c2, d2})
+			if e := (segState{c2, d2}); viable(e) {
+				next = appendState(next, e)
 			}
 			for bi := range tc.Buffers {
-				bu := tc.Buffers[bi]
-				cg, dg := m.AddGate(bu, c2, d2)
-				if dg+closeMinR*cg <= limit {
-					next = appendState(next, segState{cg, dg})
+				cg, dg := m.AddGate(tc.Buffers[bi], c2, d2)
+				if g := (segState{cg, dg}); viable(g) {
+					next = appendState(next, g)
 				}
 			}
 		}
 		if len(next) > 0 {
-			reach = j
+			last = k
+			if visit != nil {
+				visit(k, next)
+			}
 		}
 		cur, next = next, cur
 	}
 	// Return the swap-scrambled buffers to b truncated, in either order.
 	b.fa, b.fb = cur[:0], next[:0]
-	return reach
+	return last
 }
 
 // appendState adds s to the Pareto frontier st: dropped if an existing
@@ -395,7 +412,7 @@ func (b *Bounds) pathMinRegs(p *Problem, T float64) (int, bool) {
 // merged after the close and buffer blocks, so the node a register or FIFO
 // occupies is never given a second gate — and each step passes the kernel's
 // own feasibility checks. The returned latency is therefore the latency of
-// a real solution and a sound upper bound for pruneGALS. Cost is
+// a real solution and a sound upper bound for galsBound. Cost is
 // O(len·frontier) per wave DP, orders of magnitude below a kernel probe.
 func (b *Bounds) pathMinLat(p *Problem, Ts, Tt float64) (float64, bool) {
 	if !b.shortestPath(p) {
@@ -618,86 +635,127 @@ func (b *Bounds) pathMinDelay(p *Problem) (float64, bool) {
 	return best, ok
 }
 
-// remTable returns rem where rem[k] lower-bounds the delay any candidate
-// still pays to finish across k or more grid edges: the exact minimum over
-// ideal-line labelings of j ≥ k edges — starting from the most favorable
-// capacitance any candidate can carry, buffers available at every step —
-// plus the final register close K(r) + R(r)·c. Real completions only lose
-// options (their capacitance is ≥ the seed, obstacles remove buffer
-// sites), so rem is admissible; and because rem[k] is minimized over ALL
-// j ≥ k, a candidate on a winding path longer than its BFS distance is
-// still bounded correctly. States whose accumulated delay exceeds
-// threshold are dropped — their completions cannot matter to a
-// d + rem[dist] > threshold test — which also terminates the sweep: every
-// edge adds at least edgeR·edgeC/2, so the frontier provably empties after
-// O(threshold / minEdge) steps.
-func (b *Bounds) remTable(m *elmore.Model, threshold float64) []float64 {
-	tc := m.Tech()
-	reg := tc.Register
-	cmin := reg.C
+// segBound is the delay-aware A* bound for one kind of clocked segment:
+// RBP's period-T segment, GALS's Tt (sink-side) or Ts (source-side)
+// segment, or FastPath's single source-to-sink segment under its
+// incumbent. A candidate (c, d) that must still cross need edges of its
+// current segment before the segment closes is doomed when
+//
+//	d + slope·(c − cmin) + rem[need] > limit.
+//
+// rem[k] is the least closing delay over ideal-line labelings of j ≥ k
+// further edges — buffers available after every edge, then the cheapest
+// closing element's K + R·c — seeded at (cmin, 0), where cmin is the least
+// capacitance any candidate of the kind can carry. Elmore delay is linear
+// in the seed: one fixed continuation closes from (c, d) at exactly
+// d + R_up·(c − cmin) plus its close from (cmin, 0), where R_up ≥ slope is
+// the resistance of the first gate upstream (a buffer or the closer). Real
+// continuations only lose options (obstacles remove buffer sites), so the
+// test never prunes a candidate that can close within limit. It is
+// monotone in (c, d), so at a fixed (node, wave) a pruned candidate only
+// dominates pruned candidates — the exactness contract.
+type segBound struct {
+	rem   []float64 // rem[k] for k ≤ the segment reach; need beyond it prunes
+	cmin  float64   // seed capacitance: no candidate of the kind carries less
+	slope float64   // least R of any buffer or closer driving the candidate
+	limit float64   // segment period (or incumbent) plus boundEps
+}
+
+// prune reports whether a candidate (c, d) that must still cross need
+// edges of its current segment cannot close it within the limit. need ≤ 0
+// means the segment may close anywhere; need past the table's reach means
+// no segment of this kind spans that far.
+func (s *segBound) prune(c, d float64, need int) bool {
+	if need < 0 {
+		need = 0
+	}
+	if need >= len(s.rem) {
+		return true
+	}
+	return d+s.slope*(c-s.cmin)+s.rem[need] > s.limit
+}
+
+// newSegBound returns the bound of one segment kind without its table.
+// The segment opens from the register or a buffer (or the FIFO when
+// fifoOpens) and closes into the register (or the FIFO when fifoCloses).
+func newSegBound(tc *tech.Tech, limit float64, fifoOpens, fifoCloses bool) segBound {
+	sb := segBound{cmin: tc.Register.C, slope: tc.MinBufferR(), limit: limit}
 	for _, bu := range tc.Buffers {
-		if bu.C < cmin {
-			cmin = bu.C
+		sb.cmin = math.Min(sb.cmin, bu.C)
+	}
+	if fifoOpens {
+		sb.cmin = math.Min(sb.cmin, tc.FIFO.C)
+	}
+	if fifoCloses {
+		sb.slope = math.Min(sb.slope, tc.FIFO.R)
+	}
+	return sb
+}
+
+// segBound returns the bound of one segment kind (see newSegBound) with
+// its remainder table swept into the pooled slot. The sweep drops ideal
+// states whose delay potential d + slope·c + K already exceeds limit:
+// their closes exceed it too, so they cannot lower an entry a prune test
+// compares against limit. It stops after reach steps. The table is
+// nondecreasing in the edge count — the seed dominates every state one
+// edge from it, so dropping a labeling's first edge never costs more —
+// hence rem[k] for k ≤ reach already covers completions longer than
+// reach, and the closing suffix-minimum only guards the invariant. A
+// caller's reach bounds every need it asks about: a segment's span, or
+// FastPath's BFS radius.
+func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, fifoOpens, fifoCloses bool) segBound {
+	tc := m.Tech()
+	reg, fifo := tc.Register, tc.FIFO
+	sb := newSegBound(tc, limit, fifoOpens, fifoCloses)
+	closeK := reg.K
+	if fifoCloses {
+		closeK = math.Min(closeK, fifo.K)
+	}
+	closeAt := func(s segState) float64 {
+		v := s.d + reg.K + reg.R*s.c
+		if fifoCloses {
+			v = math.Min(v, s.d+fifo.K+fifo.R*s.c)
 		}
+		return v
 	}
-	n := int(b.maxSrc) + 1
-	if cap(b.rem) < n {
-		b.rem = make([]float64, n)
+	viable := func(s segState) bool { return s.d+sb.slope*s.c+closeK <= limit }
+
+	if cap(b.rem[slot]) < reach+1 {
+		b.rem[slot] = make([]float64, reach+1)
 	}
-	raw := b.rem[:n]
+	raw := b.rem[slot][:reach+1]
 	for i := range raw {
 		raw[i] = math.Inf(1)
 	}
-	raw[0] = reg.K + reg.R*cmin
+	b.sweepLine(m, segState{sb.cmin, 0}, reach, viable, func(k int, st []segState) {
+		for _, s := range st {
+			raw[k] = math.Min(raw[k], closeAt(s))
+		}
+	})
+	for k := reach - 1; k >= 0; k-- {
+		raw[k] = math.Min(raw[k], raw[k+1])
+	}
+	sb.rem = raw
+	return sb
+}
 
-	cur := append(b.fa[:0], segState{cmin, 0})
-	step := b.fb[:0]
-	// beyond accumulates min rem over every step ≥ n (paths longer than the
-	// grid's BFS diameter are possible on winding routes).
-	beyond := math.Inf(1)
-	const maxSteps = 1 << 20
-	for k := 1; len(cur) > 0; k++ {
-		if k > maxSteps {
-			beyond = 0 // give up: no information past this point, never prune there
-			break
-		}
-		step = step[:0]
-		for _, s := range cur {
-			c2, d2 := m.AddEdge(s.c, s.d)
-			if d2 <= threshold {
-				step = appendState(step, segState{c2, d2})
-			}
-			for bi := range tc.Buffers {
-				bu := tc.Buffers[bi]
-				cg, dg := m.AddGate(bu, c2, d2)
-				if dg <= threshold {
-					step = appendState(step, segState{cg, dg})
-				}
-			}
-		}
-		best := math.Inf(1)
-		for _, s := range step {
-			if v := s.d + reg.K + reg.R*s.c; v < best {
-				best = v
-			}
-		}
-		if k < n {
-			raw[k] = best
-		} else if best < beyond {
-			beyond = best
-		}
-		cur, step = step, cur
+// remTable returns FastPath's remainder table for threshold (see
+// fastBound), in slot 0 of the pooled tables.
+func (b *Bounds) remTable(m *elmore.Model, threshold float64) []float64 {
+	return b.fastBound(m, threshold, nil).rem
+}
+
+// fastBound is FastPath's segBound: a route is one register-to-register
+// segment closed within the incumbent threshold, and every candidate's
+// need is its dist, within the source's BFS radius. The table is swept
+// afresh unless rem carries one cached by a plan-scoped ShareCache.
+func (b *Bounds) fastBound(m *elmore.Model, threshold float64, rem []float64) segBound {
+	if rem == nil {
+		return b.segBound(0, m, threshold, int(b.maxSrc), false, false)
 	}
-	b.fa, b.fb = cur[:0], step[:0]
-	// Suffix-minimize so rem[k] covers every completion length ≥ k.
-	run := beyond
-	for k := n - 1; k >= 0; k-- {
-		if raw[k] < run {
-			run = raw[k]
-		}
-		raw[k] = run
-	}
-	return raw
+	sb := newSegBound(m.Tech(), threshold, false, false)
+	sb.rem = rem
+	return sb
 }
 
 // window is the probe corridor: nodes on, or within windowSlack edges of, a
@@ -749,64 +807,153 @@ func outerAbortPending(opts Options) bool {
 	return opts.Abort != nil && opts.Abort() != nil
 }
 
-// pruneRBP is the RBP/array-queues bound test for a candidate entering wave
-// `wave` at node v: with every remaining segment spanning at most reach
-// edges, a completion needs at least ceil(dist/reach)-1 further registers
-// (the current segment is already open). Prune when even that cannot stay
-// within maxWave. The predicate depends only on (node, wave), so dominance
-// interactions inside a wave are untouched — see the exactness contract.
-func (b *Bounds) pruneRBP(wave int, v int32, reach, maxWave int) bool {
-	d := b.distSrc[v]
-	if d < 0 {
-		return true
-	}
-	if d == 0 {
-		return wave > maxWave
-	}
-	if reach <= 0 {
-		return true // no segment can span even one edge: period infeasible
-	}
-	return wave+(int(d)+reach-1)/reach-1 > maxWave
+// rbpBound is the RBP-family bound state (two-queue, array-of-queues and
+// max-slack): the distance fields, the segment reach, the register-count
+// incumbent maxWave, and the delay table of the period-T segment.
+type rbpBound struct {
+	b              *Bounds
+	seg            segBound
+	reach, maxWave int
 }
 
-// pruneGALS is the GALS bound test: the candidate's accumulated latency
-// plus the cheapest possible remaining close sequence must stay within
-// maxLat. In domain z=1 only source-clock segments remain: at least
-// ceil(dist/reachS) more Ts closes (the final source close included). In
-// domain z=0 the FIFO (one Tt close) and the final Ts close are both still
-// owed; those two segments cover at most reachT+reachS of the remaining
-// edges, and every further block of max(reachS, reachT) edges costs at
-// least one more close at min(Ts, Tt). All terms are lower bounds, so the
-// test is admissible; it depends only on (node, z, L), never on (c, d), so
-// same-wave dominance interactions are untouched.
-func (b *Bounds) pruneGALS(v int32, z uint8, l, ts, tt float64, reachS, reachT int, maxLat float64) bool {
-	dist := int(b.distSrc[v])
-	if dist < 0 {
+// newRBPBound sweeps the period-T segment's delay table: segments open at
+// the register or a buffer and close into a register within T.
+func (b *Bounds) newRBPBound(m *elmore.Model, T float64, reach, maxWave int) *rbpBound {
+	return &rbpBound{
+		b:     b,
+		seg:   b.segBound(0, m, T+boundEps(T), reach, false, false),
+		reach: reach, maxWave: maxWave,
+	}
+}
+
+// prune is the RBP bound test for candidate c entering wave `wave`. A
+// completion may add at most maxWave−wave more registers, and each later
+// segment spans at most reach edges, so the current segment must still
+// cross need = dist − (maxWave−wave)·reach edges and close within T — the
+// segBound delay test. need past reach is the old register-count bound
+// (⌈dist/reach⌉−1 more registers than fit). The predicate depends on
+// (node, wave) and is monotone in (c, d), as the exactness contract
+// requires; a register child's (c, d) is fixed, so its prune depends on
+// (node, wave) alone.
+func (r *rbpBound) prune(wave int, c *candidate.Candidate) bool {
+	d := int(r.b.distSrc[c.Node])
+	if d < 0 || wave > r.maxWave {
 		return true
 	}
-	if z == 1 {
-		if dist == 0 {
-			return l+ts > maxLat
-		}
-		if reachS <= 0 {
-			return true
-		}
-		segs := (dist + reachS - 1) / reachS
-		return l+float64(segs)*ts > maxLat
+	need := d
+	if r.reach > 0 {
+		// Capping the register count at d keeps the product small: d more
+		// segments of at least one edge each already cover every edge.
+		need -= min(r.maxWave-wave, d) * r.reach
 	}
-	if reachS <= 0 || reachT <= 0 {
+	return r.seg.prune(c.C, c.D, need)
+}
+
+// galsBound is GALS's delay-aware bound state: one segBound per domain and
+// the per-wavefront edge spans of the segments still to come after the
+// current one. span[z] < 0 means no close sequence fits the latency budget
+// at all, so every domain-z candidate of the wavefront is doomed.
+type galsBound struct {
+	b              *Bounds
+	tab            [2]segBound
+	ts, tt, maxLat float64
+	reachS, reachT int
+	span           [2]int
+}
+
+// newGALSBound sweeps both domain tables — z=0 segments open at a
+// register and close into a relay register or the FIFO within Tt; z=1
+// segments open at the FIFO or a register and close into a register within
+// Ts — and sets the spans of the first wavefront (l = 0).
+func (b *Bounds) newGALSBound(m *elmore.Model, ts, tt, maxLat float64, reachS, reachT int) *galsBound {
+	g := &galsBound{
+		b: b,
+		tab: [2]segBound{
+			b.segBound(0, m, tt+boundEps(tt), reachT, false, true),
+			b.segBound(1, m, ts+boundEps(ts), reachS, true, false),
+		},
+		ts: ts, tt: tt, maxLat: maxLat, reachS: reachS, reachT: reachT,
+	}
+	g.setWave(0)
+	return g
+}
+
+// setWave computes the spans for the wavefront at accumulated latency l,
+// the least latency of its candidates (a larger budget than any of theirs,
+// so the spans stay admissible for all). Once per wavefront, never per
+// candidate: the z=0 maximization loops over the Tt close count. Spans are
+// capped at the source's BFS radius, past which need ≤ 0 everywhere, which
+// also caps the loop at radius/reachT + 1 iterations.
+func (g *galsBound) setWave(l float64) {
+	limit := int(g.b.maxSrc)
+	if math.IsInf(g.maxLat, 1) {
+		g.span = [2]int{limit, limit}
+		return
+	}
+	// z=1: n Ts closes fit, the current segment's included.
+	g.span[1] = -1
+	if n := maxCloses(l, g.ts, g.maxLat); n >= 1 {
+		g.span[1] = spanOf(n-1, g.reachS, limit)
+	}
+	// z=0: a ≥ 1 Tt closes (the FIFO's included) then b ≥ 1 Ts closes.
+	g.span[0] = -1
+	if g.reachS <= 0 || g.reachT <= 0 {
+		return // no solution: every side needs a segment spanning an edge
+	}
+	for a := 1; ; a++ {
+		bn := maxCloses(l+float64(a)*g.tt, g.ts, g.maxLat)
+		if bn < 1 {
+			break
+		}
+		s := min(spanOf(a-1, g.reachT, limit)+spanOf(bn, g.reachS, limit), limit)
+		g.span[0] = max(g.span[0], s)
+		if s >= limit || (a-1)*g.reachT >= limit {
+			break
+		}
+	}
+}
+
+// prune is the GALS bound test for a domain-z candidate (c, d) at node v of
+// the current wavefront: its segment must still cross dist − span[z] edges
+// and close within the domain's period. Like rbpBound.prune it depends on
+// (node, z, wavefront) and is monotone in (c, d); register and FIFO
+// children carry fixed (c, d), so their prune depends on (node, z,
+// wavefront) alone.
+func (g *galsBound) prune(v int32, z uint8, c, d float64) bool {
+	dist := int(g.b.distSrc[v])
+	if dist < 0 || g.span[z] < 0 {
 		return true
 	}
-	extra := 0
-	if d := dist - reachS - reachT; d > 0 {
-		mr := reachS
-		if reachT > mr {
-			mr = reachT
-		}
-		extra = (d + mr - 1) / mr
+	return g.tab[z].prune(c, d, dist-g.span[z])
+}
+
+// maxCloses returns the most closes n of period T with base + n·T ≤ maxLat
+// (−1 when even n = 0 overshoots), checked in the same float form the
+// budget comparisons use.
+func maxCloses(base, T, maxLat float64) int {
+	if base > maxLat {
+		return -1
 	}
-	minT := math.Min(ts, tt)
-	return l+tt+ts+float64(extra)*minT > maxLat
+	q := (maxLat - base) / T
+	if q > math.MaxInt32 {
+		return math.MaxInt32 // far past any span cap; avoids int overflow
+	}
+	n := int(q)
+	for n > 0 && base+float64(n)*T > maxLat {
+		n--
+	}
+	for base+float64(n+1)*T <= maxLat {
+		n++
+	}
+	return n
+}
+
+// spanOf returns n·reach capped at limit, without overflow.
+func spanOf(n, reach, limit int) int {
+	if reach > 0 && n >= (limit+reach-1)/reach {
+		return limit
+	}
+	return n * reach
 }
 
 // candidateTieLess is the strict value order installed on every search

@@ -211,7 +211,9 @@ type Options struct {
 // abortStride is how many popped candidates go between polls of the
 // Deadline and Abort hooks; MaxConfigs is enforced exactly on every pop.
 // At typical expansion rates a stride is well under a millisecond, so
-// cancellation stays prompt without a clock read per candidate.
+// cancellation stays prompt without a clock read per candidate. The first
+// pop of each stride polls, so even a search shorter than one stride sees
+// an expired deadline or a firing hook.
 const abortStride = 256
 
 // CheckAbort reports whether the search must stop after popping the
@@ -225,7 +227,7 @@ func (o *Options) CheckAbort(configs int) error {
 	if o.Abort == nil && o.Deadline.IsZero() {
 		return nil
 	}
-	if configs%abortStride != 0 {
+	if configs%abortStride != 1 {
 		return nil
 	}
 	if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {

@@ -43,29 +43,28 @@ func fastPath(p *Problem, opts Options, sc *Scratch) (*Result, error) {
 	store := sc.PrepStore(0, g.NumNodes(), false)
 	res := &Result{}
 
-	// Admissible pruning: h(v) = rem[dist(v, source)] — the ideal-line
-	// remaining-delay table — never exceeds the true remaining cost, and the
-	// shortest-path DP incumbent is achieved by a labeling the kernel
-	// reaches with identical float ops, so pruning d + h(v) > U + eps can
-	// never cut a candidate that ties or beats the incumbent solution.
+	// Admissible pruning: the route is one register-to-register segment, so
+	// the segBound delay test with need = dist(v, source) never prunes a
+	// candidate that can finish within the incumbent; and the shortest-path
+	// DP incumbent is achieved by a labeling the kernel reaches with
+	// identical float ops, so pruning against U + eps can never cut a
+	// candidate that ties or beats the incumbent solution.
 	var bd *Bounds
-	var rem []float64
-	threshold := math.Inf(1)
+	var seg segBound
 	if !opts.DisableBounds {
 		sh := opts.Share
 		bd = sc.prepBoundsShared(p, sh)
 		if fb, ok := sh.fastBounds(p); ok {
 			if fb.ok {
-				threshold, rem = fb.threshold, fb.rem
+				seg = bd.fastBound(m, fb.threshold, fb.rem)
 			}
 		} else {
 			fb := &incFast{}
 			if u, ok := bd.pathMinDelay(p); ok {
-				threshold = u + boundEps(u)
-				rem = bd.remTable(m, threshold)
-				fb.ok, fb.threshold = true, threshold
+				seg = bd.fastBound(m, u+boundEps(u), nil)
+				fb.ok, fb.threshold = true, seg.limit
 				if sh.owns(p.Grid) {
-					fb.rem = append([]float64(nil), rem...)
+					fb.rem = append([]float64(nil), seg.rem...)
 				}
 			}
 			sh.storeFastBounds(p, fb)
@@ -76,7 +75,7 @@ func fastPath(p *Problem, opts Options, sc *Scratch) (*Result, error) {
 		faultpoint.Must("core.wave_push")
 		if bd != nil {
 			dist := bd.DistToSource(c.Node)
-			if dist < 0 || (rem != nil && c.D+rem[dist] > threshold) {
+			if dist < 0 || (seg.rem != nil && seg.prune(c.C, c.D, int(dist))) {
 				res.Stats.BoundPruned++
 				return
 			}

@@ -34,26 +34,27 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (res *Result, err error) {
 
 // galsBounds prepares the admissible-bound state for GALS: BFS distance
 // fields, per-domain segment reaches (source-side segments may start from
-// the FIFO; sink-side segments may close into it), and a latency incumbent.
-// The incumbent comes from pathMinLat — the exact GALS segment DP along one
-// BFS shortest path, which decouples the FIFO's domain coupling by solving
-// the two sides independently per FIFO site — and costs microseconds where
-// the corridor probe costs thousands of kernel configs; the probe remains
-// as a fallback for paths that admit no labeling. Probe budget exhaustion
-// just means no incumbent; only a caller-requested abort propagates.
-func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Bounds, reachS, reachT int, maxLat float64, probeConfigs int, err error) {
+// the FIFO; sink-side segments may close into it), a latency incumbent, and
+// the per-domain delay tables. The incumbent comes from pathMinLat — the
+// exact GALS segment DP along one BFS shortest path, which decouples the
+// FIFO's domain coupling by solving the two sides independently per FIFO
+// site — and costs microseconds where the corridor probe costs thousands of
+// kernel configs; the probe remains as a fallback for paths that admit no
+// labeling. Probe budget exhaustion just means no incumbent; only a
+// caller-requested abort propagates.
+func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (gb *galsBound, probeConfigs int, err error) {
 	sh := opts.Share
-	bd = sc.prepBoundsShared(p, sh)
+	bd := sc.prepBoundsShared(p, sh)
 	tc := p.tech()
 	fifo := tc.FIFO
 	minR := tc.MinBufferR()
-	reachS = bd.segmentReachShared(sh, p, p.Model, Ts, int(bd.maxSrc), true, tc.Register.K, minR)
-	reachT = bd.segmentReachShared(sh, p, p.Model, Tt, int(bd.maxSrc), false,
+	reachS := bd.segmentReachShared(sh, p, p.Model, Ts, int(bd.maxSrc), true, tc.Register.K, minR)
+	reachT := bd.segmentReachShared(sh, p, p.Model, Tt, int(bd.maxSrc), false,
 		math.Min(tc.Register.K, fifo.K), math.Min(minR, fifo.R))
 	if inc, ok := sh.galsIncumbent(p, Ts, Tt); ok {
-		return bd, reachS, reachT, inc.maxLat, inc.probeConfigs, nil
+		return bd.newGALSBound(p.Model, Ts, Tt, inc.maxLat, reachS, reachT), inc.probeConfigs, nil
 	}
-	maxLat = math.Inf(1)
+	maxLat := math.Inf(1)
 	clean := true // an injured probe's outcome must not be published
 	if lat, ok := bd.pathMinLat(p, Ts, Tt); ok {
 		maxLat = lat + latencyEps
@@ -65,7 +66,7 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Boun
 			maxLat = pres.Latency + latencyEps
 			probeConfigs = pres.Stats.Configs
 		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
-			return nil, 0, 0, 0, 0, perr
+			return nil, 0, perr
 		default:
 			clean = false
 		}
@@ -73,7 +74,7 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (bd *Boun
 	if clean {
 		sh.storeGALSIncumbent(p, Ts, Tt, incGALS{maxLat, probeConfigs})
 	}
-	return bd, reachS, reachT, maxLat, probeConfigs, nil
+	return bd.newGALSBound(p.Model, Ts, Tt, maxLat, reachS, reachT), probeConfigs, nil
 }
 
 func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*Result, error) {
@@ -85,12 +86,11 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
 	sc.SetPackedTie(!opts.DisablePackedTie)
 
-	var bd *Bounds
-	reachS, reachT, probeConfigs := 0, 0, 0
-	maxLat := math.Inf(1)
+	var gb *galsBound
+	probeConfigs := 0
 	if win == nil && !opts.DisableBounds {
 		var err error
-		bd, reachS, reachT, maxLat, probeConfigs, err = galsBounds(p, Ts, Tt, opts, sc)
+		gb, probeConfigs, err = galsBounds(p, Ts, Tt, opts, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -132,16 +132,17 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 	//
 	// The push is split in two so expansion sites can run the bound checks
 	// on scalars *before* paying Arena.New's 64-byte candidate copy: admitQ
-	// decides viability from (node, z, l) alone, enterQ dominance-checks
-	// and queues an already-allocated candidate. Stats and faultpoint
-	// ordering are exactly the old single pushQ's.
-	admitQ := func(node int32, z uint8, l float64) bool {
+	// decides viability from (node, z, c, d) and the current wavefront's
+	// spans, enterQ dominance-checks and queues an already-allocated
+	// candidate. Stats and faultpoint ordering are exactly the old single
+	// pushQ's.
+	admitQ := func(node int32, z uint8, c, d float64) bool {
 		faultpoint.Must("core.wave_push")
 		if win != nil && !win.allows(node) {
 			res.Stats.BoundPruned++
 			return false
 		}
-		if bd != nil && bd.pruneGALS(node, z, l, Ts, Tt, reachS, reachT, maxLat) {
+		if gb != nil && gb.prune(node, z, c, d) {
 			res.Stats.BoundPruned++
 			return false
 		}
@@ -169,7 +170,7 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 	}
 
 	init := sc.Arena.New(p.initialCandidate()) // (C(r), Setup(r), m', t, z=0, l=0)
-	if admitQ(init.Node, init.Z, init.L) {
+	if admitQ(init.Node, init.Z, init.C, init.D) {
 		enterQ(init)
 	}
 	if opts.Trace != nil {
@@ -186,12 +187,15 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 			sc.Buf, l = qstar.ExtractAllMin(sc.Buf, latencyEps)
 			stores[0].NextEpoch()
 			stores[1].NextEpoch()
+			if gb != nil {
+				gb.setWave(l)
+			}
 			res.Stats.Waves++
 			if opts.Trace != nil {
 				opts.Trace.WaveStart(res.Stats.Waves-1, l)
 			}
 			for _, c := range sc.Buf {
-				if admitQ(c.Node, c.Z, c.L) {
+				if admitQ(c.Node, c.Z, c.C, c.D) {
 					enterQ(c)
 				}
 			}
@@ -230,7 +234,7 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 		ec, ed := m.AddEdge(c.C, c.D)
 		if ed <= tz {
 			g.ForNeighbors(u, func(v int) {
-				if !admitQ(int32(v), c.Z, c.L) {
+				if !admitQ(int32(v), c.Z, ec, ed) {
 					return
 				}
 				enterQ(sc.Arena.New(candidate.Candidate{
@@ -254,7 +258,7 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 			if d2 > tz {
 				continue
 			}
-			if !admitQ(c.Node, c.Z, c.L) {
+			if !admitQ(c.Node, c.Z, c2, d2) {
 				continue
 			}
 			enterQ(sc.Arena.New(candidate.Candidate{

@@ -33,11 +33,10 @@ type rbpEngine struct {
 
 	// Admissible-bound state (bounds.go). win non-nil = this run is a
 	// corridor-restricted incumbent probe; bd non-nil = the main run prunes
-	// candidates whose wave plus register lower bound exceeds maxWave.
-	win     *window
-	bd      *Bounds
-	reach   int
-	maxWave int
+	// candidates that cannot close their segment in time to finish within
+	// the incumbent's wave.
+	win *window
+	bd  *rbpBound
 }
 
 func newRBPEngine(p *Problem, T float64, opts Options, res *Result, sc *Scratch) *rbpEngine {
@@ -74,7 +73,7 @@ func (e *rbpEngine) tryEmit(wave int, c *candidate.Candidate, key float64, st *c
 		e.res.Stats.BoundPruned++
 		return
 	}
-	if e.bd != nil && e.bd.pruneRBP(wave, c.Node, e.reach, e.maxWave) {
+	if e.bd != nil && e.bd.prune(wave, c) {
 		e.res.Stats.BoundPruned++
 		return
 	}
@@ -217,21 +216,22 @@ func RBP(p *Problem, T float64, opts Options) (res *Result, err error) {
 }
 
 // rbpBounds prepares the admissible-bound state for an RBP-family search:
-// BFS distance fields, the per-period segment reach, and a register-count
+// BFS distance fields, the per-period segment reach, a register-count
 // incumbent — from the shortest-path DP when it finds a feasible labeling,
 // else from a windowed probe run of the kernel itself (whose scratch
-// mutations are rewound before the exact search starts). A probe that runs
-// out of its private budget just means no incumbent; only an abort the
-// caller itself requested propagates as err.
-func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, reach, maxWave, probeConfigs int, err error) {
+// mutations are rewound before the exact search starts) — and the
+// segment's delay table. A probe that runs out of its private budget just
+// means no incumbent; only an abort the caller itself requested propagates
+// as err.
+func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (rb *rbpBound, probeConfigs int, err error) {
 	sh := opts.Share
-	bd = sc.prepBoundsShared(p, sh)
+	bd := sc.prepBoundsShared(p, sh)
 	tc := p.tech()
-	reach = bd.segmentReachShared(sh, p, p.Model, T, int(bd.maxSrc), false, tc.Register.K, tc.MinBufferR())
+	reach := bd.segmentReachShared(sh, p, p.Model, T, int(bd.maxSrc), false, tc.Register.K, tc.MinBufferR())
 	if inc, ok := sh.rbpIncumbent(p, T); ok {
-		return bd, reach, inc.maxWave, inc.probeConfigs, nil
+		return bd.newRBPBound(p.Model, T, reach, inc.maxWave), inc.probeConfigs, nil
 	}
-	maxWave = noIncumbent
+	maxWave := noIncumbent
 	clean := true // an injured probe's outcome must not be published
 	if u, ok := bd.pathMinRegs(p, T); ok {
 		maxWave = u
@@ -243,7 +243,7 @@ func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, re
 			maxWave = pres.Registers
 			probeConfigs = pres.Stats.Configs
 		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
-			return nil, 0, 0, 0, perr
+			return nil, 0, perr
 		default:
 			clean = false
 		}
@@ -251,7 +251,7 @@ func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (bd *Bounds, re
 	if clean {
 		sh.storeRBPIncumbent(p, T, incRBP{maxWave, probeConfigs})
 	}
-	return bd, reach, maxWave, probeConfigs, nil
+	return bd.newRBPBound(p.Model, T, reach, maxWave), probeConfigs, nil
 }
 
 func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *window) (*Result, error) {
@@ -262,18 +262,16 @@ func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *window) (*Result
 	sc.Q.Tie = candidateTieLess // content-determined pop order; see bounds.go
 	sc.SetPackedTie(!opts.DisablePackedTie)
 	res := &Result{}
-	var bd *Bounds
-	reach, maxWave, probeConfigs := 0, 0, 0
+	var bd *rbpBound
 	if win == nil && !opts.DisableBounds {
 		var err error
-		bd, reach, maxWave, probeConfigs, err = rbpBounds(p, T, opts, sc)
+		bd, res.Stats.ProbeConfigs, err = rbpBounds(p, T, opts, sc)
 		if err != nil {
 			return nil, err
 		}
 	}
 	e := newRBPEngine(p, T, opts, res, sc)
-	e.win, e.bd, e.reach, e.maxWave = win, bd, reach, maxWave
-	res.Stats.ProbeConfigs = probeConfigs
+	e.win, e.bd = win, bd
 
 	q := &sc.Q       // current wave, keyed by delay
 	qstar := &sc.Buf // next wave; all entries share key Setup(r)
@@ -365,18 +363,16 @@ func rbpArrayQueues(p *Problem, T float64, opts Options, sc *Scratch) (*Result, 
 	start := time.Now()
 	sc.SetPackedTie(!opts.DisablePackedTie)
 	res := &Result{}
-	var bd *Bounds
-	reach, maxWave, probeConfigs := 0, 0, 0
+	var bd *rbpBound
 	if !opts.DisableBounds {
 		var err error
-		bd, reach, maxWave, probeConfigs, err = rbpBounds(p, T, opts, sc)
+		bd, res.Stats.ProbeConfigs, err = rbpBounds(p, T, opts, sc)
 		if err != nil {
 			return nil, err
 		}
 	}
 	e := newRBPEngine(p, T, opts, res, sc)
-	e.bd, e.reach, e.maxWave = bd, reach, maxWave
-	res.Stats.ProbeConfigs = probeConfigs
+	e.bd = bd
 
 	// MaxQSize is the number of candidates across all wave heaps; a running
 	// push/pop balance tracks it in O(1) instead of summing every heap's

@@ -8,12 +8,16 @@ package core
 // grids adversarially, this sweep covers realistic shapes (lines, wide
 // and tall grids, interior endpoints, all blockage kinds) at scale.
 //
-// The same helper backs two tests: TestKernelEquivalenceSweep runs a
-// reduced count on every CI pass (tier1 runs the full suite), and the
-// slowtest-tagged TestKernelEquivalenceSweepFull (make sweep) runs the
-// ≥500-instance version with a different seed.
+// The same helper backs four always-on tests: the reduced 60-instance
+// stream, the ≥500-instance stream over the same small shapes with a
+// different seed, a mid-size stratum where the delay-aware segment bounds
+// cut the most, and a stratum under electrically distinct libraries. On
+// every instance it also rebuilds the states along each unbounded optimum
+// and asserts the bounds prune none of them (checkBoundsAdmitPath), which
+// catches an inadmissible table even where no divergence happens to show.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,16 +74,107 @@ func randomSweepCase(rng *rand.Rand) *sweepCase {
 	}
 }
 
+// randomMidCase draws the mid-size stratum: 24–48-node dies at 0.25 mm
+// with 6–12 blockages and periods of 250–850 ps — large enough that the
+// delay-aware segment bounds prune heavily, which the small grids above
+// rarely make them do. Draws whose endpoints are walled apart are redrawn:
+// proving such an instance infeasible takes the unbounded max-slack arm
+// NumNodes full waves, seconds per instance at this size, and the small
+// stratum and the fuzzer already cover infeasible instances.
+func randomMidCase(rng *rand.Rand) *sweepCase {
+	W := 24 + rng.Intn(25) // 24..48
+	H := 24 + rng.Intn(25)
+	g := grid.MustNew(W, H, 0.25)
+	for i := 6 + rng.Intn(7); i > 0; i-- {
+		x, y := rng.Intn(W), rng.Intn(H)
+		r := geom.R(x, y, min(x+2+rng.Intn(7), W), min(y+2+rng.Intn(7), H))
+		switch rng.Intn(3) {
+		case 0:
+			g.AddObstacle(r)
+		case 1:
+			g.AddRegisterBlockage(r)
+		default:
+			g.AddWiringBlockage(r)
+		}
+	}
+	m, err := elmore.NewModel(testTech(), 0.25)
+	if err != nil {
+		return nil
+	}
+	n := g.NumNodes()
+	src, dst := rng.Intn(n), rng.Intn(n)
+	if src == dst {
+		return nil
+	}
+	p, err := NewProblem(g, m, src, dst)
+	if err != nil || new(Scratch).PrepBounds(p).DistToSource(int32(dst)) < 0 {
+		return nil
+	}
+	return &sweepCase{
+		p:  p,
+		T:  float64(250 + rng.Intn(601)),
+		Ts: float64(250 + rng.Intn(601)),
+		Tt: float64(250 + rng.Intn(601)),
+	}
+}
+
+// randomTechCase draws small and mid shapes under the multi-size buffer
+// library or skewTech. In testTech the register, the FIFO and the one
+// buffer are electrically identical, so only these draws make the delay
+// tables' seed capacitance, slope and FIFO closes differ from the
+// register's own.
+func randomTechCase(rng *rand.Rand) *sweepCase {
+	W := 3 + rng.Intn(28) // 3..30
+	H := 1 + rng.Intn(20) // 1..20
+	pitch := []float64{0.25, 0.5}[rng.Intn(2)]
+	g := grid.MustNew(W, H, pitch)
+	for i := rng.Intn(9); i > 0; i-- {
+		x, y := rng.Intn(W), rng.Intn(H)
+		r := geom.R(x, y, min(x+1+rng.Intn(6), W), min(y+1+rng.Intn(6), H))
+		switch rng.Intn(3) {
+		case 0:
+			g.AddObstacle(r)
+		case 1:
+			g.AddRegisterBlockage(r)
+		default:
+			g.AddWiringBlockage(r)
+		}
+	}
+	tc := multiTech()
+	if rng.Intn(2) == 0 {
+		tc = skewTech()
+	}
+	m, err := elmore.NewModel(tc, pitch)
+	if err != nil {
+		return nil
+	}
+	n := g.NumNodes()
+	src, dst := rng.Intn(n), rng.Intn(n)
+	if src == dst {
+		return nil
+	}
+	p, err := NewProblem(g, m, src, dst)
+	if err != nil || new(Scratch).PrepBounds(p).DistToSource(int32(dst)) < 0 {
+		return nil // walled-apart draws are redrawn, as in randomMidCase
+	}
+	return &sweepCase{
+		p:  p,
+		T:  float64(60 + rng.Intn(900)),
+		Ts: float64(60 + rng.Intn(900)),
+		Tt: float64(60 + rng.Intn(900)),
+	}
+}
+
 // kernelEquivalenceSweep draws n valid instances from the seeded stream
 // and asserts bounded == unbounded for every kernel on each.
-func kernelEquivalenceSweep(t *testing.T, seed int64, n int) {
+func kernelEquivalenceSweep(t *testing.T, seed int64, n int, draw func(*rand.Rand) *sweepCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for built, attempts := 0, 0; built < n; attempts++ {
 		if attempts > 20*n {
 			t.Fatalf("generator rejected too many draws: %d built after %d attempts", built, attempts)
 		}
-		c := randomSweepCase(rng)
+		c := draw(rng)
 		if c == nil {
 			continue
 		}
@@ -107,12 +202,36 @@ func kernelEquivalenceSweep(t *testing.T, seed int64, n int) {
 				t.Errorf("instance %d %s: bounded result diverges from unbounded\nbounded   %s\nunbounded %s",
 					built-1, r.name, bs, us)
 			}
+			if uerr == nil {
+				checkBoundsAdmitPath(t, fmt.Sprintf("instance %d %s", built-1, r.name), r.name, c, unbounded)
+			}
 		}
 	}
 }
 
-// TestKernelEquivalenceSweep is the reduced always-on gate; the full
-// ≥500-instance sweep lives behind the slowtest build tag (make sweep).
+// TestKernelEquivalenceSweep is the reduced gate over small shapes.
 func TestKernelEquivalenceSweep(t *testing.T) {
-	kernelEquivalenceSweep(t, 20260807, 60)
+	kernelEquivalenceSweep(t, 20260807, 60, randomSweepCase)
+}
+
+// TestKernelEquivalenceSweepFull is the ≥500-instance gate over small
+// shapes, seeded differently from the reduced sweep so the two cover
+// disjoint streams.
+func TestKernelEquivalenceSweepFull(t *testing.T) {
+	kernelEquivalenceSweep(t, 0x5eedf011, 500, randomSweepCase)
+}
+
+// TestKernelEquivalenceSweepMid is the gate over the mid-size stratum,
+// where the delay-aware bounds cut the most candidates.
+func TestKernelEquivalenceSweepMid(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep, ~15× slower under the race runtime; the plain and shuffled passes run it")
+	}
+	kernelEquivalenceSweep(t, 0x3d5eed, 8, randomMidCase)
+}
+
+// TestKernelEquivalenceSweepTechs is the gate over libraries whose
+// register, FIFO and buffers differ electrically.
+func TestKernelEquivalenceSweepTechs(t *testing.T) {
+	kernelEquivalenceSweep(t, 0x7ec5, 60, randomTechCase)
 }
