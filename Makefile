@@ -31,15 +31,16 @@ race:
 shuffle:
 	go test -shuffle=on -count=1 ./...
 
-# Short fuzzing pass over every untrusted-input decoder: the netlist
-# loader, the candidate store, and the two service request decoders.
+# Short fuzzing pass over every untrusted-input decoder: the candidate
+# store and the two service request decoders (routed plan -config reads
+# its file through the /v1/plan one), plus the canonical hash and the
+# kernels' differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
-# crasher fails the target. Regexes are anchored because ./api hosts two
+# crasher fails the target. Regexes are anchored because ./api hosts three
 # fuzz functions and `go test -fuzz` demands a unique match.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
-	go test -run xxx -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/netlist
 	go test -run xxx -fuzz '^FuzzStoreInsert$$' -fuzztime $(FUZZTIME) ./internal/candidate
 	go test -run xxx -fuzz '^FuzzDecodeRouteRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzDecodePlanRequest$$' -fuzztime $(FUZZTIME) ./api
@@ -119,10 +120,13 @@ bench-check:
 # End-to-end observability demo: route the SoC25mm batch with the live
 # /metrics + pprof server and a JSONL trace of every search and net span.
 obs-demo:
-	go run ./cmd/planner -workers 4 -metrics-addr 127.0.0.1:9090 -trace obs-trace.jsonl
+	go run ./cmd/routed plan -workers 4 -metrics-addr 127.0.0.1:9090 -trace obs-trace.jsonl
 	@echo "--- first trace lines ---"
 	@head -n 5 obs-trace.jsonl
 
-# Regenerate the paper tables at reduced scale.
+# Regenerate tables_paper_scale.txt: Tables I-III at paper scale, about
+# 3 minutes on a 2-CPU host. Only the time(s) columns and the
+# "(regenerated in ...)" lines should differ from the checked-in file.
 tables:
-	go run ./cmd/tables
+	go run ./cmd/routed tables -table all -scale paper > tables_paper_scale.txt.tmp
+	mv tables_paper_scale.txt.tmp tables_paper_scale.txt

@@ -76,6 +76,53 @@ func TestDecodePlanRequestRejects(t *testing.T) {
 	}
 }
 
+func TestDecodePlanRequestRejectsUnknownFields(t *testing.T) {
+	body := `{"grid":{"w":5,"h":5,"pitch_mm":1},"bogus":1,
+	  "nets":[{"name":"n","src":{"x":0,"y":0},"dst":{"x":4,"y":4},"src_period_ps":300,"dst_period_ps":300}]}`
+	if _, err := DecodePlanRequest(strings.NewReader(body)); err == nil {
+		t.Error("unknown fields must be rejected")
+	}
+}
+
+// demoPlan is a small valid two-net plan that each Validate case breaks
+// in one place.
+func demoPlan() *PlanRequest {
+	return &PlanRequest{
+		Grid: GridSpec{W: 8, H: 8, PitchMM: 0.5},
+		Nets: []NetSpec{
+			{Name: "a", Src: Point{0, 0}, Dst: Point{7, 7}, SrcPeriodPS: 300, DstPeriodPS: 300},
+			{Name: "b", Src: Point{0, 7}, Dst: Point{7, 0}, SrcPeriodPS: 300, DstPeriodPS: 400},
+		},
+	}
+}
+
+func TestDecodePlanRequestValidateFailures(t *testing.T) {
+	if err := demoPlan().Validate(); err != nil {
+		t.Fatalf("demo plan invalid: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*PlanRequest)
+		frag string
+	}{
+		{"tiny grid", func(r *PlanRequest) { r.Grid.W = 1 }, "too small"},
+		{"pitch", func(r *PlanRequest) { r.Grid.PitchMM = 0 }, "pitch"},
+		{"no nets", func(r *PlanRequest) { r.Nets = nil }, "no nets"},
+		{"anon net", func(r *PlanRequest) { r.Nets[0].Name = "" }, "empty name"},
+		{"dup net", func(r *PlanRequest) { r.Nets[1].Name = r.Nets[0].Name }, "duplicate"},
+		{"off grid", func(r *PlanRequest) { r.Nets[0].Dst = Point{99, 0} }, "must lie on the"},
+		{"bad period", func(r *PlanRequest) { r.Nets[0].SrcPeriodPS = 0 }, "positive finite periods"},
+	}
+	for _, c := range cases {
+		req := demoPlan()
+		c.mut(req)
+		err := req.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.frag)
+		}
+	}
+}
+
 func TestDecodeOversizedBody(t *testing.T) {
 	// A syntactically valid body padded past MaxRequestBytes must be
 	// rejected, not decoded.

@@ -3,9 +3,9 @@
 //
 // The benchmarks run at the 4×-reduced scale (0.5 mm pitch, 80-edge
 // separation) so `go test -bench=.` completes in minutes; `go run
-// ./cmd/tables -scale paper` regenerates the full 200×200 configuration,
-// recorded in EXPERIMENTS.md. Custom metrics report the paper's effort
-// columns: configurations investigated and peak queue size.
+// ./cmd/routed tables -scale paper` regenerates the full 200×200
+// configuration, recorded in EXPERIMENTS.md. Custom metrics report the
+// paper's effort columns: configurations investigated and peak queue size.
 package clockroute
 
 import (
@@ -118,12 +118,13 @@ func BenchmarkTableIII_GALS(b *testing.B) {
 }
 
 // BenchmarkFigure6_Wavefront regenerates the Fig. 6 wave-front expansion
-// (RBP with the recorder attached), measuring tracing overhead too.
+// (RBP with the recorder attached, bounds off as published), measuring
+// tracing overhead too.
 func BenchmarkFigure6_Wavefront(b *testing.B) {
 	prob := reducedProblem(b)
 	for i := 0; i < b.N; i++ {
 		rec := wavefront.NewRecorder(prob.Grid)
-		if _, err := core.RBP(prob, 300, core.Options{Trace: rec}); err != nil {
+		if _, err := core.RBP(prob, 300, core.Options{Trace: rec, DisableBounds: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -341,7 +341,7 @@ func FIFOFromResult(res *Result, Ts, Tt float64, depth int) (FIFOConfig, error) 
 func NewWavefrontRecorder(g *Grid) *WavefrontRecorder { return wavefront.NewRecorder(g) }
 
 // Observability. Options.Telemetry accepts any TelemetrySink; the sinks
-// below compose with Route, Planner.RunParallel, and the CLIs'
+// below compose with Route, Planner.RunParallel, and routed's
 // -metrics-addr endpoints. See the "Observability" section of DESIGN.md
 // for the event schema and metric names.
 type (
@@ -353,7 +353,7 @@ type (
 	// TelemetryEventKind discriminates trace events.
 	TelemetryEventKind = telemetry.EventKind
 	// Metrics is the atomic registry of routing counters; it is itself a
-	// TelemetrySink and exports via expvar (Publish).
+	// TelemetrySink, rendered as Prometheus text on /metrics.
 	Metrics = telemetry.Metrics
 	// ProgressTracker is a TelemetrySink maintaining an in-flight-net
 	// snapshot (the /progress endpoint payload).
@@ -374,8 +374,8 @@ func MultiSink(sinks ...TelemetrySink) TelemetrySink { return telemetry.Multi(si
 // NewMetrics builds an empty metrics registry.
 func NewMetrics() *Metrics { return telemetry.NewMetrics() }
 
-// DefaultMetrics returns the process-wide registry, published to expvar as
-// "clockroute" on first use.
+// DefaultMetrics returns the process-wide registry, created on first use;
+// routed's /metrics endpoint renders it.
 func DefaultMetrics() *Metrics { return telemetry.Default() }
 
 // SynchronizedTracer wraps a Tracer so it can be shared across concurrent

@@ -1,24 +1,31 @@
-// Command routed serves the routing system over HTTP/JSON: POST /v1/route
-// runs one search through the unified Route API, POST /v1/plan fans a
-// batch of nets through the parallel planner, and GET /healthz reports
-// admission state. The wire format is documented in the api package.
+// Command routed is the routing system's one command. With no subcommand
+// it serves the routing service over HTTP/JSON: POST /v1/route runs one
+// search through the unified Route API, POST /v1/plan fans a batch of
+// nets through the parallel planner, and GET /healthz reports admission
+// state. The wire format is documented in the api package. The
+// subcommands run the same kernels from the command line, or administer a
+// running server:
 //
-// Usage:
+//	routed route -kind fastpath|rbp|gals|latch ...  # one net (see runRoute)
+//	routed plan [-config plan.json] ...             # a batch (see runPlan)
+//	routed tables -table all -scale paper           # Tables I-III (see runTables)
+//	routed cache stats|snapshot|load -addr 127.0.0.1:8080
+//	routed cache diff old-dir new-dir
+//
+// Serving:
 //
 //	routed -addr :8080
 //	routed -addr :8080 -max-inflight 8 -max-queue 16 -request-timeout 10s
 //	routed -addr :8080 -metrics-addr 127.0.0.1:9090 -trace routed.jsonl -v
 //	routed -addr :8080 -cache-mb 128 -cache-dir /var/lib/routed/cache
 //	routed -addr :8080 -backends http://w1:8080,http://w2:8080,http://w3:8080
-//	routed cache stats|snapshot|load -addr 127.0.0.1:8080
-//	routed cache diff old-dir new-dir
 //
-// With -backends, the process runs as a sharding coordinator: streamed
-// /v1/plan requests are distributed across the listed workers by
-// consistent hashing on each net's canonical problem hash, with
-// per-backend circuit breakers, failover re-routing, and in-process
+// With -backends, the process runs as a sharding coordinator: /v1/plan
+// requests, buffered and streamed, are distributed across the listed
+// workers by consistent hashing on each net's canonical problem hash,
+// with per-backend circuit breakers, failover re-routing, and in-process
 // degraded routing when every backend is down (see internal/coordinator).
-// Buffered /v1/route and /v1/plan keep routing locally.
+// /v1/route keeps routing locally.
 //
 // Admission control sheds load with 429 + Retry-After once the in-flight
 // and queue limits are both full. On SIGINT/SIGTERM the server drains:
@@ -55,18 +62,45 @@ import (
 
 	"clockroute/internal/cliutil"
 	"clockroute/internal/coordinator"
-	"clockroute/internal/faultpoint"
 	"clockroute/internal/server"
 	"clockroute/internal/telemetry"
 )
 
 func main() {
-	// Admin subcommands run against an already-listening server:
-	// routed cache <stats|snapshot|load|diff> [-addr host:port]
-	if len(os.Args) > 1 && os.Args[1] == "cache" {
-		os.Exit(runCacheCmd(os.Args[2:]))
+	if len(os.Args) > 1 {
+		args := os.Args[2:]
+		switch os.Args[1] {
+		case "route":
+			os.Exit(runRoute(args, os.Stdout, os.Stderr))
+		case "plan":
+			os.Exit(runPlan(args, os.Stdout, os.Stderr))
+		case "tables":
+			os.Exit(runTables(args, os.Stdout, os.Stderr))
+		case "cache":
+			os.Exit(runCacheCmd(args))
+		}
 	}
+	os.Exit(serve())
+}
 
+// invalid prints a flag-check failure and fs's usage: exit status 2.
+func invalid(fs *flag.FlagSet, err error) int {
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	return 2
+}
+
+// finish closes the trace of a run that otherwise succeeded; a lost trace
+// write fails the run.
+func finish(obs *cliutil.Observability) int {
+	if err := obs.Close(); err != nil {
+		return obs.Fail("trace", err)
+	}
+	return 0
+}
+
+// serve runs the routing service until SIGINT/SIGTERM and its drain.
+func serve() int {
 	var (
 		addr         = flag.String("addr", ":8080", "service listen address")
 		maxInflight  = flag.Int("max-inflight", 0, "concurrent routing requests (0 = 2x GOMAXPROCS)")
@@ -82,23 +116,11 @@ func main() {
 		circCooldown = flag.Duration("circuit-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = 5s)")
 		probeEvery   = flag.Duration("probe-interval", 10*time.Second, "background /healthz probing of non-closed backends (0 = off)")
 		cacheDir     = flag.String("cache-dir", "", "directory for cache snapshot segments; loaded at boot, written by 'routed cache snapshot' (empty = in-memory only)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /progress, /debug/slow, and /debug/pprof on this address (empty = off)")
 		slowMS       = flag.Int("slow-ms", 500, "slow-request SLO in milliseconds: slower requests are kept for /debug/slow and persisted to -trace (0 = off)")
-		traceFile    = flag.String("trace", "", "append JSONL span events to this file (empty = off)")
-		faultpoints  = flag.String("faultpoints", "", "arm fault-injection points, e.g. 'core.wave_push=panic@3,sink.write=delay:5ms' (also via FAULTPOINTS env)")
-		verbose      = flag.Bool("v", false, "debug-level logging")
+		obs          cliutil.Observability
 	)
+	obs.Register(flag.CommandLine)
 	flag.Parse()
-
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	fail := func(msg string, err error) {
-		log.Error(msg, "err", err)
-		os.Exit(1)
-	}
 
 	var v cliutil.Validator
 	v.NonNegativeInt("max-inflight", *maxInflight)
@@ -113,39 +135,15 @@ func main() {
 	v.NonNegativeInt("circuit-failures", *circFails)
 	v.NonNegativeDuration("circuit-cooldown", *circCooldown)
 	v.NonNegativeDuration("probe-interval", *probeEvery)
+	obs.Check(&v)
 	if err := v.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
+		return invalid(flag.CommandLine, err)
 	}
-	if *faultpoints != "" {
-		if err := faultpoint.Set(*faultpoints); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		log.Warn("fault injection armed", "points", faultpoint.List())
+	if err := obs.Start(os.Stderr); err != nil {
+		return obs.Fail("observability", err)
 	}
-
-	// Observability wiring mirrors cmd/planner: the process-wide metrics
-	// registry always aggregates; -trace tees every span to JSONL; with
-	// -metrics-addr the live endpoints come up beside the service.
-	var extra []telemetry.Sink
-	var jsonl *telemetry.JSONL
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fail("trace file", err)
-		}
-		defer f.Close()
-		jsonl = telemetry.NewJSONL(f)
-		extra = append(extra, jsonl)
-		log.Info("tracing spans", "file", *traceFile)
-	}
-	var progress *telemetry.Progress
-	if *metricsAddr != "" {
-		progress = telemetry.NewProgress()
-		extra = append(extra, progress)
-	}
+	defer obs.Close()
+	log := obs.Log
 
 	// Coordinator mode: with -backends set, /v1/plan (buffered and
 	// streamed) shards across the listed workers; /v1/route stays local.
@@ -167,7 +165,7 @@ func main() {
 			Metrics:          telemetry.Default(),
 		})
 		if err != nil {
-			fail("coordinator", err)
+			return obs.Fail("coordinator", err)
 		}
 		coord.Start()
 		defer coord.Close()
@@ -183,7 +181,7 @@ func main() {
 		CacheMaxBytes:  *cacheMB << 20,
 		CacheDir:       *cacheDir,
 		Metrics:        telemetry.Default(),
-		Sink:           telemetry.Multi(extra...),
+		Sink:           telemetry.Multi(obs.Sinks()...),
 		SlowThreshold:  time.Duration(*slowMS) * time.Millisecond,
 		Coordinator:    coord,
 	})
@@ -192,28 +190,17 @@ func main() {
 	// mount the service's flight recorder and cache series; it goes down
 	// inside the drain path below, with the service, instead of being
 	// abandoned to process exit.
-	var msrv *telemetry.Server
-	if *metricsAddr != "" {
-		promExtra := []func(io.Writer){svc.CachePrometheus()}
-		if coord != nil {
-			promExtra = append(promExtra, coord.WritePrometheus)
-		}
-		var err error
-		msrv, err = telemetry.NewServer(*metricsAddr, telemetry.ServerOptions{
-			Progress: progress,
-			Metrics:  telemetry.Default(),
-			Recorder: svc.FlightRecorder(),
-			Extra:    promExtra,
-		})
-		if err != nil {
-			fail("metrics server", err)
-		}
-		msrv.Start()
-		log.Info("observability endpoints up",
-			"metrics", "http://"+msrv.Addr()+"/metrics",
-			"progress", "http://"+msrv.Addr()+"/progress",
-			"slow", "http://"+msrv.Addr()+"/debug/slow",
-			"pprof", "http://"+msrv.Addr()+"/debug/pprof/")
+	promExtra := []func(io.Writer){svc.CachePrometheus()}
+	if coord != nil {
+		promExtra = append(promExtra, coord.WritePrometheus)
+	}
+	msrv, err := obs.Serve(telemetry.ServerOptions{
+		Metrics:  telemetry.Default(),
+		Recorder: svc.FlightRecorder(),
+		Extra:    promExtra,
+	})
+	if err != nil {
+		return obs.Fail("observability", err)
 	}
 	if *cacheMB > 0 && *cacheDir != "" {
 		// Warm start: replay whatever snapshot segments the directory holds.
@@ -245,7 +232,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		fail("serve", err)
+		return obs.Fail("serve", err)
 	case <-ctx.Done():
 	}
 
@@ -266,10 +253,9 @@ func main() {
 			log.Warn("metrics shutdown", "err", err)
 		}
 	}
-	if jsonl != nil {
-		if err := jsonl.Err(); err != nil {
-			fail("trace", err)
-		}
+	if status := finish(&obs); status != 0 {
+		return status
 	}
 	log.Info("bye")
+	return 0
 }

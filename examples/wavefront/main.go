@@ -1,6 +1,8 @@
 // Wavefront: visualize RBP's wave-by-wave expansion (the paper's Fig. 6).
 // Each digit is the wave — i.e. the register count — whose expansion first
 // reached that grid node; the final route is overlaid with S/R/B/T markers.
+// The search runs as published, with the A* bounds off: they would prune
+// the rings down to the routed row without changing the route.
 package main
 
 import (
@@ -24,7 +26,7 @@ func run(title string, blocked bool) {
 	}
 
 	rec := clockroute.NewWavefrontRecorder(g)
-	res, err := clockroute.RBP(prob, 300, clockroute.Options{Trace: rec})
+	res, err := clockroute.RBP(prob, 300, clockroute.Options{Trace: rec, DisableBounds: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // Published values are embedded (paper.go) so reports show paper-vs-measured
 // side by side; the tests assert the paper's qualitative observations
-// (Sections V-A…V-C) at a reduced scale, and cmd/tables reproduces the full
+// (Sections V-A…V-C) at a reduced scale, and `routed tables` reproduces the full
 // 200×200 configuration.
 package bench
 

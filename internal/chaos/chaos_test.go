@@ -409,8 +409,8 @@ func TestServerSurvivesHandlerPanic(t *testing.T) {
 	if s.Panics() != 1 {
 		t.Fatalf("server panic count %d, want 1", s.Panics())
 	}
-	if m.Snapshot()["request_panics"] != int64(1) {
-		t.Fatalf("request_panics metric = %v, want 1", m.Snapshot()["request_panics"])
+	if got := m.RequestPanics.Value(); got != 1 {
+		t.Fatalf("request_panics metric = %d, want 1", got)
 	}
 	if s.Degraded() {
 		t.Fatal("one panic must not degrade health (threshold 3)")

@@ -1,5 +1,6 @@
-// Package cliutil holds the small flag-parsing helpers shared by the cmd/
-// tools: grid points, rectangles, and repeatable rectangle lists.
+// Package cliutil holds the flag helpers of the routed command: grid
+// points, rectangles and repeatable rectangle lists, up-front validation
+// of a whole flag set, and the observability flags every mode shares.
 package cliutil
 
 import (
@@ -117,6 +118,14 @@ func (v *Validator) InBounds(name string, p geom.Point, w, h int) {
 func (v *Validator) Distinct(nameA, nameB string, a, b geom.Point) {
 	if a == b {
 		v.failf("-%s and -%s must differ, both are %d,%d", nameA, nameB, a.X, a.Y)
+	}
+}
+
+// Check records err, when non-nil, as a failure of flag `name` — for a
+// check a parser or another package already performs.
+func (v *Validator) Check(name string, err error) {
+	if err != nil {
+		v.failf("-%s: %v", name, err)
 	}
 }
 

@@ -194,7 +194,7 @@ func TestCalibratedSingleCycleReachMatchesPaper(t *testing.T) {
 	// Table I's smallest periods pin registers every 1 edge (T=49) and every
 	// 8 edges (T=84) with the authors' exact parameters. With our calibrated
 	// parameters the corresponding fastest periods must land in the same
-	// ballpark (they are what cmd/tables reports as the row periods).
+	// ballpark (they are what routed tables reports as the row periods).
 	m := model(t, 0.125)
 	r := m.Tech().Register
 	t1 := r.Setup + m.StageDelay(r, 1, r.C) // fastest period with 1-edge reach

@@ -232,7 +232,7 @@ func New(fp *floorplan.Floorplan, tc *tech.Tech, opts core.Options) (*Planner, e
 }
 
 // NewFromGrid builds a planner over an already-materialized grid (e.g. one
-// loaded from a netlist instance file) instead of a floorplan. NetBetween
+// built from a /v1/plan request's GridSpec) instead of a floorplan. NetBetween
 // is unavailable without a floorplan; use explicit NetSpec coordinates.
 func NewFromGrid(g *grid.Grid, tc *tech.Tech, opts core.Options) (*Planner, error) {
 	if g == nil {

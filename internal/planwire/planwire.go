@@ -1,10 +1,11 @@
 // Package planwire converts between the wire types of package api and the
-// engine types of the planner: grid construction from a GridSpec, NetSpec
-// conversion, and the rendering of routed nets and batch statistics back
-// into their response shapes. It exists one layer below internal/server so
-// that every front end — the HTTP plan pipeline and the sharding
-// coordinator's local degraded path — renders results through the same
-// code and cannot drift apart byte-wise.
+// engine types of the planner and the search kernels: grid construction
+// from a GridSpec, RouteRequest and NetSpec conversion, and the rendering
+// of routed nets and batch statistics back into their response shapes. It
+// exists one layer below internal/server so that every front end — the
+// HTTP route and plan pipelines, the sharding coordinator's local degraded
+// path, and the routed CLI — builds problems and renders results through
+// the same code and cannot drift apart byte-wise.
 package planwire
 
 import (
@@ -13,6 +14,7 @@ import (
 	"clockroute/api"
 	"clockroute/internal/candidate"
 	"clockroute/internal/core"
+	"clockroute/internal/elmore"
 	"clockroute/internal/geom"
 	"clockroute/internal/grid"
 	"clockroute/internal/planner"
@@ -38,6 +40,34 @@ func BuildGrid(spec *api.GridSpec) (*grid.Grid, error) {
 		g.AddWiringBlockage(geom.R(r.X0, r.Y0, r.X1, r.Y1))
 	}
 	return g, nil
+}
+
+// BuildRoute turns a validated RouteRequest into a core problem and
+// request.
+func BuildRoute(req *api.RouteRequest, tc *tech.Tech) (*core.Problem, core.Request, error) {
+	g, err := BuildGrid(&req.Grid)
+	if err != nil {
+		return nil, core.Request{}, err
+	}
+	m, err := elmore.NewModel(tc, g.PitchMM())
+	if err != nil {
+		return nil, core.Request{}, fmt.Errorf("server: model: %w", err)
+	}
+	prob, err := core.NewProblem(g, m, g.ID(geom.Pt(req.Src.X, req.Src.Y)), g.ID(geom.Pt(req.Dst.X, req.Dst.Y)))
+	if err != nil {
+		return nil, core.Request{}, fmt.Errorf("server: %w", err)
+	}
+	kind, err := core.ParseKind(req.Kind)
+	if err != nil {
+		return nil, core.Request{}, err
+	}
+	return prob, core.Request{
+		Kind:        kind,
+		PeriodPS:    req.PeriodPS,
+		SrcPeriodPS: req.SrcPeriodPS,
+		DstPeriodPS: req.DstPeriodPS,
+		ArrayQueues: req.ArrayQueues,
+	}, nil
 }
 
 // NewStreamPlanner builds a planner over a plan's grid, with the given

@@ -31,6 +31,7 @@ import (
 	"clockroute/internal/coordinator"
 	"clockroute/internal/core"
 	"clockroute/internal/faultpoint"
+	"clockroute/internal/planwire"
 	"clockroute/internal/resultcache"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
@@ -479,7 +480,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.testHookAdmitted()
 	}
 
-	prob, coreReq, err := buildRoute(req, s.cfg.Tech)
+	prob, coreReq, err := planwire.BuildRoute(req, s.cfg.Tech)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

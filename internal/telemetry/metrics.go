@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -113,25 +111,6 @@ func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
 // Bounds returns the bucket upper edges.
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
-// snapshot renders the histogram for expvar/JSON export.
-func (h *Histogram) snapshot() map[string]any {
-	buckets := make(map[string]int64, len(h.counts))
-	for i := range h.counts {
-		label := "+inf"
-		if i < len(h.bounds) {
-			label = fmt.Sprintf("%g", h.bounds[i])
-		}
-		if n := h.counts[i].Load(); n > 0 {
-			buckets["le_"+label] = n
-		}
-	}
-	return map[string]any{
-		"count":   h.Count(),
-		"sum":     h.Sum(),
-		"buckets": buckets,
-	}
-}
-
 // Metrics is the registry of the routing system's operational counters. It
 // doubles as a Sink: fed the event stream, it aggregates searches, effort
 // counters, per-net latency, and worker busy-time, so one instance can
@@ -193,8 +172,6 @@ type Metrics struct {
 	CoordDegradedLocal Counter
 	// RequestLatencyMS buckets each request's wall time in milliseconds.
 	RequestLatencyMS *Histogram
-
-	publish sync.Once
 }
 
 // NewMetrics builds a registry with the default latency bucket layout
@@ -249,71 +226,13 @@ func (m *Metrics) Emit(e Event) {
 	}
 }
 
-// Snapshot renders every metric as a plain map, the payload behind both
-// the expvar export and /metrics.
-func (m *Metrics) Snapshot() map[string]any {
-	out := map[string]any{
-		"searches":       m.Searches.Value(),
-		"search_errors":  m.SearchErrors.Value(),
-		"configs":        m.Configs.Value(),
-		"pushed":         m.Pushed.Value(),
-		"pruned":         m.Pruned.Value(),
-		"bound_pruned":   m.BoundPruned.Value(),
-		"probe_configs":  m.ProbeConfigs.Value(),
-		"prune_ratio":    m.PruneRatio(),
-		"waves":          m.Waves.Value(),
-		"max_q_size":     m.MaxQSize.Value(),
-		"nets_queued":    m.NetsQueued.Value(),
-		"nets_in_flight": m.NetsInFlight.Value(),
-		"nets_done":      m.NetsDone.Value(),
-		"nets_failed":    m.NetsFailed.Value(),
-		"worker_busy_ns": m.WorkerBusyNS.Value(),
-		"requests":       m.Requests.Value(),
-		"request_errors": m.RequestErrors.Value(),
-		"shed":           m.Shed.Value(),
-		"request_aborts": m.RequestAborts.Value(),
-		"request_panics": m.RequestPanics.Value(),
-		"slow_requests":  m.SlowRequests.Value(),
-
-		"scratch_quarantines": m.ScratchQuarantines.Value(),
-
-		"cache_hits":      m.CacheHits.Value(),
-		"cache_misses":    m.CacheMisses.Value(),
-		"cache_evictions": m.CacheEvictions.Value(),
-		"cache_bytes":     m.CacheBytes.Value(),
-
-		"coord_failovers":      m.CoordFailovers.Value(),
-		"coord_degraded_local": m.CoordDegradedLocal.Value(),
-	}
-	if m.NetLatencyMS != nil {
-		out["net_latency_ms"] = m.NetLatencyMS.snapshot()
-	}
-	if m.RequestLatencyMS != nil {
-		out["request_latency_ms"] = m.RequestLatencyMS.snapshot()
-	}
-	return out
-}
-
-// Publish registers the registry with expvar under the given name (e.g.
-// "clockroute"), composing with anything else the process exports. Safe to
-// call more than once; only the first call registers.
-func (m *Metrics) Publish(name string) {
-	m.publish.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-	})
-}
-
 var (
 	defaultMetrics     *Metrics
 	defaultMetricsOnce sync.Once
 )
 
-// Default returns the process-wide registry, created (and published to
-// expvar as "clockroute") on first use.
+// Default returns the process-wide registry, created on first use.
 func Default() *Metrics {
-	defaultMetricsOnce.Do(func() {
-		defaultMetrics = NewMetrics()
-		defaultMetrics.Publish("clockroute")
-	})
+	defaultMetricsOnce.Do(func() { defaultMetrics = NewMetrics() })
 	return defaultMetrics
 }

@@ -3,12 +3,10 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 )
 
@@ -26,14 +24,10 @@ type ServerOptions struct {
 	Extra []func(io.Writer)
 }
 
-// Server is the opt-in debug endpoint behind the CLIs' -metrics-addr flag.
+// Server is the opt-in debug endpoint behind routed's -metrics-addr flag.
 // It serves:
 //
-//	/metrics        Prometheus text exposition (format 0.0.4) by default;
-//	                expvar-style JSON via ?format=json or Accept:
-//	                application/json
-//	/debug/vars     expvar JSON (the published registries plus the stdlib
-//	                memstats/cmdline vars)
+//	/metrics        Prometheus text exposition (format 0.0.4)
 //	/progress       the Progress tracker's in-flight snapshot
 //	/debug/slow     the flight recorder's slow-request span trees
 //	/debug/pprof/*  the standard pprof profiles
@@ -57,8 +51,10 @@ func NewServer(addr string, opts ServerOptions) (*Server, error) {
 		m = Default()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", metricsHandler(m, opts.Extra))
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", PrometheusContentType)
+		WritePrometheus(w, m, opts.Extra...)
+	})
 	if opts.Progress != nil {
 		progress := opts.Progress
 		mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
@@ -80,24 +76,6 @@ func NewServer(addr string, opts ServerOptions) (*Server, error) {
 		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
 		ln:  ln,
 	}, nil
-}
-
-// metricsHandler negotiates /metrics between the Prometheus text format
-// (the default, what scrapers expect) and the legacy expvar JSON
-// (?format=json, or an Accept header preferring application/json).
-func metricsHandler(m *Metrics, extra []func(io.Writer)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		format := r.URL.Query().Get("format")
-		if format == "" && strings.Contains(r.Header.Get("Accept"), "application/json") {
-			format = "json"
-		}
-		if format == "json" {
-			expvar.Handler().ServeHTTP(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", PrometheusContentType)
-		WritePrometheus(w, m, extra...)
-	}
 }
 
 // Addr returns the bound address (useful with port 0).

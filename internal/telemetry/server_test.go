@@ -9,8 +9,7 @@ import (
 )
 
 // TestServerEndpoints boots the debug server on an ephemeral port and
-// exercises /metrics (both formats), /debug/vars, /progress, /debug/slow,
-// and /debug/pprof/.
+// exercises /metrics, /progress, /debug/slow, and /debug/pprof/.
 func TestServerEndpoints(t *testing.T) {
 	prog := NewProgress()
 	prog.Emit(Event{Kind: EventNetStart, Net: "cpu-dsp", Worker: 2, TimeNS: Now()})
@@ -46,44 +45,6 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, "clockroute_searches_total") || !strings.Contains(body, "clockroute_goroutines") {
 		t.Errorf("/metrics missing expected Prometheus series:\n%.500s", body)
-	}
-
-	// ?format=json keeps the expvar JSON view available at the same path.
-	code, body, _ = get("/metrics?format=json")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics?format=json status %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/metrics?format=json is not JSON: %v", err)
-	}
-	if _, ok := vars["clockroute"]; !ok {
-		t.Errorf("/metrics?format=json missing the clockroute registry: has %d keys", len(vars))
-	}
-
-	// Accept: application/json negotiates the same.
-	req, _ := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(b, &vars); err != nil {
-		t.Errorf("/metrics with Accept: application/json is not JSON: %v", err)
-	}
-
-	// /debug/vars keeps the classic expvar mount.
-	code, body, _ = get("/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars missing stdlib memstats (expvar composition broken)")
 	}
 
 	code, body, _ = get("/progress")

@@ -1,11 +1,11 @@
 // Package telemetry is the observability layer for the routing system: a
 // structured event stream (spans of searches, wavefronts, and batch nets),
-// an atomic metrics registry exported via expvar, and an opt-in HTTP
-// debug server exposing /metrics, /progress, and /debug/pprof.
+// an atomic metrics registry, and an opt-in HTTP debug server exposing it
+// as Prometheus text on /metrics, beside /progress and /debug/pprof.
 //
 // The package depends only on the standard library and knows nothing about
 // grids or routers: producers (core.Route, the planner's worker pool, the
-// CLIs) emit Events into a Sink, and consumers — a JSONL file writer, a
+// routed command) emit Events into a Sink, and consumers — a JSONL file writer, a
 // post-mortem ring buffer, the Metrics registry, the Progress tracker —
 // implement Sink and can be fanned out with Multi. Everything is
 // goroutine-safe, and a nil Sink everywhere means zero overhead: the
