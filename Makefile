@@ -2,7 +2,7 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-telemetry bench-cache bench-check obs-demo tables
+.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables
 
 tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
@@ -85,19 +85,14 @@ bench:
 # Allocation/latency trajectory of the search core: the headline RBP and
 # FastPath single-search benchmarks plus the parallel planner batch, with
 # allocation reporting, recorded as JSON so future PRs can compare their
-# allocs/op and ns/op against the checked-in numbers.
+# allocs/op and ns/op against the checked-in numbers. BenchmarkRBP's
+# telemetry=* rows price the observability layer.
 # The single-search rows get 50 iterations (they are milliseconds each and
 # noisy at 10); the parallel batch stays at 10 to keep the target fast.
 bench-core:
 	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$' -benchmem -benchtime 50x -json . > BENCH_core.json
 	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_core.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-
-# Price the observability layer: BenchmarkRBP at telemetry off/ring/metrics
-# with allocation reporting, recorded as JSON for regression tracking.
-bench-telemetry:
-	go test -run xxx -bench BenchmarkRBP -benchmem -benchtime 10x -json . > BENCH_telemetry.json
-	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_telemetry.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
 # Price the result cache end to end over HTTP: a forced cold miss vs a
 # warm hit on /v1/route (the hit must be an order of magnitude faster and
@@ -107,14 +102,15 @@ bench-cache:
 	go test -run xxx -bench 'BenchmarkRouteColdMiss$$|BenchmarkRouteWarmHit$$|BenchmarkPlanHalfRepeated$$' -benchmem -benchtime 50x -json ./internal/server > BENCH_cache.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_cache.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
-# Perf-regression gate: rerun the headline RBP benchmark plus the serial
-# batch-planner row into a local (gitignored) JSON stream and compare them
-# against the checked-in BENCH_core.json — >5% configs/op regression or any
-# routed-result drift (registers/op, latency_ps) fails the target. The
-# workers=1 planner row is the batch-path fingerprint: it would have caught
-# the PR 8 tie-ordering tax that landed silently.
+# Perf-regression gate: rerun the headline RBP and FastPath benchmarks plus
+# the serial batch-planner row into a local (gitignored) JSON stream and
+# compare them against the checked-in BENCH_core.json — >5% configs/op or
+# probe_configs/op regression or any routed-result drift (registers/op,
+# latency_ps) fails the target. The workers=1 planner row is the batch-path
+# fingerprint: it would have caught the heap tie-ordering tax that once
+# landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live

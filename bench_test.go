@@ -337,6 +337,7 @@ func BenchmarkRBP(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+		b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
 		// Routed-result fingerprint: make bench-check compares these against
 		// the recorded baseline exactly — any drift fails the gate.
 		b.ReportMetric(float64(res.Registers), "registers/op")
@@ -378,6 +379,7 @@ func BenchmarkRBP(b *testing.B) {
 			rec.Finish(200, nil)
 		}
 		b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+		b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
 		b.ReportMetric(float64(res.Registers), "registers/op")
 		b.ReportMetric(res.Latency, "latency_ps")
 	})
@@ -391,15 +393,16 @@ func BenchmarkRBP(b *testing.B) {
 func BenchmarkFastPath(b *testing.B) {
 	prob := reducedProblem(b)
 	b.ReportAllocs()
-	var configs int
+	var res *core.Result
 	for n := 0; n < b.N; n++ {
-		res, err := core.FastPath(prob, core.Options{})
+		var err error
+		res, err = core.FastPath(prob, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		configs = res.Stats.Configs
 	}
-	b.ReportMetric(float64(configs), "configs/op")
+	b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+	b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
 }
 
 // BenchmarkPlanner_ParallelVsSerial routes the same 16-net SoC workload
@@ -411,7 +414,8 @@ func BenchmarkFastPath(b *testing.B) {
 // Besides the configs/op effort count, each row fingerprints the routed
 // answer — total registers and summed latency across the batch — so
 // cmd/benchcheck's gate catches a batch-path result drift (any fingerprint
-// delta fails) separately from an effort regression (>5% configs/op).
+// delta fails) separately from an effort regression (>5% configs/op or
+// probe_configs/op, the incumbent probes' share of the effort).
 func BenchmarkPlanner_ParallelVsSerial(b *testing.B) {
 	pl, specs, err := bench.SoCNetWorkload(0.5, 16)
 	if err != nil {
@@ -419,14 +423,14 @@ func BenchmarkPlanner_ParallelVsSerial(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var configs, regs int
+			var configs, probeConfigs, regs int
 			var lat float64
 			for n := 0; n < b.N; n++ {
 				plan, err := pl.RunParallel(context.Background(), workers, specs)
 				if err != nil {
 					b.Fatal(err)
 				}
-				configs = plan.Stats.TotalConfigs
+				configs, probeConfigs = plan.Stats.TotalConfigs, plan.Stats.TotalProbeConfigs
 				regs, lat = 0, 0
 				for i := range plan.Nets {
 					if plan.Nets[i].Err != nil {
@@ -437,6 +441,7 @@ func BenchmarkPlanner_ParallelVsSerial(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(configs), "configs/op")
+			b.ReportMetric(float64(probeConfigs), "probe_configs/op")
 			b.ReportMetric(float64(regs), "registers/op")
 			b.ReportMetric(lat, "latency_ps")
 		})

@@ -2,15 +2,17 @@
 // it compares a fresh `go test -json` benchmark stream against the
 // checked-in BENCH_core.json baseline and exits non-zero when either
 //
-//   - configs/op regressed by more than the tolerance (default 5%) on any
-//     benchmark present in both files — the search did more work for the
-//     same answer, or
+//   - configs/op or probe_configs/op regressed by more than the tolerance
+//     (default 5%) on any benchmark present in both files — the search, or
+//     the incumbent probe ahead of it, did more work for the same answer, or
 //   - a routed-result fingerprint metric (registers/op, latency_ps)
 //     differs at all — the answer itself drifted, which the equivalence
 //     sweeps treat as a correctness failure, not a perf one.
 //
 // Wall-clock time is deliberately not compared: ns/op is machine- and
-// load-dependent, while configs/op is a deterministic effort count.
+// load-dependent, while both config counts are deterministic effort
+// counts. A unit missing from either file is not compared, so a baseline
+// recorded before a unit existed still gates the others.
 package main
 
 import (
@@ -28,9 +30,13 @@ import (
 // benchmark name.
 type metrics map[string]float64
 
-// exact units must match the baseline bit-for-bit; they fingerprint the
-// routed result rather than the effort spent producing it.
-var exactUnits = []string{"registers/op", "latency_ps"}
+// effortUnits may grow by at most the tolerance; exactUnits must match the
+// baseline bit-for-bit — they fingerprint the routed result rather than
+// the effort spent producing it.
+var (
+	effortUnits = []string{"configs/op", "probe_configs/op"}
+	exactUnits  = []string{"registers/op", "latency_ps"}
+)
 
 // parseBench extracts benchmark result lines from a `go test -json`
 // stream. A single result line is typically split across two Output
@@ -104,7 +110,7 @@ func parseBenchLine(rows map[string]metrics, line string) {
 func main() {
 	baseline := flag.String("baseline", "BENCH_core.json", "recorded baseline (go test -json stream)")
 	current := flag.String("current", "bench-check.json", "fresh run to check (go test -json stream)")
-	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional configs/op regression")
+	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional configs/op and probe_configs/op regression")
 	flag.Parse()
 
 	base, err := parseBench(*baseline)
@@ -129,18 +135,25 @@ func main() {
 	compared, failed := 0, false
 	for _, name := range names {
 		b, c := base[name], cur[name]
-		bc, bok := b["configs/op"]
-		cc, cok := c["configs/op"]
+		_, bok := b["configs/op"]
+		_, cok := c["configs/op"]
 		if !bok || !cok {
 			continue
 		}
 		compared++
-		if cc > bc*(1+*tolerance) {
-			fmt.Printf("FAIL %s: configs/op %g exceeds baseline %g by more than %.0f%%\n",
-				name, cc, bc, *tolerance*100)
-			failed = true
-		} else {
-			fmt.Printf("ok   %s: configs/op %g (baseline %g)\n", name, cc, bc)
+		for _, unit := range effortUnits {
+			bv, bok := b[unit]
+			cv, cok := c[unit]
+			if !bok || !cok {
+				continue
+			}
+			if cv > bv*(1+*tolerance) {
+				fmt.Printf("FAIL %s: %s %g exceeds baseline %g by more than %.0f%%\n",
+					name, unit, cv, bv, *tolerance*100)
+				failed = true
+			} else {
+				fmt.Printf("ok   %s: %s %g (baseline %g)\n", name, unit, cv, bv)
+			}
 		}
 		for _, unit := range exactUnits {
 			bv, bok := b[unit]

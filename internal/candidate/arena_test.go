@@ -101,44 +101,3 @@ func TestStoreReuseClearsAndGrows(t *testing.T) {
 		t.Error("store lost node coverage after smaller Reuse")
 	}
 }
-
-func TestForEachLiveMatchesFrontierWithoutAllocating(t *testing.T) {
-	s := NewStore(2)
-	a := &Candidate{Node: 1, C: 1, D: 3}
-	b := &Candidate{Node: 1, C: 2, D: 2}
-	c := &Candidate{Node: 1, C: 3, D: 1}
-	for _, cand := range []*Candidate{a, b, c} {
-		if !s.Insert(cand) {
-			t.Fatalf("insert %+v failed", cand)
-		}
-	}
-	var got []*Candidate
-	s.ForEachLive(1, func(c *Candidate) { got = append(got, c) })
-	want := s.Frontier(1)
-	if len(got) != len(want) {
-		t.Fatalf("ForEachLive saw %d candidates, Frontier %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("order diverges at %d: %p vs %p", i, got[i], want[i])
-		}
-		if got[i].Dead {
-			t.Errorf("ForEachLive yielded a dead candidate %+v", got[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.ForEachLive(1, func(*Candidate) {})
-	})
-	if allocs != 0 {
-		t.Errorf("ForEachLive allocates %.0f/op, want 0", allocs)
-	}
-
-	// Epoch-reset side effect: after NextEpoch the first accessor commits
-	// the lazy truncation, so nothing from the old epoch is visited.
-	s.NextEpoch()
-	n := 0
-	s.ForEachLive(1, func(*Candidate) { n++ })
-	if n != 0 {
-		t.Errorf("ForEachLive visited %d candidates from a stale epoch", n)
-	}
-}

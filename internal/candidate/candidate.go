@@ -67,17 +67,6 @@ func (c *Candidate) Walk(fn func(*Candidate)) {
 	}
 }
 
-// PathLen returns the number of grid edges on the candidate's partial path.
-func (c *Candidate) PathLen() int {
-	n := 0
-	for cur := c; cur.Parent != nil; cur = cur.Parent {
-		if cur.Node != cur.Parent.Node {
-			n++
-		}
-	}
-	return n
-}
-
 // arenaBlock is the slab size of an Arena: enough to amortize slab
 // allocation across thousands of expansions while keeping a mostly-idle
 // pooled arena under a few hundred KiB.
@@ -350,18 +339,6 @@ func (s *Store) insertTri(c *Candidate) bool {
 // node; candidates from earlier epochs are never returned.
 func (s *Store) Frontier(v int32) []*Candidate {
 	return append([]*Candidate(nil), s.node(v).cand...)
-}
-
-// ForEachLive calls fn for every candidate on v's current-epoch frontier in
-// storage order, without allocating the copy Frontier makes. Every frontier
-// entry is live by construction (Insert removes the candidates it kills),
-// so fn sees exactly the candidates a new arrival would be pruned against.
-// fn must not mutate the store. The lazy epoch-reset side effect of
-// Frontier applies here too.
-func (s *Store) ForEachLive(v int32, fn func(*Candidate)) {
-	for _, c := range s.node(v).cand {
-		fn(c)
-	}
 }
 
 // Stats returns (inserted, rejected, killed) counters.

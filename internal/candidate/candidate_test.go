@@ -233,7 +233,7 @@ func TestDeadFlagConsistency(t *testing.T) {
 	}
 }
 
-func TestWalkAndPathLen(t *testing.T) {
+func TestWalk(t *testing.T) {
 	root := &Candidate{Node: 0, Gate: GateRegister}
 	step1 := &Candidate{Node: 1, Gate: GateNone, Parent: root}
 	step2 := &Candidate{Node: 2, Gate: GateNone, Parent: step1}
@@ -250,9 +250,6 @@ func TestWalkAndPathLen(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("Walk order = %v, want %v", order, want)
 		}
-	}
-	if got := step3.PathLen(); got != 3 {
-		t.Errorf("PathLen = %d, want 3 (gate step adds no edge)", got)
 	}
 }
 

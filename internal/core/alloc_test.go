@@ -81,22 +81,25 @@ func TestSearchAllocBudgets(t *testing.T) {
 
 // TestBoundsPrecomputeAllocBudget pins the steady-state cost of the
 // admissible-bound machinery itself: once a pooled Scratch has sized its
-// BFS distance fields, probe state, and remainder-table slabs on a grid,
+// BFS distance field, probe window, and remainder-table slabs on a grid,
 // re-preparing bounds for the same problem shape must allocate nothing.
+// (The probe's kernel run is covered by TestSearchAllocBudgets.)
 func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime randomizes sync.Pool retention; alloc budgets are asserted without -race")
 	}
 	p := allocProblem(t)
+	ref, err := FastPath(p, Options{DisableBounds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := new(Scratch)
 	warm := func() {
 		bd := sc.PrepBounds(p)
-		if bd == nil {
-			t.Fatal("PrepBounds returned nil on a reachable problem")
+		if bd.pathWindow(p) == nil {
+			t.Fatal("pathWindow found no path on a reachable problem")
 		}
-		if u, ok := bd.pathMinDelay(p); ok {
-			bd.remTable(p.Model, u)
-		}
+		bd.segBound(0, p.Model, ref.Latency, int(bd.maxSrc), false, false)
 	}
 	warm()
 	if allocs := testing.AllocsPerRun(20, warm); allocs != 0 {
@@ -153,7 +156,7 @@ func TestScratchPoolReuseIdentical(t *testing.T) {
 		var err error
 		switch {
 		case req.Kind == KindFastPath:
-			res, err = fastPath(p, req.Options, new(Scratch))
+			res, err = fastPath(p, req.Options, new(Scratch), nil)
 		case req.Kind == KindRBP && req.ArrayQueues:
 			res, err = rbpArrayQueues(p, req.PeriodPS, req.Options, new(Scratch))
 		case req.Kind == KindRBP:

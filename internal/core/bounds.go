@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"math"
-	"time"
 
 	"clockroute/internal/candidate"
 	"clockroute/internal/elmore"
@@ -14,10 +14,10 @@ import (
 // search kernels. Three ingredients combine into a bound test applied to
 // every candidate before it enters a Pareto store or heap:
 //
-//  1. BFS distance fields over the grid (to the source and to the sink),
-//     computed once per search on pooled scratch memory. The search grows
-//     backward from the sink, so dist(v, source) counts the grid edges any
-//     completion of a candidate at v must still cross.
+//  1. A BFS distance field to the source, computed once per search on
+//     pooled scratch memory. The search grows backward from the sink, so
+//     dist(v, source) counts the grid edges any completion of a candidate
+//     at v must still cross.
 //  2. A per-period segment reach N: the maximum number of grid edges one
 //     clocked-to-clocked segment can span under period T (a capped Pareto
 //     DP along an ideal unobstructed line — obstacles only remove buffer
@@ -26,15 +26,14 @@ import (
 //     span all they can within the budget; a segBound delay table turns
 //     that into a test on the candidate's own (c, d) (RBP, GALS,
 //     FastPath), and the latch router telescopes it into a latency bound.
-//  3. An incumbent: a feasible solution cost U obtained cheaply before the
-//     main search, against which the lower bounds prune. The primary probe
-//     runs the exact segment DP along one BFS shortest path (microseconds);
-//     when that path admits no feasible labeling — blockages, infeasible
-//     period — a bounded search-window probe (the same kernel restricted to
-//     a corridor of near-shortest paths, on a small config budget) tries to
-//     find one. If neither yields an incumbent the search falls back to the
-//     plain exact expansion with only reachability/period pruning: bounds
-//     never cost feasibility.
+//  3. An incumbent: a feasible solution cost U found before the main
+//     search, against which the lower bounds prune. The probe runs the
+//     search's own kernel confined to one BFS shortest path (probe), so
+//     the incumbent is a real solution of the full grid and no second copy
+//     of a kernel's labeling rules exists to drift from the first. When
+//     that path admits no solution — blockages, an infeasible period — the
+//     search runs without an incumbent, with only reachability and segment
+//     pruning: bounds never cost feasibility.
 //
 // Exactness contract: every prune predicate is monotone in the store's
 // dominance order at a fixed (node, wave) — if a candidate is pruned, any
@@ -54,86 +53,58 @@ func boundEps(u float64) float64 { return 1e-6 * (1 + math.Abs(u)) }
 // noIncumbent marks "no feasible upper bound found" for integer wave bounds.
 const noIncumbent = math.MaxInt32 / 2
 
-// windowSlack widens the probe corridor beyond the shortest source-sink
-// distance: nodes with distSrc+distSink ≤ dist0+windowSlack participate.
-// Even, because grid detours change path length in steps of two.
-const windowSlack = 4
-
-// probeBudgetBase / probeBudgetPerEdge bound the windowed probe's configs:
-// the probe is a bet, and a lost bet must cost a bounded fraction of the
-// exact search it precedes.
-const (
-	probeBudgetBase    = 2048
-	probeBudgetPerEdge = 32
-)
-
 // Bounds is the per-search admissible lower-bound state, pooled on Scratch
 // (PrepBounds). Exported because the latch router borrows it through
 // core.Scratch exactly like the in-package kernels.
 type Bounds struct {
-	// distSrc and distSink are read-only views for the current search: they
-	// alias either the pooled ownSrc/ownSink buffers (uncached runs) or
-	// immutable fields published by a plan-scoped ShareCache. Writers must
-	// target ownSrc/ownSink, never the views — growing a view in place
-	// could recycle a shared field as scratch and corrupt concurrent
-	// searches reading it.
-	distSrc  []int32 // BFS edge distance from the source; -1 unreachable
-	distSink []int32 // BFS edge distance from the sink; -1 unreachable
-	maxSrc   int32   // largest finite distSrc entry
-	ownSrc   []int32 // pooled storage behind distSrc on uncached runs
-	ownSink  []int32 // pooled storage behind distSink on uncached runs
-	queue    []int32 // BFS worklist, reused by both passes
+	// distSrc is a read-only view for the current search: it aliases either
+	// the pooled ownSrc buffer (uncached runs) or an immutable field
+	// published by a plan-scoped ShareCache. Writers must target ownSrc,
+	// never the view — growing a view in place could recycle a shared
+	// field as scratch and corrupt concurrent searches reading it.
+	distSrc []int32 // BFS edge distance from the source; -1 unreachable
+	maxSrc  int32   // largest finite distSrc entry
+	ownSrc  []int32 // pooled storage behind distSrc on uncached runs
+	queue   []int32 // BFS worklist
 
-	// Segment-DP buffers (sweepLine, pathMinRegs, pathMinLat, pathMinDelay).
-	fa, fb []segState
-	path   []int32      // one BFS shortest path, sink first
-	seedsA []int32      // pathMinRegs wave seed positions (current wave)
-	seedsB []int32      // pathMinRegs wave seed positions (next wave)
-	fifoK  []int32      // pathMinLat: fewest sink-side registers per FIFO site
+	fa, fb []segState   // sweepLine frontiers
+	onPath nodeFlags    // the probe's one-path window (pathWindow)
 	rem    [2][]float64 // segBound remainder tables (GALS uses one per domain)
 }
 
-// segState is one Pareto point of the segment DP.
+// segState is one Pareto point of the ideal-line segment DP.
 type segState struct{ c, d float64 }
 
-// PrepBounds computes the BFS distance fields for p on s's pooled bounds
-// memory and returns them. Steady state this allocates nothing: the int32
-// fields and DP buffers are retained across searches like every other
+// PrepBounds computes the BFS distance field for p on s's pooled bounds
+// memory and returns it. Steady state this allocates nothing: the int32
+// field and DP buffers are retained across searches like every other
 // Scratch resource.
 func (s *Scratch) PrepBounds(p *Problem) *Bounds {
 	b := &s.bounds
-	n := p.Grid.NumNodes()
-	b.ownSrc = grow(b.ownSrc, n)
-	b.ownSink = grow(b.ownSink, n)
+	if n := p.Grid.NumNodes(); cap(b.ownSrc) < n {
+		b.ownSrc = make([]int32, n)
+	} else {
+		b.ownSrc = b.ownSrc[:n]
+	}
 	b.maxSrc = b.bfs(p, p.Source, b.ownSrc)
-	b.bfs(p, p.Sink, b.ownSink)
-	b.distSrc, b.distSink = b.ownSrc, b.ownSink
+	b.distSrc = b.ownSrc
 	return b
 }
 
 // prepBoundsShared is PrepBounds routed through a plan-scoped ShareCache:
-// the BFS distance fields for each endpoint are computed once per (grid,
-// origin) across the whole plan and shared read-only between searches. BFS
-// is model-independent, so the fields are reusable across the planner's
+// the BFS distance field is computed once per (grid, source) across the
+// whole plan and shared read-only between searches. BFS is
+// model-independent, so the fields are reusable across the planner's
 // width ladder as well as across nets. Falls back to a private PrepBounds
 // when sh is nil or owns a different grid.
 func (s *Scratch) prepBoundsShared(p *Problem, sh *ShareCache) *Bounds {
-	if sh == nil || !sh.owns(p.Grid) {
+	if !sh.owns(p.Grid) {
 		return s.PrepBounds(p)
 	}
 	b := &s.bounds
-	fs := sh.field(p, p.Source, b)
-	ft := sh.field(p, p.Sink, b)
-	b.distSrc, b.distSink, b.maxSrc = fs.dist, ft.dist, fs.maxD
+	f := sh.field(p, b)
+	b.distSrc, b.maxSrc = f.dist, f.maxD
 	return b
-}
-
-// grow resizes sl to exactly n entries, reusing capacity.
-func grow(sl []int32, n int) []int32 {
-	if cap(sl) < n {
-		return make([]int32, n)
-	}
-	return sl[:n]
 }
 
 // bfs fills dist with edge distances from src (-1 = unreachable) and
@@ -171,9 +142,6 @@ func (b *Bounds) bfs(p *Problem, src int, dist []int32) int32 {
 // DistToSource returns the BFS edge distance from node v to the search's
 // source (-1 when unreachable).
 func (b *Bounds) DistToSource(v int32) int32 { return b.distSrc[v] }
-
-// DistToSink returns the BFS edge distance from node v to the sink.
-func (b *Bounds) DistToSink(v int32) int32 { return b.distSink[v] }
 
 // MinEdgeDelay returns the smallest Elmore delay a single grid edge can add
 // to any candidate: edgeR·edgeC/2, the wire term at zero downstream load.
@@ -266,373 +234,58 @@ func appendState(st []segState, s segState) []segState {
 	return append(out, s)
 }
 
-// shortestPath reconstructs one BFS shortest path from the sink to the
-// source into b.path (sink first). Among equally-near neighbors the lowest
-// node ID wins, so the path is deterministic. Returns false when the source
-// is unreachable.
-func (b *Bounds) shortestPath(p *Problem) bool {
-	d0 := b.distSrc[p.Sink]
-	if d0 < 0 {
-		return false
+// pathWindow marks one BFS shortest path from the sink to the source in
+// the pooled probe window and returns it, or nil when the source is
+// unreachable. Among equally-near neighbors the lowest node ID is taken,
+// so the path is deterministic. A shortest path has no chords — two of its
+// nodes that are grid neighbors but not consecutive on it would shortcut
+// it — so a kernel confined to the window moves only along the path and
+// reaches every labeling of it.
+func (b *Bounds) pathWindow(p *Problem) *nodeFlags {
+	if b.distSrc[p.Sink] < 0 {
+		return nil
 	}
-	b.path = b.path[:0]
+	w := &b.onPath
+	w.reuse(p.Grid.NumNodes())
 	u := p.Sink
-	b.path = append(b.path, int32(u))
+	w.Set(u)
 	for b.distSrc[u] > 0 {
-		next := -1
-		want := b.distSrc[u] - 1
+		next, want := -1, b.distSrc[u]-1
 		for d := grid.East; d <= grid.South; d++ {
 			if v, ok := p.Grid.Neighbor(u, d); ok && b.distSrc[v] == want && (next == -1 || v < next) {
 				next = v
 			}
 		}
-		if next == -1 {
-			return false // cannot happen on a consistent BFS field
-		}
-		u = next
-		b.path = append(b.path, int32(u))
+		u = next // adjacency is symmetric, so BFS left a predecessor
+		w.Set(u)
 	}
-	return true
+	return w
 }
 
-// pathMinRegs runs RBP's exact segment DP along one BFS shortest path and
-// returns the minimum register count of a feasible labeling of that path,
-// or ok=false when the path admits none (blocked insertion sites or an
-// infeasible period). Every labeling the DP accepts is a real solution the
-// kernel can reach — gates only at insertable interior nodes, at most one
-// per node, every segment closed by a register within T, every
-// intermediate state passing the kernel's own lookahead — so the returned
-// count is a sound incumbent for wave pruning. Cost is O(len·frontier).
-func (b *Bounds) pathMinRegs(p *Problem, T float64) (int, bool) {
-	if !b.shortestPath(p) {
-		return 0, false
+// probe runs kernel confined to one BFS shortest path (pathWindow) and
+// returns its solution as the search's incumbent, with the configs the run
+// popped. A windowed run only withholds candidates, so its solution is a
+// real solution of the full grid: the incumbent is sound by construction,
+// whatever the kernel's labeling rules. inc is nil when the path admits no
+// solution or the source is unreachable. The run inherits only the
+// caller's Deadline and Abort — an abort propagates as err — and needs no
+// budget of its own: the window bounds it by path length × waves ×
+// frontier. Its scratch mutations are rewound before the main search,
+// which prepares its stores afterwards.
+func (sc *Scratch) probe(p *Problem, opts Options, kernel func(Options, *nodeFlags) (*Result, error)) (inc *Result, configs int, err error) {
+	win := sc.bounds.pathWindow(p)
+	if win == nil {
+		return nil, 0, nil
 	}
-	g, m := p.Grid, p.Model
-	tc := p.tech()
-	reg := tc.Register
-	minR := tc.MinBufferR()
-	limit := T - reg.K
-	last := len(b.path) - 1
-	maxWaves := len(b.path) // one register per interior node at most
-
-	seeds := append(b.seedsA[:0], 0) // wave 0 starts at the sink, position 0
-	nextSeeds := b.seedsB[:0]
-	cur, step := b.fa[:0], b.fb[:0]
-	done := func(w int, ok bool) (int, bool) {
-		b.fa, b.fb = cur[:0], step[:0]
-		b.seedsA, b.seedsB = seeds[:0], nextSeeds[:0]
-		return w, ok
+	res, err := kernel(Options{Deadline: opts.Deadline, Abort: opts.Abort, DisableBounds: true}, win)
+	sc.resetSearchState()
+	switch {
+	case err == nil:
+		return res, res.Stats.Configs, nil
+	case errors.Is(err, ErrNoPath):
+		return nil, res.Stats.Configs, nil
 	}
-	for w := 0; w < maxWaves; w++ {
-		nextSeeds = nextSeeds[:0]
-		cur = cur[:0]
-		si := 0
-		for pos := 0; pos <= last; pos++ {
-			u := int(b.path[pos])
-			// Merge this wave's register seed at pos, if any.
-			if si < len(seeds) && seeds[si] == int32(pos) {
-				cur = appendState(cur, segState{reg.C, reg.Setup})
-				si++
-			}
-			if len(cur) == 0 {
-				continue
-			}
-			if pos == last {
-				// Source: feasible close ends the search at w registers.
-				for _, s := range cur {
-					if m.DriveInto(reg, s.c, s.d) <= T {
-						return done(w, true)
-					}
-				}
-				break
-			}
-			interior := pos != 0
-			// Register insertion opens the next wave at this position.
-			if interior && g.Insertable(u) && g.RegisterInsertable(u) {
-				for _, s := range cur {
-					if m.DriveInto(reg, s.c, s.d) <= T {
-						if len(nextSeeds) == 0 || nextSeeds[len(nextSeeds)-1] != int32(pos) {
-							nextSeeds = append(nextSeeds, int32(pos))
-						}
-						break
-					}
-				}
-			}
-			// Buffer insertion at pos, then the edge to pos+1. Both apply
-			// the kernel's lookahead potential d + minR·c ≤ T − K(r).
-			n := len(cur)
-			if interior && g.Insertable(u) {
-				for _, s := range cur[:n] {
-					for bi := range tc.Buffers {
-						bu := tc.Buffers[bi]
-						c2, d2 := m.AddGate(bu, s.c, s.d)
-						if d2+minR*c2 <= limit {
-							cur = appendState(cur, segState{c2, d2})
-						}
-					}
-				}
-			}
-			step = step[:0]
-			for _, s := range cur {
-				c2, d2 := m.AddEdge(s.c, s.d)
-				if d2+minR*c2 <= limit {
-					step = appendState(step, segState{c2, d2})
-				}
-			}
-			cur, step = step, cur
-		}
-		if len(nextSeeds) == 0 {
-			return done(0, false)
-		}
-		seeds, nextSeeds = nextSeeds, seeds
-		b.seedsA, b.seedsB = seeds, nextSeeds
-	}
-	return done(0, false)
-}
-
-// pathMinLat computes the minimum total latency of a GALS labeling of one
-// BFS shortest path, or ok=false when the path admits none. A GALS path
-// decomposes around its single MCFIFO: k0 relay registers on the sink side
-// (each segment closed within Tt), the FIFO, then k1 relays on the source
-// side (segments within Ts), for a total latency (k0+1)·Tt + (k1+1)·Ts —
-// exactly the kernel's accounting (l grows by T(z) per relay, Tt at the
-// FIFO, Ts at the final source close). The two sides are independent given
-// the FIFO site, and latency is monotone in each register count, so the
-// path optimum is min over FIFO sites f of the per-side register minima.
-//
-// Phase A runs the sink-side wave DP under Tt once, recording in fifoK[f]
-// the fewest registers after which the FIFO can close at f. Phase B groups
-// the sites by that count and runs one source-side wave DP per distinct
-// value, multi-seeded at the class's sites — the first wave that closes
-// into the source register yields the class's k1 minimum.
-//
-// Every labeling the DP accepts is kernel-reachable: gates only at
-// insertable interior nodes (registers and the FIFO additionally require
-// RegisterInsertable), at most one gate per node — a wave's fresh seed is
-// merged after the close and buffer blocks, so the node a register or FIFO
-// occupies is never given a second gate — and each step passes the kernel's
-// own feasibility checks. The returned latency is therefore the latency of
-// a real solution and a sound upper bound for galsBound. Cost is
-// O(len·frontier) per wave DP, orders of magnitude below a kernel probe.
-func (b *Bounds) pathMinLat(p *Problem, Ts, Tt float64) (float64, bool) {
-	if !b.shortestPath(p) {
-		return 0, false
-	}
-	g, m := p.Grid, p.Model
-	tc := p.tech()
-	reg, fifo := tc.Register, tc.FIFO
-	minR := tc.MinBufferR()
-	last := len(b.path) - 1
-	maxWaves := len(b.path)
-
-	b.fifoK = grow(b.fifoK, len(b.path))
-	for i := range b.fifoK {
-		b.fifoK[i] = -1
-	}
-
-	seeds := append(b.seedsA[:0], 0) // wave 0 starts at the sink, position 0
-	nextSeeds := b.seedsB[:0]
-	cur, step := b.fa[:0], b.fb[:0]
-	done := func(lat float64, ok bool) (float64, bool) {
-		b.fa, b.fb = cur[:0], step[:0]
-		b.seedsA, b.seedsB = seeds[:0], nextSeeds[:0]
-		return lat, ok
-	}
-
-	// runWave advances one wave of the segment DP across the path under
-	// period T (lookahead slope/limit per the side's cheapest close). At
-	// each interior site it calls visit on the edge-arrived frontier —
-	// close decisions live there — then expands buffers, merges the wave's
-	// seed, and steps the edge. seedState is the electrical state a seed
-	// opens with (the register, or the FIFO on phase B's first wave).
-	runWave := func(T, slope, limit float64, seedState segState, visit func(pos int, st []segState)) {
-		nextSeeds = nextSeeds[:0]
-		cur = cur[:0]
-		si := 0
-		for pos := 0; pos <= last; pos++ {
-			u := int(b.path[pos])
-			interior := pos != 0 && pos != last
-			if len(cur) > 0 {
-				visit(pos, cur)
-				if interior && g.Insertable(u) {
-					if g.RegisterInsertable(u) {
-						for _, s := range cur {
-							if m.DriveInto(reg, s.c, s.d) <= T {
-								if len(nextSeeds) == 0 || nextSeeds[len(nextSeeds)-1] != int32(pos) {
-									nextSeeds = append(nextSeeds, int32(pos))
-								}
-								break
-							}
-						}
-					}
-					n := len(cur)
-					for _, s := range cur[:n] {
-						for bi := range tc.Buffers {
-							bu := tc.Buffers[bi]
-							c2, d2 := m.AddGate(bu, s.c, s.d)
-							if d2+slope*c2 <= limit {
-								cur = appendState(cur, segState{c2, d2})
-							}
-						}
-					}
-				}
-			}
-			if si < len(seeds) && seeds[si] == int32(pos) {
-				cur = appendState(cur, seedState)
-				si++
-			}
-			if len(cur) == 0 || pos == last {
-				continue
-			}
-			step = step[:0]
-			for _, s := range cur {
-				c2, d2 := m.AddEdge(s.c, s.d)
-				if d2+slope*c2 <= limit {
-					step = appendState(step, segState{c2, d2})
-				}
-			}
-			cur, step = step, cur
-		}
-	}
-
-	// Phase A: sink-side waves under Tt. The side's segments may close into
-	// a relay register or the FIFO, so viability uses the cheaper of the
-	// two closes — exactly the sink-domain reach's closeK/closeR.
-	slopeT := math.Min(minR, fifo.R)
-	limitT := Tt - math.Min(reg.K, fifo.K)
-	maxK := int32(-1)
-	for w := 0; w < maxWaves; w++ {
-		runWave(Tt, slopeT, limitT, segState{reg.C, reg.Setup}, func(pos int, st []segState) {
-			if pos == 0 || pos == last || b.fifoK[pos] >= 0 {
-				return
-			}
-			u := int(b.path[pos])
-			if !g.Insertable(u) || !g.RegisterInsertable(u) {
-				return
-			}
-			for _, s := range st {
-				if m.DriveInto(fifo, s.c, s.d) <= Tt {
-					b.fifoK[pos] = int32(w)
-					if int32(w) > maxK {
-						maxK = int32(w)
-					}
-					return
-				}
-			}
-		})
-		if len(nextSeeds) == 0 {
-			break
-		}
-		seeds, nextSeeds = nextSeeds, seeds
-		b.seedsA, b.seedsB = seeds, nextSeeds
-	}
-	if maxK < 0 {
-		return done(0, false) // no feasible FIFO site on this path
-	}
-
-	// Phase B: one source-side DP per distinct sink-side register count,
-	// seeded at every FIFO site of that class. Classes and waves that can
-	// no longer beat the best latency found are skipped.
-	best := math.Inf(1)
-	slopeS := minR
-	limitS := Ts - reg.K
-	for k := int32(0); k <= maxK; k++ {
-		base := float64(k+1)*Tt + Ts
-		if base >= best {
-			break // latency grows with k; later classes only cost more
-		}
-		nextSeeds = nextSeeds[:0]
-		for pos, fk := range b.fifoK {
-			if fk == k {
-				nextSeeds = append(nextSeeds, int32(pos))
-			}
-		}
-		if len(nextSeeds) == 0 {
-			continue
-		}
-		seeds, nextSeeds = nextSeeds, seeds
-		b.seedsA, b.seedsB = seeds, nextSeeds
-		seedState := segState{fifo.C, fifo.Setup}
-		for w := 0; w < maxWaves; w++ {
-			if base+float64(w)*Ts >= best {
-				break
-			}
-			closed := false
-			runWave(Ts, slopeS, limitS, seedState, func(pos int, st []segState) {
-				if pos != last || closed {
-					return
-				}
-				for _, s := range st {
-					if m.DriveInto(reg, s.c, s.d) <= Ts {
-						closed = true
-						return
-					}
-				}
-			})
-			if closed {
-				if lat := base + float64(w)*Ts; lat < best {
-					best = lat
-				}
-				break
-			}
-			if len(nextSeeds) == 0 {
-				break
-			}
-			seeds, nextSeeds = nextSeeds, seeds
-			b.seedsA, b.seedsB = seeds, nextSeeds
-			seedState = segState{reg.C, reg.Setup}
-		}
-	}
-	if math.IsInf(best, 1) {
-		return done(0, false)
-	}
-	return done(best, true)
-}
-
-// pathMinDelay runs FastPath's segment DP along one BFS shortest path and
-// returns the minimum source-to-sink delay of a buffered labeling of that
-// path (including the source register's drive and the sink setup). The
-// value is achieved by a labeling the kernel itself can reach with exactly
-// the same float operations, so it is a sound — and bitwise-achievable —
-// delay incumbent.
-func (b *Bounds) pathMinDelay(p *Problem) (float64, bool) {
-	if !b.shortestPath(p) {
-		return 0, false
-	}
-	g, m := p.Grid, p.Model
-	tc := p.tech()
-	reg := tc.Register
-	last := len(b.path) - 1
-
-	cur := append(b.fa[:0], segState{reg.C, reg.Setup})
-	step := b.fb[:0]
-	for pos := 0; pos < last; pos++ {
-		u := int(b.path[pos])
-		if pos != 0 && g.Insertable(u) {
-			n := len(cur)
-			for _, s := range cur[:n] {
-				for bi := range tc.Buffers {
-					bu := tc.Buffers[bi]
-					c2, d2 := m.AddGate(bu, s.c, s.d)
-					cur = appendState(cur, segState{c2, d2})
-				}
-			}
-		}
-		step = step[:0]
-		for _, s := range cur {
-			c2, d2 := m.AddEdge(s.c, s.d)
-			step = appendState(step, segState{c2, d2})
-		}
-		cur, step = step, cur
-	}
-	best, ok := math.Inf(1), false
-	for _, s := range cur {
-		if d2 := m.DriveInto(reg, s.c, s.d); d2 < best {
-			best, ok = d2, true
-		}
-	}
-	b.fa, b.fb = cur[:0], step[:0]
-	return best, ok
+	return nil, 0, err
 }
 
 // segBound is the delay-aware A* bound for one kind of clocked segment:
@@ -739,76 +392,8 @@ func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, f
 	return sb
 }
 
-// remTable returns FastPath's remainder table for threshold (see
-// fastBound), in slot 0 of the pooled tables.
-func (b *Bounds) remTable(m *elmore.Model, threshold float64) []float64 {
-	return b.fastBound(m, threshold, nil).rem
-}
-
-// fastBound is FastPath's segBound: a route is one register-to-register
-// segment closed within the incumbent threshold, and every candidate's
-// need is its dist, within the source's BFS radius. The table is swept
-// afresh unless rem carries one cached by a plan-scoped ShareCache.
-func (b *Bounds) fastBound(m *elmore.Model, threshold float64, rem []float64) segBound {
-	if rem == nil {
-		return b.segBound(0, m, threshold, int(b.maxSrc), false, false)
-	}
-	sb := newSegBound(m.Tech(), threshold, false, false)
-	sb.rem = rem
-	return sb
-}
-
-// window is the probe corridor: nodes on, or within windowSlack edges of, a
-// shortest source-sink path. A windowed kernel run only ever emits
-// candidates whose node the window allows, making the probe's cost roughly
-// proportional to the corridor instead of the grid.
-type window struct {
-	distSrc, distSink []int32
-	budget            int32
-}
-
-// window builds the probe corridor from b's distance fields.
-func (b *Bounds) window(p *Problem) *window {
-	return &window{
-		distSrc:  b.distSrc,
-		distSink: b.distSink,
-		budget:   b.distSrc[p.Sink] + windowSlack,
-	}
-}
-
-// allows reports whether node v lies inside the corridor.
-func (w *window) allows(v int32) bool {
-	ds, dt := w.distSrc[v], w.distSink[v]
-	return ds >= 0 && dt >= 0 && ds+dt <= w.budget
-}
-
-// probeOptions derives the windowed probe's Options from the caller's: no
-// observation (the probe is internal effort, reported via ProbeConfigs),
-// no recursion into another probe, and a hard config budget so a lost bet
-// stays cheap. Deadline and Abort are inherited — a cancelled search must
-// not keep probing.
-func probeOptions(opts Options, dist0 int32) Options {
-	opts.Trace = nil
-	opts.Telemetry = nil
-	opts.MaximizeSlack = false
-	opts.DisableBounds = true
-	opts.MaxConfigs = probeBudgetBase + probeBudgetPerEdge*int(dist0)
-	return opts
-}
-
-// outerAbortPending reports whether the caller's own Deadline or Abort hook
-// has fired — the distinction between "the probe ran out of its private
-// budget" (fall back to the exact search) and "the whole request is being
-// cancelled" (propagate).
-func outerAbortPending(opts Options) bool {
-	if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-		return true
-	}
-	return opts.Abort != nil && opts.Abort() != nil
-}
-
 // rbpBound is the RBP-family bound state (two-queue, array-of-queues and
-// max-slack): the distance fields, the segment reach, the register-count
+// max-slack): the distance field, the segment reach, the register-count
 // incumbent maxWave, and the delay table of the period-T segment.
 type rbpBound struct {
 	b              *Bounds

@@ -94,12 +94,13 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 	ts, tt := c.T, c.T
 	switch kernel {
 	case "fastpath":
-		bd := sc.PrepBounds(p)
-		u, ok := bd.pathMinDelay(p)
-		if !ok {
+		bd, seg, _, err := fastPathBounds(p, Options{}, sc)
+		if err != nil {
+			t.Fatalf("%s: fastPathBounds: %v", label, err)
+		}
+		if seg.rem == nil {
 			return // no incumbent: the kernel prunes only unreachable nodes
 		}
-		seg := bd.fastBound(p.Model, u+boundEps(u), nil)
 		prune = func(s pathState) bool {
 			return seg.prune(s.c, s.d, int(bd.DistToSource(s.node)))
 		}

@@ -167,8 +167,9 @@ type Options struct {
 	// no allocation.
 	Telemetry telemetry.Sink
 	// DisableBounds turns off the A*-style admissible bound layer
-	// (bounds.go): no BFS distance fields, no incumbent probe, no
-	// bound-based pruning. The search then runs the plain exact expansion.
+	// (bounds.go): no BFS distance field, no incumbent probe (the kernel
+	// run on one shortest path), no bound-based pruning. The search then
+	// runs the plain exact expansion.
 	// Results are identical either way — that equivalence is what the
 	// differential harness proves — so this switch exists for ablation
 	// benchmarks and as the reference arm of those proofs.
@@ -192,12 +193,12 @@ type Options struct {
 	// that, and for ablation benchmarks of the tie-ordering tax.
 	DisablePackedTie bool
 	// Share, when non-nil, is a plan-scoped cache of reusable bound
-	// artifacts (BFS distance fields, segment reaches, remainder tables,
-	// probed incumbents) shared by every net routed against the same grid.
-	// All cached values are deterministic pure functions of the problem, so
-	// a search that hits the cache returns byte-identical results and
-	// byte-identical stats to one that recomputes. The cache is safe for
-	// concurrent searches; it must not be reused after the grid mutates.
+	// artifacts (BFS distance fields per source, segment reaches) shared
+	// by every net routed against the same grid. All cached values are
+	// deterministic pure functions of the problem, so a search that hits
+	// the cache returns byte-identical results and byte-identical stats to
+	// one that recomputes. The cache is safe for concurrent searches; it
+	// must not be reused after the grid mutates.
 	Share *ShareCache
 	// DisableSharing stops the planner's batch layers from creating a
 	// plan-scoped ShareCache and from memoizing results of canonically
@@ -253,11 +254,12 @@ type Stats struct {
 	Elapsed  time.Duration // wall time
 	// BoundPruned counts candidates cut by the admissible lower-bound layer
 	// (bounds.go) before reaching a store or heap — the observable effect of
-	// A* pruning. Window-probe rejections count here too.
+	// A* pruning in the main search.
 	BoundPruned int
 	// ProbeConfigs is the effort the incumbent probe spent before the main
-	// search (windowed-kernel pops; the path DP counts as zero). Not
-	// included in Configs, which keeps its exact Table-I meaning.
+	// search: the pops of the kernel run on one shortest path, whether or
+	// not that path admitted a solution. Not included in Configs, which
+	// keeps its exact Table-I meaning.
 	ProbeConfigs int
 }
 

@@ -17,7 +17,28 @@ import (
 func FastPath(p *Problem, opts Options) (res *Result, err error) {
 	sc := GetScratch()
 	defer containSearchPanic(sc, &res, &err)
-	return fastPath(p, opts, sc)
+	return fastPath(p, opts, sc, nil)
+}
+
+// fastPathBounds prepares FastPath's admissible-bound state: the BFS
+// distance field and, when the kernel probed on one shortest path finds a
+// route, the delay table of the single register-to-register segment under
+// that route's delay, within the source's BFS radius. The segBound test
+// with need = dist(v, source) never prunes a candidate that can finish
+// within the incumbent, and the incumbent is a delay the kernel reaches
+// with identical float ops, so pruning against U + eps never cuts a
+// candidate that ties or beats it. Without an incumbent the table is nil.
+// Only an abort propagates as err.
+func fastPathBounds(p *Problem, opts Options, sc *Scratch) (*Bounds, segBound, int, error) {
+	bd := sc.prepBoundsShared(p, opts.Share)
+	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
+		return fastPath(p, o, sc, win)
+	})
+	if err != nil || inc == nil {
+		return bd, segBound{}, probeConfigs, err
+	}
+	u := inc.Latency + boundEps(inc.Latency)
+	return bd, bd.segBound(0, p.Model, u, int(bd.maxSrc), false, false), probeConfigs, nil
 }
 
 // fastPath runs the search on borrowed scratch memory; everything the
@@ -31,48 +52,33 @@ func FastPath(p *Problem, opts Options) (res *Result, err error) {
 // different parents bypassed the Pareto store and made pop order
 // shape-dependent; the incumbent keeps pop order a pure function of live
 // store-guarded candidates, which the A*-equivalence argument requires.
-func fastPath(p *Problem, opts Options, sc *Scratch) (*Result, error) {
+func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
 	start := time.Now()
 	g, m := p.Grid, p.Model
 	tc := p.tech()
 	reg := tc.Register
+	res := &Result{}
 
+	var bd *Bounds
+	var seg segBound
+	if !opts.DisableBounds {
+		var err error
+		bd, seg, res.Stats.ProbeConfigs, err = fastPathBounds(p, opts, sc)
+		if err != nil {
+			return nil, err
+		}
+	}
 	q := &sc.Q
 	q.Tie = candidateTieLess // content-determined pop order; see bounds.go
 	sc.SetPackedTie(!opts.DisablePackedTie)
 	store := sc.PrepStore(0, g.NumNodes(), false)
-	res := &Result{}
-
-	// Admissible pruning: the route is one register-to-register segment, so
-	// the segBound delay test with need = dist(v, source) never prunes a
-	// candidate that can finish within the incumbent; and the shortest-path
-	// DP incumbent is achieved by a labeling the kernel reaches with
-	// identical float ops, so pruning against U + eps can never cut a
-	// candidate that ties or beats the incumbent solution.
-	var bd *Bounds
-	var seg segBound
-	if !opts.DisableBounds {
-		sh := opts.Share
-		bd = sc.prepBoundsShared(p, sh)
-		if fb, ok := sh.fastBounds(p); ok {
-			if fb.ok {
-				seg = bd.fastBound(m, fb.threshold, fb.rem)
-			}
-		} else {
-			fb := &incFast{}
-			if u, ok := bd.pathMinDelay(p); ok {
-				seg = bd.fastBound(m, u+boundEps(u), nil)
-				fb.ok, fb.threshold = true, seg.limit
-				if sh.owns(p.Grid) {
-					fb.rem = append([]float64(nil), seg.rem...)
-				}
-			}
-			sh.storeFastBounds(p, fb)
-		}
-	}
 
 	push := func(c *candidate.Candidate, key float64) {
 		faultpoint.Must("core.wave_push")
+		if win != nil && !win.Has(int(c.Node)) {
+			res.Stats.BoundPruned++
+			return
+		}
 		if bd != nil {
 			dist := bd.DistToSource(c.Node)
 			if dist < 0 || (seg.rem != nil && seg.prune(c.C, c.D, int(dist))) {
@@ -151,11 +157,13 @@ func fastPath(p *Problem, opts Options, sc *Scratch) (*Result, error) {
 		}
 	}
 	if best == nil {
-		return nil, ErrNoPath
+		return res, ErrNoPath // res carries the effort a probe reports
 	}
 	res.Latency = bestD
 	res.SourceDelay = bestD
 	res.Stats.Elapsed = time.Since(start)
-	p.finish(best, res)
+	if win == nil { // the probe reads only the delay
+		p.finish(best, res)
+	}
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -32,17 +31,12 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (res *Result, err error) {
 	return gals(p, Ts, Tt, opts, sc, nil)
 }
 
-// galsBounds prepares the admissible-bound state for GALS: BFS distance
-// fields, per-domain segment reaches (source-side segments may start from
-// the FIFO; sink-side segments may close into it), a latency incumbent, and
-// the per-domain delay tables. The incumbent comes from pathMinLat — the
-// exact GALS segment DP along one BFS shortest path, which decouples the
-// FIFO's domain coupling by solving the two sides independently per FIFO
-// site — and costs microseconds where the corridor probe costs thousands of
-// kernel configs; the probe remains as a fallback for paths that admit no
-// labeling. Probe budget exhaustion just means no incumbent; only a
-// caller-requested abort propagates.
-func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (gb *galsBound, probeConfigs int, err error) {
+// galsBounds prepares the admissible-bound state for GALS: the BFS
+// distance field, per-domain segment reaches (source-side segments may
+// start from the FIFO; sink-side segments may close into it), a latency
+// incumbent from the kernel probed on one shortest path, and the
+// per-domain delay tables. Only an abort propagates as err.
+func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (*galsBound, int, error) {
 	sh := opts.Share
 	bd := sc.prepBoundsShared(p, sh)
 	tc := p.tech()
@@ -51,50 +45,36 @@ func galsBounds(p *Problem, Ts, Tt float64, opts Options, sc *Scratch) (gb *gals
 	reachS := bd.segmentReachShared(sh, p, p.Model, Ts, int(bd.maxSrc), true, tc.Register.K, minR)
 	reachT := bd.segmentReachShared(sh, p, p.Model, Tt, int(bd.maxSrc), false,
 		math.Min(tc.Register.K, fifo.K), math.Min(minR, fifo.R))
-	if inc, ok := sh.galsIncumbent(p, Ts, Tt); ok {
-		return bd.newGALSBound(p.Model, Ts, Tt, inc.maxLat, reachS, reachT), inc.probeConfigs, nil
+	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
+		return gals(p, Ts, Tt, o, sc, win)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	maxLat := math.Inf(1)
-	clean := true // an injured probe's outcome must not be published
-	if lat, ok := bd.pathMinLat(p, Ts, Tt); ok {
-		maxLat = lat + latencyEps
-	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
-		pres, perr := gals(p, Ts, Tt, probeOptions(opts, dist0), sc, bd.window(p))
-		sc.resetSearchState()
-		switch {
-		case perr == nil:
-			maxLat = pres.Latency + latencyEps
-			probeConfigs = pres.Stats.Configs
-		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
-			return nil, 0, perr
-		default:
-			clean = false
-		}
-	}
-	if clean {
-		sh.storeGALSIncumbent(p, Ts, Tt, incGALS{maxLat, probeConfigs})
+	if inc != nil {
+		maxLat = inc.Latency + latencyEps
 	}
 	return bd.newGALSBound(p.Model, Ts, Tt, maxLat, reachS, reachT), probeConfigs, nil
 }
 
-func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*Result, error) {
+func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
 	if Ts <= 0 || Tt <= 0 {
 		return nil, fmt.Errorf("core: non-positive clock period (Ts=%g, Tt=%g)", Ts, Tt)
 	}
 	start := time.Now()
-	// Content-determined pop order among equal keys; see bounds.go.
-	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
-	sc.SetPackedTie(!opts.DisablePackedTie)
-
 	var gb *galsBound
 	probeConfigs := 0
-	if win == nil && !opts.DisableBounds {
+	if !opts.DisableBounds {
 		var err error
 		gb, probeConfigs, err = galsBounds(p, Ts, Tt, opts, sc)
 		if err != nil {
 			return nil, err
 		}
 	}
+	// Content-determined pop order among equal keys; see bounds.go.
+	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
+	sc.SetPackedTie(!opts.DisablePackedTie)
 
 	g, m := p.Grid, p.Model
 	tc := p.tech()
@@ -138,7 +118,7 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 	// pushQ's.
 	admitQ := func(node int32, z uint8, c, d float64) bool {
 		faultpoint.Must("core.wave_push")
-		if win != nil && !win.allows(node) {
+		if win != nil && !win.Has(int(node)) {
 			res.Stats.BoundPruned++
 			return false
 		}
@@ -222,7 +202,9 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 				res.Latency = c.L + Ts
 				res.SourceDelay = d2
 				res.Stats.Elapsed = time.Since(start)
-				p.finish(c, res)
+				if win == nil { // the probe reads only the latency
+					p.finish(c, res)
+				}
 				return res, nil
 			}
 		}
@@ -292,5 +274,5 @@ func gals(p *Problem, Ts, Tt float64, opts Options, sc *Scratch, win *window) (*
 		}
 	}
 	res.Stats.Elapsed = time.Since(start)
-	return nil, ErrNoPath
+	return res, ErrNoPath // res carries the effort a probe reports
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -31,11 +30,11 @@ type rbpEngine struct {
 	// emit enqueues a candidate in the given wave with the given heap key.
 	emit func(wave int, c *candidate.Candidate, key float64)
 
-	// Admissible-bound state (bounds.go). win non-nil = this run is a
-	// corridor-restricted incumbent probe; bd non-nil = the main run prunes
-	// candidates that cannot close their segment in time to finish within
-	// the incumbent's wave.
-	win *window
+	// Admissible-bound state (bounds.go). win non-nil = this run is the
+	// one-path incumbent probe; bd non-nil = the main run prunes candidates
+	// that cannot close their segment in time to finish within the
+	// incumbent's wave.
+	win *nodeFlags
 	bd  *rbpBound
 }
 
@@ -69,7 +68,7 @@ type arrival struct {
 // forwards to emit.
 func (e *rbpEngine) tryEmit(wave int, c *candidate.Candidate, key float64, st *candidate.Store) {
 	faultpoint.Must("core.wave_push")
-	if e.win != nil && !e.win.allows(c.Node) {
+	if e.win != nil && !e.win.Has(int(c.Node)) {
 		e.res.Stats.BoundPruned++
 		return
 	}
@@ -192,12 +191,17 @@ func (e *rbpEngine) expand(c *candidate.Candidate, wave int) (*arrival, error) {
 	return arr, nil
 }
 
+// close fills the result of a search ending at arrival a in wave. The
+// probe reads only the wave, so windowed runs skip path reconstruction.
 func (e *rbpEngine) close(a *arrival, wave int, start time.Time) *Result {
 	e.res.Latency = e.T * float64(wave+1)
+	e.res.Registers = wave
 	e.res.SourceDelay = a.srcDelay
 	e.res.SlackPS = a.slack
 	e.res.Stats.Elapsed = time.Since(start)
-	e.p.finish(a.final, e.res)
+	if e.win == nil {
+		e.p.finish(a.final, e.res)
+	}
 	return e.res
 }
 
@@ -216,60 +220,43 @@ func RBP(p *Problem, T float64, opts Options) (res *Result, err error) {
 }
 
 // rbpBounds prepares the admissible-bound state for an RBP-family search:
-// BFS distance fields, the per-period segment reach, a register-count
-// incumbent — from the shortest-path DP when it finds a feasible labeling,
-// else from a windowed probe run of the kernel itself (whose scratch
-// mutations are rewound before the exact search starts) — and the
-// segment's delay table. A probe that runs out of its private budget just
-// means no incumbent; only an abort the caller itself requested propagates
-// as err.
-func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (rb *rbpBound, probeConfigs int, err error) {
+// the BFS distance field, the per-period segment reach, a register-count
+// incumbent from the two-queue kernel probed on one shortest path, and the
+// segment's delay table. Only an abort propagates as err.
+func rbpBounds(p *Problem, T float64, opts Options, sc *Scratch) (*rbpBound, int, error) {
 	sh := opts.Share
 	bd := sc.prepBoundsShared(p, sh)
 	tc := p.tech()
 	reach := bd.segmentReachShared(sh, p, p.Model, T, int(bd.maxSrc), false, tc.Register.K, tc.MinBufferR())
-	if inc, ok := sh.rbpIncumbent(p, T); ok {
-		return bd.newRBPBound(p.Model, T, reach, inc.maxWave), inc.probeConfigs, nil
+	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
+		return rbp(p, T, o, sc, win)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	maxWave := noIncumbent
-	clean := true // an injured probe's outcome must not be published
-	if u, ok := bd.pathMinRegs(p, T); ok {
-		maxWave = u
-	} else if dist0 := bd.distSrc[p.Sink]; dist0 >= 0 {
-		pres, perr := rbp(p, T, probeOptions(opts, dist0), sc, bd.window(p))
-		sc.resetSearchState()
-		switch {
-		case perr == nil:
-			maxWave = pres.Registers
-			probeConfigs = pres.Stats.Configs
-		case errors.Is(perr, ErrAborted) && outerAbortPending(opts):
-			return nil, 0, perr
-		default:
-			clean = false
-		}
-	}
-	if clean {
-		sh.storeRBPIncumbent(p, T, incRBP{maxWave, probeConfigs})
+	if inc != nil {
+		maxWave = inc.Registers
 	}
 	return bd.newRBPBound(p.Model, T, reach, maxWave), probeConfigs, nil
 }
 
-func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *window) (*Result, error) {
+func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("core: non-positive clock period %g", T)
 	}
 	start := time.Now()
-	sc.Q.Tie = candidateTieLess // content-determined pop order; see bounds.go
-	sc.SetPackedTie(!opts.DisablePackedTie)
 	res := &Result{}
 	var bd *rbpBound
-	if win == nil && !opts.DisableBounds {
+	if !opts.DisableBounds {
 		var err error
 		bd, res.Stats.ProbeConfigs, err = rbpBounds(p, T, opts, sc)
 		if err != nil {
 			return nil, err
 		}
 	}
+	sc.Q.Tie = candidateTieLess // content-determined pop order; see bounds.go
+	sc.SetPackedTie(!opts.DisablePackedTie)
 	e := newRBPEngine(p, T, opts, res, sc)
 	e.win, e.bd = win, bd
 
@@ -342,7 +329,7 @@ func rbp(p *Problem, T float64, opts Options, sc *Scratch, win *window) (*Result
 	if best != nil {
 		return e.close(best, e.curWave, start), nil
 	}
-	return nil, ErrNoPath
+	return res, ErrNoPath // res carries the effort a probe reports
 }
 
 // RBPArrayQueues is the alternative implementation discussed at the end of
@@ -361,7 +348,6 @@ func rbpArrayQueues(p *Problem, T float64, opts Options, sc *Scratch) (*Result, 
 		return nil, fmt.Errorf("core: non-positive clock period %g", T)
 	}
 	start := time.Now()
-	sc.SetPackedTie(!opts.DisablePackedTie)
 	res := &Result{}
 	var bd *rbpBound
 	if !opts.DisableBounds {
@@ -371,6 +357,7 @@ func rbpArrayQueues(p *Problem, T float64, opts Options, sc *Scratch) (*Result, 
 			return nil, err
 		}
 	}
+	sc.SetPackedTie(!opts.DisablePackedTie)
 	e := newRBPEngine(p, T, opts, res, sc)
 	e.bd = bd
 

@@ -50,8 +50,8 @@ type Scratch struct {
 	// same setting mid-search. See SetPackedTie.
 	packedTie bool
 
-	// bounds holds the pooled A*-pruning state (BFS distance fields,
-	// segment-DP buffers); see PrepBounds in bounds.go.
+	// bounds holds the pooled A*-pruning state (BFS distance field,
+	// segment tables, probe window); see PrepBounds in bounds.go.
 	bounds Bounds
 }
 
@@ -98,7 +98,7 @@ func (s *Scratch) SetPackedTie(on bool) {
 	}
 }
 
-// resetSearchState rewinds the search structures mutated by a windowed
+// resetSearchState rewinds the search structures mutated by the one-path
 // probe — arena, heaps, wave heaps, shared buffer — so the exact search
 // that follows starts from a clean scratch. Pareto stores and flag sets
 // need no rewind here: the main search re-preps them (epoch bump) before
@@ -147,7 +147,9 @@ func ScratchQuarantines() int64 { return quarantined.Load() }
 // latch router): a panic anywhere in the search body is classified as an
 // *InternalError with the panicking stack, and the borrowed scratch is
 // quarantined — never released — because its invariants cannot be trusted
-// after a mid-wave panic. On the normal path it releases the scratch.
+// after a mid-wave panic. On the normal path it releases the scratch, and a
+// failed search returns no result (the kernels hand one back with
+// ErrNoPath so a probe can count its effort).
 //
 // Deferred functions run before the stack unwinds, so the stack captured
 // here still shows the panicking frames.
@@ -158,6 +160,9 @@ func containSearchPanic(sc *Scratch, res **Result, err *error) {
 		return
 	}
 	sc.Release()
+	if *err != nil {
+		*res = nil
+	}
 }
 
 // PrepStore returns the i-th reusable Pareto store (i in [0, 2)), prepared

@@ -26,8 +26,8 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the vector difference p-q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Manhattan returns the L1 distance between p and q in grid edges.
-func (p Point) Manhattan(q Point) int {
+// manhattan returns the L1 distance between p and q in grid edges.
+func (p Point) manhattan(q Point) int {
 	return abs(p.X-q.X) + abs(p.Y-q.Y)
 }
 
@@ -85,9 +85,6 @@ func (r Rect) H() int {
 	return r.MaxY - r.MinY
 }
 
-// Area returns the number of grid points inside r.
-func (r Rect) Area() int { return r.W() * r.H() }
-
 // Intersect returns the largest rectangle contained in both r and s.
 // The result may be empty.
 func (r Rect) Intersect(s Rect) Rect {
@@ -106,9 +103,9 @@ func (r Rect) Intersect(s Rect) Rect {
 // Overlaps reports whether r and s share at least one point.
 func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
-// Union returns the smallest rectangle containing both r and s.
+// union returns the smallest rectangle containing both r and s.
 // An empty operand is treated as the identity.
-func (r Rect) Union(s Rect) Rect {
+func (r Rect) union(s Rect) Rect {
 	if r.Empty() {
 		return s
 	}
@@ -133,10 +130,10 @@ func (r Rect) Inset(d int) Rect {
 	return out
 }
 
-// Clamp returns the point inside r nearest to p. Clamp panics if r is empty.
-func (r Rect) Clamp(p Point) Point {
+// clamp returns the point inside r nearest to p. clamp panics if r is empty.
+func (r Rect) clamp(p Point) Point {
 	if r.Empty() {
-		panic("geom: Clamp on empty Rect")
+		panic("geom: clamp on empty Rect")
 	}
 	return Point{
 		X: min(max(p.X, r.MinX), r.MaxX-1),

@@ -116,12 +116,6 @@ func (g *Grid) InBounds(p geom.Point) bool {
 	return p.X >= 0 && p.X < g.w && p.Y >= 0 && p.Y < g.h
 }
 
-// PosMM returns the physical position of node id in millimeters.
-func (g *Grid) PosMM(id int) geom.MM {
-	p := g.At(id)
-	return geom.MM{X: float64(p.X) * g.pitchMM, Y: float64(p.Y) * g.pitchMM}
-}
-
 // Insertable reports p(v)=1: a gate may be placed at v.
 func (g *Grid) Insertable(id int) bool { return !g.obstacle[id] }
 
@@ -169,20 +163,6 @@ func (g *Grid) Degree(u int) int {
 	n := 0
 	g.ForNeighbors(u, func(int) { n++ })
 	return n
-}
-
-// NumEdges returns |E| (each undirected edge counted once).
-func (g *Grid) NumEdges() int {
-	total := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		if g.HasEdge(u, East) {
-			total++
-		}
-		if g.HasEdge(u, North) {
-			total++
-		}
-	}
-	return total
 }
 
 // AddObstacle marks every node inside r (clipped to the grid) as a physical

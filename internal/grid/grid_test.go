@@ -61,22 +61,29 @@ func TestIDPanicsOutOfBounds(t *testing.T) {
 	g.ID(geom.Pt(3, 0))
 }
 
-func TestPosMM(t *testing.T) {
-	g := MustNew(10, 10, 0.125)
-	pos := g.PosMM(g.ID(geom.Pt(4, 8)))
-	if pos.X != 0.5 || pos.Y != 1.0 {
-		t.Errorf("PosMM = %+v, want (0.5, 1.0)", pos)
+// numEdges returns |E|: every undirected edge has two ends.
+func numEdges(g *Grid) int {
+	ends := 0
+	for u := 0; u < g.NumNodes(); u++ {
+		ends += g.Degree(u)
 	}
+	return ends / 2
+}
+
+// manhattan returns the L1 distance between p and q in grid edges.
+func manhattan(p, q geom.Point) int {
+	d := p.Sub(q)
+	return max(d.X, -d.X) + max(d.Y, -d.Y)
 }
 
 func TestEdgeCountFullGrid(t *testing.T) {
 	g := MustNew(4, 3, 1)
 	// 4x3 grid: horizontal edges 3*3=9, vertical edges 4*2=8.
-	if got := g.NumEdges(); got != 17 {
-		t.Errorf("NumEdges = %d, want 17", got)
+	if got := numEdges(g); got != 17 {
+		t.Errorf("|E| = %d, want 17", got)
 	}
 	// |E| <= 4n as assumed by the complexity analysis.
-	if g.NumEdges() > 4*g.NumNodes() {
+	if numEdges(g) > 4*g.NumNodes() {
 		t.Error("edge bound violated")
 	}
 }
@@ -209,8 +216,8 @@ func TestBlockagesClipToBounds(t *testing.T) {
 	if !g.Insertable(g.ID(geom.Pt(0, 2))) {
 		t.Error("row 2 should be clear")
 	}
-	if g.NumEdges() != 24 {
-		t.Errorf("out-of-bounds wiring blockage changed edges: %d", g.NumEdges())
+	if n := numEdges(g); n != 24 {
+		t.Errorf("out-of-bounds wiring blockage changed edges: %d", n)
 	}
 }
 
@@ -219,7 +226,7 @@ func TestBFSDistancesMatchManhattanOnOpenGrid(t *testing.T) {
 	src := geom.Pt(2, 3)
 	dist := g.BFS(g.ID(src))
 	for id, d := range dist {
-		if want := g.At(id).Manhattan(src); d != want {
+		if want := manhattan(g.At(id), src); d != want {
 			t.Fatalf("dist[%v] = %d, want %d", g.At(id), d, want)
 		}
 	}
@@ -290,7 +297,7 @@ func TestBFSIsMetric(t *testing.T) {
 			return false
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			if dist[u] >= 0 && dist[u] < g.At(u).Manhattan(g.At(src)) {
+			if dist[u] >= 0 && dist[u] < manhattan(g.At(u), g.At(src)) {
 				return false // beat the Manhattan lower bound
 			}
 			du := dist[u]

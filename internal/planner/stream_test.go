@@ -46,6 +46,13 @@ func sameRouting(t *testing.T, label string, a, b *planner.NetResult) {
 		a.WireMM != b.WireMM || a.WireWidth != b.WireWidth || a.Configs != b.Configs {
 		t.Fatalf("%s: results diverged:\n%+v\nvs\n%+v", label, a, b)
 	}
+	// The whole effort record must match too — ProbeConfigs, BoundPruned,
+	// Pushed, Pruned, Killed, Waves, MaxQSize — wall time aside.
+	sa, sb := a.Stats, b.Stats
+	sa.Elapsed, sb.Elapsed = 0, 0
+	if sa != sb {
+		t.Fatalf("%s: stats diverged:\n%+v\nvs\n%+v", label, sa, sb)
+	}
 	if len(a.Path.Nodes) != len(b.Path.Nodes) {
 		t.Fatalf("%s: path length %d vs %d", label, len(a.Path.Nodes), len(b.Path.Nodes))
 	}

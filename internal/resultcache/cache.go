@@ -403,8 +403,8 @@ func (c *Cache) ForEach(fn func(k Key, v any, size int64) bool) {
 	}
 }
 
-// Clear drops every entry (counters keep their history).
-func (c *Cache) Clear() {
+// clear drops every entry (counters keep their history).
+func (c *Cache) clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

@@ -323,7 +323,7 @@ func TestShardDistributionAndClear(t *testing.T) {
 	if used < len(c.shards)/2 {
 		t.Fatalf("only %d/%d shards used — sharding is skewed", used, len(c.shards))
 	}
-	c.Clear()
+	c.clear()
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("clear left len=%d bytes=%d", c.Len(), c.Bytes())
 	}

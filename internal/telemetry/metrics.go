@@ -183,16 +183,6 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// PruneRatio reports pruned / (pruned + pushed) — the fraction of generated
-// candidates the dominance store rejected. Zero before any search.
-func (m *Metrics) PruneRatio() float64 {
-	pr, pu := m.Pruned.Value(), m.Pushed.Value()
-	if pr+pu == 0 {
-		return 0
-	}
-	return float64(pr) / float64(pr+pu)
-}
-
 // Emit implements Sink, folding the event stream into the counters.
 func (m *Metrics) Emit(e Event) {
 	switch e.Kind {

@@ -132,9 +132,6 @@ func TestMetricsFromEvents(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if r := m.PruneRatio(); math.Abs(r-60.0/140.0) > 1e-12 {
-		t.Errorf("prune ratio = %g, want %g", r, 60.0/140.0)
-	}
 	if m.NetLatencyMS.Count() != 2 {
 		t.Errorf("latency histogram holds %d samples, want 2", m.NetLatencyMS.Count())
 	}

@@ -364,17 +364,6 @@ func (r *Recorder) Finish(status int, err error) *SpanTree {
 	return r.tree
 }
 
-// Tree returns the (possibly still growing) tree; intended for tests and
-// benchmarks. Production readers should use the tree Finish returns.
-func (r *Recorder) Tree() *SpanTree {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tree
-}
-
 // FlightRecorder is the slow-request post-mortem store: every finished
 // request's tree is offered to Observe, and those at or above the SLO are
 // kept in a bounded ring (newest wins), counted, and persisted to the

@@ -135,9 +135,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if tree := rec.Finish(200, nil); tree != nil {
 		t.Error("nil recorder returned a tree")
 	}
-	if rec.Tree() != nil {
-		t.Error("nil recorder Tree() non-nil")
-	}
 }
 
 func TestRecorderSpanCap(t *testing.T) {

@@ -55,25 +55,6 @@ func (r *Recorder) Visit(wave, node int) {
 // Waves returns the number of waves observed.
 func (r *Recorder) Waves() int { return len(r.perWave) }
 
-// VisitsInWave returns how many candidates were expanded in the wave.
-func (r *Recorder) VisitsInWave(wave int) int {
-	if wave < 0 || wave >= len(r.perWave) {
-		return 0
-	}
-	return r.perWave[wave]
-}
-
-// WaveLatency returns the latency label of the wave.
-func (r *Recorder) WaveLatency(wave int) float64 {
-	if wave < 0 || wave >= len(r.latencies) {
-		return 0
-	}
-	return r.latencies[wave]
-}
-
-// FirstWave returns the wave that first visited the node, or -1.
-func (r *Recorder) FirstWave(node int) int { return r.firstWave[node] }
-
 // waveSymbol maps a wave index to a single display rune.
 func waveSymbol(w int) byte {
 	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -33,7 +33,7 @@ func TestRecorderCountsMatchStats(t *testing.T) {
 	rec, res := runRBP(t, g, geom.Pt(0, 3), geom.Pt(30, 3), 300)
 	total := 0
 	for w := 0; w < rec.Waves(); w++ {
-		total += rec.VisitsInWave(w)
+		total += rec.perWave[w]
 	}
 	if total != res.Stats.Configs {
 		t.Errorf("recorded visits %d != configs %d", total, res.Stats.Configs)
@@ -42,15 +42,9 @@ func TestRecorderCountsMatchStats(t *testing.T) {
 		t.Errorf("waves %d, want %d", rec.Waves(), res.Registers+1)
 	}
 	for w := 0; w < rec.Waves(); w++ {
-		if rec.WaveLatency(w) != 300*float64(w+1) {
-			t.Errorf("wave %d latency = %g", w, rec.WaveLatency(w))
+		if rec.latencies[w] != 300*float64(w+1) {
+			t.Errorf("wave %d latency = %g", w, rec.latencies[w])
 		}
-	}
-	if rec.VisitsInWave(-1) != 0 || rec.VisitsInWave(99) != 0 {
-		t.Error("out-of-range waves should report 0 visits")
-	}
-	if rec.WaveLatency(99) != 0 {
-		t.Error("out-of-range wave latency should be 0")
 	}
 }
 
@@ -63,8 +57,8 @@ func TestWavesGrowOutwardFromSink(t *testing.T) {
 	if res.Registers < 2 {
 		t.Skip("need multiple waves for the ring structure")
 	}
-	nearSink := rec.FirstWave(g.ID(geom.Pt(38, 2)))
-	nearSource := rec.FirstWave(g.ID(geom.Pt(2, 2)))
+	nearSink := rec.firstWave[g.ID(geom.Pt(38, 2))]
+	nearSource := rec.firstWave[g.ID(geom.Pt(2, 2))]
 	if nearSink == -1 || nearSource == -1 {
 		t.Fatal("nodes adjacent to the endpoints must be visited")
 	}
@@ -78,7 +72,7 @@ func TestFirstWaveMonotoneAlongSpine(t *testing.T) {
 	rec, _ := runRBP(t, g, geom.Pt(0, 1), geom.Pt(40, 1), 250)
 	prev := -1
 	for x := 40; x >= 0; x-- {
-		w := rec.FirstWave(g.ID(geom.Pt(x, 1)))
+		w := rec.firstWave[g.ID(geom.Pt(x, 1))]
 		if w == -1 {
 			continue
 		}
