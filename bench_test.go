@@ -405,6 +405,28 @@ func BenchmarkFastPath(b *testing.B) {
 	b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
 }
 
+// BenchmarkGALS is the two-domain single-search row of BENCH_core.json:
+// the same die at Ts = 300 ps, Tt = 250 ps (a Table III pair), so the GALS
+// kernel and its incumbent probe are gated directly rather than only
+// through the planner's mix, with the routed answer fingerprinted like
+// BenchmarkRBP's.
+func BenchmarkGALS(b *testing.B) {
+	prob := reducedProblem(b)
+	b.ReportAllocs()
+	var res *core.Result
+	for n := 0; n < b.N; n++ {
+		var err error
+		res, err = core.GALS(prob, 300, 250, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+	b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
+	b.ReportMetric(float64(res.Registers), "registers/op")
+	b.ReportMetric(res.Latency, "latency_ps")
+}
+
 // BenchmarkPlanner_ParallelVsSerial routes the same 16-net SoC workload
 // with 1, 2, 4, and 8 workers over one shared grid and Elmore model. On a
 // multi-core host the 4-worker row shows the batch-routing speedup; on any

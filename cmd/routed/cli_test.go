@@ -31,6 +31,8 @@ var timing = []struct {
 	{regexp.MustCompile(`(?m)^(configs .*, )\S+$`), "${1}<elapsed>"},
 	{regexp.MustCompile(`wall \S+`), "wall <elapsed>"},
 	{regexp.MustCompile(`(?m)^(\s*time\(s\)).*$`), "${1} <elapsed>"},
+	// Table I's per-row time(s) column, the 11th of its 14.
+	{regexp.MustCompile(`(?m)^(\s*(?:inf|\d+)(?:\s+\S+){9}\s+)\d+\.\d\d((?:\s+\S+){3})$`), "${1}<elapsed>${2}"},
 	{regexp.MustCompile(`\(regenerated in [^)]*\)`), "(regenerated in <elapsed>)"},
 }
 
@@ -48,7 +50,10 @@ func maskTiming(s string) string {
 // is rbp's report and map followed by wavefront's visits per wave, both
 // run with the A* bounds off as rendering now does; the -config cases
 // keep route's table rows under planner's summary lines, whose counts
-// come from the same planner run over the same instance.
+// come from the same planner run over the same instance. tables-1-reduced
+// was captured from routed itself before RBP and GALS moved onto one
+// wavefront engine; its Configs and MaxQ columns pin the bounds-off effort
+// of the published algorithm.
 func TestCLIGoldens(t *testing.T) {
 	demo := filepath.Join("testdata", "demo-plan.json")
 	for _, c := range []struct {
@@ -66,6 +71,7 @@ func TestCLIGoldens(t *testing.T) {
 		// demo-plan.json asks for 2 workers, overriding the -workers default.
 		{"plan-config", []string{"plan", "-config", demo}},
 		{"plan-config-exclusive", []string{"plan", "-config", demo, "-exclusive"}},
+		{"tables-1-reduced", []string{"tables", "-table", "1", "-scale", "reduced"}},
 		{"tables-3-reduced", []string{"tables", "-table", "3", "-scale", "reduced"}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {

@@ -44,14 +44,14 @@ func (g Gate) IsClocked() bool {
 type Candidate struct {
 	C float64 // input capacitance seen at Node, pF
 	D float64 // Elmore delay from Node to the most recent sync element (or sink), ps
-	L float64 // GALS only: latency from the most recent sync element back to the sink, ps
+	L float64 // latency from the most recent sync element back to the sink, ps
 	// Slack is the timing slack of the sink-adjacent segment, fixed when
 	// the first register closes that segment (RBP's max-slack extension).
 	Slack float64
 
 	Node int32 // grid node ID
 	Gate Gate  // element inserted at Node when this candidate was created
-	Z    uint8 // GALS only: 1 once the MCFIFO is on the path
+	Z    uint8 // clock domain; GALS: 1 once the MCFIFO is on the path
 	Regs int32 // clocked elements inserted so far (RBP wave index)
 
 	Dead   bool       // pruned while still queued

@@ -158,11 +158,11 @@ func TestScratchPoolReuseIdentical(t *testing.T) {
 		case req.Kind == KindFastPath:
 			res, err = fastPath(p, req.Options, new(Scratch), nil)
 		case req.Kind == KindRBP && req.ArrayQueues:
-			res, err = rbpArrayQueues(p, req.PeriodPS, req.Options, new(Scratch))
+			res, err = search(p, rbpScheme(p, req.PeriodPS, arrayQueues), req.Options, new(Scratch), nil)
 		case req.Kind == KindRBP:
-			res, err = rbp(p, req.PeriodPS, req.Options, new(Scratch), nil)
+			res, err = search(p, rbpScheme(p, req.PeriodPS, twoQueue), req.Options, new(Scratch), nil)
 		default:
-			res, err = gals(p, req.SrcPeriodPS, req.DstPeriodPS, req.Options, new(Scratch), nil)
+			res, err = search(p, galsScheme(p, req.SrcPeriodPS, req.DstPeriodPS), req.Options, new(Scratch), nil)
 		}
 		if err != nil {
 			t.Fatalf("%s fresh: %v", name, err)

@@ -392,124 +392,104 @@ func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, f
 	return sb
 }
 
-// rbpBound is the RBP-family bound state (two-queue, array-of-queues and
-// max-slack): the distance field, the segment reach, the register-count
-// incumbent maxWave, and the delay table of the period-T segment.
-type rbpBound struct {
-	b              *Bounds
-	seg            segBound
-	reach, maxWave int
+// spanBound is the delay-aware bound of a clocking scheme: one segBound
+// per domain and the incumbent's latency budget, from which each wave
+// gets the edge spans of the segments still to come after the current
+// one (spans). With one domain this is RBP's register-count bound: a
+// completion of wave p may add maxWave−p more registers, each spanning at
+// most reach edges.
+type spanBound struct {
+	b      *Bounds
+	s      *scheme
+	seg    [2]segBound
+	reach  [2]int
+	maxLat float64 // the incumbent's latency plus latencyEps; +Inf without one
 }
 
-// newRBPBound sweeps the period-T segment's delay table: segments open at
-// the register or a buffer and close into a register within T.
-func (b *Bounds) newRBPBound(m *elmore.Model, T float64, reach, maxWave int) *rbpBound {
-	return &rbpBound{
-		b:     b,
-		seg:   b.segBound(0, m, T+boundEps(T), reach, false, false),
-		reach: reach, maxWave: maxWave,
+// bound prepares the admissible-bound state of a search under s: the BFS
+// distance field, each domain's segment reach (segments after the first
+// domain may start from the FIFO; segments before the last may close into
+// it), a latency incumbent from the search itself probed on one shortest
+// path, and each domain's delay table — segments open at a register, a
+// buffer or (after the first domain) the FIFO and close within the
+// domain's period. Only an abort propagates as err.
+func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, error) {
+	sh := opts.Share
+	b := sc.prepBoundsShared(p, sh)
+	g := &spanBound{b: b, s: s, maxLat: math.Inf(1)}
+	for z, d := range s.dom[:s.nd] {
+		g.reach[z] = b.segmentReachShared(sh, p, p.Model, d.T, int(b.maxSrc), z > 0, d.K, d.R)
 	}
-}
-
-// prune is the RBP bound test for candidate c entering wave `wave`. A
-// completion may add at most maxWave−wave more registers, and each later
-// segment spans at most reach edges, so the current segment must still
-// cross need = dist − (maxWave−wave)·reach edges and close within T — the
-// segBound delay test. need past reach is the old register-count bound
-// (⌈dist/reach⌉−1 more registers than fit). The predicate depends on
-// (node, wave) and is monotone in (c, d), as the exactness contract
-// requires; a register child's (c, d) is fixed, so its prune depends on
-// (node, wave) alone.
-func (r *rbpBound) prune(wave int, c *candidate.Candidate) bool {
-	d := int(r.b.distSrc[c.Node])
-	if d < 0 || wave > r.maxWave {
-		return true
+	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
+		return search(p, s, o, sc, win)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	need := d
-	if r.reach > 0 {
-		// Capping the register count at d keeps the product small: d more
-		// segments of at least one edge each already cover every edge.
-		need -= min(r.maxWave-wave, d) * r.reach
+	if inc != nil {
+		g.maxLat = inc.Latency + latencyEps
 	}
-	return r.seg.prune(c.C, c.D, need)
-}
-
-// galsBound is GALS's delay-aware bound state: one segBound per domain and
-// the per-wavefront edge spans of the segments still to come after the
-// current one. span[z] < 0 means no close sequence fits the latency budget
-// at all, so every domain-z candidate of the wavefront is doomed.
-type galsBound struct {
-	b              *Bounds
-	tab            [2]segBound
-	ts, tt, maxLat float64
-	reachS, reachT int
-	span           [2]int
-}
-
-// newGALSBound sweeps both domain tables — z=0 segments open at a
-// register and close into a relay register or the FIFO within Tt; z=1
-// segments open at the FIFO or a register and close into a register within
-// Ts — and sets the spans of the first wavefront (l = 0).
-func (b *Bounds) newGALSBound(m *elmore.Model, ts, tt, maxLat float64, reachS, reachT int) *galsBound {
-	g := &galsBound{
-		b: b,
-		tab: [2]segBound{
-			b.segBound(0, m, tt+boundEps(tt), reachT, false, true),
-			b.segBound(1, m, ts+boundEps(ts), reachS, true, false),
-		},
-		ts: ts, tt: tt, maxLat: maxLat, reachS: reachS, reachT: reachT,
+	for z, d := range s.dom[:s.nd] {
+		g.seg[z] = b.segBound(z, p.Model, d.T+boundEps(d.T), g.reach[z], z > 0, z+1 < s.nd)
 	}
-	g.setWave(0)
-	return g
+	return g, probeConfigs, nil
 }
 
-// setWave computes the spans for the wavefront at accumulated latency l,
-// the least latency of its candidates (a larger budget than any of theirs,
-// so the spans stay admissible for all). Once per wavefront, never per
-// candidate: the z=0 maximization loops over the Tt close count. Spans are
-// capped at the source's BFS radius, past which need ≤ 0 everywhere, which
-// also caps the loop at radius/reachT + 1 iterations.
-func (g *galsBound) setWave(l float64) {
+// spans returns each domain's span for a wave at accumulated latency l,
+// the least latency of its candidates (a larger budget than any of
+// theirs, so the spans stay admissible for all). span < 0 means no close
+// sequence fits the budget, so every candidate of that domain is doomed.
+// Once per wave, never per candidate: the sink domain's maximization
+// loops over its close count. Spans are capped at the source's BFS
+// radius, past which need ≤ 0 everywhere, which also caps the loop at
+// radius/reach + 1 iterations. Without an incumbent maxCloses saturates,
+// so every span is the radius (0 where a domain's segments cannot span
+// an edge at all).
+func (g *spanBound) spans(l float64) (span [2]int) {
 	limit := int(g.b.maxSrc)
-	if math.IsInf(g.maxLat, 1) {
-		g.span = [2]int{limit, limit}
-		return
+	last := g.s.nd - 1
+	ts, reachS := g.s.dom[last].T, g.reach[last]
+	// The accepting domain: n closes fit, the current segment's included.
+	span[last] = -1
+	if n := maxCloses(l, ts, g.maxLat); n >= 1 {
+		span[last] = spanOf(n-1, reachS, limit)
 	}
-	// z=1: n Ts closes fit, the current segment's included.
-	g.span[1] = -1
-	if n := maxCloses(l, g.ts, g.maxLat); n >= 1 {
-		g.span[1] = spanOf(n-1, g.reachS, limit)
+	if last == 0 {
+		return span
 	}
-	// z=0: a ≥ 1 Tt closes (the FIFO's included) then b ≥ 1 Ts closes.
-	g.span[0] = -1
-	if g.reachS <= 0 || g.reachT <= 0 {
-		return // no solution: every side needs a segment spanning an edge
+	// The sink domain: a ≥ 1 closes at Tt (the FIFO's included), then
+	// b ≥ 1 closes at Ts.
+	tt, reachT := g.s.dom[0].T, g.reach[0]
+	span[0] = -1
+	if reachS <= 0 || reachT <= 0 {
+		return span // no solution: every side needs a segment spanning an edge
 	}
 	for a := 1; ; a++ {
-		bn := maxCloses(l+float64(a)*g.tt, g.ts, g.maxLat)
+		bn := maxCloses(l+float64(a)*tt, ts, g.maxLat)
 		if bn < 1 {
 			break
 		}
-		s := min(spanOf(a-1, g.reachT, limit)+spanOf(bn, g.reachS, limit), limit)
-		g.span[0] = max(g.span[0], s)
-		if s >= limit || (a-1)*g.reachT >= limit {
+		s := min(spanOf(a-1, reachT, limit)+spanOf(bn, reachS, limit), limit)
+		span[0] = max(span[0], s)
+		if s >= limit || (a-1)*reachT >= limit {
 			break
 		}
 	}
+	return span
 }
 
-// prune is the GALS bound test for a domain-z candidate (c, d) at node v of
-// the current wavefront: its segment must still cross dist − span[z] edges
-// and close within the domain's period. Like rbpBound.prune it depends on
-// (node, z, wavefront) and is monotone in (c, d); register and FIFO
-// children carry fixed (c, d), so their prune depends on (node, z,
-// wavefront) alone.
-func (g *galsBound) prune(v int32, z uint8, c, d float64) bool {
+// prune is the bound test for a domain-z candidate (c, d) at node v, where
+// span is its domain's span in the candidate's wave: the segment must
+// still cross dist − span edges and close within the domain's period. It
+// depends on (node, z, wave) and is monotone in (c, d), as the exactness
+// contract requires; register and FIFO children carry fixed (c, d), so
+// their prune depends on (node, z, wave) alone.
+func (g *spanBound) prune(v int32, z uint8, c, d float64, span int) bool {
 	dist := int(g.b.distSrc[v])
-	if dist < 0 || g.span[z] < 0 {
+	if dist < 0 || span < 0 {
 		return true
 	}
-	return g.tab[z].prune(c, d, dist-g.span[z])
+	return g.seg[z].prune(c, d, dist-span)
 }
 
 // maxCloses returns the most closes n of period T with base + n·T ≤ maxLat

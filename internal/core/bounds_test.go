@@ -105,22 +105,21 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 			return seg.prune(s.c, s.d, int(bd.DistToSource(s.node)))
 		}
 	case "rbp", "rbp-array", "rbp-slack":
-		rb, _, err := rbpBounds(p, c.T, Options{}, sc)
+		sb, _, err := rbpScheme(p, c.T, twoQueue).bound(p, Options{}, sc)
 		if err != nil {
-			t.Fatalf("%s: rbpBounds: %v", label, err)
+			t.Fatalf("%s: rbp bound: %v", label, err)
 		}
 		prune = func(s pathState) bool {
-			return rb.prune(s.wave, &candidate.Candidate{Node: s.node, C: s.c, D: s.d})
+			return sb.prune(s.node, 0, s.c, s.d, sb.spans(c.T * float64(s.wave))[0])
 		}
 	case "gals":
 		ts, tt = c.Ts, c.Tt
-		gb, _, err := galsBounds(p, ts, tt, Options{}, sc)
+		sb, _, err := galsScheme(p, ts, tt).bound(p, Options{}, sc)
 		if err != nil {
-			t.Fatalf("%s: galsBounds: %v", label, err)
+			t.Fatalf("%s: gals bound: %v", label, err)
 		}
 		prune = func(s pathState) bool {
-			gb.setWave(s.l)
-			return gb.prune(s.node, s.z, s.c, s.d)
+			return sb.prune(s.node, s.z, s.c, s.d, sb.spans(s.l)[s.z])
 		}
 	default:
 		t.Fatalf("%s: unknown kernel %q", label, kernel)

@@ -10,6 +10,12 @@
 // wavefronts — one wave per register count (RBP) or per accumulated latency
 // (GALS) — because candidates from different waves are incomparable
 // (Section III, Fig. 4).
+//
+// RBP, its array-of-queues variant and GALS are one wavefront engine
+// (wave.go) run under a clocking scheme: the clock domains with their
+// periods and closing elements (RBP has one; GALS two, the MCFIFO moving
+// a path from the sink's domain to the source's), and the queue holding
+// future waves. FastPath keeps its own single-wave loop.
 package core
 
 import (
@@ -146,8 +152,12 @@ type Options struct {
 	// DisablePruning turns off (c,d) dominance pruning. Exponential in the
 	// worst case — ablation use only, on small grids.
 	DisablePruning bool
-	// DisableLookahead turns off RBP's edge feasibility look-ahead
-	// (d' ≤ T − K(r) − min(R)·c'), replacing it with the plain d' ≤ T test.
+	// DisableLookahead turns off the feasibility look-ahead of every
+	// clocked kernel (RBP and GALS): an edge needs d' ≤ T − K − R·c' and a
+	// buffer d' ≤ T − K, with K and R the least intrinsic delay and drive
+	// resistance among the elements that can close the segment's domain.
+	// Without it both fall back to the plain d' ≤ T test. Results are
+	// identical either way; only the effort differs.
 	DisableLookahead bool
 	// MaximizeSlack (RBP only) selects, among all minimum-latency
 	// solutions, one maximizing the sum of the source and sink segment

@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"clockroute/internal/elmore"
@@ -234,4 +235,43 @@ func TestKernelEquivalenceSweepMid(t *testing.T) {
 // register, FIFO and buffers differ electrically.
 func TestKernelEquivalenceSweepTechs(t *testing.T) {
 	kernelEquivalenceSweep(t, 0x7ec5, 60, randomTechCase)
+}
+
+// TestRBPQueueDisciplinesIdentical pins RBPArrayQueues to RBP result for
+// result, effort counters included: the two queue disciplines admit the
+// same candidates into the same waves and pop them in the same order, so
+// every Stats field but the wall time agrees — with bounds on and off, in
+// plain and max-slack mode.
+func TestRBPQueueDisciplinesIdentical(t *testing.T) {
+	for _, stream := range []struct {
+		seed int64
+		n    int
+		draw func(*rand.Rand) *sweepCase
+	}{{0xa77a, 300, randomSweepCase}, {0x7ec5, 60, randomTechCase}} {
+		rng := rand.New(rand.NewSource(stream.seed))
+		for built := 0; built < stream.n; {
+			c := stream.draw(rng)
+			if c == nil {
+				continue
+			}
+			built++
+			for _, opts := range []Options{
+				{}, {DisableBounds: true}, {MaximizeSlack: true}, {DisableBounds: true, MaximizeSlack: true},
+			} {
+				two, errTwo := RBP(c.p, c.T, opts)
+				arr, errArr := RBPArrayQueues(c.p, c.T, opts)
+				if errTwo != errArr {
+					t.Fatalf("seed %#x instance %d %+v: two-queue err %v, array err %v", stream.seed, built-1, opts, errTwo, errArr)
+				}
+				if errTwo != nil {
+					continue
+				}
+				two.Stats.Elapsed, arr.Stats.Elapsed = 0, 0
+				if !reflect.DeepEqual(two, arr) {
+					t.Fatalf("seed %#x instance %d %+v: results differ\ntwo-queue %+v\narray     %+v",
+						stream.seed, built-1, opts, two.Stats, arr.Stats)
+				}
+			}
+		}
+	}
 }

@@ -26,21 +26,9 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the vector difference p-q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// manhattan returns the L1 distance between p and q in grid edges.
-func (p Point) manhattan(q Point) int {
-	return abs(p.X-q.X) + abs(p.Y-q.Y)
-}
-
 // In reports whether p lies inside r.
 func (p Point) In(r Rect) bool {
 	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
-}
-
-func abs(a int) int {
-	if a < 0 {
-		return -a
-	}
-	return a
 }
 
 // Rect is a half-open axis-aligned rectangle of grid points:
@@ -103,23 +91,6 @@ func (r Rect) Intersect(s Rect) Rect {
 // Overlaps reports whether r and s share at least one point.
 func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
-// union returns the smallest rectangle containing both r and s.
-// An empty operand is treated as the identity.
-func (r Rect) union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		MinX: min(r.MinX, s.MinX),
-		MinY: min(r.MinY, s.MinY),
-		MaxX: max(r.MaxX, s.MaxX),
-		MaxY: max(r.MaxY, s.MaxY),
-	}
-}
-
 // Inset shrinks r by d points on every side. A negative d grows the
 // rectangle. The result may be empty.
 func (r Rect) Inset(d int) Rect {
@@ -128,17 +99,6 @@ func (r Rect) Inset(d int) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// clamp returns the point inside r nearest to p. clamp panics if r is empty.
-func (r Rect) clamp(p Point) Point {
-	if r.Empty() {
-		panic("geom: clamp on empty Rect")
-	}
-	return Point{
-		X: min(max(p.X, r.MinX), r.MaxX-1),
-		Y: min(max(p.Y, r.MinY), r.MaxY-1),
-	}
 }
 
 // Points calls fn for every point inside r in row-major order.

@@ -5,24 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestPointManhattan(t *testing.T) {
-	cases := []struct {
-		p, q Point
-		want int
-	}{
-		{Pt(0, 0), Pt(0, 0), 0},
-		{Pt(0, 0), Pt(3, 4), 7},
-		{Pt(3, 4), Pt(0, 0), 7},
-		{Pt(-2, -3), Pt(2, 3), 10},
-		{Pt(5, 5), Pt(5, 9), 4},
-	}
-	for _, c := range cases {
-		if got := c.p.manhattan(c.q); got != c.want {
-			t.Errorf("Manhattan(%v,%v) = %d, want %d", c.p, c.q, got, c.want)
-		}
-	}
-}
-
 func TestPointAddSub(t *testing.T) {
 	p, q := Pt(3, -1), Pt(2, 7)
 	if got := p.Add(q); got != Pt(5, 6) {
@@ -30,22 +12,6 @@ func TestPointAddSub(t *testing.T) {
 	}
 	if got := p.Add(q).Sub(q); got != p {
 		t.Errorf("Add then Sub = %v, want %v", got, p)
-	}
-}
-
-func TestManhattanSymmetricAndTriangle(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy int8) bool {
-		a, b, c := Pt(int(ax), int(ay)), Pt(int(bx), int(by)), Pt(int(cx), int(cy))
-		if a.manhattan(b) != b.manhattan(a) {
-			return false
-		}
-		if a.manhattan(b) < 0 {
-			return false
-		}
-		return a.manhattan(c) <= a.manhattan(b)+b.manhattan(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -110,20 +76,6 @@ func TestRectIntersect(t *testing.T) {
 	}
 }
 
-func TestRectUnion(t *testing.T) {
-	a := R(0, 0, 2, 2)
-	b := R(5, 5, 7, 9)
-	if got := a.union(b); got != R(0, 0, 7, 9) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := (Rect{}).union(b); got != b {
-		t.Errorf("empty Union = %v", got)
-	}
-	if got := a.union(Rect{}); got != a {
-		t.Errorf("Union empty = %v", got)
-	}
-}
-
 func TestRectInset(t *testing.T) {
 	r := R(0, 0, 10, 10)
 	if got := r.Inset(2); got != R(2, 2, 8, 8) {
@@ -135,32 +87,6 @@ func TestRectInset(t *testing.T) {
 	if got := r.Inset(-1); got != R(-1, -1, 11, 11) {
 		t.Errorf("Inset(-1) = %v", got)
 	}
-}
-
-func TestRectClamp(t *testing.T) {
-	r := R(2, 2, 5, 5)
-	cases := []struct {
-		p, want Point
-	}{
-		{Pt(0, 0), Pt(2, 2)},
-		{Pt(9, 9), Pt(4, 4)},
-		{Pt(3, 9), Pt(3, 4)},
-		{Pt(3, 3), Pt(3, 3)},
-	}
-	for _, c := range cases {
-		if got := r.clamp(c.p); got != c.want {
-			t.Errorf("Clamp(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestRectClampPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Clamp on empty rect should panic")
-		}
-	}()
-	(Rect{}).clamp(Pt(0, 0))
 }
 
 func TestRectPointsOrderAndCount(t *testing.T) {
@@ -203,24 +129,6 @@ func TestRectIntersectProperties(t *testing.T) {
 			}
 		}
 		return i1.W() <= min(a.W(), b.W()) && i1.H() <= min(a.H(), b.H())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRectUnionContainsBoth(t *testing.T) {
-	f := func(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 int8) bool {
-		a := R(int(ax0), int(ay0), int(ax1), int(ay1))
-		b := R(int(bx0), int(by0), int(bx1), int(by1))
-		u := a.union(b)
-		if !a.Empty() && a.Intersect(u) != a {
-			return false
-		}
-		if !b.Empty() && b.Intersect(u) != b {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -403,26 +403,6 @@ func (c *Cache) ForEach(fn func(k Key, v any, size int64) bool) {
 	}
 }
 
-// clear drops every entry (counters keep their history).
-func (c *Cache) clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for s.tail != nil {
-			e := s.tail
-			delete(s.items, e.key)
-			s.unlink(e)
-			s.bytes -= e.size
-			c.bytes.Add(-e.size)
-			c.entries.Add(-1)
-		}
-		s.mu.Unlock()
-	}
-	if c.metrics != nil {
-		c.metrics.CacheBytes.Set(c.bytes.Load())
-	}
-}
-
 // --- intrusive LRU list (caller holds s.mu) ---
 
 func (s *shard) pushFront(e *entry) {

@@ -304,7 +304,7 @@ func TestDoRefreshOverwrites(t *testing.T) {
 	}
 }
 
-func TestShardDistributionAndClear(t *testing.T) {
+func TestShardDistribution(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20, Shards: 8})
 	const n = 512
 	for i := 0; i < n; i++ {
@@ -322,10 +322,6 @@ func TestShardDistributionAndClear(t *testing.T) {
 	}
 	if used < len(c.shards)/2 {
 		t.Fatalf("only %d/%d shards used — sharding is skewed", used, len(c.shards))
-	}
-	c.clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("clear left len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 }
 
