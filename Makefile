@@ -33,8 +33,9 @@ shuffle:
 
 # Short fuzzing pass over every untrusted-input decoder: the candidate
 # store and the two service request decoders (routed plan -config reads
-# its file through the /v1/plan one), plus the canonical hash and the
-# kernels' differential fuzzer.
+# its file through the /v1/plan one), plus the canonical hash, the
+# kernels' priority queue against a sorted-slice oracle, and the kernels'
+# differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
 # crasher fails the target. Regexes are anchored because ./api hosts three
 # fuzz functions and `go test -fuzz` demands a unique match.
@@ -42,6 +43,7 @@ FUZZTIME ?= 30s
 
 fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzStoreInsert$$' -fuzztime $(FUZZTIME) ./internal/candidate
+	go test -run xxx -fuzz '^FuzzHeapOrder$$' -fuzztime $(FUZZTIME) ./internal/pqueue
 	go test -run xxx -fuzz '^FuzzDecodeRouteRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzDecodePlanRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzCanonicalHash$$' -fuzztime $(FUZZTIME) ./api

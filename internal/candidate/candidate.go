@@ -55,7 +55,6 @@ type Candidate struct {
 	Regs int32 // clocked elements inserted so far (RBP wave index)
 
 	Dead   bool       // pruned while still queued
-	Final  bool       // a completed solution re-queued at the source (FastPath)
 	Parent *Candidate // the downstream candidate this one extends
 }
 

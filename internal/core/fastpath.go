@@ -45,13 +45,13 @@ func fastPathBounds(p *Problem, opts Options, sc *Scratch) (*Bounds, segBound, i
 // result carries is copied out before the caller releases sc.
 //
 // Completed solutions are tracked as an incumbent (best source close seen
-// so far) instead of the older re-queued "Final" marker candidates: the
-// search ends when the heap's minimum delay can no longer strictly beat
-// the incumbent — every completion from a queued candidate adds a strictly
-// positive close on top of its key. Value-identical Final markers from
-// different parents bypassed the Pareto store and made pop order
-// shape-dependent; the incumbent keeps pop order a pure function of live
-// store-guarded candidates, which the A*-equivalence argument requires.
+// so far), not re-queued as marker candidates: the search ends when the
+// heap's minimum delay can no longer strictly beat the incumbent — every
+// completion from a queued candidate adds a strictly positive close on top
+// of its key. Value-identical markers from different parents would bypass
+// the Pareto store and make pop order shape-dependent; the incumbent keeps
+// pop order a pure function of live store-guarded candidates, which the
+// A*-equivalence argument requires.
 func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
 	start := time.Now()
 	g, m := p.Grid, p.Model
@@ -156,6 +156,7 @@ func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, e
 			}
 		}
 	}
+	_, _, res.Stats.Killed = store.Stats()
 	if best == nil {
 		return res, ErrNoPath // res carries the effort a probe reports
 	}

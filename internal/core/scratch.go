@@ -197,6 +197,17 @@ func (s *Scratch) Wave(w int) *pqueue.Heap[*candidate.Candidate] {
 	return s.waves[w]
 }
 
+// Rebases sums the rebase counts of every queue the scratch owns since it
+// was created (see pqueue.Heap.Rebases). The kernels' keys never fall
+// below a queue's floor, so it stays zero.
+func (s *Scratch) Rebases() int {
+	n := s.Q.Rebases() + s.QStar.Rebases()
+	for _, h := range s.waves {
+		n += h.Rebases()
+	}
+	return n
+}
+
 // ResetWaves empties every allocated wave heap. The latch router's
 // iterative deepening calls this between latency iterations; a feasible
 // arrival returns mid-drain, so heaps may be non-empty at iteration end.

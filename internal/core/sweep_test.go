@@ -17,6 +17,7 @@ package core
 // catches an inadmissible table even where no divergence happens to show.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -271,6 +272,51 @@ func TestRBPQueueDisciplinesIdentical(t *testing.T) {
 					t.Fatalf("seed %#x instance %d %+v: results differ\ntwo-queue %+v\narray     %+v",
 						stream.seed, built-1, opts, two.Stats, arr.Stats)
 				}
+			}
+		}
+	}
+}
+
+// TestKernelsNeverRebase runs every core kernel on the sweep instances,
+// bounds on and off and RBP in both slack modes, all on one fresh scratch,
+// and requires that no push ever landed below its queue's floor. Each key
+// a kernel pushes is a popped key plus a non-negative Elmore or period
+// term, so the radix heap's rebase path must stay cold: a scheme that
+// pushes below the floor would still pop exactly, only slower, and fails
+// here instead. The latch router's queues are checked in its own package.
+func TestKernelsNeverRebase(t *testing.T) {
+	sc := new(Scratch)
+	for _, stream := range []struct {
+		seed int64
+		draw func(*rand.Rand) *sweepCase
+	}{{20260807, randomSweepCase}, {0x7ec5, randomTechCase}} {
+		rng := rand.New(rand.NewSource(stream.seed))
+		for built := 0; built < 60; {
+			c := stream.draw(rng)
+			if c == nil {
+				continue
+			}
+			built++
+			p := c.p
+			for _, opts := range []Options{{}, {DisableBounds: true}} {
+				slack := opts
+				slack.MaximizeSlack = true
+				for _, run := range []func() (*Result, error){
+					func() (*Result, error) { return fastPath(p, opts, sc, nil) },
+					func() (*Result, error) { return search(p, rbpScheme(p, c.T, twoQueue), opts, sc, nil) },
+					func() (*Result, error) { return search(p, rbpScheme(p, c.T, arrayQueues), opts, sc, nil) },
+					func() (*Result, error) { return search(p, rbpScheme(p, c.T, twoQueue), slack, sc, nil) },
+					func() (*Result, error) { return search(p, rbpScheme(p, c.T, arrayQueues), slack, sc, nil) },
+					func() (*Result, error) { return search(p, galsScheme(p, c.Ts, c.Tt), opts, sc, nil) },
+				} {
+					sc.resetSearchState()
+					if _, err := run(); err != nil && !errors.Is(err, ErrNoPath) {
+						t.Fatalf("seed %#x instance %d: %v", stream.seed, built-1, err)
+					}
+				}
+			}
+			if n := sc.Rebases(); n != 0 {
+				t.Fatalf("seed %#x instance %d: %d queue rebases", stream.seed, built-1, n)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"clockroute/internal/candidate"
+	"clockroute/internal/pqueue"
 )
 
 // Packed tie keys.
@@ -28,22 +27,12 @@ import (
 
 // tieBits32 maps f to a uint32 that preserves the < order of float64s:
 // a < b implies tieBits32(a) <= tieBits32(b), and tieBits32(a) <
-// tieBits32(b) implies a < b. Negative zero is collapsed onto positive
-// zero first, because IEEE equality makes candidateTieLess treat them as
-// the same value. The mapping is the usual sign-magnitude fix-up — flip
-// all bits of negatives, set the sign bit of non-negatives — truncated to
-// the top 32 bits.
+// tieBits32(b) implies a < b. It is the top half of the heap's own key
+// order (pqueue.OrderBits), which collapses negative zero onto positive
+// zero because IEEE equality makes candidateTieLess treat them as the same
+// value.
 func tieBits32(f float64) uint32 {
-	if f == 0 {
-		f = 0 // collapse -0 onto +0
-	}
-	b := math.Float64bits(f)
-	if b&(1<<63) != 0 {
-		b = ^b
-	} else {
-		b |= 1 << 63
-	}
-	return uint32(b >> 32)
+	return uint32(pqueue.OrderBits(f) >> 32)
 }
 
 // tieKeyNodeC packs (Node, C) — the tie prefix for every D-keyed heap.

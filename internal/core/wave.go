@@ -234,8 +234,24 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 	if best != nil {
 		return e.close(best, start), nil
 	}
+	e.res.Stats.Killed = e.killed()
 	e.res.Stats.Elapsed = time.Since(start)
 	return e.res, ErrNoPath
+}
+
+// killed sums the kills of the search's own stores: queued candidates a
+// later arrival marked Dead, left in the queue to be skipped when popped.
+func (e *engine) killed() int {
+	n := 0
+	for _, st := range e.stores[:e.s.nd] {
+		_, _, k := st.Stats()
+		n += k
+	}
+	if e.seeds != nil {
+		_, _, k := e.seeds.Stats()
+		n += k
+	}
+	return n
 }
 
 // advance opens the next wave once Q has drained (Step 2), reporting false
@@ -491,6 +507,7 @@ func (e *engine) close(a *arrival, start time.Time) *Result {
 		res.SlackPS = a.slack
 	}
 	res.SourceDelay = a.srcDelay
+	res.Stats.Killed = e.killed()
 	res.Stats.Elapsed = time.Since(start)
 	if e.win == nil {
 		e.p.finish(a.final, res)

@@ -91,8 +91,6 @@ func Route(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.
 		return nil, ErrNoPath
 	}
 
-	start := time.Now()
-	total := &core.Stats{}
 	// One pooled scratch serves the whole iterative deepening: each latency
 	// iteration recycles the previous iteration's candidates (its arena),
 	// wave heaps, and pruning store instead of reallocating them. The
@@ -100,7 +98,6 @@ func Route(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.
 	// deepening quarantines the scratch (its invariants are suspect) and
 	// surfaces as a core.ErrInternal instead of killing the process.
 	sc := core.GetScratch()
-	sc.SetPackedTie(!opts.DisablePackedTie)
 	defer func() {
 		if r := recover(); r != nil {
 			sc.Quarantine()
@@ -109,6 +106,15 @@ func Route(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.
 		}
 		sc.Release()
 	}()
+	return deepen(p, T, l, maxCycles, opts, sc)
+}
+
+// deepen runs the iterative deepening over the latency on working memory
+// borrowed from sc.
+func deepen(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.Options, sc *core.Scratch) (*Result, error) {
+	start := time.Now()
+	total := &core.Stats{}
+	sc.SetPackedTie(!opts.DisablePackedTie)
 	// Admissible lower bounds from the pooled BFS distance field. The
 	// latency floor comes from telescoping the deadline chain: any feasible
 	// k satisfies k·T ≥ K(reg) + Setup(reg) + totalWireDelay, and the wire
@@ -129,7 +135,7 @@ func Route(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.
 		bd = sc.PrepBounds(p)
 		d0 := bd.DistToSource(int32(p.Sink))
 		if d0 < 0 {
-			return nil, ErrNoPath // the deferred Release returns sc to the pool
+			return nil, ErrNoPath
 		}
 		minEdge = core.MinEdgeDelay(p.Model)
 		reg := p.Model.Tech().Register
@@ -211,6 +217,8 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 	}))
 
 	finishStats := func() {
+		_, _, killed := store.Stats()
+		total.Killed += killed
 		total.Configs += stats.Configs
 		total.Pushed += stats.Pushed
 		total.Pruned += stats.Pruned

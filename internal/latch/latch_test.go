@@ -240,9 +240,13 @@ func TestLatchCyclesMonotoneWithDistance(t *testing.T) {
 
 // Randomized property: latch routes on arbitrary blockage maps always pass
 // the forward-simulation verifier and never beat the information-theoretic
-// lower bound.
+// lower bound. The deepening, bounds on and off, also runs on one fresh
+// scratch whose wave heaps must never rebase: every key pushed into a wave
+// is a popped delay plus a non-negative Elmore term, or a fresh latch's
+// zero delay in a wave not yet drained.
 func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	sc := new(core.Scratch)
 	for trial := 0; trial < 25; trial++ {
 		g := grid.MustNew(14+rng.Intn(10), 6+rng.Intn(6), 0.5)
 		for i := 0; i < 2+rng.Intn(3); i++ {
@@ -271,6 +275,14 @@ func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 		fp, err := core.FastPath(p, core.Options{})
 		if err == nil && res.LatencyPS < math.Ceil(fp.Latency/T)*T-1e-6 {
 			t.Fatalf("trial %d: latency %g beats lower bound from fastpath %g", trial, res.LatencyPS, fp.Latency)
+		}
+		for _, opts := range []core.Options{{}, {DisableBounds: true}} {
+			if _, err := deepen(p, T, latchElem(), 16, opts, sc); err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, opts, err)
+			}
+		}
+		if n := sc.Rebases(); n != 0 {
+			t.Fatalf("trial %d: %d wave-heap rebases", trial, n)
 		}
 	}
 }

@@ -1,24 +1,61 @@
-// Package pqueue provides the priority queues used by the fast-path family
-// of algorithms: a float64-keyed binary min-heap, and an ExtractAllMin
-// helper that pulls a whole equal-key wavefront (used by GALS's Q*).
+// Package pqueue provides the priority queue of the search kernels: a
+// float64-keyed radix heap that pops in (key, packed tie key, Tie) order,
+// and an ExtractAllMin helper that pulls a whole equal-key wavefront (used
+// by GALS's Q*).
 package pqueue
 
-// entry is one heap slot's ordering state: the float64 priority and the
-// packed tie key. Keeping them adjacent means an ordering compare usually
-// touches one cache line per slot instead of two parallel arrays; the
-// values themselves live in a separate array and are only read on the
-// (rare) full-comparator fallback.
-type entry struct {
-	key float64
-	tk  uint64
+import (
+	"math"
+	"math/bits"
+)
+
+// OrderBits maps k to a uint64 whose unsigned order is k's float64 order:
+// a < b implies OrderBits(a) < OrderBits(b). The mapping is the usual
+// sign-magnitude fix-up — flip every bit of a negative key, set the sign
+// bit of a non-negative one — with -0 collapsed onto +0 first, because the
+// two compare equal. NaN has no place in the order.
+func OrderBits(k float64) uint64 {
+	if k == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(k)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-// Heap is a binary min-heap of values keyed by float64 priorities.
-// The zero value is an empty heap ready to use.
-type Heap[T any] struct {
-	ents []entry
-	vals []T
+// item is one bucketed entry. The key is kept as pushed, not as its order
+// bits, so Pop hands back -0 and +0 exactly as they came in.
+type item[T any] struct {
+	key float64
+	v   T
+}
 
+// Heap is a min-priority queue of values keyed by float64 priorities: a
+// radix heap over each key's OrderBits. The zero value is an empty heap
+// ready to use.
+//
+// The heap keeps a floor: the key of the last Pop or Peek, reset whenever
+// the heap empties. Items whose key equals the floor wait in the tie
+// bucket, a binary heap ordered by (packed tie key, Tie). Every other item
+// sits unordered in bucket i, where i is the highest bit at which its order
+// bits differ from the floor's. Raising the floor to the lowest bucket's
+// minimum moves that bucket's items into strictly lower buckets or the tie
+// bucket, so between rebases an item moves at most 64 times and no Pop
+// pays a log-n sift over the whole queue.
+//
+// A push above the floor costs one append; one at the floor joins the tie
+// bucket. A push below it rebases the heap: the floor drops to the new
+// key, and the items under the highest bit where the two floors differ
+// merge into one bucket. Any push sequence therefore pops in exactly (key,
+// packed tie key, Tie) order; Rebases counts the slow pushes. A
+// label-setting search never rebases: each key it pushes is a popped key
+// plus a non-negative term, and adding a non-negative number never rounds
+// an IEEE sum below its base.
+//
+// Keys must not be NaN.
+type Heap[T any] struct {
 	// Tie, when non-nil, breaks exact key equality: among equal-key items
 	// the one for which Tie(a, b) reports a-before-b pops first. With a Tie
 	// that is a strict total order over the queued values, Pop becomes a
@@ -33,128 +70,173 @@ type Heap[T any] struct {
 	// order: for any values a, b queued under equal keys, tk(a) < tk(b)
 	// must imply Tie(a, b) and tk(a) > tk(b) must imply Tie(b, a); only on
 	// tk(a) == tk(b) is the full Tie comparator consulted. The key is
-	// computed once at Push and compared with a single integer compare in
-	// the hot sift paths, replacing most multi-field comparator calls.
-	// When TieKey is nil every packed key is zero and ordering falls
-	// through to Tie exactly as before. Set TieKey (like Tie) only while
-	// the heap is empty.
+	// computed once, when an item enters the tie bucket, and compared with
+	// a single integer compare in the bucket's sift paths, replacing most
+	// multi-field comparator calls. When TieKey is nil every packed key is
+	// zero and ordering falls through to Tie. Set TieKey (like Tie) only
+	// while the heap is empty.
 	TieKey func(v T) uint64
-}
 
-// less orders heap slots i and j by (key, packed tie key, Tie)
-// lexicographically. With TieKey installed the packed compare resolves
-// almost every exact-key tie without touching the values array; with it
-// nil both packed keys are zero and the full Tie comparator decides, as
-// before.
-func (h *Heap[T]) less(i, j int) bool {
-	a, b := &h.ents[i], &h.ents[j]
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.tk != b.tk {
-		return a.tk < b.tk
-	}
-	return h.Tie != nil && h.Tie(h.vals[i], h.vals[j])
+	tie     binHeap[T]    // the items whose key is the floor
+	buckets [64][]item[T] // buckets[i]: order bits differ from the floor's first at bit i
+	full    uint64        // bit i set iff buckets[i] is non-empty
+	floor   uint64        // OrderBits of the floor key; 0 while the heap is empty
+	n       int
+	rebases int
 }
 
 // Len returns the number of queued items.
-func (h *Heap[T]) Len() int { return len(h.ents) }
+func (h *Heap[T]) Len() int { return h.n }
+
+// Rebases reports how many pushes since the heap was created landed below
+// its floor. Reset keeps the count.
+func (h *Heap[T]) Rebases() int { return h.rebases }
 
 // Reset empties the heap, keeping the allocated storage.
 func (h *Heap[T]) Reset() {
-	h.ents = h.ents[:0]
-	h.vals = h.vals[:0]
+	h.tie.reset()
+	for f := h.full; f != 0; f &= f - 1 {
+		i := bits.TrailingZeros64(f)
+		h.buckets[i] = h.buckets[i][:0]
+	}
+	h.full, h.floor, h.n = 0, 0, 0
 }
 
 // Push inserts v with priority key.
 func (h *Heap[T]) Push(key float64, v T) {
-	var tk uint64
-	if h.TieKey != nil {
-		tk = h.TieKey(v)
+	k := OrderBits(key)
+	if k < h.floor {
+		h.rebase(k)
 	}
-	h.ents = append(h.ents, entry{key, tk})
-	h.vals = append(h.vals, v)
-	h.up(len(h.ents) - 1)
+	h.n++
+	h.place(key, k, v)
 }
 
-// Peek returns the minimum-key item without removing it.
+// Peek returns the minimum-key item without removing it. It raises the
+// floor to that item's key.
 func (h *Heap[T]) Peek() (key float64, v T, ok bool) {
-	if len(h.ents) == 0 {
+	if h.n == 0 {
 		var zero T
 		return 0, zero, false
 	}
-	return h.ents[0].key, h.vals[0], true
+	h.settle()
+	return h.tie.ents[0].key, h.tie.vals[0], true
 }
 
 // Pop removes and returns the minimum-key item.
 func (h *Heap[T]) Pop() (key float64, v T, ok bool) {
-	if len(h.ents) == 0 {
+	if h.n == 0 {
 		var zero T
 		return 0, zero, false
 	}
-	key, v = h.ents[0].key, h.vals[0]
-	last := len(h.ents) - 1
-	h.ents[0], h.vals[0] = h.ents[last], h.vals[last]
-	var zero T
-	h.vals[last] = zero // release reference for GC
-	h.ents, h.vals = h.ents[:last], h.vals[:last]
-	if last > 0 {
-		h.down(0)
+	h.settle()
+	key, v = h.tie.pop(h.Tie)
+	if h.n--; h.n == 0 {
+		h.floor = 0
 	}
 	return key, v, true
 }
 
 // ExtractAllMin removes every item whose key is within eps of the minimum
 // key and appends them to dst, returning the extended slice and the shared
-// key. This is the GALS wavefront operation Q = ExtractAllMin(Q*).
+// key. This is the GALS wavefront operation Q = ExtractAllMin(Q*). The
+// floor ends at the last extracted key, not at the first key beyond eps.
 func (h *Heap[T]) ExtractAllMin(dst []T, eps float64) ([]T, float64) {
-	minKey, _, ok := h.Peek()
+	minKey, v, ok := h.Pop()
 	if !ok {
 		return dst, 0
 	}
-	for {
-		k, v, ok := h.Peek()
-		if !ok || k > minKey+eps {
-			break
-		}
-		h.Pop()
+	dst = append(dst, v)
+	for limit := minKey + eps; h.n > 0 && h.nextKey() <= limit; {
+		_, v, _ = h.Pop()
 		dst = append(dst, v)
-		_ = k
 	}
 	return dst, minKey
 }
 
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
+// place files an item whose key is at or above the floor: into the tie
+// bucket when its key is the floor, else into the bucket of the highest
+// bit at which its order bits k differ from the floor's.
+func (h *Heap[T]) place(key float64, k uint64, v T) {
+	if k == h.floor {
+		var tk uint64
+		if h.TieKey != nil {
+			tk = h.TieKey(v)
 		}
-		h.swap(p, i)
-		i = p
+		h.tie.push(key, tk, v, h.Tie)
+		return
 	}
+	i := bits.Len64(k^h.floor) - 1
+	h.buckets[i] = append(h.buckets[i], item[T]{key, v})
+	h.full |= 1 << i
 }
 
-func (h *Heap[T]) down(i int) {
-	n := len(h.ents)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h.swap(i, small)
-		i = small
+// settle makes the tie bucket hold the minimum key, raising the floor to
+// the lowest bucket's minimum when the tie bucket is empty. That bucket's
+// items agree with the old floor above its bit and all carry the bit, as
+// does the new floor, so each lands in the tie bucket or a strictly lower
+// bucket. The heap must be non-empty.
+func (h *Heap[T]) settle() {
+	if len(h.tie.ents) > 0 {
+		return
 	}
+	i := bits.TrailingZeros64(h.full)
+	b := h.buckets[i]
+	h.floor = OrderBits(minKey(b))
+	h.buckets[i] = b[:0]
+	h.full &^= 1 << i
+	for _, it := range b {
+		h.place(it.key, OrderBits(it.key), it.v)
+	}
+	clear(b) // release references for GC
 }
 
-func (h *Heap[T]) swap(i, j int) {
-	h.ents[i], h.ents[j] = h.ents[j], h.ents[i]
-	h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
+// nextKey returns the minimum queued key without raising the floor to it.
+// The heap must be non-empty.
+func (h *Heap[T]) nextKey() float64 {
+	if len(h.tie.ents) > 0 {
+		return h.tie.ents[0].key
+	}
+	return minKey(h.buckets[bits.TrailingZeros64(h.full)])
+}
+
+// rebase lowers the floor to k, the order bits of a key pushed below it.
+// Let t be the highest bit at which the old floor (1 there) and k (0
+// there) differ. An item in a bucket above t differs from k first at that
+// same bit and stays put; every item in a bucket below t, and every
+// tie-bucket item, agrees with the old floor down to bit t and moves to
+// bucket t, which no item at or above the old floor could occupy.
+func (h *Heap[T]) rebase(k uint64) {
+	h.rebases++
+	t := bits.Len64(h.floor^k) - 1
+	below := uint64(1)<<t - 1
+	moved := h.buckets[t]
+	for i, v := range h.tie.vals {
+		moved = append(moved, item[T]{h.tie.ents[i].key, v})
+	}
+	clear(h.tie.vals)
+	h.tie.reset()
+	for f := h.full & below; f != 0; f &= f - 1 {
+		i := bits.TrailingZeros64(f)
+		moved = append(moved, h.buckets[i]...)
+		clear(h.buckets[i])
+		h.buckets[i] = h.buckets[i][:0]
+	}
+	h.full &^= below
+	h.buckets[t] = moved
+	if len(moved) > 0 {
+		h.full |= 1 << t
+	}
+	h.floor = k
+}
+
+// minKey returns the least key in a non-empty bucket.
+func minKey[T any](b []item[T]) float64 {
+	m := b[0].key
+	for _, it := range b[1:] {
+		if it.key < m {
+			m = it.key
+		}
+	}
+	return m
 }
