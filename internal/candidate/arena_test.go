@@ -68,9 +68,9 @@ func TestArenaResetRecyclesSlabs(t *testing.T) {
 }
 
 func TestStoreReuseClearsAndGrows(t *testing.T) {
-	s := NewStore(0) // pooled stores start empty and grow on Reuse
+	s, ar := NewStore(0), new(Arena) // pooled stores start empty and grow on Reuse
 	s.Reuse(2, false)
-	if !s.Insert(&Candidate{Node: 1, C: 1, D: 1}) {
+	if s.Insert(ar, &Candidate{Node: 1, C: 1, D: 1}) == nil {
 		t.Fatal("insert into reused store failed")
 	}
 	if ins, _, _ := s.Stats(); ins != 1 {
@@ -88,16 +88,16 @@ func TestStoreReuseClearsAndGrows(t *testing.T) {
 	}
 	// Node 3 only exists after growth; tri-dominance keeps a worse-delay,
 	// better-slack candidate that bi-dominance would reject.
-	if !s.Insert(&Candidate{Node: 3, C: 1, D: 1, Slack: 5}) {
+	if s.Insert(ar, &Candidate{Node: 3, C: 1, D: 1, Slack: 5}) == nil {
 		t.Fatal("insert at grown node failed")
 	}
-	if !s.Insert(&Candidate{Node: 3, C: 1, D: 2, Slack: 9}) {
+	if s.Insert(ar, &Candidate{Node: 3, C: 1, D: 2, Slack: 9}) == nil {
 		t.Error("Reuse did not switch the store to tri-dominance")
 	}
 
 	// Shrinking reuse keeps the larger node range usable.
 	s.Reuse(1, false)
-	if !s.Insert(&Candidate{Node: 3, C: 1, D: 1}) {
+	if s.Insert(ar, &Candidate{Node: 3, C: 1, D: 1}) == nil {
 		t.Error("store lost node coverage after smaller Reuse")
 	}
 }

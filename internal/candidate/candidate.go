@@ -71,15 +71,19 @@ func (c *Candidate) Walk(fn func(*Candidate)) {
 // pooled arena under a few hundred KiB.
 const arenaBlock = 4096
 
-// Arena is a slab allocator for Candidates. The search loops create one
-// candidate per expansion — by far the dominant allocation of a run — so
-// New hands out slots from chunked blocks instead of the heap, and Reset
-// recycles every candidate of the finished search in O(1).
+// Arena is a slab allocator for Candidates. The search loops build each
+// candidate on the stack and take a slot only for one they keep: it passed
+// the bound tests and the dominance test (Store.Insert copies it in), so a
+// search holds exactly one slot per queued candidate. That is still by far
+// the dominant allocation of a run, so New hands out slots from chunked
+// blocks instead of the heap, and Reset recycles every candidate of the
+// finished search in O(1).
 //
-// Lifetime rule: a candidate obtained from New is valid only until the
-// arena's next Reset. That is safe for the routers because candidates are
-// immortal within a search and nothing escapes it — route.FromCandidate
-// copies the winning chain into a fresh Path before the search returns.
+// Lifetime rule: a candidate obtained from New (or returned by
+// Store.Insert) is valid only until the arena's next Reset. That is safe
+// for the routers because candidates are immortal within a search and
+// nothing escapes it — route.FromCandidate copies the winning chain into
+// a fresh Path before the search returns.
 // Anything that must outlive Reset (results, diagnostics) must copy, never
 // retain *Candidate pointers.
 //
@@ -126,7 +130,7 @@ func (a *Arena) Reset() {
 // dominance keys (c, d, and slack in tri mode) live in parallel float64
 // slices scanned linearly or binary-searched per insertion, while the
 // candidate pointers are touched only to mark kills or reconstruct paths.
-// Keeping the keys out of the 64-byte Candidate structs means an Insert
+// Keeping the keys out of the 56-byte Candidate structs means an Insert
 // walks densely packed floats instead of chasing one pointer per compare.
 type frontier struct {
 	c, d  []float64
@@ -186,7 +190,7 @@ type Store struct {
 	// worth keeping for its higher sink slack.
 	tri bool
 
-	inserted int // live insertions since construction (diagnostics)
+	inserted int // kept insertions since the last Reuse (diagnostics)
 	rejected int // dominated-on-arrival candidates
 	killed   int // previously-inserted candidates pruned by newcomers
 }
@@ -245,13 +249,16 @@ func (s *Store) node(v int32) *frontier {
 	return fr
 }
 
-// Insert attempts to add c to its node's frontier. It returns false (and
-// leaves the frontier unchanged) if c is dominated by an existing live
-// candidate; otherwise it inserts c, marks any now-dominated candidates
-// Dead, and returns true.
-func (s *Store) Insert(c *Candidate) bool {
+// Insert offers c to its node's frontier. The dominance test runs on c's
+// value, before c costs an arena slot: if an existing live candidate
+// dominates c, Insert returns nil and leaves the frontier and the arena
+// unchanged. Otherwise it copies *c into the next slot of a, marks every
+// now-dominated candidate Dead, and returns the copy, which the frontier
+// now holds. Insert never retains c itself, so callers may build it on
+// the stack.
+func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	if s.tri {
-		return s.insertTri(c)
+		return s.insertTri(a, c)
 	}
 	fr := s.node(c.Node)
 	cs, ds := fr.c, fr.d
@@ -271,7 +278,7 @@ func (s *Store) Insert(c *Candidate) bool {
 	pos := lo
 	if pos > 0 && ds[pos-1] <= c.D {
 		s.rejected++
-		return false // dominated: smaller-or-equal cap, smaller-or-equal delay
+		return nil // dominated: smaller-or-equal cap, smaller-or-equal delay
 	}
 
 	// Kill equal-capacitance predecessors: they have C == c.C and (since we
@@ -292,21 +299,22 @@ func (s *Store) Insert(c *Candidate) bool {
 		end++
 	}
 
-	fr.replace(start, end, c)
+	p := a.New(*c)
+	fr.replace(start, end, p)
 	s.inserted++
-	return true
+	return p
 }
 
 // insertTri is the three-key variant of Insert: the frontier is kept
 // unsorted and scanned linearly (frontiers stay small in practice).
 // Dominance: existing (c,d,slack) kills newcomer (c',d',slack') iff
 // c <= c', d <= d' and slack >= slack'.
-func (s *Store) insertTri(c *Candidate) bool {
+func (s *Store) insertTri(a *Arena, c *Candidate) *Candidate {
 	fr := s.node(c.Node)
 	for i := range fr.c {
 		if fr.c[i] <= c.C && fr.d[i] <= c.D && fr.slack[i] >= c.Slack {
 			s.rejected++
-			return false
+			return nil
 		}
 	}
 	out := 0
@@ -320,18 +328,19 @@ func (s *Store) insertTri(c *Candidate) bool {
 		fr.slack[out], fr.cand[out] = fr.slack[i], fr.cand[i]
 		out++
 	}
+	p := a.New(*c)
 	fr.c = append(fr.c[:out], c.C)
 	fr.d = append(fr.d[:out], c.D)
 	fr.slack = append(fr.slack[:out], c.Slack)
-	fr.cand = append(fr.cand[:out], c)
+	fr.cand = append(fr.cand[:out], p)
 	s.inserted++
-	return true
+	return p
 }
 
 // Frontier returns a copy of the current-epoch Pareto frontier at node v,
 // for inspection by tests and diagnostics.
 //
-// Side effect: like every frontier accessor it goes through list(), which
+// Side effect: like every frontier accessor it goes through node(), which
 // lazily applies any pending epoch reset — if v has not been touched since
 // the last NextEpoch/Reuse, its stale frontier is truncated here, not at
 // epoch-bump time. Reading a frontier therefore commits the reset for that

@@ -20,10 +20,10 @@ func TestGateIsClocked(t *testing.T) {
 }
 
 func TestInsertKeepsNonDominated(t *testing.T) {
-	s := NewStore(4)
-	a := cand(1, 2.0, 10.0)
-	b := cand(1, 1.0, 20.0) // less cap, more delay: incomparable with a
-	if !s.Insert(a) || !s.Insert(b) {
+	s, ar := NewStore(4), new(Arena)
+	a := s.Insert(ar, cand(1, 2.0, 10.0))
+	b := s.Insert(ar, cand(1, 1.0, 20.0)) // less cap, more delay: incomparable with a
+	if a == nil || b == nil {
 		t.Fatal("both incomparable candidates should insert")
 	}
 	f := s.Frontier(1)
@@ -39,34 +39,35 @@ func TestInsertKeepsNonDominated(t *testing.T) {
 }
 
 func TestInsertRejectsDominated(t *testing.T) {
-	s := NewStore(4)
-	s.Insert(cand(2, 1.0, 10.0))
-	if s.Insert(cand(2, 1.5, 11.0)) {
+	s, ar := NewStore(4), new(Arena)
+	s.Insert(ar, cand(2, 1.0, 10.0))
+	if s.Insert(ar, cand(2, 1.5, 11.0)) != nil {
 		t.Error("strictly dominated candidate must be rejected")
 	}
-	if s.Insert(cand(2, 1.0, 10.0)) {
+	if s.Insert(ar, cand(2, 1.0, 10.0)) != nil {
 		t.Error("exact duplicate must be rejected")
 	}
-	if s.Insert(cand(2, 1.0, 12.0)) {
+	if s.Insert(ar, cand(2, 1.0, 12.0)) != nil {
 		t.Error("equal cap, worse delay must be rejected")
 	}
-	if s.Insert(cand(2, 1.2, 10.0)) {
+	if s.Insert(ar, cand(2, 1.2, 10.0)) != nil {
 		t.Error("worse cap, equal delay must be rejected")
 	}
 	if len(s.Frontier(2)) != 1 {
 		t.Error("frontier should still hold one candidate")
 	}
+	if ar.Len() != 1 {
+		t.Errorf("arena holds %d candidates, want only the kept one", ar.Len())
+	}
 }
 
 func TestInsertKillsDominatedExisting(t *testing.T) {
-	s := NewStore(4)
-	a := cand(3, 2.0, 10.0)
-	b := cand(3, 3.0, 8.0)
-	s.Insert(a)
-	s.Insert(b)
+	s, ar := NewStore(4), new(Arena)
+	a := s.Insert(ar, cand(3, 2.0, 10.0))
+	b := s.Insert(ar, cand(3, 3.0, 8.0))
 	// c dominates both.
-	c := cand(3, 1.5, 7.0)
-	if !s.Insert(c) {
+	c := s.Insert(ar, cand(3, 1.5, 7.0))
+	if c == nil {
 		t.Fatal("dominating candidate must insert")
 	}
 	if !a.Dead || !b.Dead {
@@ -79,11 +80,10 @@ func TestInsertKillsDominatedExisting(t *testing.T) {
 }
 
 func TestInsertKillsEqualCapPredecessor(t *testing.T) {
-	s := NewStore(2)
-	a := cand(0, 1.0, 10.0)
-	s.Insert(a)
-	b := cand(0, 1.0, 5.0) // same cap, better delay
-	if !s.Insert(b) {
+	s, ar := NewStore(2), new(Arena)
+	a := s.Insert(ar, cand(0, 1.0, 10.0))
+	b := s.Insert(ar, cand(0, 1.0, 5.0)) // same cap, better delay
+	if b == nil {
 		t.Fatal("better-delay candidate must insert")
 	}
 	if !a.Dead {
@@ -95,10 +95,10 @@ func TestInsertKillsEqualCapPredecessor(t *testing.T) {
 }
 
 func TestInsertMiddleKeepsOrder(t *testing.T) {
-	s := NewStore(1)
-	s.Insert(cand(0, 1.0, 30.0))
-	s.Insert(cand(0, 3.0, 10.0))
-	if !s.Insert(cand(0, 2.0, 20.0)) {
+	s, ar := NewStore(1), new(Arena)
+	s.Insert(ar, cand(0, 1.0, 30.0))
+	s.Insert(ar, cand(0, 3.0, 10.0))
+	if s.Insert(ar, cand(0, 2.0, 20.0)) == nil {
 		t.Fatal("incomparable middle candidate must insert")
 	}
 	f := s.Frontier(0)
@@ -113,16 +113,15 @@ func TestInsertMiddleKeepsOrder(t *testing.T) {
 }
 
 func TestNextEpochClearsFrontiers(t *testing.T) {
-	s := NewStore(2)
-	a := cand(0, 1.0, 1.0)
-	s.Insert(a)
+	s, ar := NewStore(2), new(Arena)
+	a := s.Insert(ar, cand(0, 1.0, 1.0))
 	s.NextEpoch()
 	if len(s.Frontier(0)) != 0 {
 		t.Error("frontier must be empty after NextEpoch")
 	}
 	// The old candidate must NOT influence the new epoch.
-	b := cand(0, 2.0, 2.0) // would be dominated by a within one epoch
-	if !s.Insert(b) {
+	// b would be dominated by a within one epoch.
+	if s.Insert(ar, cand(0, 2.0, 2.0)) == nil {
 		t.Error("new-epoch candidate must not be pruned by old epochs")
 	}
 	if a.Dead {
@@ -131,10 +130,10 @@ func TestNextEpochClearsFrontiers(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	s := NewStore(1)
-	s.Insert(cand(0, 1, 10))
-	s.Insert(cand(0, 2, 20))  // rejected
-	s.Insert(cand(0, 0.5, 5)) // kills first
+	s, ar := NewStore(1), new(Arena)
+	s.Insert(ar, cand(0, 1, 10))
+	s.Insert(ar, cand(0, 2, 20))  // rejected
+	s.Insert(ar, cand(0, 0.5, 5)) // kills first
 	ins, rej, kil := s.Stats()
 	if ins != 2 || rej != 1 || kil != 1 {
 		t.Errorf("stats = %d,%d,%d want 2,1,1", ins, rej, kil)
@@ -169,13 +168,13 @@ func TestStoreMatchesBruteForcePareto(t *testing.T) {
 	f := func(seed int64, nQ uint8) bool {
 		n := int(nQ%40) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(1)
+		s, ar := NewStore(1), new(Arena)
 		pts := make([][2]float64, 0, n)
 		for i := 0; i < n; i++ {
 			// Small integer coordinates force plenty of ties.
 			p := [2]float64{float64(rng.Intn(8)), float64(rng.Intn(8))}
 			pts = append(pts, p)
-			s.Insert(cand(0, p[0], p[1]))
+			s.Insert(ar, cand(0, p[0], p[1]))
 		}
 		want := bruteFrontier(pts)
 		got := s.Frontier(0)
@@ -201,16 +200,15 @@ func TestStoreMatchesBruteForcePareto(t *testing.T) {
 }
 
 // Dead flags must be consistent: everything still in the frontier is alive,
-// and every insertion that returned true but is no longer in the frontier is
-// dead.
+// and every candidate an insertion returned but is no longer in the
+// frontier is dead.
 func TestDeadFlagConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(1)
+		s, ar := NewStore(1), new(Arena)
 		var accepted []*Candidate
 		for i := 0; i < 60; i++ {
-			c := cand(0, float64(rng.Intn(10)), float64(rng.Intn(10)))
-			if s.Insert(c) {
+			if c := s.Insert(ar, cand(0, float64(rng.Intn(10)), float64(rng.Intn(10)))); c != nil {
 				accepted = append(accepted, c)
 			}
 		}
@@ -258,10 +256,10 @@ func triCand(node int32, c, d, slack float64) *Candidate {
 }
 
 func TestTriStoreKeepsSlackIncomparable(t *testing.T) {
-	s := NewTriStore(2)
-	a := triCand(0, 1.0, 10.0, 5.0)
-	b := triCand(0, 1.5, 12.0, 9.0) // worse (c,d) but better slack: must survive
-	if !s.Insert(a) || !s.Insert(b) {
+	s, ar := NewTriStore(2), new(Arena)
+	a := s.Insert(ar, triCand(0, 1.0, 10.0, 5.0))
+	b := s.Insert(ar, triCand(0, 1.5, 12.0, 9.0)) // worse (c,d) but better slack: must survive
+	if a == nil || b == nil {
 		t.Fatal("both candidates should insert under 3-D dominance")
 	}
 	if a.Dead || b.Dead {
@@ -269,24 +267,26 @@ func TestTriStoreKeepsSlackIncomparable(t *testing.T) {
 	}
 	// A 2-D store would have rejected b.
 	s2 := NewStore(2)
-	s2.Insert(cand(0, 1.0, 10.0))
-	if s2.Insert(cand(0, 1.5, 12.0)) {
+	s2.Insert(ar, cand(0, 1.0, 10.0))
+	if s2.Insert(ar, cand(0, 1.5, 12.0)) != nil {
 		t.Error("sanity: 2-D store should reject the dominated pair")
 	}
 }
 
 func TestTriStoreRejectsAndKills(t *testing.T) {
-	s := NewTriStore(1)
-	a := triCand(0, 1.0, 10.0, 5.0)
-	s.Insert(a)
-	if s.Insert(triCand(0, 1.2, 11.0, 4.0)) {
+	s, ar := NewTriStore(1), new(Arena)
+	a := s.Insert(ar, triCand(0, 1.0, 10.0, 5.0))
+	if s.Insert(ar, triCand(0, 1.2, 11.0, 4.0)) != nil {
 		t.Error("3-D dominated candidate must be rejected")
 	}
-	if s.Insert(triCand(0, 1.0, 10.0, 5.0)) {
+	if s.Insert(ar, triCand(0, 1.0, 10.0, 5.0)) != nil {
 		t.Error("exact duplicate must be rejected")
 	}
-	killer := triCand(0, 0.5, 9.0, 6.0)
-	if !s.Insert(killer) {
+	if ar.Len() != 1 {
+		t.Errorf("arena holds %d candidates, want only the kept one", ar.Len())
+	}
+	killer := s.Insert(ar, triCand(0, 0.5, 9.0, 6.0))
+	if killer == nil {
 		t.Fatal("dominating candidate must insert")
 	}
 	if !a.Dead {
@@ -301,13 +301,13 @@ func TestTriStoreMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, nQ uint8) bool {
 		n := int(nQ%30) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewTriStore(1)
+		s, ar := NewTriStore(1), new(Arena)
 		type pt struct{ c, d, sl float64 }
 		var pts []pt
 		for i := 0; i < n; i++ {
 			p := pt{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
 			pts = append(pts, p)
-			s.Insert(triCand(0, p.c, p.d, p.sl))
+			s.Insert(ar, triCand(0, p.c, p.d, p.sl))
 		}
 		dominated := func(p pt) bool {
 			for _, q := range pts {
@@ -340,10 +340,10 @@ func TestTriStoreMatchesBruteForce(t *testing.T) {
 }
 
 func TestTriStoreEpochReset(t *testing.T) {
-	s := NewTriStore(1)
-	s.Insert(triCand(0, 1, 1, 9))
+	s, ar := NewTriStore(1), new(Arena)
+	s.Insert(ar, triCand(0, 1, 1, 9))
 	s.NextEpoch()
-	if !s.Insert(triCand(0, 2, 2, 1)) {
+	if s.Insert(ar, triCand(0, 2, 2, 1)) == nil {
 		t.Error("new epoch must not inherit old frontiers")
 	}
 }

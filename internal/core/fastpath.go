@@ -73,7 +73,9 @@ func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, e
 	sc.SetPackedTie(!opts.DisablePackedTie)
 	store := sc.PrepStore(0, g.NumNodes(), false)
 
-	push := func(c *candidate.Candidate, key float64) {
+	// push runs the bound tests and the dominance test on c's value; only a
+	// candidate that passes them all takes an arena slot.
+	push := func(c *candidate.Candidate) {
 		faultpoint.Must("core.wave_push")
 		if win != nil && !win.Has(int(c.Node)) {
 			res.Stats.BoundPruned++
@@ -86,21 +88,22 @@ func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, e
 				return
 			}
 		}
-		if !opts.DisablePruning {
-			if !store.Insert(c) {
-				res.Stats.Pruned++
-				return
-			}
+		var kept *candidate.Candidate
+		if opts.DisablePruning {
+			kept = sc.Arena.New(*c)
+		} else if kept = store.Insert(&sc.Arena, c); kept == nil {
+			res.Stats.Pruned++
+			return
 		}
-		q.Push(key, c)
+		q.Push(kept.D, kept)
 		res.Stats.Pushed++
 		if q.Len() > res.Stats.MaxQSize {
 			res.Stats.MaxQSize = q.Len()
 		}
 	}
 
-	init := sc.Arena.New(p.initialCandidate())
-	push(init, init.D)
+	init := p.initialCandidate()
+	push(&init)
 	if opts.Trace != nil {
 		opts.Trace.WaveStart(0, math.Inf(1))
 	}
@@ -136,10 +139,10 @@ func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, e
 		// Step 6: extend across each live edge.
 		g.ForNeighbors(u, func(v int) {
 			c2, d2 := m.AddEdge(cur.C, cur.D)
-			push(sc.Arena.New(candidate.Candidate{
+			push(&candidate.Candidate{
 				C: c2, D: d2, Node: int32(v),
 				Gate: candidate.GateNone, Parent: cur,
-			}), d2)
+			})
 		})
 
 		// Steps 7-8: insert each library buffer at u. The endpoints are
@@ -149,10 +152,10 @@ func fastPath(p *Problem, opts Options, sc *Scratch, win *nodeFlags) (*Result, e
 			for bi := range tc.Buffers {
 				b := tc.Buffers[bi]
 				c2, d2 := m.AddGate(b, cur.C, cur.D)
-				push(sc.Arena.New(candidate.Candidate{
+				push(&candidate.Candidate{
 					C: c2, D: d2, Node: cur.Node,
 					Gate: candidate.Gate(bi), Parent: cur,
-				}), d2)
+				})
 			}
 		}
 	}

@@ -284,6 +284,10 @@ func TestRBPQueueDisciplinesIdentical(t *testing.T) {
 // term, so the radix heap's rebase path must stay cold: a scheme that
 // pushes below the floor would still pop exactly, only slower, and fails
 // here instead. The latch router's queues are checked in its own package.
+//
+// Every run must also leave the arena holding exactly its queued
+// candidates: a candidate the bounds or the Pareto store reject is
+// decided on its value and never takes a slot.
 func TestKernelsNeverRebase(t *testing.T) {
 	sc := new(Scratch)
 	for _, stream := range []struct {
@@ -301,7 +305,7 @@ func TestKernelsNeverRebase(t *testing.T) {
 			for _, opts := range []Options{{}, {DisableBounds: true}} {
 				slack := opts
 				slack.MaximizeSlack = true
-				for _, run := range []func() (*Result, error){
+				for k, run := range []func() (*Result, error){
 					func() (*Result, error) { return fastPath(p, opts, sc, nil) },
 					func() (*Result, error) { return search(p, rbpScheme(p, c.T, twoQueue), opts, sc, nil) },
 					func() (*Result, error) { return search(p, rbpScheme(p, c.T, arrayQueues), opts, sc, nil) },
@@ -310,14 +314,50 @@ func TestKernelsNeverRebase(t *testing.T) {
 					func() (*Result, error) { return search(p, galsScheme(p, c.Ts, c.Tt), opts, sc, nil) },
 				} {
 					sc.resetSearchState()
-					if _, err := run(); err != nil && !errors.Is(err, ErrNoPath) {
+					res, err := run()
+					if err != nil && !errors.Is(err, ErrNoPath) {
 						t.Fatalf("seed %#x instance %d: %v", stream.seed, built-1, err)
+					}
+					if n := sc.Arena.Len(); n != res.Stats.Pushed {
+						t.Fatalf("seed %#x instance %d kernel %d (bounds off: %t): arena holds %d candidates, %d pushed",
+							stream.seed, built-1, k, opts.DisableBounds, n, res.Stats.Pushed)
 					}
 				}
 			}
 			if n := sc.Rebases(); n != 0 {
 				t.Fatalf("seed %#x instance %d: %d queue rebases", stream.seed, built-1, n)
 			}
+		}
+	}
+}
+
+// TestArenaHoldsOnlyQueuedWithoutPruning is the DisablePruning half of
+// TestKernelsNeverRebase's arena check: with the Pareto stores off, every
+// candidate that passes the bounds is queued, and only those take a slot.
+// The coarse pitch keeps each segment's reach to a few edges, so the
+// unpruned searches stay small.
+func TestArenaHoldsOnlyQueuedWithoutPruning(t *testing.T) {
+	g := grid.MustNew(8, 4, 2.0)
+	g.AddObstacle(geom.R(3, 1, 5, 3))
+	p := problemOn(t, g, geom.Pt(0, 2), geom.Pt(7, 2))
+	sc := new(Scratch)
+	opts := Options{DisablePruning: true}
+	slack := opts
+	slack.MaximizeSlack = true
+	for k, run := range []func() (*Result, error){
+		func() (*Result, error) { return search(p, rbpScheme(p, 250, twoQueue), opts, sc, nil) },
+		func() (*Result, error) { return search(p, rbpScheme(p, 250, arrayQueues), slack, sc, nil) },
+		func() (*Result, error) { return search(p, galsScheme(p, 300, 300), opts, sc, nil) },
+		func() (*Result, error) { return fastPath(p, opts, sc, nil) },
+	} {
+		sc.resetSearchState()
+		res, err := run()
+		if err != nil {
+			t.Fatalf("kernel %d: %v", k, err)
+		}
+		if n := sc.Arena.Len(); n != res.Stats.Pushed || res.Stats.Pruned != 0 {
+			t.Fatalf("kernel %d: arena holds %d candidates, %d pushed, %d pruned",
+				k, n, res.Stats.Pushed, res.Stats.Pruned)
 		}
 	}
 }

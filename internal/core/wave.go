@@ -200,7 +200,7 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 	e.openWave()
 	init := p.initialCandidate() // (C(r), Setup(r), m', t), z = 0, l = 0
 	if e.admit(init.Node, 0, init.C, init.D, e.span[0]) {
-		e.enter(sc.Arena.New(init))
+		e.enter(&init)
 	}
 
 	// In max-slack mode the winning wave is drained completely and the
@@ -300,6 +300,8 @@ func (e *engine) advance() bool {
 	}
 	e.openWave()
 	if e.s.queue == latencyHeap {
+		// An extracted seed enters Q as a copy: its Q* slot counted as one
+		// push, and its kept copy in Q is another.
 		for _, c := range sc.Buf {
 			if e.admit(c.Node, c.Z, c.C, c.D, e.span[c.Z]) {
 				e.enter(c)
@@ -332,9 +334,9 @@ func (e *engine) openWave() {
 	}
 }
 
-// admit runs the bound tests on a candidate's scalars, before it costs an
-// arena slot: the probe window and the delay-aware bound at the given
-// span of its domain.
+// admit runs the bound tests on a candidate's scalars, before it is even
+// built: the probe window and the delay-aware bound at the given span of
+// its domain.
 func (e *engine) admit(v int32, z uint8, c, d float64, span int) bool {
 	faultpoint.Must("core.wave_push")
 	if (e.win != nil && !e.win.Has(int(v))) || (e.bd != nil && e.bd.prune(v, z, c, d, span)) {
@@ -345,14 +347,26 @@ func (e *engine) admit(v int32, z uint8, c, d float64, span int) bool {
 }
 
 // enter dominance-checks an admitted candidate against its domain's store
-// and queues it in the current wave.
+// and queues its arena copy in the current wave.
 func (e *engine) enter(c *candidate.Candidate) {
-	if !e.opts.DisablePruning && !e.stores[c.Z].Insert(c) {
-		e.res.Stats.Pruned++
-		return
+	if p := e.keep(e.stores[c.Z], c); p != nil {
+		e.q.Push(p.D, p)
+		e.pushed()
 	}
-	e.q.Push(c.D, c)
-	e.pushed()
+}
+
+// keep returns the arena copy of an admitted candidate, or nil when st
+// (nil for none) finds it dominated, counted as pruned. The dominance test
+// reads c's value, so a dominated candidate never takes a slot.
+func (e *engine) keep(st *candidate.Store, c *candidate.Candidate) *candidate.Candidate {
+	if st == nil || e.opts.DisablePruning {
+		return e.sc.Arena.New(*c)
+	}
+	p := st.Insert(&e.sc.Arena, c)
+	if p == nil {
+		e.res.Stats.Pruned++
+	}
+	return p
 }
 
 // pushed counts a queued candidate and tracks the peak queue size.
@@ -370,12 +384,11 @@ func (e *engine) seed(c *candidate.Candidate, el tech.Element, gate candidate.Ga
 	if e.s.queue != latencyHeap && !e.admit(c.Node, z, el.C, el.Setup, e.next[z]) {
 		return
 	}
-	s := e.sc.Arena.New(candidate.Candidate{
+	s := e.keep(e.seeds, &candidate.Candidate{
 		C: el.C, D: el.Setup, Slack: slack, L: c.L + e.s.dom[c.Z].T, Node: c.Node,
 		Gate: gate, Z: z, Regs: c.Regs + 1, Parent: c,
 	})
-	if e.seeds != nil && !e.opts.DisablePruning && !e.seeds.Insert(s) {
-		e.res.Stats.Pruned++
+	if s == nil {
 		return
 	}
 	switch e.s.queue {
@@ -437,10 +450,10 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	if ed <= limit {
 		g.ForNeighbors(u, func(v int) {
 			if e.admit(int32(v), z, ec, ed, e.span[z]) {
-				e.enter(e.sc.Arena.New(candidate.Candidate{
+				e.enter(&candidate.Candidate{
 					C: ec, D: ed, Slack: c.Slack, L: c.L, Node: int32(v),
 					Gate: candidate.GateNone, Z: z, Regs: c.Regs, Parent: c,
-				}))
+				})
 			}
 		})
 	}
@@ -460,10 +473,10 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	for bi := range tc.Buffers {
 		c2, d2 := m.AddGate(tc.Buffers[bi], c.C, c.D)
 		if d2 <= limit && e.admit(c.Node, z, c2, d2, e.span[z]) {
-			e.enter(e.sc.Arena.New(candidate.Candidate{
+			e.enter(&candidate.Candidate{
 				C: c2, D: d2, Slack: c.Slack, L: c.L, Node: c.Node,
 				Gate: candidate.Gate(bi), Z: z, Regs: c.Regs, Parent: c,
-			}))
+			})
 		}
 	}
 	if !g.RegisterInsertable(u) {

@@ -193,13 +193,14 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 				return
 			}
 		}
-		if !opts.DisablePruning {
-			if !store.Insert(c) {
-				stats.Pruned++
-				return
-			}
+		var kept *candidate.Candidate
+		if opts.DisablePruning {
+			kept = sc.Arena.New(*c)
+		} else if kept = store.Insert(&sc.Arena, c); kept == nil {
+			stats.Pruned++
+			return
 		}
-		sc.Wave(w).Push(c.D, c)
+		sc.Wave(w).Push(kept.D, kept)
 		if w >= nWaves {
 			nWaves = w + 1
 		}
@@ -211,10 +212,10 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 	}
 
 	// Initial candidate at the sink register: deadline = −Setup(reg).
-	push(0, sc.Arena.New(candidate.Candidate{
+	push(0, &candidate.Candidate{
 		C: reg.C, D: 0, Slack: -reg.Setup,
 		Node: int32(p.Sink), Gate: candidate.GateRegister,
-	}))
+	})
 
 	finishStats := func() {
 		_, _, killed := store.Stats()
@@ -290,10 +291,10 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 				if launch+d2 > c.Slack || d2 > T {
 					return
 				}
-				push(cur, sc.Arena.New(candidate.Candidate{
+				push(cur, &candidate.Candidate{
 					C: c2, D: d2, Slack: c.Slack, Node: int32(v),
 					Gate: candidate.GateNone, Regs: c.Regs, Parent: c,
-				}))
+				})
 			})
 
 			if !g.Insertable(u) || c.Gate != candidate.GateNone ||
@@ -308,10 +309,10 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 				if launch+d2 > c.Slack || d2 > T {
 					continue
 				}
-				push(cur, sc.Arena.New(candidate.Candidate{
+				push(cur, &candidate.Candidate{
 					C: c2, D: d2, Slack: c.Slack, Node: c.Node,
 					Gate: candidate.Gate(bi), Regs: c.Regs, Parent: c,
-				}))
+				})
 			}
 
 			// Latch insertion: latch j+1 in slot [-(j+2)T/2, -(j+1)T/2).
@@ -335,10 +336,10 @@ func routeFixedLatency(p *core.Problem, T float64, l tech.Element, k int, opts c
 			if launch > deadline {
 				continue // the launch edge itself cannot reach this latch
 			}
-			push(cur+1, sc.Arena.New(candidate.Candidate{
+			push(cur+1, &candidate.Candidate{
 				C: l.C, D: 0, Slack: deadline, Node: c.Node,
 				Gate: candidate.GateLatch, Regs: c.Regs + 1, Parent: c,
-			}))
+			})
 		}
 	}
 	finishStats()

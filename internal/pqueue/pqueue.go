@@ -5,8 +5,10 @@
 package pqueue
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // OrderBits maps k to a uint64 whose unsigned order is k's float64 order:
@@ -32,27 +34,38 @@ type item[T any] struct {
 	v   T
 }
 
+// tieItem is one entry of the tie run: an item plus the packed tie key it
+// was given when it entered the run.
+type tieItem[T any] struct {
+	key float64
+	tk  uint64
+	v   T
+}
+
 // Heap is a min-priority queue of values keyed by float64 priorities: a
 // radix heap over each key's OrderBits. The zero value is an empty heap
 // ready to use.
 //
 // The heap keeps a floor: the key of the last Pop or Peek, reset whenever
-// the heap empties. Items whose key equals the floor wait in the tie
-// bucket, a binary heap ordered by (packed tie key, Tie). Every other item
-// sits unordered in bucket i, where i is the highest bit at which its order
-// bits differ from the floor's. Raising the floor to the lowest bucket's
-// minimum moves that bucket's items into strictly lower buckets or the tie
-// bucket, so between rebases an item moves at most 64 times and no Pop
-// pays a log-n sift over the whole queue.
+// the heap empties. Items whose key equals the floor wait in the tie run,
+// a slice sorted once by (packed tie key, Tie) when the floor rises and
+// read from its head. Every other item sits unordered in bucket i, where i
+// is the highest bit at which its order bits differ from the floor's.
+// Raising the floor to the lowest bucket's minimum moves that bucket's
+// items into strictly lower buckets or the tie run, so between rebases an
+// item moves at most 64 times and no Pop pays a log-n sift.
 //
-// A push above the floor costs one append; one at the floor joins the tie
-// bucket. A push below it rebases the heap: the floor drops to the new
-// key, and the items under the highest bit where the two floors differ
-// merge into one bucket. Any push sequence therefore pops in exactly (key,
-// packed tie key, Tie) order; Rebases counts the slow pushes. A
-// label-setting search never rebases: each key it pushes is a popped key
-// plus a non-negative term, and adding a non-negative number never rounds
-// an IEEE sum below its base.
+// A push above the floor costs one append. One at the floor is
+// binary-searched into the unread part of the run, which keeps the run
+// exact; the search kernels make none, since each key they push lies
+// strictly above its queue's floor (DESIGN.md, "Radix queue"). A push
+// below the floor rebases the heap: the floor drops to the new key, and
+// the items under the highest bit where the two floors differ merge into
+// one bucket. Any push sequence therefore pops in exactly (key, packed
+// tie key, Tie) order; Rebases counts the slow pushes. A label-setting
+// search never rebases: each key it pushes is a popped key plus a
+// non-negative term, and adding a non-negative number never rounds an
+// IEEE sum below its base.
 //
 // Keys must not be NaN.
 type Heap[T any] struct {
@@ -70,14 +83,15 @@ type Heap[T any] struct {
 	// order: for any values a, b queued under equal keys, tk(a) < tk(b)
 	// must imply Tie(a, b) and tk(a) > tk(b) must imply Tie(b, a); only on
 	// tk(a) == tk(b) is the full Tie comparator consulted. The key is
-	// computed once, when an item enters the tie bucket, and compared with
-	// a single integer compare in the bucket's sift paths, replacing most
-	// multi-field comparator calls. When TieKey is nil every packed key is
-	// zero and ordering falls through to Tie. Set TieKey (like Tie) only
-	// while the heap is empty.
+	// computed once, when an item enters the tie run, and compared with a
+	// single integer compare in the run's sort, replacing most multi-field
+	// comparator calls. When TieKey is nil every packed key is zero and
+	// ordering falls through to Tie. Set TieKey (like Tie) only while the
+	// heap is empty.
 	TieKey func(v T) uint64
 
-	tie     binHeap[T]    // the items whose key is the floor
+	run     []tieItem[T]  // the items whose key is the floor; run[head:] is sorted and unread
+	head    int           // next item of run to pop; 0 whenever run is empty
 	buckets [64][]item[T] // buckets[i]: order bits differ from the floor's first at bit i
 	full    uint64        // bit i set iff buckets[i] is non-empty
 	floor   uint64        // OrderBits of the floor key; 0 while the heap is empty
@@ -94,7 +108,7 @@ func (h *Heap[T]) Rebases() int { return h.rebases }
 
 // Reset empties the heap, keeping the allocated storage.
 func (h *Heap[T]) Reset() {
-	h.tie.reset()
+	h.run, h.head = h.run[:0], 0
 	for f := h.full; f != 0; f &= f - 1 {
 		i := bits.TrailingZeros64(f)
 		h.buckets[i] = h.buckets[i][:0]
@@ -120,7 +134,8 @@ func (h *Heap[T]) Peek() (key float64, v T, ok bool) {
 		return 0, zero, false
 	}
 	h.settle()
-	return h.tie.ents[0].key, h.tie.vals[0], true
+	it := &h.run[h.head]
+	return it.key, it.v, true
 }
 
 // Pop removes and returns the minimum-key item.
@@ -130,11 +145,15 @@ func (h *Heap[T]) Pop() (key float64, v T, ok bool) {
 		return 0, zero, false
 	}
 	h.settle()
-	key, v = h.tie.pop(h.Tie)
+	it := h.run[h.head]
+	if h.head++; h.head == len(h.run) {
+		clear(h.run) // release references for GC
+		h.run, h.head = h.run[:0], 0
+	}
 	if h.n--; h.n == 0 {
 		h.floor = 0
 	}
-	return key, v, true
+	return it.key, it.v, true
 }
 
 // ExtractAllMin removes every item whose key is within eps of the minimum
@@ -155,29 +174,55 @@ func (h *Heap[T]) ExtractAllMin(dst []T, eps float64) ([]T, float64) {
 }
 
 // place files an item whose key is at or above the floor: into the tie
-// bucket when its key is the floor, else into the bucket of the highest
-// bit at which its order bits k differ from the floor's.
+// run at its sorted place when its key is the floor, else into the bucket
+// of the highest bit at which its order bits k differ from the floor's.
 func (h *Heap[T]) place(key float64, k uint64, v T) {
 	if k == h.floor {
-		var tk uint64
-		if h.TieKey != nil {
-			tk = h.TieKey(v)
-		}
-		h.tie.push(key, tk, v, h.Tie)
+		it := tieItem[T]{key, h.tieKey(v), v}
+		at, _ := slices.BinarySearchFunc(h.run[h.head:], it, h.order)
+		h.run = slices.Insert(h.run, h.head+at, it)
 		return
 	}
+	h.file(key, k, v)
+}
+
+// file appends an item whose order bits k are above the floor to the
+// bucket of the highest bit at which k differs from the floor.
+func (h *Heap[T]) file(key float64, k uint64, v T) {
 	i := bits.Len64(k^h.floor) - 1
 	h.buckets[i] = append(h.buckets[i], item[T]{key, v})
 	h.full |= 1 << i
 }
 
-// settle makes the tie bucket hold the minimum key, raising the floor to
-// the lowest bucket's minimum when the tie bucket is empty. That bucket's
-// items agree with the old floor above its bit and all carry the bit, as
-// does the new floor, so each lands in the tie bucket or a strictly lower
-// bucket. The heap must be non-empty.
+// tieKey returns v's packed tie key, zero when TieKey is unset.
+func (h *Heap[T]) tieKey(v T) uint64 {
+	if h.TieKey == nil {
+		return 0
+	}
+	return h.TieKey(v)
+}
+
+// order compares two tie-run items by packed tie key, then by Tie.
+func (h *Heap[T]) order(a, b tieItem[T]) int {
+	if c := cmp.Compare(a.tk, b.tk); c != 0 || h.Tie == nil {
+		return c
+	}
+	switch {
+	case h.Tie(a.v, b.v):
+		return -1
+	case h.Tie(b.v, a.v):
+		return 1
+	}
+	return 0
+}
+
+// settle makes the tie run hold the minimum key. Once the run is read out
+// it raises the floor to the lowest bucket's minimum. That bucket's items
+// agree with the old floor above its bit and all carry the bit, as does
+// the new floor, so each joins the run or a strictly lower bucket; the run
+// is then sorted once. The heap must be non-empty.
 func (h *Heap[T]) settle() {
-	if len(h.tie.ents) > 0 {
+	if len(h.run) > 0 {
 		return
 	}
 	i := bits.TrailingZeros64(h.full)
@@ -186,16 +231,21 @@ func (h *Heap[T]) settle() {
 	h.buckets[i] = b[:0]
 	h.full &^= 1 << i
 	for _, it := range b {
-		h.place(it.key, OrderBits(it.key), it.v)
+		if k := OrderBits(it.key); k != h.floor {
+			h.file(it.key, k, it.v)
+		} else {
+			h.run = append(h.run, tieItem[T]{it.key, h.tieKey(it.v), it.v})
+		}
 	}
 	clear(b) // release references for GC
+	slices.SortFunc(h.run, h.order)
 }
 
 // nextKey returns the minimum queued key without raising the floor to it.
 // The heap must be non-empty.
 func (h *Heap[T]) nextKey() float64 {
-	if len(h.tie.ents) > 0 {
-		return h.tie.ents[0].key
+	if len(h.run) > 0 {
+		return h.run[h.head].key
 	}
 	return minKey(h.buckets[bits.TrailingZeros64(h.full)])
 }
@@ -204,18 +254,18 @@ func (h *Heap[T]) nextKey() float64 {
 // Let t be the highest bit at which the old floor (1 there) and k (0
 // there) differ. An item in a bucket above t differs from k first at that
 // same bit and stays put; every item in a bucket below t, and every
-// tie-bucket item, agrees with the old floor down to bit t and moves to
-// bucket t, which no item at or above the old floor could occupy.
+// unread tie-run item, agrees with the old floor down to bit t and moves
+// to bucket t, which no item at or above the old floor could occupy.
 func (h *Heap[T]) rebase(k uint64) {
 	h.rebases++
 	t := bits.Len64(h.floor^k) - 1
 	below := uint64(1)<<t - 1
 	moved := h.buckets[t]
-	for i, v := range h.tie.vals {
-		moved = append(moved, item[T]{h.tie.ents[i].key, v})
+	for _, it := range h.run[h.head:] {
+		moved = append(moved, item[T]{it.key, it.v})
 	}
-	clear(h.tie.vals)
-	h.tie.reset()
+	clear(h.run)
+	h.run, h.head = h.run[:0], 0
 	for f := h.full & below; f != 0; f &= f - 1 {
 		i := bits.TrailingZeros64(f)
 		moved = append(moved, h.buckets[i]...)
