@@ -85,14 +85,15 @@ bench:
 	go test -run xxx -bench . -benchtime 1x .
 
 # Allocation/latency trajectory of the search core: the headline RBP,
-# FastPath and GALS single-search benchmarks plus the parallel planner
+# FastPath and GALS single-search benchmarks, the one-register RBP and GALS
+# searches, plus the parallel planner
 # batch, with allocation reporting, recorded as JSON so future PRs can
 # compare their allocs/op and ns/op against the checked-in numbers. BenchmarkRBP's
 # telemetry=* rows price the observability layer.
 # The single-search rows get 50 iterations (they are milliseconds each and
 # noisy at 10); the parallel batch stays at 10 to keep the target fast.
 bench-core:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$' -benchmem -benchtime 50x -json . > BENCH_core.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$' -benchmem -benchtime 50x -json . > BENCH_core.json
 	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_core.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
@@ -104,7 +105,9 @@ bench-cache:
 	go test -run xxx -bench 'BenchmarkRouteColdMiss$$|BenchmarkRouteWarmHit$$|BenchmarkPlanHalfRepeated$$' -benchmem -benchtime 50x -json ./internal/server > BENCH_cache.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_cache.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
-# Perf-regression gate: rerun the headline RBP, FastPath and GALS benchmarks
+# Perf-regression gate: rerun the headline RBP, FastPath and GALS benchmarks,
+# the one-register RBP and GALS searches (where the probe's arrival-key
+# bound does most of the pruning),
 # plus the serial batch-planner row into a local (gitignored) JSON stream and
 # compare them against the checked-in BENCH_core.json — >5% configs/op or
 # probe_configs/op regression or any routed-result drift (registers/op,
@@ -112,7 +115,7 @@ bench-cache:
 # fingerprint: it would have caught the heap tie-ordering tax that once
 # landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live

@@ -161,8 +161,10 @@ type SearchStats struct {
 	Configs int `json:"configs"`
 	Pushed  int `json:"pushed"`
 	Pruned  int `json:"pruned"`
-	// BoundPruned counts candidates cut by the admissible search bounds;
-	// ProbeConfigs is the incumbent probe's extra effort (not in Configs).
+	// BoundPruned counts candidates cut by the admissible search bounds,
+	// including (rbp and gals) those the incumbent probe's arrival key
+	// rules out as the returned route; ProbeConfigs is the incumbent
+	// probe's extra effort (not in Configs).
 	BoundPruned  int   `json:"bound_pruned,omitempty"`
 	ProbeConfigs int   `json:"probe_configs,omitempty"`
 	Killed       int   `json:"killed,omitempty"`

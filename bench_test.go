@@ -427,6 +427,38 @@ func BenchmarkGALS(b *testing.B) {
 	b.ReportMetric(res.Latency, "latency_ps")
 }
 
+// BenchmarkOneRegister is the gated pair of single searches whose answer
+// routes one register, as most of perfbench's route-cold searches do: RBP
+// at T = 2000 ps and GALS at Ts = 1500 ps, Tt = 1200 ps on BenchmarkRBP's
+// die. BenchmarkRBP and BenchmarkGALS route nine registers, and the bound
+// on the probe's arrival key (keyBound in internal/core) barely moves
+// them. Here the source segment is a large share of the path, so that
+// bound does most of the pruning, and make bench-check sees it switched
+// off.
+func BenchmarkOneRegister(b *testing.B) {
+	prob := reducedProblem(b)
+	run := func(b *testing.B, search func() (*core.Result, error)) {
+		b.ReportAllocs()
+		var res *core.Result
+		for n := 0; n < b.N; n++ {
+			var err error
+			if res, err = search(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+		b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
+		b.ReportMetric(float64(res.Registers), "registers/op")
+		b.ReportMetric(res.Latency, "latency_ps")
+	}
+	b.Run("rbp/T=2000", func(b *testing.B) {
+		run(b, func() (*core.Result, error) { return core.RBP(prob, 2000, core.Options{}) })
+	})
+	b.Run("gals/Ts=1500/Tt=1200", func(b *testing.B) {
+		run(b, func() (*core.Result, error) { return core.GALS(prob, 1500, 1200, core.Options{}) })
+	})
+}
+
 // BenchmarkPlanner_ParallelVsSerial routes the same 16-net SoC workload
 // with 1, 2, 4, and 8 workers over one shared grid and Elmore model. On a
 // multi-core host the 4-worker row shows the batch-routing speedup; on any

@@ -81,8 +81,9 @@ func TestSearchAllocBudgets(t *testing.T) {
 
 // TestBoundsPrecomputeAllocBudget pins the steady-state cost of the
 // admissible-bound machinery itself: once a pooled Scratch has sized its
-// BFS distance field, probe window, and remainder-table slabs on a grid,
-// re-preparing bounds for the same problem shape must allocate nothing.
+// BFS distance field, probe window, remainder-table and key-table slabs on
+// a grid, re-preparing bounds for the same problem shape must allocate
+// nothing.
 // (The probe's kernel run is covered by TestSearchAllocBudgets.)
 func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -100,6 +101,7 @@ func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 			t.Fatal("pathWindow found no path on a reachable problem")
 		}
 		bd.segBound(0, p.Model, ref.Latency, int(bd.maxSrc), false, false)
+		bd.keyBound(p.Model, ref.Latency, int(bd.maxSrc), true)
 	}
 	warm()
 	if allocs := testing.AllocsPerRun(20, warm); allocs != 0 {

@@ -33,7 +33,9 @@ import (
 //     of a kernel's labeling rules exists to drift from the first. When
 //     that path admits no solution — blockages, an infeasible period — the
 //     search runs without an incumbent, with only reachability and segment
-//     pruning: bounds never cost feasibility.
+//     pruning: bounds never cost feasibility. Plain RBP and GALS also take
+//     the probe's arrival key, which bounds the key of the arrival they
+//     return in the probe's own wave (keyBound).
 //
 // Exactness contract: every prune predicate is monotone in the store's
 // dominance order at a fixed (node, wave) — if a candidate is pruned, any
@@ -70,6 +72,7 @@ type Bounds struct {
 	fa, fb []segState   // sweepLine frontiers
 	onPath nodeFlags    // the probe's one-path window (pathWindow)
 	rem    [2][]float64 // segBound remainder tables (GALS uses one per domain)
+	keyAdd []float64    // keyBound's increment table
 }
 
 // segState is one Pareto point of the ideal-line segment DP.
@@ -264,7 +267,8 @@ func (b *Bounds) pathWindow(p *Problem) *nodeFlags {
 
 // probe runs kernel confined to one BFS shortest path (pathWindow) and
 // returns its solution as the search's incumbent, with the configs the run
-// popped. A windowed run only withholds candidates, so its solution is a
+// popped; a wavefront run's incumbent also carries its arrival key. A
+// windowed run only withholds candidates, so its solution is a
 // real solution of the full grid: the incumbent is sound by construction,
 // whatever the kernel's labeling rules. inc is nil when the path admits no
 // solution or the source is unreachable. The run inherits only the
@@ -392,18 +396,99 @@ func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, f
 	return sb
 }
 
+// keyBound bounds the queue key of the arrival a plain RBP or GALS search
+// returns when its minimal wave is the probe's own. The search returns the
+// first feasible arrival popped at the source in that wave, and Q pops by
+// the key D. The probe's route is a route of the full grid, so some
+// feasible arrival in the wave has a key no larger than the probe's
+// arrival key K, and the returned one pops no later: its key is at most K.
+// A completion ending in that wave whose key must pass K is therefore
+// never the answer, which gives two tests (spanBound):
+//
+//   - in the probe's wave, a candidate (c, d) of the accepting domain at
+//     BFS distance dist from the source is pruned when
+//     d + add[dist] > K + eps;
+//   - a completion that ends at the incumbent's latency has a source
+//     segment of at most rUB edges, so the spans cap that last segment.
+//
+// add[k] is the least key increment over k more edges: segBound's
+// ideal-line sweep seeded at (cmin, 0) without a closing element, dropping
+// states whose delay passes the limit. Elmore delay is linear in the seed,
+// so a candidate with c ≥ cmin reaches the source after j ≥ k edges with a
+// key of at least d + add[k] (delay only grows along a path). rUB is the
+// longest segment whose key can stay within the limit, opened by the
+// element with the least setup among those that open the accepting
+// domain's segments: the register, and for GALS the FIFO.
+type keyBound struct {
+	add   []float64 // add[k] for k ≤ the accepting domain's reach; nil = no key bound
+	limit float64   // the probe's arrival key plus boundEps
+	rUB   int       // the longest source segment whose key can stay within limit
+}
+
+// prune reports whether a candidate with delay d at BFS distance dist from
+// the source must pass the key limit before it arrives there. dist past the
+// table's reach cannot be crossed by one segment at all.
+func (k *keyBound) prune(d float64, dist int) bool {
+	return dist >= len(k.add) || d+k.add[dist] > k.limit
+}
+
+// keyBound returns the accepting domain's key bound under the probe's
+// arrival key, its increment table swept into the pooled slot for up to
+// reach edges. fifoOpens makes the FIFO open the domain's segments as well
+// as the register (GALS z=1).
+func (b *Bounds) keyBound(m *elmore.Model, key float64, reach int, fifoOpens bool) keyBound {
+	tc := m.Tech()
+	kb := keyBound{limit: key + boundEps(key)}
+	setup := tc.Register.Setup
+	if fifoOpens {
+		setup = math.Min(setup, tc.FIFO.Setup)
+	}
+	if cap(b.keyAdd) < reach+1 {
+		b.keyAdd = make([]float64, reach+1)
+	}
+	add := b.keyAdd[:reach+1]
+	for i := range add {
+		add[i] = math.Inf(1)
+	}
+	seed := segState{newSegBound(tc, 0, fifoOpens, false).cmin, 0}
+	b.sweepLine(m, seed, reach, func(s segState) bool { return s.d <= kb.limit }, func(k int, st []segState) {
+		for _, s := range st {
+			add[k] = math.Min(add[k], s.d)
+		}
+	})
+	for k, a := range add {
+		if setup+a <= kb.limit {
+			kb.rUB = k
+		}
+	}
+	kb.add = add
+	return kb
+}
+
 // spanBound is the delay-aware bound of a clocking scheme: one segBound
 // per domain and the incumbent's latency budget, from which each wave
 // gets the edge spans of the segments still to come after the current
 // one (spans). With one domain this is RBP's register-count bound: a
 // completion of wave p may add maxWave−p more registers, each spanning at
-// most reach edges.
+// most reach edges. key, when set, caps the source segment of completions
+// ending at the incumbent's latency and adds the key test in the probe's
+// wave.
 type spanBound struct {
 	b      *Bounds
 	s      *scheme
 	seg    [2]segBound
 	reach  [2]int
-	maxLat float64 // the incumbent's latency plus latencyEps; +Inf without one
+	lat    float64 // the incumbent's latency; +Inf without one
+	maxLat float64 // lat plus latencyEps
+	key    keyBound
+}
+
+// waveBound is the bound state of one wave: each domain's span (spans),
+// and for each domain whether its candidates also face the key test —
+// only the accepting domain's, and only in the probe's own wave.
+type waveBound struct {
+	span  [2]int
+	keyed [2]bool
 }
 
 // bound prepares the admissible-bound state of a search under s: the BFS
@@ -412,11 +497,13 @@ type spanBound struct {
 // it), a latency incumbent from the search itself probed on one shortest
 // path, and each domain's delay table — segments open at a register, a
 // buffer or (after the first domain) the FIFO and close within the
-// domain's period. Only an abort propagates as err.
+// domain's period. Outside max-slack mode, which returns the best-slack
+// arrival of a drained wave rather than the first one, the probe's arrival
+// key adds the key bound. Only an abort propagates as err.
 func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, error) {
 	sh := opts.Share
 	b := sc.prepBoundsShared(p, sh)
-	g := &spanBound{b: b, s: s, maxLat: math.Inf(1)}
+	g := &spanBound{b: b, s: s, lat: math.Inf(1), maxLat: math.Inf(1)}
 	for z, d := range s.dom[:s.nd] {
 		g.reach[z] = b.segmentReachShared(sh, p, p.Model, d.T, int(b.maxSrc), z > 0, d.K, d.R)
 	}
@@ -427,56 +514,80 @@ func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, 
 		return nil, 0, err
 	}
 	if inc != nil {
-		g.maxLat = inc.Latency + latencyEps
+		g.lat, g.maxLat = inc.Latency, inc.Latency+latencyEps
 	}
 	for z, d := range s.dom[:s.nd] {
 		g.seg[z] = b.segBound(z, p.Model, d.T+boundEps(d.T), g.reach[z], z > 0, z+1 < s.nd)
 	}
+	if last := s.nd - 1; inc != nil && !s.maxSlack(opts) {
+		g.key = b.keyBound(p.Model, inc.arrivalKey, g.reach[last], last > 0)
+	}
 	return g, probeConfigs, nil
 }
 
-// spans returns each domain's span for a wave at accumulated latency l,
-// the least latency of its candidates (a larger budget than any of
-// theirs, so the spans stay admissible for all). span < 0 means no close
-// sequence fits the budget, so every candidate of that domain is doomed.
-// Once per wave, never per candidate: the sink domain's maximization
-// loops over its close count. Spans are capped at the source's BFS
-// radius, past which need ≤ 0 everywhere, which also caps the loop at
-// radius/reach + 1 iterations. Without an incumbent maxCloses saturates,
-// so every span is the radius (0 where a domain's segments cannot span
-// an edge at all).
-func (g *spanBound) spans(l float64) (span [2]int) {
+// spans returns the bound state of a wave at accumulated latency l, the
+// least latency of its candidates (a larger budget than any of theirs, so
+// the spans stay admissible for all). span < 0 means no close sequence
+// fits the budget, so every candidate of that domain is doomed. Once per
+// wave, never per candidate: the sink domain's maximization loops over its
+// close count. Spans are capped at the source's BFS radius, past which
+// need ≤ 0 everywhere, which also caps the loop at radius/reach + 1
+// iterations. Without an incumbent maxCloses saturates, so every span is
+// the radius (0 where a domain's segments cannot span an edge at all). The
+// wave is the probe's own when one close of the accepting domain is left
+// and it ends at the incumbent's latency.
+func (g *spanBound) spans(l float64) (w waveBound) {
 	limit := int(g.b.maxSrc)
 	last := g.s.nd - 1
-	ts, reachS := g.s.dom[last].T, g.reach[last]
+	ts := g.s.dom[last].T
 	// The accepting domain: n closes fit, the current segment's included.
-	span[last] = -1
+	w.span[last] = -1
 	if n := maxCloses(l, ts, g.maxLat); n >= 1 {
-		span[last] = spanOf(n-1, reachS, limit)
+		w.span[last] = g.tail(n-1, l+float64(n)*ts, limit)
+		w.keyed[last] = n == 1 && g.key.add != nil && g.atIncumbent(l+ts)
 	}
 	if last == 0 {
-		return span
+		return w
 	}
 	// The sink domain: a ≥ 1 closes at Tt (the FIFO's included), then
 	// b ≥ 1 closes at Ts.
 	tt, reachT := g.s.dom[0].T, g.reach[0]
-	span[0] = -1
-	if reachS <= 0 || reachT <= 0 {
-		return span // no solution: every side needs a segment spanning an edge
+	w.span[0] = -1
+	if g.reach[last] <= 0 || reachT <= 0 {
+		return w // no solution: every side needs a segment spanning an edge
 	}
 	for a := 1; ; a++ {
-		bn := maxCloses(l+float64(a)*tt, ts, g.maxLat)
+		base := l + float64(a)*tt
+		bn := maxCloses(base, ts, g.maxLat)
 		if bn < 1 {
 			break
 		}
-		s := min(spanOf(a-1, reachT, limit)+spanOf(bn, reachS, limit), limit)
-		span[0] = max(span[0], s)
+		s := min(spanOf(a-1, reachT, limit)+g.tail(bn, base+float64(bn)*ts, limit), limit)
+		w.span[0] = max(w.span[0], s)
 		if s >= limit || (a-1)*reachT >= limit {
 			break
 		}
 	}
-	return span
+	return w
 }
+
+// tail returns the most edges m more segments of the accepting domain can
+// span when the last of them ends the path at latency end: m·reach, except
+// that a completion ending at the incumbent's latency has a source segment
+// of at most rUB edges (keyBound). Completions with fewer closes end below
+// it and span at most (m−1)·reach, within the capped value.
+func (g *spanBound) tail(m int, end float64, limit int) int {
+	reach := g.reach[g.s.nd-1]
+	if m < 1 || g.key.add == nil || !g.atIncumbent(end) {
+		return spanOf(m, reach, limit)
+	}
+	return min(spanOf(m-1, reach, limit)+min(g.key.rUB, reach), limit)
+}
+
+// atIncumbent reports whether a completion ending at latency end ends at
+// the incumbent's latency rather than below it. Latencies are sums of
+// periods, so genuine differences dwarf latencyEps (wave.go).
+func (g *spanBound) atIncumbent(end float64) bool { return end >= g.lat-latencyEps }
 
 // prune is the bound test for a domain-z candidate (c, d) at node v, where
 // span is its domain's span in the candidate's wave: the segment must
@@ -490,6 +601,16 @@ func (g *spanBound) prune(v int32, z uint8, c, d float64, span int) bool {
 		return true
 	}
 	return g.seg[z].prune(c, d, dist-span)
+}
+
+// keyPrune is the key test for an accepting-domain candidate with delay d
+// at node v in the probe's wave (waveBound.keyed): it must reach the
+// source within the key limit. Like prune, it depends on the node alone
+// and grows with d. Callers run it after prune, which rejects unreachable
+// nodes; the two stay separate so each inlines into the kernel's
+// admission test.
+func (g *spanBound) keyPrune(v int32, d float64) bool {
+	return g.key.prune(d, int(g.b.distSrc[v]))
 }
 
 // maxCloses returns the most closes n of period T with base + n·T ≤ maxLat

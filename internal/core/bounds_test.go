@@ -85,7 +85,10 @@ func pathStates(p *Problem, path *route.Path, ts, tt float64) []pathState {
 // checkBoundsAdmitPath asserts that the delay-aware bound of the named
 // kernel prunes no state along res, an unbounded optimum: a pruned
 // on-path state would mean an inadmissible table or span, whether or not
-// the bounded run happens to diverge on the instance.
+// the bounded run happens to diverge on the instance. Each kernel's bound
+// is built under the options it runs with, so on the states in the
+// probe's wave rbp, rbp-array and gals also face the key test, and
+// rbp-slack, whose answer need not hold the least key, faces none.
 func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res *Result) {
 	t.Helper()
 	p := c.p
@@ -105,12 +108,17 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 			return seg.prune(s.c, s.d, int(bd.DistToSource(s.node)))
 		}
 	case "rbp", "rbp-array", "rbp-slack":
-		sb, _, err := rbpScheme(p, c.T, twoQueue).bound(p, Options{}, sc)
+		q := twoQueue
+		if kernel == "rbp-array" {
+			q = arrayQueues
+		}
+		sb, _, err := rbpScheme(p, c.T, q).bound(p, Options{MaximizeSlack: kernel == "rbp-slack"}, sc)
 		if err != nil {
 			t.Fatalf("%s: rbp bound: %v", label, err)
 		}
 		prune = func(s pathState) bool {
-			return sb.prune(s.node, 0, s.c, s.d, sb.spans(c.T * float64(s.wave))[0])
+			w := sb.spans(c.T * float64(s.wave))
+			return sb.prune(s.node, 0, s.c, s.d, w.span[0]) || (w.keyed[0] && sb.keyPrune(s.node, s.d))
 		}
 	case "gals":
 		ts, tt = c.Ts, c.Tt
@@ -119,7 +127,8 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 			t.Fatalf("%s: gals bound: %v", label, err)
 		}
 		prune = func(s pathState) bool {
-			return sb.prune(s.node, s.z, s.c, s.d, sb.spans(s.l)[s.z])
+			w := sb.spans(s.l)
+			return sb.prune(s.node, s.z, s.c, s.d, w.span[s.z]) || (w.keyed[s.z] && sb.keyPrune(s.node, s.d))
 		}
 	default:
 		t.Fatalf("%s: unknown kernel %q", label, kernel)
@@ -226,6 +235,84 @@ func TestSegBoundLowerBoundsContinuations(t *testing.T) {
 						if bound := d + sb.slope*(c-sb.cmin) + sb.rem[j]; bound > closeAt+1e-9 {
 							t.Fatalf("%s/%g/%s T=%g: bound %g above the close %g of a %d-edge continuation into %s",
 								tc.Name, pitch, kind.name, T, bound, closeAt, j, cl.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKeyTableLowerBoundsContinuations checks the keyBound table the same
+// way: for random states of the accepting domain — opened by any element
+// that can open one of its candidates, then grown by random edges — and
+// random continuations of j edges to the source with at most one buffer
+// per node (none at the source), a key reached within the limit is never
+// below d + add[j] (the table drops ideal states past the limit, so it
+// owes larger keys nothing), and a key within K is never pruned. A source
+// segment opened by the register (or, for GALS z=1, the FIFO) whose key
+// fits K spans at most rUB edges.
+func TestKeyTableLowerBoundsContinuations(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const reach = 40
+	for _, tc := range []*tech.Tech{testTech(), multiTech(), skewTech()} {
+		for _, pitch := range []float64{0.25, 0.5} {
+			m := elmore.MustNewModel(tc, pitch)
+			for _, fifoOpens := range []bool{false, true} {
+				openers := append([]tech.Element{tc.Register}, tc.Buffers...)
+				segOpeners := []tech.Element{tc.Register}
+				if fifoOpens {
+					openers = append(openers, tc.FIFO)
+					segOpeners = append(segOpeners, tc.FIFO)
+				}
+				for _, K := range []float64{40, 150, 600, 1e6} {
+					kb := new(Bounds).keyBound(m, K, reach, fifoOpens)
+					if kb.add[0] != 0 {
+						t.Fatalf("%s/%g fifo=%t K=%g: add[0] = %g, want 0", tc.Name, pitch, fifoOpens, K, kb.add[0])
+					}
+					for trial := 0; trial < 400; trial++ {
+						o := openers[rng.Intn(len(openers))]
+						c, d := o.C, o.Setup
+						for i := rng.Intn(6); i > 0; i-- {
+							c, d = m.AddEdge(c, d)
+						}
+						// The continuation: a buffer at the candidate's own
+						// node only after an edge, then j edges, each but the
+						// last optionally followed by one buffer.
+						cc, dd := c, d
+						if c != o.C && rng.Intn(3) == 0 {
+							cc, dd = m.AddGate(tc.Buffers[rng.Intn(len(tc.Buffers))], cc, dd)
+						}
+						j := rng.Intn(reach + 1)
+						for k := 0; k < j; k++ {
+							cc, dd = m.AddEdge(cc, dd)
+							if k < j-1 && rng.Intn(4) == 0 {
+								cc, dd = m.AddGate(tc.Buffers[rng.Intn(len(tc.Buffers))], cc, dd)
+							}
+						}
+						if bound := d + kb.add[j]; dd <= kb.limit && bound > dd+1e-9 {
+							t.Fatalf("%s/%g fifo=%t K=%g: bound %g above the key %g of a %d-edge continuation from (c=%g, d=%g)",
+								tc.Name, pitch, fifoOpens, K, bound, dd, j, c, d)
+						}
+						if dd <= K && kb.prune(d, j) {
+							t.Fatalf("%s/%g fifo=%t K=%g: key %g after %d edges from (c=%g, d=%g) fits, yet prune fires",
+								tc.Name, pitch, fifoOpens, K, dd, j, c, d)
+						}
+					}
+					// Source segments: opened at a segment opener, j edges.
+					for trial := 0; trial < 400; trial++ {
+						o := segOpeners[rng.Intn(len(segOpeners))]
+						cc, dd := o.C, o.Setup
+						j := rng.Intn(reach + 1)
+						for k := 0; k < j; k++ {
+							cc, dd = m.AddEdge(cc, dd)
+							if k < j-1 && rng.Intn(3) == 0 {
+								cc, dd = m.AddGate(tc.Buffers[rng.Intn(len(tc.Buffers))], cc, dd)
+							}
+						}
+						if dd <= K && j > kb.rUB {
+							t.Fatalf("%s/%g fifo=%t K=%g: a %d-edge source segment opened by %s reaches key %g, past rUB = %d",
+								tc.Name, pitch, fifoOpens, K, j, o.Name, dd, kb.rUB)
 						}
 					}
 				}

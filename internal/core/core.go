@@ -264,7 +264,10 @@ type Stats struct {
 	Elapsed  time.Duration // wall time
 	// BoundPruned counts candidates cut by the admissible lower-bound layer
 	// (bounds.go) before reaching a store or heap — the observable effect of
-	// A* pruning in the main search.
+	// A* pruning in the main search. For plain RBP and GALS it includes the
+	// candidates the probe's arrival key rules out (keyBound): they might
+	// complete within the incumbent latency, but never as the returned
+	// route.
 	BoundPruned int
 	// ProbeConfigs is the effort the incumbent probe spent before the main
 	// search: the pops of the kernel run on one shortest path, whether or
@@ -289,6 +292,11 @@ type Result struct {
 	RegS, RegT int // GALS: registers on the source / sink side of the FIFO
 	Buffers    int
 	Stats      Stats
+
+	// arrivalKey is the queue key D of the arrival a windowed wavefront
+	// run (the incumbent probe) returned; the main search bounds the key
+	// of its own arrival by it (keyBound).
+	arrivalKey float64
 }
 
 // Problem bundles the inputs shared by all three algorithms.

@@ -57,6 +57,9 @@ type scheme struct {
 	queue queueKind
 }
 
+// maxSlack reports whether opts run s in RBP's max-slack mode.
+func (s *scheme) maxSlack(opts Options) bool { return opts.MaximizeSlack && s.queue != latencyHeap }
+
 // rbpScheme is RBP's single domain of period T: segments close into a
 // register.
 func rbpScheme(p *Problem, T float64, q queueKind) *scheme {
@@ -148,10 +151,10 @@ type engine struct {
 	regDone  [2]*nodeFlags                      // A_z(v)
 	fifoDone *nodeFlags                         // F(v)
 
-	wave       int     // index of the wave being drained
-	l          float64 // its accumulated latency (latency heap only)
-	span, next [2]int  // bound spans of this wave and the next (bounds.go)
-	queued     int     // candidates in Q and the future queue, dead included
+	wave      int       // index of the wave being drained
+	l         float64   // its accumulated latency (latency heap only)
+	cur, next waveBound // bound state of this wave and the next (bounds.go)
+	queued    int       // candidates in Q and the future queue, dead included
 }
 
 // arrival is a feasible solution discovered at the source.
@@ -168,7 +171,7 @@ type arrival struct {
 func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
 	start := time.Now()
 	e := &engine{p: p, s: s, opts: opts, sc: sc, res: &Result{}, win: win,
-		maxSlack: opts.MaximizeSlack && s.queue != latencyHeap}
+		maxSlack: s.maxSlack(opts)}
 	if !opts.DisableBounds {
 		var err error
 		if e.bd, e.res.Stats.ProbeConfigs, err = s.bound(p, opts, sc); err != nil {
@@ -199,7 +202,7 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 
 	e.openWave()
 	init := p.initialCandidate() // (C(r), Setup(r), m', t), z = 0, l = 0
-	if e.admit(init.Node, 0, init.C, init.D, e.span[0]) {
+	if e.admit(init.Node, 0, init.C, init.D, &e.cur) {
 		e.enter(&init)
 	}
 
@@ -303,7 +306,7 @@ func (e *engine) advance() bool {
 		// An extracted seed enters Q as a copy: its Q* slot counted as one
 		// push, and its kept copy in Q is another.
 		for _, c := range sc.Buf {
-			if e.admit(c.Node, c.Z, c.C, c.D, e.span[c.Z]) {
+			if e.admit(c.Node, c.Z, c.C, c.D, &e.cur) {
 				e.enter(c)
 			}
 		}
@@ -312,7 +315,7 @@ func (e *engine) advance() bool {
 }
 
 // openWave starts the current wave: it counts and traces the wave and
-// sets the bound's spans for it and, for register-count waves, whose
+// sets the bound state for it and, for register-count waves, whose
 // seeds are bound-tested when emitted, for the next one. The tracer sees
 // an RBP wave at the latency T×(wave+1) of a solution found in it and a
 // GALS wavefront at its accumulated l.
@@ -328,18 +331,19 @@ func (e *engine) openWave() {
 	switch {
 	case e.bd == nil:
 	case e.s.queue == latencyHeap:
-		e.span = e.bd.spans(e.l)
+		e.cur = e.bd.spans(e.l)
 	default:
-		e.span, e.next = e.bd.spans(T*float64(e.wave)), e.bd.spans(lat)
+		e.cur, e.next = e.bd.spans(T*float64(e.wave)), e.bd.spans(lat)
 	}
 }
 
 // admit runs the bound tests on a candidate's scalars, before it is even
-// built: the probe window and the delay-aware bound at the given span of
-// its domain.
-func (e *engine) admit(v int32, z uint8, c, d float64, span int) bool {
+// built: the probe window, and under the bound state w of the candidate's
+// wave the delay-aware bound and, in the probe's wave, the key test.
+func (e *engine) admit(v int32, z uint8, c, d float64, w *waveBound) bool {
 	faultpoint.Must("core.wave_push")
-	if (e.win != nil && !e.win.Has(int(v))) || (e.bd != nil && e.bd.prune(v, z, c, d, span)) {
+	if (e.win != nil && !e.win.Has(int(v))) || (e.bd != nil && e.bd.prune(v, z, c, d, w.span[z])) ||
+		(w.keyed[z] && e.bd.keyPrune(v, d)) {
 		e.res.Stats.BoundPruned++
 		return false
 	}
@@ -381,7 +385,7 @@ func (e *engine) pushed() {
 // node behind el — a register or the FIFO — for a later wave; its latency
 // grows by the period of the segment el closes.
 func (e *engine) seed(c *candidate.Candidate, el tech.Element, gate candidate.Gate, z uint8, slack float64) {
-	if e.s.queue != latencyHeap && !e.admit(c.Node, z, el.C, el.Setup, e.next[z]) {
+	if e.s.queue != latencyHeap && !e.admit(c.Node, z, el.C, el.Setup, &e.next) {
 		return
 	}
 	s := e.keep(e.seeds, &candidate.Candidate{
@@ -449,7 +453,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	}
 	if ed <= limit {
 		g.ForNeighbors(u, func(v int) {
-			if e.admit(int32(v), z, ec, ed, e.span[z]) {
+			if e.admit(int32(v), z, ec, ed, &e.cur) {
 				e.enter(&candidate.Candidate{
 					C: ec, D: ed, Slack: c.Slack, L: c.L, Node: int32(v),
 					Gate: candidate.GateNone, Z: z, Regs: c.Regs, Parent: c,
@@ -472,7 +476,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	}
 	for bi := range tc.Buffers {
 		c2, d2 := m.AddGate(tc.Buffers[bi], c.C, c.D)
-		if d2 <= limit && e.admit(c.Node, z, c2, d2, e.span[z]) {
+		if d2 <= limit && e.admit(c.Node, z, c2, d2, &e.cur) {
 			e.enter(&candidate.Candidate{
 				C: c2, D: d2, Slack: c.Slack, L: c.L, Node: c.Node,
 				Gate: candidate.Gate(bi), Z: z, Regs: c.Regs, Parent: c,
@@ -510,7 +514,8 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 }
 
 // close fills the result of a search ending at arrival a. The probe reads
-// only the latency, so windowed runs skip path reconstruction.
+// only the latency and the arrival key, so windowed runs skip path
+// reconstruction.
 func (e *engine) close(a *arrival, start time.Time) *Result {
 	res := e.res
 	if e.s.queue == latencyHeap {
@@ -524,6 +529,8 @@ func (e *engine) close(a *arrival, start time.Time) *Result {
 	res.Stats.Elapsed = time.Since(start)
 	if e.win == nil {
 		e.p.finish(a.final, res)
+	} else {
+		res.arrivalKey = a.final.D
 	}
 	return res
 }

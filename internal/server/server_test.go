@@ -416,9 +416,11 @@ func TestDrainDeadlineAbortsSearches(t *testing.T) {
 	result := make(chan int, 1)
 	go func() {
 		// A genuinely long search (no test hook: the abort must travel
-		// through the search layer, not around it).
+		// through the search layer, not around it). At 1366 ps a segment
+		// may span 160 edges, so the bounds leave most of the die open
+		// and the search runs far past the 50 ms drain deadline.
 		resp, _ := http.Post(ts.URL+"/v1/route", "application/json",
-			strings.NewReader(routeBody(201, 201, 0.125, 300, 1, 1, 199, 199, 60_000)))
+			strings.NewReader(routeBody(201, 201, 0.125, 1366, 1, 1, 199, 199, 60_000)))
 		if resp != nil {
 			resp.Body.Close()
 			result <- resp.StatusCode
