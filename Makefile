@@ -86,15 +86,17 @@ bench:
 
 # Allocation/latency trajectory of the search core: the headline RBP,
 # FastPath and GALS single-search benchmarks, the one-register RBP and GALS
-# searches, plus the parallel planner
-# batch, with allocation reporting, recorded as JSON so future PRs can
+# searches, the batch of short route-cold-shaped searches (where per-search
+# set-up is a large share), plus the parallel planner
+# batch and the planner's full wire-width ladder, with allocation reporting,
+# recorded as JSON so future PRs can
 # compare their allocs/op and ns/op against the checked-in numbers. BenchmarkRBP's
 # telemetry=* rows price the observability layer.
 # The single-search rows get 50 iterations (they are milliseconds each and
-# noisy at 10); the parallel batch stays at 10 to keep the target fast.
+# noisy at 10); the planner batches stay at 10 to keep the target fast.
 bench-core:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$' -benchmem -benchtime 50x -json . > BENCH_core.json
-	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$' -benchmem -benchtime 50x -json . > BENCH_core.json
+	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$|BenchmarkPlanner_WidthLadder$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_core.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
 # Price the result cache end to end over HTTP: a forced cold miss vs a
@@ -107,15 +109,16 @@ bench-cache:
 
 # Perf-regression gate: rerun the headline RBP, FastPath and GALS benchmarks,
 # the one-register RBP and GALS searches (where the probe's arrival-key
-# bound does most of the pruning),
-# plus the serial batch-planner row into a local (gitignored) JSON stream and
+# bound does most of the pruning), the batch of short searches,
+# plus the serial batch-planner and wire-width-ladder rows into a local
+# (gitignored) JSON stream and
 # compare them against the checked-in BENCH_core.json — >5% configs/op or
 # probe_configs/op regression or any routed-result drift (registers/op,
 # latency_ps) fails the target. The workers=1 planner row is the batch-path
 # fingerprint: it would have caught the heap tie-ordering tax that once
 # landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live

@@ -11,13 +11,19 @@ package clockroute
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"clockroute/api"
 	"clockroute/internal/bench"
 	"clockroute/internal/core"
+	"clockroute/internal/elmore"
+	"clockroute/internal/floorplan"
+	"clockroute/internal/geom"
 	"clockroute/internal/latch"
 	"clockroute/internal/mazeroute"
 	"clockroute/internal/mcfifo"
+	"clockroute/internal/planner"
 	"clockroute/internal/tech"
 	"clockroute/internal/telemetry"
 	"clockroute/internal/wavefront"
@@ -459,6 +465,108 @@ func BenchmarkOneRegister(b *testing.B) {
 	})
 }
 
+// shortSearches is BenchmarkShortSearches' batch size: two turns of its
+// 10-kind cycle.
+const shortSearches = 20
+
+// shortKinds fixes the 5:3:2 RBP:GALS:FastPath mix of perfbench's
+// route-cold workload, and shortPeriods its block clocks (ps).
+var (
+	shortKinds = [10]core.Kind{
+		core.KindRBP, core.KindGALS, core.KindRBP, core.KindFastPath, core.KindRBP,
+		core.KindGALS, core.KindRBP, core.KindGALS, core.KindRBP, core.KindFastPath,
+	}
+	shortPeriods = []float64{400, 500, 650, 800}
+)
+
+// shortSearchBatch draws BenchmarkShortSearches' fixed batch: 32–64-node
+// dies at 0.25 mm with floorplan.Random blocks, endpoints 30–65% of the
+// half-perimeter apart on register-insertable nodes the source reaches.
+func shortSearchBatch(b *testing.B) ([]*core.Problem, []core.Request) {
+	b.Helper()
+	tc := tech.CongPan70nm()
+	rng := rand.New(rand.NewSource(22))
+	probs := make([]*core.Problem, 0, shortSearches)
+	reqs := make([]core.Request, 0, shortSearches)
+	for i := 0; len(probs) < shortSearches; i++ {
+		if i > 100*shortSearches {
+			b.Fatal("short-search batch: too many rejected draws")
+		}
+		w, h := 32+rng.Intn(33), 32+rng.Intn(33)
+		fp, err := floorplan.Random(rng.Int63(), w, h, 0.25, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := fp.BuildGrid()
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := geom.Pt(rng.Intn(w), rng.Intn(h))
+		d := int(float64(w+h) * (0.3 + 0.35*rng.Float64()))
+		dx := rng.Intn(2*d+1) - d
+		dy := d - max(dx, -dx)
+		if rng.Intn(2) == 0 {
+			dy = -dy
+		}
+		dst := src.Add(geom.Pt(dx, dy))
+		if !g.InBounds(dst) || !g.RegisterInsertable(g.ID(src)) || !g.RegisterInsertable(g.ID(dst)) ||
+			!g.Reachable(g.ID(src), g.ID(dst)) {
+			continue
+		}
+		m, err := elmore.NewModel(tc, g.PitchMM())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := core.NewProblem(g, m, g.ID(src), g.ID(dst))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := core.Request{Kind: shortKinds[len(probs)%len(shortKinds)]}
+		pi := rng.Intn(len(shortPeriods))
+		switch req.Kind {
+		case core.KindRBP:
+			req.PeriodPS = shortPeriods[pi]
+		case core.KindGALS:
+			req.SrcPeriodPS = shortPeriods[pi]
+			req.DstPeriodPS = shortPeriods[(pi+1+rng.Intn(3))%len(shortPeriods)]
+		}
+		probs = append(probs, p)
+		reqs = append(reqs, req)
+	}
+	return probs, reqs
+}
+
+// BenchmarkShortSearches routes a fixed, seeded batch shaped like
+// perfbench's route-cold problems, each through its own Model as the
+// service builds one per request. These searches pop a few thousand
+// configs each, so per-search set-up (the BFS, the probe, the bound
+// tables) is a large share of their time, unlike the single large
+// searches of the rows above. The metrics sum over the batch.
+func BenchmarkShortSearches(b *testing.B) {
+	probs, reqs := shortSearchBatch(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	var configs, probeConfigs, regs int
+	var lat float64
+	for n := 0; n < b.N; n++ {
+		configs, probeConfigs, regs, lat = 0, 0, 0, 0
+		for i, p := range probs {
+			res, err := core.Route(ctx, p, reqs[i])
+			if err != nil {
+				b.Fatalf("problem %d (%v): %v", i, reqs[i].Kind, err)
+			}
+			configs += res.Stats.Configs
+			probeConfigs += res.Stats.ProbeConfigs
+			regs += res.Registers
+			lat += res.Latency
+		}
+	}
+	b.ReportMetric(float64(configs), "configs/op")
+	b.ReportMetric(float64(probeConfigs), "probe_configs/op")
+	b.ReportMetric(float64(regs), "registers/op")
+	b.ReportMetric(lat, "latency_ps")
+}
+
 // BenchmarkPlanner_ParallelVsSerial routes the same 16-net SoC workload
 // with 1, 2, 4, and 8 workers over one shared grid and Elmore model. On a
 // multi-core host the 4-worker row shows the batch-routing speedup; on any
@@ -500,4 +608,78 @@ func BenchmarkPlanner_ParallelVsSerial(b *testing.B) {
 			b.ReportMetric(lat, "latency_ps")
 		})
 	}
+}
+
+// widthLadderNets is BenchmarkPlanner_WidthLadder's net count.
+const widthLadderNets = 4
+
+// BenchmarkPlanner_WidthLadder routes a few short nets on one seeded
+// 48×48 die at 0.25 mm (floorplan.Random blocks), each across the longest
+// wire-width ladder the API admits (api.MaxWireWidths widths from 1×), on
+// one worker. Every width is its own Model, and the planner visits them in
+// turn, net after net, so the row prices whatever per-model state the
+// searches keep under a plan's cyclic model traffic. Its configs/op and
+// probe_configs/op count each net's winning width only (the planner keeps
+// that search's Stats); the time covers every width's search.
+func BenchmarkPlanner_WidthLadder(b *testing.B) {
+	fp, err := floorplan.Random(22, 48, 48, 0.25, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := planner.New(fp, tech.CongPan70nm(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := pl.Grid()
+	ladder := make([]float64, api.MaxWireWidths)
+	for i := range ladder {
+		ladder[i] = 1 + float64(i)/4
+	}
+	rng := rand.New(rand.NewSource(22))
+	var specs []planner.NetSpec
+	for len(specs) < widthLadderNets {
+		src := geom.Pt(rng.Intn(48), rng.Intn(48))
+		d := int(96 * (0.3 + 0.35*rng.Float64()))
+		dx := rng.Intn(2*d+1) - d
+		dy := d - max(dx, -dx)
+		if rng.Intn(2) == 0 {
+			dy = -dy
+		}
+		dst := src.Add(geom.Pt(dx, dy))
+		if !g.InBounds(dst) || !g.RegisterInsertable(g.ID(src)) || !g.RegisterInsertable(g.ID(dst)) ||
+			!g.Reachable(g.ID(src), g.ID(dst)) {
+			continue
+		}
+		pi := rng.Intn(len(shortPeriods))
+		pj := pi
+		if len(specs)%2 == 1 {
+			pj = (pi + 1) % len(shortPeriods) // every other net is GALS
+		}
+		specs = append(specs, planner.NetSpec{
+			Name: fmt.Sprintf("net%d", len(specs)), Src: src, Dst: dst,
+			SrcPeriodPS: shortPeriods[pi], DstPeriodPS: shortPeriods[pj], WireWidths: ladder,
+		})
+	}
+	b.ReportAllocs()
+	var configs, probeConfigs, regs int
+	var lat float64
+	for n := 0; n < b.N; n++ {
+		plan, err := pl.RunParallel(context.Background(), 1, specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		configs, probeConfigs = plan.Stats.TotalConfigs, plan.Stats.TotalProbeConfigs
+		regs, lat = 0, 0
+		for i := range plan.Nets {
+			if plan.Nets[i].Err != nil {
+				b.Fatal(plan.Nets[i].Err)
+			}
+			regs += plan.Nets[i].Registers
+			lat += plan.Nets[i].LatencyPS
+		}
+	}
+	b.ReportMetric(float64(configs), "configs/op")
+	b.ReportMetric(float64(probeConfigs), "probe_configs/op")
+	b.ReportMetric(float64(regs), "registers/op")
+	b.ReportMetric(lat, "latency_ps")
 }

@@ -82,8 +82,8 @@ func TestSearchAllocBudgets(t *testing.T) {
 // TestBoundsPrecomputeAllocBudget pins the steady-state cost of the
 // admissible-bound machinery itself: once a pooled Scratch has sized its
 // BFS distance field, probe window, remainder-table and key-table slabs on
-// a grid, re-preparing bounds for the same problem shape must allocate
-// nothing.
+// a grid, and the model's curves are swept, re-preparing bounds for the
+// same problem shape — the curve lookups included — must allocate nothing.
 // (The probe's kernel run is covered by TestSearchAllocBudgets.)
 func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 	if raceEnabled {

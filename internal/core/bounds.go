@@ -26,6 +26,7 @@ import (
 //     span all they can within the budget; a segBound delay table turns
 //     that into a test on the candidate's own (c, d) (RBP, GALS,
 //     FastPath), and the latch router telescopes it into a latency bound.
+//     The reach and the tables come from per-model curves (curves.go).
 //  3. An incumbent: a feasible solution cost U found before the main
 //     search, against which the lower bounds prune. The probe runs the
 //     search's own kernel confined to one BFS shortest path (probe), so
@@ -59,17 +60,10 @@ const noIncumbent = math.MaxInt32 / 2
 // (PrepBounds). Exported because the latch router borrows it through
 // core.Scratch exactly like the in-package kernels.
 type Bounds struct {
-	// distSrc is a read-only view for the current search: it aliases either
-	// the pooled ownSrc buffer (uncached runs) or an immutable field
-	// published by a plan-scoped ShareCache. Writers must target ownSrc,
-	// never the view — growing a view in place could recycle a shared
-	// field as scratch and corrupt concurrent searches reading it.
 	distSrc []int32 // BFS edge distance from the source; -1 unreachable
 	maxSrc  int32   // largest finite distSrc entry
-	ownSrc  []int32 // pooled storage behind distSrc on uncached runs
 	queue   []int32 // BFS worklist
 
-	fa, fb []segState   // sweepLine frontiers
 	onPath nodeFlags    // the probe's one-path window (pathWindow)
 	rem    [2][]float64 // segBound remainder tables (GALS uses one per domain)
 	keyAdd []float64    // keyBound's increment table
@@ -80,33 +74,16 @@ type segState struct{ c, d float64 }
 
 // PrepBounds computes the BFS distance field for p on s's pooled bounds
 // memory and returns it. Steady state this allocates nothing: the int32
-// field and DP buffers are retained across searches like every other
+// field and the worklist are retained across searches like every other
 // Scratch resource.
 func (s *Scratch) PrepBounds(p *Problem) *Bounds {
 	b := &s.bounds
-	if n := p.Grid.NumNodes(); cap(b.ownSrc) < n {
-		b.ownSrc = make([]int32, n)
+	if n := p.Grid.NumNodes(); cap(b.distSrc) < n {
+		b.distSrc = make([]int32, n)
 	} else {
-		b.ownSrc = b.ownSrc[:n]
+		b.distSrc = b.distSrc[:n]
 	}
-	b.maxSrc = b.bfs(p, p.Source, b.ownSrc)
-	b.distSrc = b.ownSrc
-	return b
-}
-
-// prepBoundsShared is PrepBounds routed through a plan-scoped ShareCache:
-// the BFS distance field is computed once per (grid, source) across the
-// whole plan and shared read-only between searches. BFS is
-// model-independent, so the fields are reusable across the planner's
-// width ladder as well as across nets. Falls back to a private PrepBounds
-// when sh is nil or owns a different grid.
-func (s *Scratch) prepBoundsShared(p *Problem, sh *ShareCache) *Bounds {
-	if !sh.owns(p.Grid) {
-		return s.PrepBounds(p)
-	}
-	b := &s.bounds
-	f := sh.field(p, b)
-	b.distSrc, b.maxSrc = f.dist, f.maxD
+	b.maxSrc = b.bfs(p, p.Source, b.distSrc)
 	return b
 }
 
@@ -151,90 +128,28 @@ func (b *Bounds) DistToSource(v int32) int32 { return b.distSrc[v] }
 func MinEdgeDelay(m *elmore.Model) float64 { return m.EdgeR() * m.EdgeC() / 2 }
 
 // segmentReach returns an upper bound on the number of grid edges one
-// clocked-to-clocked segment can span under period T. The segment starts
-// from a register (or, when start2 is non-nil — GALS's FIFO — the
-// componentwise-min seed over both) and a state stays viable while its
-// delay potential d + closeMinR·c can still fit under T − closeK, which is
-// exactly RBP's lookahead theorem: every continuation's closing delay is at
-// least closeK + that potential, monotonically in edges and gates, so
-// states failing the test belong to no closeable segment — and states of
-// any kernel-closeable segment pass it. The DP runs along an ideal line
-// with buffers available at every step; a real grid segment threads
-// obstacles that only remove buffer options, so its span can never exceed
-// the ideal one. The scan is capped at maxReach edges (distances beyond the
-// grid's diameter never matter), so huge periods cost O(maxReach) instead
-// of exploding.
-func (b *Bounds) segmentReach(m *elmore.Model, T float64, maxReach int, start2 *tech.Element, closeK, closeMinR float64) int {
-	reg := m.Tech().Register
-	seed := segState{reg.C, reg.Setup}
-	if start2 != nil {
-		seed = segState{math.Min(seed.c, start2.C), math.Min(seed.d, start2.Setup)}
+// clocked-to-clocked segment of the given kind can span under period T.
+// The segment starts from a register (or, when the FIFO opens the kind —
+// GALS's source domain — the componentwise-min seed over both) and a state
+// stays viable while its delay potential d + R·c can still fit under
+// T − K, with (K, R) the kind's closing values: exactly RBP's lookahead
+// theorem. Every continuation's closing delay is at least K + that
+// potential, monotonically in edges and gates, so states failing the test
+// belong to no closeable segment — and states of any kernel-closeable
+// segment pass it. The DP runs along an ideal line with buffers available
+// at every step; a real grid segment threads obstacles that only remove
+// buffer options, so its span can never exceed the ideal one. The reach is
+// capped at maxReach edges (distances beyond the grid's diameter never
+// matter), so huge periods cost O(maxReach) instead of exploding.
+func segmentReach(m *elmore.Model, T float64, maxReach int, fifoOpens, fifoCloses bool) int {
+	k, _ := closing(m.Tech(), fifoCloses)
+	limit := T - k
+	c := curvesFor(m).curve(m, reachTable, kindOf(fifoOpens, fifoCloses), limit, maxReach)
+	reach := 0
+	for n := 1; n <= maxReach && c.at(n) <= limit; n++ {
+		reach = n
 	}
-	limit := T - closeK
-	return b.sweepLine(m, seed, maxReach, func(s segState) bool { return s.d+closeMinR*s.c <= limit }, nil)
-}
-
-// sweepLine runs the ideal-line Pareto DP shared by segmentReach and
-// segBound: from seed (step 0), each step crosses one edge and may then
-// insert one library buffer, keeping the states viable accepts. visit, when
-// non-nil, sees every non-empty step's frontier, the seed's included. The
-// sweep stops after maxSteps steps or once the frontier empties, and
-// returns the last step with a non-empty frontier (0 when even the seed is
-// not viable).
-func (b *Bounds) sweepLine(m *elmore.Model, seed segState, maxSteps int, viable func(segState) bool, visit func(k int, st []segState)) int {
-	tc := m.Tech()
-	cur, next := b.fa[:0], b.fb[:0]
-	if viable(seed) {
-		cur = append(cur, seed)
-		if visit != nil {
-			visit(0, cur)
-		}
-	}
-	last := 0
-	for k := 1; k <= maxSteps && len(cur) > 0; k++ {
-		next = next[:0]
-		for _, s := range cur {
-			c2, d2 := m.AddEdge(s.c, s.d)
-			if e := (segState{c2, d2}); viable(e) {
-				next = appendState(next, e)
-			}
-			for bi := range tc.Buffers {
-				cg, dg := m.AddGate(tc.Buffers[bi], c2, d2)
-				if g := (segState{cg, dg}); viable(g) {
-					next = appendState(next, g)
-				}
-			}
-		}
-		if len(next) > 0 {
-			last = k
-			if visit != nil {
-				visit(k, next)
-			}
-		}
-		cur, next = next, cur
-	}
-	// Return the swap-scrambled buffers to b truncated, in either order.
-	b.fa, b.fb = cur[:0], next[:0]
-	return last
-}
-
-// appendState adds s to the Pareto frontier st: dropped if an existing
-// entry dominates (or equals) it, otherwise appended with the entries it
-// dominates removed. The full dominance scan runs before the compaction so
-// the in-place filter never reads an already-overwritten slot.
-func appendState(st []segState, s segState) []segState {
-	for _, o := range st {
-		if o.c <= s.c && o.d <= s.d {
-			return st
-		}
-	}
-	out := st[:0]
-	for _, o := range st {
-		if !(s.c <= o.c && s.d <= o.d) {
-			out = append(out, o)
-		}
-	}
-	return append(out, s)
+	return reach
 }
 
 // pathWindow marks one BFS shortest path from the sink to the source in
@@ -336,64 +251,49 @@ func (s *segBound) prune(c, d float64, need int) bool {
 // The segment opens from the register or a buffer (or the FIFO when
 // fifoOpens) and closes into the register (or the FIFO when fifoCloses).
 func newSegBound(tc *tech.Tech, limit float64, fifoOpens, fifoCloses bool) segBound {
-	sb := segBound{cmin: tc.Register.C, slope: tc.MinBufferR(), limit: limit}
+	sb := segBound{cmin: tc.Register.C, limit: limit}
+	_, sb.slope = closing(tc, fifoCloses)
 	for _, bu := range tc.Buffers {
 		sb.cmin = math.Min(sb.cmin, bu.C)
 	}
 	if fifoOpens {
 		sb.cmin = math.Min(sb.cmin, tc.FIFO.C)
 	}
-	if fifoCloses {
-		sb.slope = math.Min(sb.slope, tc.FIFO.R)
-	}
 	return sb
 }
 
 // segBound returns the bound of one segment kind (see newSegBound) with
-// its remainder table swept into the pooled slot. The sweep drops ideal
-// states whose delay potential d + slope·c + K already exceeds limit:
-// their closes exceed it too, so they cannot lower an entry a prune test
-// compares against limit. It stops after reach steps. The table is
-// nondecreasing in the edge count — the seed dominates every state one
-// edge from it, so dropping a labeling's first edge never costs more —
-// hence rem[k] for k ≤ reach already covers completions longer than
-// reach, and the closing suffix-minimum only guards the invariant. A
-// caller's reach bounds every need it asks about: a segment's span, or
-// FastPath's BFS radius.
+// its remainder table copied into the pooled slot from the model's curve.
+// The sweep drops ideal states whose delay potential d + slope·c + K
+// already exceeds limit: their closes exceed it too, so they cannot lower
+// an entry a prune test compares against limit. The table is nondecreasing
+// in the edge count — the seed dominates every state one edge from it, so
+// dropping a labeling's first edge never costs more — hence rem[k] for
+// k ≤ reach already covers completions longer than reach, and the closing
+// suffix-minimum only guards the invariant. A caller's reach bounds every
+// need it asks about: a segment's span, or FastPath's BFS radius.
 func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, fifoOpens, fifoCloses bool) segBound {
-	tc := m.Tech()
-	reg, fifo := tc.Register, tc.FIFO
-	sb := newSegBound(tc, limit, fifoOpens, fifoCloses)
-	closeK := reg.K
-	if fifoCloses {
-		closeK = math.Min(closeK, fifo.K)
-	}
-	closeAt := func(s segState) float64 {
-		v := s.d + reg.K + reg.R*s.c
-		if fifoCloses {
-			v = math.Min(v, s.d+fifo.K+fifo.R*s.c)
-		}
-		return v
-	}
-	viable := func(s segState) bool { return s.d+sb.slope*s.c+closeK <= limit }
-
-	if cap(b.rem[slot]) < reach+1 {
-		b.rem[slot] = make([]float64, reach+1)
-	}
-	raw := b.rem[slot][:reach+1]
-	for i := range raw {
-		raw[i] = math.Inf(1)
-	}
-	b.sweepLine(m, segState{sb.cmin, 0}, reach, viable, func(k int, st []segState) {
-		for _, s := range st {
-			raw[k] = math.Min(raw[k], closeAt(s))
-		}
-	})
+	sb := newSegBound(m.Tech(), limit, fifoOpens, fifoCloses)
+	c := curvesFor(m).curve(m, remTable, kindOf(fifoOpens, fifoCloses), limit, reach)
+	b.rem[slot] = copyTable(b.rem[slot], c, reach)
+	raw := b.rem[slot]
 	for k := reach - 1; k >= 0; k-- {
 		raw[k] = math.Min(raw[k], raw[k+1])
 	}
 	sb.rem = raw
 	return sb
+}
+
+// copyTable copies entries 0..n of c into dst, growing it when needed.
+func copyTable(dst []float64, c *curve, n int) []float64 {
+	if cap(dst) < n+1 {
+		dst = make([]float64, n+1)
+	}
+	dst = dst[:n+1]
+	for k := range dst {
+		dst[k] = c.at(k)
+	}
+	return dst
 }
 
 // keyBound bounds the queue key of the arrival a plain RBP or GALS search
@@ -433,9 +333,9 @@ func (k *keyBound) prune(d float64, dist int) bool {
 }
 
 // keyBound returns the accepting domain's key bound under the probe's
-// arrival key, its increment table swept into the pooled slot for up to
-// reach edges. fifoOpens makes the FIFO open the domain's segments as well
-// as the register (GALS z=1).
+// arrival key, its increment table for up to reach edges copied into the
+// pooled slot from the model's curve. fifoOpens makes the FIFO open the
+// domain's segments as well as the register (GALS z=1).
 func (b *Bounds) keyBound(m *elmore.Model, key float64, reach int, fifoOpens bool) keyBound {
 	tc := m.Tech()
 	kb := keyBound{limit: key + boundEps(key)}
@@ -443,19 +343,9 @@ func (b *Bounds) keyBound(m *elmore.Model, key float64, reach int, fifoOpens boo
 	if fifoOpens {
 		setup = math.Min(setup, tc.FIFO.Setup)
 	}
-	if cap(b.keyAdd) < reach+1 {
-		b.keyAdd = make([]float64, reach+1)
-	}
-	add := b.keyAdd[:reach+1]
-	for i := range add {
-		add[i] = math.Inf(1)
-	}
-	seed := segState{newSegBound(tc, 0, fifoOpens, false).cmin, 0}
-	b.sweepLine(m, seed, reach, func(s segState) bool { return s.d <= kb.limit }, func(k int, st []segState) {
-		for _, s := range st {
-			add[k] = math.Min(add[k], s.d)
-		}
-	})
+	c := curvesFor(m).curve(m, keyTable, kindOf(fifoOpens, false), kb.limit, reach)
+	b.keyAdd = copyTable(b.keyAdd, c, reach)
+	add := b.keyAdd
 	for k, a := range add {
 		if setup+a <= kb.limit {
 			kb.rUB = k
@@ -501,11 +391,10 @@ type waveBound struct {
 // arrival of a drained wave rather than the first one, the probe's arrival
 // key adds the key bound. Only an abort propagates as err.
 func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, error) {
-	sh := opts.Share
-	b := sc.prepBoundsShared(p, sh)
+	b := sc.PrepBounds(p)
 	g := &spanBound{b: b, s: s, lat: math.Inf(1), maxLat: math.Inf(1)}
 	for z, d := range s.dom[:s.nd] {
-		g.reach[z] = b.segmentReachShared(sh, p, p.Model, d.T, int(b.maxSrc), z > 0, d.K, d.R)
+		g.reach[z] = segmentReach(p.Model, d.T, int(b.maxSrc), z > 0, z+1 < s.nd)
 	}
 	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
 		return search(p, s, o, sc, win)

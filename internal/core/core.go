@@ -202,20 +202,10 @@ type Options struct {
 	// way — the switch exists so the equivalence harness can prove exactly
 	// that, and for ablation benchmarks of the tie-ordering tax.
 	DisablePackedTie bool
-	// Share, when non-nil, is a plan-scoped cache of reusable bound
-	// artifacts (BFS distance fields per source, segment reaches) shared
-	// by every net routed against the same grid. All cached values are
-	// deterministic pure functions of the problem, so a search that hits
-	// the cache returns byte-identical results and byte-identical stats to
-	// one that recomputes. The cache is safe for concurrent searches; it
-	// must not be reused after the grid mutates.
-	Share *ShareCache
-	// DisableSharing stops the planner's batch layers from creating a
-	// plan-scoped ShareCache and from memoizing results of canonically
-	// equal nets. The kernels never consult it — an explicitly provided
-	// Share is still used — so it is the one switch that turns every
-	// cross-net reuse path off, for ablations and for the differential
-	// harness proving sharing changes nothing.
+	// DisableSharing stops the planner's batch layers from memoizing
+	// results of canonically equal nets. The kernels never consult it; it
+	// is the one switch that turns cross-net reuse off, for ablations and
+	// for the differential harness proving sharing changes nothing.
 	DisableSharing bool
 }
 

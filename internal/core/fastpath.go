@@ -30,7 +30,7 @@ func FastPath(p *Problem, opts Options) (res *Result, err error) {
 // candidate that ties or beats it. Without an incumbent the table is nil.
 // Only an abort propagates as err.
 func fastPathBounds(p *Problem, opts Options, sc *Scratch) (*Bounds, segBound, int, error) {
-	bd := sc.prepBoundsShared(p, opts.Share)
+	bd := sc.PrepBounds(p)
 	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
 		return fastPath(p, o, sc, win)
 	})

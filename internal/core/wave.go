@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"clockroute/internal/candidate"
@@ -63,19 +62,17 @@ func (s *scheme) maxSlack(opts Options) bool { return opts.MaximizeSlack && s.qu
 // rbpScheme is RBP's single domain of period T: segments close into a
 // register.
 func rbpScheme(p *Problem, T float64, q queueKind) *scheme {
-	tc := p.tech()
-	return &scheme{dom: [2]domain{{T, tc.Register.K, tc.MinBufferR()}}, nd: 1, queue: q}
+	k, r := closing(p.tech(), false)
+	return &scheme{dom: [2]domain{{T, k, r}}, nd: 1, queue: q}
 }
 
 // galsScheme is GALS's pair of domains: the sink's at Tt, whose segments
 // close into a relay register or the FIFO, then the source's at Ts.
 func galsScheme(p *Problem, Ts, Tt float64) *scheme {
 	tc := p.tech()
-	reg, fifo, minR := tc.Register, tc.FIFO, tc.MinBufferR()
-	return &scheme{dom: [2]domain{
-		{Tt, math.Min(reg.K, fifo.K), math.Min(minR, fifo.R)},
-		{Ts, reg.K, minR},
-	}, nd: 2, queue: latencyHeap}
+	kt, rt := closing(tc, true)
+	ks, rs := closing(tc, false)
+	return &scheme{dom: [2]domain{{Tt, kt, rt}, {Ts, ks, rs}}, nd: 2, queue: latencyHeap}
 }
 
 // RBP finds a feasible buffer-register path with the minimum cycle latency

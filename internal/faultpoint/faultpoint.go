@@ -140,11 +140,19 @@ func Check(name string) error {
 
 // Must is Check for sites without an error return (queue pushes, slab
 // growth): error mode panics with the *Injected value instead of returning
-// it, relying on the surrounding containment boundary.
+// it, relying on the surrounding containment boundary. It inlines into its
+// sites as the one atomic load; the armed path is a call.
 func Must(name string) {
-	if !armed.Load() {
-		return
+	if armed.Load() {
+		mustArmed(name)
 	}
+}
+
+// mustArmed is Must's armed path, kept out of line so Must stays within
+// the inliner's budget.
+//
+//go:noinline
+func mustArmed(name string) {
 	if err := check(name); err != nil {
 		panic(err)
 	}

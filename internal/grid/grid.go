@@ -31,13 +31,6 @@ const (
 	South
 )
 
-var dirDelta = [4]geom.Point{
-	East:  {X: 1, Y: 0},
-	West:  {X: -1, Y: 0},
-	North: {X: 0, Y: 1},
-	South: {X: 0, Y: -1},
-}
-
 // opposite[d] is the reverse direction of d.
 var opposite = [4]Dir{East: West, West: East, North: South, South: North}
 
@@ -52,9 +45,12 @@ type Grid struct {
 	obstacle []bool
 	// regBlocked[v] forbids clocked elements (registers, MCFIFOs) at v.
 	regBlocked []bool
-	// cut[v] is a bitmask of deleted edges leaving v (bit = Dir).
-	// Maintained symmetrically with the neighbor's mask.
-	cut []uint8
+	// cut[v] is a bitmask of missing edges leaving v (bit = Dir): deleted
+	// edges, maintained symmetrically with the neighbor's mask, and the
+	// edges that would leave the grid, cut once in New. So an edge exists
+	// exactly when its bit is clear, and its far end is u + step[d].
+	cut  []uint8
+	step [4]int // node-ID offset of each direction
 }
 
 // New returns an empty (unblocked) w×h grid with the given pitch in mm.
@@ -66,12 +62,22 @@ func New(w, h int, pitchMM float64) (*Grid, error) {
 		return nil, fmt.Errorf("grid: non-positive pitch %g mm", pitchMM)
 	}
 	n := w * h
-	return &Grid{
+	g := &Grid{
 		w: w, h: h, pitchMM: pitchMM,
 		obstacle:   make([]bool, n),
 		regBlocked: make([]bool, n),
 		cut:        make([]uint8, n),
-	}, nil
+		step:       [4]int{East: 1, West: -1, North: w, South: -w},
+	}
+	for y := 0; y < h; y++ {
+		g.cut[y*w] |= 1 << West
+		g.cut[y*w+w-1] |= 1 << East
+	}
+	for x := 0; x < w; x++ {
+		g.cut[x] |= 1 << South
+		g.cut[(h-1)*w+x] |= 1 << North
+	}
+	return g, nil
 }
 
 // MustNew is New but panics on error; for tests and fixed configurations.
@@ -126,35 +132,25 @@ func (g *Grid) RegisterInsertable(id int) bool {
 }
 
 // HasEdge reports whether the edge leaving u in direction d exists.
-func (g *Grid) HasEdge(u int, d Dir) bool {
-	if g.cut[u]&(1<<uint(d)) != 0 {
-		return false
-	}
-	return g.InBounds(g.At(u).Add(dirDelta[d]))
-}
+func (g *Grid) HasEdge(u int, d Dir) bool { return g.cut[u]&(1<<d) == 0 }
 
 // Neighbor returns the node adjacent to u in direction d and whether the
 // connecting edge exists.
 func (g *Grid) Neighbor(u int, d Dir) (int, bool) {
-	if !g.HasEdge(u, d) {
+	if g.cut[u]&(1<<d) != 0 {
 		return 0, false
 	}
-	return g.ID(g.At(u).Add(dirDelta[d])), true
+	return u + g.step[d], true
 }
 
-// ForNeighbors calls fn for every node adjacent to u through a live edge.
+// ForNeighbors calls fn for every node adjacent to u through a live edge,
+// in East, West, North, South order.
 func (g *Grid) ForNeighbors(u int, fn func(v int)) {
-	p := g.At(u)
 	m := g.cut[u]
 	for d := East; d <= South; d++ {
-		if m&(1<<uint(d)) != 0 {
-			continue
+		if m&(1<<d) == 0 {
+			fn(u + g.step[d])
 		}
-		q := p.Add(dirDelta[d])
-		if q.X < 0 || q.X >= g.w || q.Y < 0 || q.Y >= g.h {
-			continue
-		}
-		fn(q.Y*g.w + q.X)
 	}
 }
 
@@ -195,25 +191,23 @@ func (g *Grid) AddWiringBlockage(r geom.Rect) {
 }
 
 // CutEdge deletes the single edge leaving u in direction d (and its mirror
-// at the neighbor). Cutting a nonexistent boundary edge is a no-op.
+// at the neighbor). Cutting a nonexistent boundary edge, or one already
+// cut, is a no-op.
 func (g *Grid) CutEdge(u int, d Dir) {
-	q := g.At(u).Add(dirDelta[d])
-	if !g.InBounds(q) {
+	if g.cut[u]&(1<<d) != 0 {
 		return
 	}
-	g.cut[u] |= 1 << uint(d)
-	g.cut[g.ID(q)] |= 1 << uint(opposite[d])
+	g.cut[u] |= 1 << d
+	g.cut[u+g.step[d]] |= 1 << opposite[d]
 }
 
 // Clone returns a deep copy of g.
 func (g *Grid) Clone() *Grid {
-	out := &Grid{
-		w: g.w, h: g.h, pitchMM: g.pitchMM,
-		obstacle:   append([]bool(nil), g.obstacle...),
-		regBlocked: append([]bool(nil), g.regBlocked...),
-		cut:        append([]uint8(nil), g.cut...),
-	}
-	return out
+	out := *g
+	out.obstacle = append([]bool(nil), g.obstacle...)
+	out.regBlocked = append([]bool(nil), g.regBlocked...)
+	out.cut = append([]uint8(nil), g.cut...)
+	return &out
 }
 
 // BFS returns the edge-count distance from src to every node, or -1 where

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -326,4 +327,141 @@ func abs(a int) int {
 		return -a
 	}
 	return a
+}
+
+// adjOracle is an adjacency model of a grid built from coordinates alone:
+// the four lattice steps, bounds checked with At and InBounds, minus a set
+// of deleted undirected edges.
+type adjOracle struct {
+	g   *Grid
+	cut map[[2]int]bool
+}
+
+var oracleDelta = [4]geom.Point{East: {X: 1}, West: {X: -1}, North: {Y: 1}, South: {Y: -1}}
+
+func edgeKey(u, v int) [2]int { return [2]int{min(u, v), max(u, v)} }
+
+// neighbor returns the node across u's edge in direction d, if it exists.
+func (o *adjOracle) neighbor(u int, d Dir) (int, bool) {
+	q := o.g.At(u).Add(oracleDelta[d])
+	if !o.g.InBounds(q) {
+		return 0, false
+	}
+	v := o.g.ID(q)
+	return v, !o.cut[edgeKey(u, v)]
+}
+
+// cutEdge and wiringBlockage mirror CutEdge and AddWiringBlockage on the
+// oracle.
+func (o *adjOracle) cutEdge(u int, d Dir) {
+	q := o.g.At(u).Add(oracleDelta[d])
+	if o.g.InBounds(q) {
+		o.cut[edgeKey(u, o.g.ID(q))] = true
+	}
+}
+
+func (o *adjOracle) wiringBlockage(r geom.Rect) {
+	r.Intersect(o.g.Bounds()).Points(func(p geom.Point) {
+		for d := East; d <= South; d++ {
+			o.cutEdge(o.g.ID(p), d)
+		}
+	})
+}
+
+func (o *adjOracle) bfs(src int) []int {
+	dist := make([]int, o.g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	for q := []int{src}; len(q) > 0; q = q[1:] {
+		for d := East; d <= South; d++ {
+			if v, ok := o.neighbor(q[0], d); ok && dist[v] < 0 {
+				dist[v] = dist[q[0]] + 1
+				q = append(q, v)
+			}
+		}
+	}
+	return dist
+}
+
+// checkAdjacency compares HasEdge, Neighbor, ForNeighbors (its visiting
+// order included) and BFS on g against the oracle o.
+func checkAdjacency(t *testing.T, label string, g *Grid, o *adjOracle) {
+	t.Helper()
+	for u := 0; u < g.NumNodes(); u++ {
+		var want []int
+		for d := East; d <= South; d++ {
+			v, ok := o.neighbor(u, d)
+			if ok {
+				want = append(want, v)
+			}
+			if g.HasEdge(u, d) != ok {
+				t.Fatalf("%s: HasEdge(%v, %d) = %t, oracle %t", label, g.At(u), d, g.HasEdge(u, d), ok)
+			}
+			if gv, gok := g.Neighbor(u, d); gok != ok || (ok && gv != v) {
+				t.Fatalf("%s: Neighbor(%v, %d) = %d, %t; oracle %d, %t", label, g.At(u), d, gv, gok, v, ok)
+			}
+		}
+		var got []int
+		g.ForNeighbors(u, func(v int) { got = append(got, v) })
+		if len(got) != len(want) {
+			t.Fatalf("%s: ForNeighbors(%v) visits %v, oracle %v", label, g.At(u), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: ForNeighbors(%v) visits %v, oracle %v", label, g.At(u), got, want)
+			}
+		}
+	}
+	src := g.NumNodes() / 2
+	want := o.bfs(src)
+	for v, d := range g.BFS(src) {
+		if d != want[v] {
+			t.Fatalf("%s: BFS distance to %v = %d, oracle %d", label, g.At(v), d, want[v])
+		}
+	}
+}
+
+// TestAdjacencyMatchesCoordinates checks the pre-cut boundary masks
+// against coordinate arithmetic on random grids — 2×1 and one-row shapes
+// included — under random wiring blockages and CutEdge calls, before and
+// after Clone, with the clone cut further and the original left alone.
+func TestAdjacencyMatchesCoordinates(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	shapes := [][2]int{{2, 1}, {3, 1}, {17, 1}, {2, 2}, {2, 7}}
+	for i := 0; i < 60; i++ {
+		shapes = append(shapes, [2]int{2 + rng.Intn(14), 1 + rng.Intn(12)})
+	}
+	mutate := func(g *Grid, o *adjOracle) {
+		for k := rng.Intn(4); k > 0; k-- {
+			x, y := rng.Intn(g.W()+2)-1, rng.Intn(g.H()+2)-1
+			r := geom.R(x, y, x+1+rng.Intn(3), y+1+rng.Intn(3))
+			g.AddWiringBlockage(r)
+			o.wiringBlockage(r)
+		}
+		for k := rng.Intn(2 * g.NumNodes()); k > 0; k-- {
+			u, d := rng.Intn(g.NumNodes()), Dir(rng.Intn(4))
+			g.CutEdge(u, d)
+			o.cutEdge(u, d)
+		}
+	}
+	for _, s := range shapes {
+		g := MustNew(s[0], s[1], 0.5)
+		o := &adjOracle{g: g, cut: map[[2]int]bool{}}
+		label := fmt.Sprintf("%dx%d", s[0], s[1])
+		checkAdjacency(t, label+" fresh", g, o)
+		mutate(g, o)
+		checkAdjacency(t, label+" cut", g, o)
+
+		c := g.Clone()
+		co := &adjOracle{g: c, cut: map[[2]int]bool{}}
+		for e := range o.cut {
+			co.cut[e] = true
+		}
+		checkAdjacency(t, label+" clone", c, co)
+		mutate(c, co)
+		checkAdjacency(t, label+" clone cut", c, co)
+		checkAdjacency(t, label+" original after clone cut", g, o)
+	}
 }

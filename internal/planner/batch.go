@@ -12,7 +12,6 @@ import (
 	"clockroute/internal/core"
 	"clockroute/internal/engine"
 	"clockroute/internal/geom"
-	"clockroute/internal/grid"
 )
 
 // netKey canonically identifies one net's routing problem: every NetSpec
@@ -50,28 +49,21 @@ type netFlight struct {
 	shareable bool
 }
 
-// batchState is the cross-net reuse state of one plan: the plan-scoped
-// ShareCache handed to every search, and the single-flight table that
-// memoizes whole results for canonically equal nets.
+// batchState is the cross-net reuse state of one plan: the single-flight
+// table that memoizes whole results for canonically equal nets.
 type batchState struct {
-	share *core.ShareCache
-
 	mu      sync.Mutex
 	flights map[netKey]*netFlight
 }
 
-// newBatchState builds the reuse state for one plan over g, or returns nil
-// when the options disable sharing (a nil *batchState routes every net
+// newBatchState builds the reuse state for one plan, or returns nil when
+// the options disable sharing (a nil *batchState routes every net
 // independently, exactly the pre-sharing behavior).
-func newBatchState(g *grid.Grid, opts core.Options) *batchState {
+func newBatchState(opts core.Options) *batchState {
 	if opts.DisableSharing {
 		return nil
 	}
-	sh := opts.Share
-	if sh == nil {
-		sh = core.NewShareCache(g)
-	}
-	return &batchState{share: sh, flights: make(map[netKey]*netFlight)}
+	return &batchState{flights: make(map[netKey]*netFlight)}
 }
 
 // route runs compute for spec, memoized per canonical problem. The first
@@ -130,12 +122,11 @@ func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
 // net name fails that net (there is no whole-request rewind in a stream),
 // with the duplicate check covering every name seen so far.
 //
-// Cross-net reuse: one ShareCache for the whole plan (bound artifacts flow
-// between nets) and whole-result memoization for canonically equal specs.
-// Both are plan-scoped, so nothing leaks between plans, and both preserve
-// byte-identical results; Options.DisableSharing turns them off.
+// Cross-net reuse: whole-result memoization for canonically equal specs.
+// It is plan-scoped, so nothing leaks between plans, and preserves
+// byte-identical results; Options.DisableSharing turns it off.
 // PlanNetsExclusive never comes through here — it mutates its grid between
-// nets, which invalidates every premise of the cache. The returned stats
+// nets, which invalidates the memo's premise. The returned stats
 // report Workers as the pool a buffered run of the same net count uses.
 //
 // When the Options carry a Tracer and the pool has more than one worker,
@@ -153,10 +144,7 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	if pool > 1 {
 		opts.Trace = core.SynchronizedTracer(opts.Trace)
 	}
-	bs := newBatchState(pl.g, opts)
-	if bs != nil {
-		opts.Share = bs.share
-	}
+	bs := newBatchState(opts)
 
 	var seenMu sync.Mutex
 	seen := make(map[string]bool)

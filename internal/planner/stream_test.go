@@ -74,9 +74,8 @@ func rebuiltPlanner(t *testing.T, pl *planner.Planner, opts core.Options) *plann
 	return out
 }
 
-// TestSharingOnOffByteIdentical is the tentpole's safety differential: the
-// cross-net ShareCache plus canonical-problem memoization must be invisible
-// in the results. The same duplicate-heavy workload runs with sharing on
+// TestSharingOnOffByteIdentical is the safety differential of cross-net
+// reuse: canonical-problem memoization must be invisible in the results. The same duplicate-heavy workload runs with sharing on
 // (the default) and fully off, and every observable field must match.
 func TestSharingOnOffByteIdentical(t *testing.T) {
 	pl, specs := dupWorkload(t, 16, 16)
@@ -232,7 +231,7 @@ func runStreamByName(t *testing.T, pl *planner.Planner, specs []planner.NetSpec)
 // to panic once deep inside a search of a duplicate-heavy streamed plan.
 // The panic is contained at the search boundary and healed by the planner's
 // retry-once policy, and the clean-only publication rule keeps the injured
-// attempt out of both the ShareCache and the memo table: every net must
+// attempt out of the memo table: every net must
 // report the same routing as an uninjured run.
 func TestStreamChaosContainedPanicHealsAndDoesNotPoison(t *testing.T) {
 	pl, specs := dupWorkload(t, 8, 24)

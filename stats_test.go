@@ -14,9 +14,8 @@ import (
 
 // TestStatsKilled pins Stats.Killed, the queued candidates a later arrival
 // marked Dead. On the reduced benchmark problem every kernel reports some
-// with the bounds off, every count repeats exactly on a second run, and
-// the bounded count is the same when a plan-scoped ShareCache supplies the
-// bound artifacts, first filling it and then hitting it. The periods are
+// with the bounds off, and every count repeats exactly on a second run,
+// with the bounds off and on. The periods are
 // ones where the bounded RBP and GALS searches kill too; bounded FastPath
 // kills nothing here, its bounds cutting every dominated candidate before
 // a store sees it. The latch router runs on a 41×5 line instead, because
@@ -70,12 +69,8 @@ func TestStatsKilled(t *testing.T) {
 		if got := count(unbounded); got != want {
 			t.Errorf("%s, bounds off: Stats.Killed %d on a repeated run, first run %d", k.name, got, want)
 		}
-		bounded := count(core.Options{})
-		share := core.NewShareCache(k.p.Grid)
-		for i, o := range []core.Options{{}, {Share: share}, {Share: share}} {
-			if got := count(o); got != bounded {
-				t.Errorf("%s, bounds on, run %d (share %t): Stats.Killed %d, first run %d", k.name, i+1, o.Share != nil, got, bounded)
-			}
+		if bounded, again := count(core.Options{}), count(core.Options{}); again != bounded {
+			t.Errorf("%s, bounds on: Stats.Killed %d on a repeated run, first run %d", k.name, again, bounded)
 		}
 	}
 }
