@@ -32,12 +32,15 @@ shuffle:
 	go test -shuffle=on -count=1 ./...
 
 # Short fuzzing pass over every untrusted-input decoder: the candidate
-# store and the two service request decoders (routed plan -config reads
-# its file through the /v1/plan one), plus the canonical hash, the
-# kernels' priority queue against a sorted-slice oracle, and the kernels'
-# differential fuzzer.
+# store, the two service request decoders (routed plan -config reads its
+# file through the /v1/plan one) and the NDJSON request-stream decoder,
+# each against its encoding/json reference, every decode mode of the
+# wire codec on every api type against encoding/json, the client's
+# streamed-result line reader against its reference, plus the canonical
+# hash, the kernels' priority queue against a sorted-slice oracle, and
+# the kernels' differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
-# crasher fails the target. Regexes are anchored because ./api hosts three
+# crasher fails the target. Regexes are anchored because ./api hosts five
 # fuzz functions and `go test -fuzz` demands a unique match.
 FUZZTIME ?= 30s
 
@@ -46,6 +49,9 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzHeapOrder$$' -fuzztime $(FUZZTIME) ./internal/pqueue
 	go test -run xxx -fuzz '^FuzzDecodeRouteRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzDecodePlanRequest$$' -fuzztime $(FUZZTIME) ./api
+	go test -run xxx -fuzz '^FuzzPlanStreamDecoder$$' -fuzztime $(FUZZTIME) ./api
+	go test -run xxx -fuzz '^FuzzWireDecoders$$' -fuzztime $(FUZZTIME) ./api
+	go test -run xxx -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZTIME) ./client
 	go test -run xxx -fuzz '^FuzzCanonicalHash$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzRouteDifferential$$' -fuzztime $(FUZZTIME) ./internal/core
 

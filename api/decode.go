@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -57,18 +56,22 @@ func DecodePlanRequest(r io.Reader) (*PlanRequest, error) {
 }
 
 // decodeStrict decodes exactly one JSON value into v, rejecting unknown
-// fields, trailing data, and bodies past MaxRequestBytes.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes+1))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// fields, trailing data, and bodies past MaxRequestBytes. It reads no
+// more than one byte past the cap and never examines what lies beyond.
+func decodeStrict[T Wire](r io.Reader, v *T) error {
+	p := getBuf()
+	defer putBuf(p)
+	b, err := readAll(io.LimitReader(r, MaxRequestBytes+1), *p)
+	*p = b
+	end, derr := decodeStrictPrefix(b, v)
+	switch {
+	case derr != nil && err != nil:
 		return fmt.Errorf("api: malformed request: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
+	case derr != nil:
+		return fmt.Errorf("api: malformed request: %w", derr)
+	case err != nil || !onlySpace(b[end:]):
 		return errors.New("api: trailing data after request body")
-	}
-	if dec.InputOffset() > MaxRequestBytes {
+	case end > MaxRequestBytes:
 		return fmt.Errorf("api: request body exceeds %d bytes", MaxRequestBytes)
 	}
 	return nil

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -33,16 +34,24 @@ var fuzzSeeds = []string{
 	`null`,
 }
 
-// fuzzDecode drives one decoder with arbitrary bytes: it must return a
-// value or an error — never panic — and must not leak goroutines.
-func fuzzDecode[T any](f *testing.F, decode func(*bytes.Reader) (T, error)) {
+// fuzzDecode drives one decoder with arbitrary bytes next to its
+// encoding/json reference: both must accept or both reject, accepted
+// values must be deeply equal, and the strict decode stage underneath
+// (before validation, which hides most differences) must agree the same
+// way. Neither may panic, and the decoder must not leak goroutines.
+func fuzzDecode[T Wire](f *testing.F, decode, ref func(io.Reader) (*T, error)) {
 	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
 	before := runtime.NumGoroutine()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := decode(bytes.NewReader(data))
-		_ = err // any error is fine; only a panic is a bug
+		got, err := decode(bytes.NewReader(data))
+		want, werr := ref(bytes.NewReader(data))
+		sameOutcome(t, "decode", data, err, werr, got, want)
+		var gv, wv T
+		err = decodeStrict(bytes.NewReader(data), &gv)
+		werr = refDecodeStrict(bytes.NewReader(data), &wv)
+		sameOutcome(t, "decodeStrict", data, err, werr, gv, wv)
 		if n := runtime.NumGoroutine(); n > before+20 {
 			// Generous slack for the fuzzer's own workers: the decoder
 			// itself must not spawn anything.
@@ -54,14 +63,64 @@ func fuzzDecode[T any](f *testing.F, decode func(*bytes.Reader) (T, error)) {
 	})
 }
 
-// FuzzDecodeRouteRequest fuzzes the /v1/route body decoder.
+// FuzzDecodeRouteRequest fuzzes the /v1/route body decoder against the
+// encoding/json decoder it replaced.
 func FuzzDecodeRouteRequest(f *testing.F) {
-	fuzzDecode(f, func(r *bytes.Reader) (*RouteRequest, error) { return DecodeRouteRequest(r) })
+	fuzzDecode(f, DecodeRouteRequest, func(r io.Reader) (*RouteRequest, error) {
+		var req RouteRequest
+		if err := refDecodeStrict(r, &req); err != nil {
+			return nil, err
+		}
+		if err := req.Validate(); err != nil {
+			return nil, err
+		}
+		return &req, nil
+	})
 }
 
-// FuzzDecodePlanRequest fuzzes the /v1/plan body decoder.
+// FuzzDecodePlanRequest fuzzes the /v1/plan body decoder against the
+// encoding/json decoder it replaced.
 func FuzzDecodePlanRequest(f *testing.F) {
-	fuzzDecode(f, func(r *bytes.Reader) (*PlanRequest, error) { return DecodePlanRequest(r) })
+	fuzzDecode(f, DecodePlanRequest, func(r io.Reader) (*PlanRequest, error) {
+		var req PlanRequest
+		if err := refDecodeStrict(r, &req); err != nil {
+			return nil, err
+		}
+		if err := req.Validate(); err != nil {
+			return nil, err
+		}
+		return &req, nil
+	})
+}
+
+// planStreamSeeds are streamed plan requests: the header-only, valid,
+// blank-line, duplicate-key and broken shapes.
+var planStreamSeeds = []string{
+	"{\"grid\":{\"w\":16,\"h\":16,\"pitch_mm\":0.25}}\n" +
+		"{\"name\":\"a\",\"src\":{\"x\":1,\"y\":1},\"dst\":{\"x\":14,\"y\":14},\"src_period_ps\":500,\"dst_period_ps\":500}\n" +
+		"\n  \r\n" +
+		"{\"name\":\"b\",\"src\":{\"x\":0,\"y\":3},\"dst\":{\"x\":9,\"y\":2},\"src_period_ps\":400,\"dst_period_ps\":650,\"wire_widths\":[1,2]}\n",
+	"{\"grid\":{\"w\":8,\"h\":8,\"pitch_mm\":0.5},\"workers\":2,\"timeout_ms\":100,\"cache\":{\"mode\":\"bypass\"}}\r\n" +
+		"{\"name\":\"n\",\"src\":{\"x\":0,\"y\":0},\"src\":{\"x\":1},\"dst\":{\"x\":7,\"y\":7},\"src_period_ps\":300,\"dst_period_ps\":300}",
+	"{\"grid\":{\"w\":8,\"h\":8,\"pitch_mm\":0.5}}\n{\"name\":\"x\",\"bogus\":1}\n",
+	"{\"grid\":{\"w\":8,\"h\":8,\"pitch_mm\":0.5}} {\"again\":1}\n",
+	"{\"grid\":{\"w\":1,\"h\":1,\"pitch_mm\":0.5}}\n",
+	"\n\n",
+	"",
+	"null\nnull\n",
+}
+
+// FuzzPlanStreamDecoder feeds arbitrary bytes through the NDJSON request
+// stream decoder (Header, then Next until EOF or an error) next to a
+// line-for-line encoding/json reference: the same header, the same nets,
+// and the same end at the same line.
+func FuzzPlanStreamDecoder(f *testing.F) {
+	for _, s := range planStreamSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPlanStream(t, data)
+	})
 }
 
 // TestDecodeAcceptedRoundTrips: anything the decoders accept must survive
@@ -80,4 +139,29 @@ func TestDecodeAcceptedRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWireDecoders runs every decode mode of the codec (strict body,
+// strict line, Unmarshal, DecodeJSON) for every wire type, and the
+// trailer test, on arbitrary bytes next to its encoding/json counterpart:
+// the responses the client and the snapshot reader decode included.
+func FuzzWireDecoders(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range []string{
+		`{"latency_ps":1500,"source_delay_ps":212.5,"registers":2,"buffers":1,"path":[{"x":1,"y":1},{"x":1,"y":2}],` +
+			`"gates":["","reg"],"stats":{"configs":9,"pushed":12,"pruned":1,"waves":2,"max_q_size":4,"elapsed_ns":77},` +
+			`"problem_hash":"00ff","cached":true}`,
+		`{"nets":[{"name":"a","latency_ps":1,"path":[{"x":0,"y":0}]},{"name":"b","error":"no path"}],` +
+			`"stats":{"workers":2,"nets_routed":1,"nets_failed":1,"total_configs":3,"total_pushed":4,"total_pruned":0,` +
+			`"total_waves":1,"max_q_size":2,"elapsed_ns":5}}`,
+		`{"error":"api: malformed request: unknown field \"x\""}`,
+		`{"stats":{"workers":1},"error":""}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAllDecoders(t, data)
+	})
 }

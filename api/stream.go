@@ -3,7 +3,6 @@ package api
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -161,15 +160,31 @@ func (d *PlanStreamDecoder) line() ([]byte, error) {
 // decodeStrictLine decodes exactly one JSON value from line with unknown
 // fields and trailing data rejected — decodeStrict, minus the body cap that
 // the per-line limit already enforces.
-func decodeStrictLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+func decodeStrictLine[T Wire](line []byte, v *T) error {
+	end, err := decodeStrictPrefix(line, v)
+	if err != nil {
 		return fmt.Errorf("malformed line: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
+	if !onlySpace(line[end:]) {
 		return errors.New("trailing data after line value")
 	}
 	return nil
+}
+
+// ParseTrailer reports whether line, one line of a streamed plan
+// response, is the stream's trailer, and returns it if so. The trailer is
+// the line's first JSON value decoded strictly, with anything after it
+// ignored, that sets Stats or Error. NetResult lines always carry a
+// "name" member (net names are validated non-empty before anything is
+// emitted), which the strict decode rejects as an unknown field, so the
+// two line shapes cannot be confused.
+func ParseTrailer(line []byte) (*PlanStreamTrailer, bool) {
+	var t PlanStreamTrailer
+	if _, err := decodeStrictPrefix(line, &t); err != nil {
+		return nil, false
+	}
+	if t.Stats == nil && t.Error == "" {
+		return nil, false
+	}
+	return &t, true
 }

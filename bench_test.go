@@ -619,8 +619,9 @@ const widthLadderNets = 4
 // one worker. Every width is its own Model, and the planner visits them in
 // turn, net after net, so the row prices whatever per-model state the
 // searches keep under a plan's cyclic model traffic. Its configs/op and
-// probe_configs/op count each net's winning width only (the planner keeps
-// that search's Stats); the time covers every width's search.
+// probe_configs/op count every width's search, as the planner sums each
+// net's effort over its ladder; registers/op and latency_ps are the
+// winning widths' answers.
 func BenchmarkPlanner_WidthLadder(b *testing.B) {
 	fp, err := floorplan.Random(22, 48, 48, 0.25, 10)
 	if err != nil {

@@ -22,7 +22,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -144,7 +143,7 @@ type CacheInfo struct {
 // Route routes one net via POST /v1/route.
 func (c *Client) Route(ctx context.Context, req *api.RouteRequest) (*api.RouteResponse, error) {
 	var out api.RouteResponse
-	if _, err := c.post(ctx, "/v1/route", req, &out, ""); err != nil {
+	if _, err := post(ctx, c, "/v1/route", req, &out, ""); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -158,7 +157,7 @@ func (c *Client) Route(ctx context.Context, req *api.RouteRequest) (*api.RouteRe
 // revalidates. info is non-nil whenever err is nil.
 func (c *Client) RouteConditional(ctx context.Context, req *api.RouteRequest, etag string) (*api.RouteResponse, *CacheInfo, error) {
 	var out api.RouteResponse
-	info, err := c.post(ctx, "/v1/route", req, &out, etag)
+	info, err := post(ctx, c, "/v1/route", req, &out, etag)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,16 +170,16 @@ func (c *Client) RouteConditional(ctx context.Context, req *api.RouteRequest, et
 // Plan routes a batch via POST /v1/plan.
 func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
 	var out api.PlanResponse
-	if _, err := c.post(ctx, "/v1/plan", req, &out, ""); err != nil {
+	if _, err := post(ctx, c, "/v1/plan", req, &out, ""); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// post runs one retrying request cycle against path. A non-empty etag is
-// sent as If-None-Match. info is non-nil on success.
-func (c *Client) post(ctx context.Context, path string, in, out any, etag string) (*CacheInfo, error) {
-	body, err := json.Marshal(in)
+// post runs one retrying request cycle of c against path. A non-empty
+// etag is sent as If-None-Match. info is non-nil on success.
+func post[In, Out api.Wire](ctx context.Context, c *Client, path string, in *In, out *Out, etag string) (*CacheInfo, error) {
+	body, err := api.AppendJSON(nil, in)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
@@ -205,7 +204,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any, etag string
 			}
 		}
 		var info *CacheInfo
-		info, lastErr = c.once(ctx, path, body, out, etag, tc, rid)
+		info, lastErr = once(ctx, c, path, body, out, etag, tc, rid)
 		if lastErr == nil {
 			return info, nil
 		}
@@ -220,8 +219,8 @@ func (c *Client) post(ctx context.Context, path string, in, out any, etag string
 	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.maxAttempts, lastErr)
 }
 
-// once performs a single HTTP exchange.
-func (c *Client) once(ctx context.Context, path string, body []byte, out any, etag string, tc telemetry.TraceContext, rid string) (*CacheInfo, error) {
+// once performs a single HTTP exchange of c.
+func once[Out api.Wire](ctx context.Context, c *Client, path string, body []byte, out *Out, etag string, tc telemetry.TraceContext, rid string) (*CacheInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("client: build request: %w", err)
@@ -247,22 +246,29 @@ func (c *Client) once(ctx context.Context, path string, body []byte, out any, et
 		return info, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		apiErr := &APIError{StatusCode: resp.StatusCode}
-		var e api.ErrorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			apiErr.Message = e.Error
-		} else {
-			apiErr.Message = http.StatusText(resp.StatusCode)
-		}
-		if ra := retryAfter(resp); ra > 0 {
-			return nil, &retryAfterError{APIError: apiErr, after: ra}
-		}
-		return nil, apiErr
+		return nil, statusError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := api.DecodeJSON(resp.Body, out); err != nil {
 		return nil, fmt.Errorf("client: decode response: %w", err)
 	}
 	return info, nil
+}
+
+// statusError builds the error for a non-200 response from its
+// ErrorResponse body (at most 64 KiB of it is read) or, failing that, its
+// status text, carrying any Retry-After hint.
+func statusError(resp *http.Response) error {
+	apiErr := &APIError{StatusCode: resp.StatusCode}
+	var e api.ErrorResponse
+	if api.DecodeJSON(io.LimitReader(resp.Body, 1<<16), &e) == nil && e.Error != "" {
+		apiErr.Message = e.Error
+	} else {
+		apiErr.Message = http.StatusText(resp.StatusCode)
+	}
+	if ra := retryAfter(resp); ra > 0 {
+		return &retryAfterError{APIError: apiErr, after: ra}
+	}
+	return apiErr
 }
 
 // retryAfterError carries the server's Retry-After hint with the error.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -137,12 +136,11 @@ func (c *Client) planStreamOnce(ctx context.Context, hdr *api.PlanStreamHeader, 
 	// because the transport closes the request body (the pipe's read end).
 	writeErr := make(chan error, 1)
 	go func() {
-		enc := json.NewEncoder(pw)
 		err := func() error {
-			if err := enc.Encode(hdr); err != nil {
+			if err := api.EncodeJSON(pw, hdr); err != nil {
 				return err
 			}
-			return nets(func(n api.NetSpec) error { return enc.Encode(n) })
+			return nets(func(n api.NetSpec) error { return api.EncodeJSON(pw, &n) })
 		}()
 		pw.CloseWithError(err) // nil closes clean: the server sees EOF
 		writeErr <- err
@@ -154,17 +152,7 @@ func (c *Client) planStreamOnce(ctx context.Context, hdr *api.PlanStreamHeader, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		apiErr := &APIError{StatusCode: resp.StatusCode}
-		var e api.ErrorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			apiErr.Message = e.Error
-		} else {
-			apiErr.Message = http.StatusText(resp.StatusCode)
-		}
-		if ra := retryAfter(resp); ra > 0 {
-			return nil, false, &retryAfterError{APIError: apiErr, after: ra}
-		}
-		return nil, false, apiErr
+		return nil, false, statusError(resp)
 	}
 
 	// From here on the stream is committed: any transport-level fault is
@@ -179,7 +167,11 @@ func (c *Client) planStreamOnce(ctx context.Context, hdr *api.PlanStreamHeader, 
 		if len(line) == 0 {
 			continue
 		}
-		if t, ok := decodeTrailer(line); ok {
+		nr, t, err := readResultLine(line)
+		if err != nil {
+			return nil, true, streamFault(err)
+		}
+		if t != nil {
 			if t.Error != "" {
 				// Surface a local upload failure over the server's view of
 				// it (typically "malformed line: unexpected EOF").
@@ -194,10 +186,6 @@ func (c *Client) planStreamOnce(ctx context.Context, hdr *api.PlanStreamHeader, 
 			}
 			return t.Stats, true, nil
 		}
-		var nr api.NetResult
-		if err := json.Unmarshal(line, &nr); err != nil {
-			return nil, true, streamFault(fmt.Errorf("decode result line: %w", err))
-		}
 		if err := fn(nr); err != nil {
 			return nil, true, err // the caller's own abort, not a stream fault
 		}
@@ -209,19 +197,15 @@ func (c *Client) planStreamOnce(ctx context.Context, hdr *api.PlanStreamHeader, 
 	return nil, true, streamFault(errors.New("stream ended without a trailer"))
 }
 
-// decodeTrailer reports whether line is the stream's trailer. NetResult
-// lines always carry a "name" member (net names are validated non-empty
-// before anything is emitted), which the strict decode rejects as an
-// unknown field, so the two line shapes cannot be confused.
-func decodeTrailer(line []byte) (*api.PlanStreamTrailer, bool) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	var t api.PlanStreamTrailer
-	if err := dec.Decode(&t); err != nil {
-		return nil, false
+// readResultLine reads one non-blank line of a streamed plan response:
+// the trailer (see api.ParseTrailer) when it is one, else a NetResult.
+func readResultLine(line []byte) (api.NetResult, *api.PlanStreamTrailer, error) {
+	if t, ok := api.ParseTrailer(line); ok {
+		return api.NetResult{}, t, nil
 	}
-	if t.Stats == nil && t.Error == "" {
-		return nil, false
+	var nr api.NetResult
+	if err := api.Unmarshal(line, &nr); err != nil {
+		return api.NetResult{}, nil, fmt.Errorf("decode result line: %w", err)
 	}
-	return &t, true
+	return nr, nil, nil
 }

@@ -122,10 +122,11 @@ type NetResult struct {
 	Buffers   int
 	WireMM    float64
 	Configs   int
-	// MaxQSize is the peak queue size of the winning search.
+	// MaxQSize is the largest peak queue size of the net's searches.
 	MaxQSize int
-	// Stats is the winning search's full effort record (Configs and
-	// MaxQSize above are its headline columns, kept for the report path).
+	// Stats is the net's full effort record, summed over every wire width
+	// that returned a result (Configs and MaxQSize above are its headline
+	// columns, kept for the report path).
 	Stats core.Stats
 	// Elapsed is this net's wall time, covering every wire width tried.
 	Elapsed time.Duration
@@ -327,7 +328,9 @@ func retryable(err error) bool {
 }
 
 // routeNetWidths runs one attempt over the spec's width ladder, keeping
-// the best feasible result.
+// the best feasible result. The kept result's effort (Configs, MaxQSize
+// and Stats) covers every width that returned a result, the losing
+// searches included, with MaxQSize the largest peak among them.
 func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.Options) NetResult {
 	widths := spec.WireWidths
 	if len(widths) == 0 {
@@ -335,6 +338,7 @@ func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.O
 	}
 	best := NetResult{Spec: spec, Err: fmt.Errorf("planner: net %q: no widths", spec.Name)}
 	panicked := false
+	var effort core.Stats
 	for _, w := range widths {
 		res := pl.routeNetAtWidth(ctx, spec, w, opts)
 		panicked = panicked || res.Panicked
@@ -344,6 +348,7 @@ func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.O
 			}
 			continue
 		}
+		addEffort(&effort, &res.Stats)
 		if best.Err != nil ||
 			res.LatencyPS < best.LatencyPS ||
 			(res.LatencyPS == best.LatencyPS && res.Registers < best.Registers) ||
@@ -351,8 +356,25 @@ func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.O
 			best = res
 		}
 	}
+	if best.Err == nil {
+		best.Stats = effort
+		best.Configs, best.MaxQSize = effort.Configs, effort.MaxQSize
+	}
 	best.Panicked = panicked
 	return best
+}
+
+// addEffort adds one search's effort to a net's running total.
+func addEffort(sum, s *core.Stats) {
+	sum.Configs += s.Configs
+	sum.Pushed += s.Pushed
+	sum.Pruned += s.Pruned
+	sum.Killed += s.Killed
+	sum.Waves += s.Waves
+	sum.MaxQSize = max(sum.MaxQSize, s.MaxQSize)
+	sum.Elapsed += s.Elapsed
+	sum.BoundPruned += s.BoundPruned
+	sum.ProbeConfigs += s.ProbeConfigs
 }
 
 func (pl *Planner) routeNetAtWidth(ctx context.Context, spec NetSpec, width float64, opts core.Options) NetResult {

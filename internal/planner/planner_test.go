@@ -310,6 +310,36 @@ func TestWireWidthSelection(t *testing.T) {
 		t.Error("sweep improved latency but reports nominal width")
 	}
 
+	// The swept net's effort is the sum of its widths' searches (the
+	// peak queue their maximum); the answer is the winning width's.
+	var sum core.Stats
+	for _, w := range long.WireWidths {
+		one := long
+		one.WireWidths = []float64{w}
+		res := pl.RouteNet(one)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		sum.Configs += res.Configs
+		sum.Pushed += res.Stats.Pushed
+		sum.Pruned += res.Stats.Pruned
+		sum.Killed += res.Stats.Killed
+		sum.Waves += res.Stats.Waves
+		sum.BoundPruned += res.Stats.BoundPruned
+		sum.ProbeConfigs += res.Stats.ProbeConfigs
+		sum.MaxQSize = max(sum.MaxQSize, res.MaxQSize)
+		if w == swept.WireWidth && (res.LatencyPS != swept.LatencyPS || res.Registers != swept.Registers) {
+			t.Errorf("width %g alone: %g ps, %d regs; in the sweep %g ps, %d regs",
+				w, res.LatencyPS, res.Registers, swept.LatencyPS, swept.Registers)
+		}
+	}
+	got := swept.Stats
+	got.Elapsed = 0
+	if got != sum || swept.Configs != sum.Configs || swept.MaxQSize != sum.MaxQSize {
+		t.Errorf("swept effort = %+v (configs %d, max Q %d), want the widths' sum %+v",
+			got, swept.Configs, swept.MaxQSize, sum)
+	}
+
 	// All widths infeasible still reports an error.
 	doomed := NetSpec{
 		Name: "doomed", Src: geom.Pt(0, 2), Dst: geom.Pt(25, 2),

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,8 +65,8 @@ func (s *Server) cacheMode(opts *api.CacheOptions) string {
 // approxEntrySize prices a response for the byte budget: its JSON size
 // plus fixed bookkeeping overhead. The JSON rendering is also how the
 // entry is persisted, so the two accountings agree.
-func approxEntrySize(v any) (int64, error) {
-	b, err := json.Marshal(v)
+func approxEntrySize[T api.Wire](v *T) (int64, error) {
+	b, err := api.AppendJSON(nil, v)
 	if err != nil {
 		return 0, err
 	}
@@ -82,21 +81,17 @@ const (
 
 // encodeCacheEntry renders one live entry for a snapshot segment.
 func encodeCacheEntry(_ resultcache.Key, v any) ([]byte, bool) {
+	var b []byte
+	var err error
 	switch r := v.(type) {
 	case *api.RouteResponse:
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, false
-		}
-		return append([]byte{envRoute}, b...), true
+		b, err = api.AppendJSON([]byte{envRoute}, r)
 	case api.NetResult:
-		b, err := json.Marshal(r)
-		if err != nil {
-			return nil, false
-		}
-		return append([]byte{envNet}, b...), true
+		b, err = api.AppendJSON([]byte{envNet}, &r)
+	default:
+		return nil, false
 	}
-	return nil, false
+	return b, err == nil
 }
 
 // decodeCacheEntry rebuilds a live entry from a snapshot payload.
@@ -107,13 +102,13 @@ func decodeCacheEntry(_ resultcache.Key, payload []byte) (any, int64, error) {
 	switch payload[0] {
 	case envRoute:
 		var r api.RouteResponse
-		if err := json.Unmarshal(payload[1:], &r); err != nil {
+		if err := api.Unmarshal(payload[1:], &r); err != nil {
 			return nil, 0, err
 		}
 		return &r, int64(len(payload)-1) + cacheEntryOverhead, nil
 	case envNet:
 		var n api.NetResult
-		if err := json.Unmarshal(payload[1:], &n); err != nil {
+		if err := api.Unmarshal(payload[1:], &n); err != nil {
 			return nil, 0, err
 		}
 		return n, int64(len(payload)-1) + cacheEntryOverhead, nil
@@ -243,7 +238,7 @@ func (s *Server) cachedNetResult(h api.ProblemHash, name string) (api.NetResult,
 func (s *Server) fillNetResult(h api.ProblemHash, nr api.NetResult) {
 	nr.Name = ""
 	nr.Cached = false
-	size, err := approxEntrySize(nr)
+	size, err := approxEntrySize(&nr)
 	if err != nil {
 		return
 	}

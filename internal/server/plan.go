@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -378,7 +377,7 @@ func (p *planRun) commit(w http.ResponseWriter) {
 // stream, or the slot of a buffered plan's response.
 func (p *planRun) write(idx int, nr api.NetResult) {
 	if p.streamed() {
-		p.sw.writeLine(nr)
+		writeLine(p.sw, &nr)
 		return
 	}
 	p.results[idx] = nr
@@ -397,7 +396,7 @@ func (p *planRun) finish(w http.ResponseWriter, stats api.PlanStats, err error) 
 			p.sw.trailerError(p.s.cfg.Metrics, err)
 			return
 		}
-		p.sw.writeLine(api.PlanStreamTrailer{Stats: &stats})
+		writeLine(p.sw, &api.PlanStreamTrailer{Stats: &stats})
 		return
 	}
 	if p.aborted == len(p.results) {
@@ -405,7 +404,7 @@ func (p *planRun) finish(w http.ResponseWriter, stats api.PlanStats, err error) 
 		return
 	}
 	w.Header().Set("X-Cache", xcache(p.cached == len(p.results)))
-	writeJSON(w, http.StatusOK, &api.PlanResponse{Nets: p.results, Stats: stats})
+	writeWire(w, http.StatusOK, &api.PlanResponse{Nets: p.results, Stats: stats})
 }
 
 // fail reports a contained panic: a 500 while a buffered plan has written
@@ -434,19 +433,14 @@ func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	return &streamWriter{w: w, rc: http.NewResponseController(w)}
 }
 
-func (sw *streamWriter) writeLine(v any) {
+// writeLine writes v as one NDJSON line in one Write, and flushes it.
+func writeLine[T api.Wire](sw *streamWriter, v *T) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.err != nil {
 		return
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		sw.err = err
-		return
-	}
-	b = append(b, '\n')
-	if _, err := sw.w.Write(b); err != nil {
+	if err := api.EncodeJSON(sw.w, v); err != nil {
 		sw.err = err
 		return
 	}
@@ -457,5 +451,5 @@ func (sw *streamWriter) writeLine(v any) {
 // as a request error exactly as a pre-commit failure status would.
 func (sw *streamWriter) trailerError(m *telemetry.Metrics, err error) {
 	m.RequestErrors.Inc()
-	sw.writeLine(api.PlanStreamTrailer{Error: err.Error()})
+	writeLine(sw, &api.PlanStreamTrailer{Error: err.Error()})
 }

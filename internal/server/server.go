@@ -420,6 +420,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	endDecode()
+
+	endCanonical := rec.Phase("canonical")
 	canon, err := api.Canonicalize(req)
 	if err != nil {
 		// Unreachable after a successful decode, but the cache must never
@@ -430,7 +433,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	hash := canon.Hash()
 	reqMode := req.Cache.EffectiveMode() // what the client asked for
 	mode := s.cacheMode(req.Cache)       // bypass when the cache is off
-	endDecode()
+	endCanonical()
 	rec.SetAttr("problem_hash", hash.Hex())
 	rec.SetAttr("algo", req.Kind)
 
@@ -450,9 +453,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// refresh opts out.
 	if reqMode == api.CacheModeDefault && ifNoneMatchHits(r.Header.Get("If-None-Match"), hash.ETag()) {
 		m.CacheHits.Inc()
+		endCache()
+		endEncode := rec.Phase("encode")
 		w.Header().Set("ETag", hash.ETag())
 		w.Header().Set("X-Cache", "hit")
 		w.WriteHeader(http.StatusNotModified)
+		endEncode()
 		return
 	}
 
@@ -460,9 +466,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// hits must stay cheap even when the search slots are saturated.
 	if mode == api.CacheModeDefault {
 		if resp, ok := s.cachedRouteResponse(hash); ok {
+			endCache()
+			endEncode := rec.Phase("encode")
 			w.Header().Set("ETag", hash.ETag())
 			w.Header().Set("X-Cache", "hit")
-			writeJSON(w, http.StatusOK, resp)
+			writeWire(w, http.StatusOK, resp)
+			endEncode()
 			return
 		}
 	}
@@ -547,7 +556,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	endEncode := rec.Phase("encode")
 	w.Header().Set("ETag", hash.ETag())
 	w.Header().Set("X-Cache", xcache(joined))
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, http.StatusOK, resp)
 	endEncode()
 }
 
@@ -650,11 +659,20 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(api.ErrorResponse{Error: err.Error()})
+	writeWire(w, status, &api.ErrorResponse{Error: err.Error()})
 }
 
+// writeWire writes an api body through the wire codec. The status is out
+// before the body: a failed write (the client left) or an unencodable
+// float leaves no one to tell.
+func writeWire[T api.Wire](w http.ResponseWriter, status int, v *T) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = api.EncodeJSON(w, v)
+}
+
+// writeJSON writes an admin body (health, cache stats), which are maps
+// rather than api types.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -296,7 +296,7 @@ func TestSlowRequestFlightRecorder(t *testing.T) {
 	for _, c := range tree.Root.Children {
 		phases[c.Name] = true
 	}
-	for _, want := range []string{"decode", "admission", "search", "encode"} {
+	for _, want := range []string{"decode", "canonical", "admission", "search", "encode"} {
 		if !phases[want] {
 			t.Errorf("span tree missing %q phase (has %v)", want, phases)
 		}
@@ -317,6 +317,47 @@ func TestSlowRequestFlightRecorder(t *testing.T) {
 		t.Error("span tree has no core search span with stats")
 	} else if search.Configs != rr.Stats.Configs {
 		t.Errorf("search span configs = %d, response stats = %d", search.Configs, rr.Stats.Configs)
+	}
+}
+
+// TestHitTraceSplitsLayers: a warm hit's and a 304's span trees close the
+// cache phase before the write, which gets its own encode phase, and
+// never enter admission or search.
+func TestHitTraceSplitsLayers(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond, SlowKeep: 4, CacheMaxBytes: 1 << 20})
+	body := quickBody()
+	resp, raw := postJSON(t, ts.URL+"/v1/route", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if resp, _ = postJSON(t, ts.URL+"/v1/route", body); resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("repeat was not a hit: X-Cache %q", resp.Header.Get("X-Cache"))
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/route", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("If-None-Match", resp.Header.Get("ETag"))
+	nm, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm.Body.Close()
+	if nm.StatusCode != http.StatusNotModified {
+		t.Fatalf("conditional status %d, want 304", nm.StatusCode)
+	}
+	trees := s.FlightRecorder().Snapshot(2) // newest first: the 304, then the hit
+	if len(trees) != 2 {
+		t.Fatalf("%d trees recorded, want 2", len(trees))
+	}
+	for i, tree := range trees {
+		var names []string
+		for _, c := range tree.Root.Children {
+			names = append(names, c.Name)
+		}
+		if got := strings.Join(names, ","); got != "decode,canonical,cache,encode" {
+			t.Errorf("tree %d (status %d) phases = %s, want decode,canonical,cache,encode", i, tree.Status, got)
+		}
 	}
 }
 
