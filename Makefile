@@ -2,7 +2,7 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables
+.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables tables-check
 
 tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
@@ -94,15 +94,17 @@ bench:
 # FastPath and GALS single-search benchmarks, the one-register RBP and GALS
 # searches, the batch of short route-cold-shaped searches (where per-search
 # set-up is a large share), plus the parallel planner
-# batch and the planner's full wire-width ladder, with allocation reporting,
+# batch, the planner's full wire-width ladder and the latch router's
+# iterative deepening, with allocation reporting,
 # recorded as JSON so future PRs can
 # compare their allocs/op and ns/op against the checked-in numbers. BenchmarkRBP's
 # telemetry=* rows price the observability layer.
 # The single-search rows get 50 iterations (they are milliseconds each and
-# noisy at 10); the planner batches stay at 10 to keep the target fast.
+# noisy at 10); the planner batches and the latch row (about 1.4 s a
+# search) stay at 10 to keep the target fast.
 bench-core:
 	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$' -benchmem -benchtime 50x -json . > BENCH_core.json
-	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$|BenchmarkPlanner_WidthLadder$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
+	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_core.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
 # Price the result cache end to end over HTTP: a forced cold miss vs a
@@ -116,15 +118,15 @@ bench-cache:
 # Perf-regression gate: rerun the headline RBP, FastPath and GALS benchmarks,
 # the one-register RBP and GALS searches (where the probe's arrival-key
 # bound does most of the pruning), the batch of short searches,
-# plus the serial batch-planner and wire-width-ladder rows into a local
-# (gitignored) JSON stream and
+# plus the serial batch-planner, wire-width-ladder and latch-router rows
+# into a local (gitignored) JSON stream and
 # compare them against the checked-in BENCH_core.json — >5% configs/op or
 # probe_configs/op regression or any routed-result drift (registers/op,
 # latency_ps) fails the target. The workers=1 planner row is the batch-path
 # fingerprint: it would have caught the heap tie-ordering tax that once
 # landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live
@@ -140,3 +142,13 @@ obs-demo:
 tables:
 	go run ./cmd/routed tables -table all -scale paper > tables_paper_scale.txt.tmp
 	mv tables_paper_scale.txt.tmp tables_paper_scale.txt
+
+# Published arm of the paper tables, gated: rerun Tables I-III at paper
+# scale (about 2 minutes on a 2-CPU host) into tables-check.txt and
+# compare it with tables_paper_scale.txt through TestCLIGoldens' timing
+# mask — every cell but the timings must match. Its fast-path row is
+# the only paper-scale check of FastPath with the bounds off; the bounded
+# arm is a tier-1 golden (internal/bench TestPaperScaleBoundedGolden).
+tables-check:
+	go run ./cmd/routed tables -table all -scale paper > tables-check.txt
+	go test -count=1 -run '^TestTablesPaperScale$$' ./cmd/routed; status=$$?; rm -f tables-check.txt; exit $$status

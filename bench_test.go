@@ -254,7 +254,8 @@ func BenchmarkMCFIFO_Simulation(b *testing.B) {
 
 // BenchmarkExtension_LatchVsRegister compares the latch-based router (time
 // borrowing) against RBP on the same instance — the latch-aware routing
-// extension.
+// extension. The latch row is gated by make bench-check: its configs/op,
+// and its answer through latency_ps and registers/op (the latch count).
 func BenchmarkExtension_LatchVsRegister(b *testing.B) {
 	prob := reducedProblem(b)
 	lt := tech.CongPan70nm().Latch()
@@ -266,11 +267,16 @@ func BenchmarkExtension_LatchVsRegister(b *testing.B) {
 		}
 	})
 	b.Run("latch", func(b *testing.B) {
+		var res *latch.Result
 		for n := 0; n < b.N; n++ {
-			if _, err := latch.Route(prob, 400, lt, 0, core.Options{}); err != nil {
+			var err error
+			if res, err = latch.Route(prob, 400, lt, 0, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(res.Stats.Configs), "configs/op")
+		b.ReportMetric(float64(res.Latches), "registers/op")
+		b.ReportMetric(res.LatencyPS, "latency_ps")
 	})
 }
 
@@ -393,9 +399,9 @@ func BenchmarkRBP(b *testing.B) {
 
 // BenchmarkFastPath is the unclocked single-search counterpart of
 // BenchmarkRBP, tracked in BENCH_core.json alongside it: the minimum-delay
-// baseline exercises the same arena/scratch path without wavefronts, so a
+// baseline exercises the same arena/scratch path with a single wave, so a
 // memory-management regression shows up here even if the wave machinery
-// masks it in RBP.
+// masks it in RBP. latency_ps fingerprints its answer.
 func BenchmarkFastPath(b *testing.B) {
 	prob := reducedProblem(b)
 	b.ReportAllocs()
@@ -409,6 +415,7 @@ func BenchmarkFastPath(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Stats.Configs), "configs/op")
 	b.ReportMetric(float64(res.Stats.ProbeConfigs), "probe_configs/op")
+	b.ReportMetric(res.Latency, "latency_ps")
 }
 
 // BenchmarkGALS is the two-domain single-search row of BENCH_core.json:

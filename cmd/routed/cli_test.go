@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"image/png"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -99,6 +101,41 @@ func TestCLIGoldens(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTablesPaperScale is the comparison behind make tables-check: the
+// target writes a fresh `routed tables -table all -scale paper` to
+// tables-check.txt at the repository root, and every line must match
+// tables_paper_scale.txt once maskTiming drops the timings. Columns are
+// compared field by field, since Tables II and III pad every column to
+// its widest cell, time(s) included. Without a fresh file the test
+// skips, so go test ./... never pays the two minutes of paper-scale
+// tables.
+func TestTablesPaperScale(t *testing.T) {
+	fresh, err := os.ReadFile(filepath.Join("..", "..", "tables-check.txt"))
+	if errors.Is(err, fs.ErrNotExist) {
+		t.Skip("no tables-check.txt; make tables-check writes it")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "tables_paper_scale.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := strings.Split(maskTiming(string(fresh)), "\n"), strings.Split(maskTiming(string(raw)), "\n")
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if strings.Join(strings.Fields(g), " ") != strings.Join(strings.Fields(w), " ") {
+			t.Fatalf("paper-scale tables: line %d differs\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 	}
 	sc := new(Scratch)
 	warm := func() {
-		bd := sc.PrepBounds(p)
+		bd := sc.prepBounds(p)
 		if bd.pathWindow(p) == nil {
 			t.Fatal("pathWindow found no path on a reachable problem")
 		}
@@ -158,13 +158,13 @@ func TestScratchPoolReuseIdentical(t *testing.T) {
 		var err error
 		switch {
 		case req.Kind == KindFastPath:
-			res, err = fastPath(p, req.Options, new(Scratch), nil)
+			res, err = search(p, fastPathScheme(), req.Options, new(Scratch), nil, nil)
 		case req.Kind == KindRBP && req.ArrayQueues:
-			res, err = search(p, rbpScheme(p, req.PeriodPS, arrayQueues), req.Options, new(Scratch), nil)
+			res, err = search(p, rbpScheme(p, req.PeriodPS, arrayQueues), req.Options, new(Scratch), nil, nil)
 		case req.Kind == KindRBP:
-			res, err = search(p, rbpScheme(p, req.PeriodPS, twoQueue), req.Options, new(Scratch), nil)
+			res, err = search(p, rbpScheme(p, req.PeriodPS, twoQueue), req.Options, new(Scratch), nil, nil)
 		default:
-			res, err = search(p, galsScheme(p, req.SrcPeriodPS, req.DstPeriodPS), req.Options, new(Scratch), nil)
+			res, err = search(p, galsScheme(p, req.SrcPeriodPS, req.DstPeriodPS), req.Options, new(Scratch), nil, nil)
 		}
 		if err != nil {
 			t.Fatalf("%s fresh: %v", name, err)

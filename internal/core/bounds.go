@@ -25,7 +25,7 @@ import (
 //     edges the current segment must still cross once later segments
 //     span all they can within the budget; a segBound delay table turns
 //     that into a test on the candidate's own (c, d) (RBP, GALS,
-//     FastPath), and the latch router telescopes it into a latency bound.
+//     FastPath), and the latch router telescopes it into a deadline test.
 //     The reach and the tables come from per-model curves (curves.go).
 //  3. An incumbent: a feasible solution cost U found before the main
 //     search, against which the lower bounds prune. The probe runs the
@@ -57,8 +57,7 @@ func boundEps(u float64) float64 { return 1e-6 * (1 + math.Abs(u)) }
 const noIncumbent = math.MaxInt32 / 2
 
 // Bounds is the per-search admissible lower-bound state, pooled on Scratch
-// (PrepBounds). Exported because the latch router borrows it through
-// core.Scratch exactly like the in-package kernels.
+// (prepBounds).
 type Bounds struct {
 	distSrc []int32 // BFS edge distance from the source; -1 unreachable
 	maxSrc  int32   // largest finite distSrc entry
@@ -72,11 +71,11 @@ type Bounds struct {
 // segState is one Pareto point of the ideal-line segment DP.
 type segState struct{ c, d float64 }
 
-// PrepBounds computes the BFS distance field for p on s's pooled bounds
+// prepBounds computes the BFS distance field for p on s's pooled bounds
 // memory and returns it. Steady state this allocates nothing: the int32
 // field and the worklist are retained across searches like every other
 // Scratch resource.
-func (s *Scratch) PrepBounds(p *Problem) *Bounds {
+func (s *Scratch) prepBounds(p *Problem) *Bounds {
 	b := &s.bounds
 	if n := p.Grid.NumNodes(); cap(b.distSrc) < n {
 		b.distSrc = make([]int32, n)
@@ -118,14 +117,6 @@ func (b *Bounds) bfs(p *Problem, src int, dist []int32) int32 {
 	b.queue = q[:0]
 	return maxD
 }
-
-// DistToSource returns the BFS edge distance from node v to the search's
-// source (-1 when unreachable).
-func (b *Bounds) DistToSource(v int32) int32 { return b.distSrc[v] }
-
-// MinEdgeDelay returns the smallest Elmore delay a single grid edge can add
-// to any candidate: edgeR·edgeC/2, the wire term at zero downstream load.
-func MinEdgeDelay(m *elmore.Model) float64 { return m.EdgeR() * m.EdgeC() / 2 }
 
 // segmentReach returns an upper bound on the number of grid edges one
 // clocked-to-clocked segment of the given kind can span under period T.
@@ -232,6 +223,11 @@ type segBound struct {
 	slope float64   // least R of any buffer or closer driving the candidate
 	limit float64   // segment period (or incumbent) plus boundEps
 }
+
+// openSeg is the segment bound without a limit: under a span of the
+// source's BFS radius (need ≤ 0 everywhere) it prunes only unreachable
+// nodes. FastPath without an incumbent and the latch router use it.
+var openSeg = segBound{rem: []float64{0}, limit: math.Inf(1)}
 
 // prune reports whether a candidate (c, d) that must still cross need
 // edges of its current segment cannot close it within the limit. need ≤ 0
@@ -363,6 +359,9 @@ func (b *Bounds) keyBound(m *elmore.Model, key float64, reach int, fifoOpens boo
 // most reach edges. key, when set, caps the source segment of completions
 // ending at the incumbent's latency and adds the key test in the probe's
 // wave.
+//
+// FastPath and the latch router have no latency budget to split: flat is
+// then the bound state of every wave.
 type spanBound struct {
 	b      *Bounds
 	s      *scheme
@@ -371,11 +370,13 @@ type spanBound struct {
 	lat    float64 // the incumbent's latency; +Inf without one
 	maxLat float64 // lat plus latencyEps
 	key    keyBound
+	flat   *waveBound
 }
 
 // waveBound is the bound state of one wave: each domain's span (spans),
 // and for each domain whether its candidates also face the key test —
-// only the accepting domain's, and only in the probe's own wave.
+// only the accepting domain's, and only in the probe's own wave — or,
+// for the latch router, the deadline test in every wave.
 type waveBound struct {
 	span  [2]int
 	keyed [2]bool
@@ -390,17 +391,35 @@ type waveBound struct {
 // domain's period. Outside max-slack mode, which returns the best-slack
 // arrival of a drained wave rather than the first one, the probe's arrival
 // key adds the key bound. Only an abort propagates as err.
+//
+// FastPath's one segment must close within the probe's delay from
+// wherever a candidate stands: its flat span is 0 under that incumbent's
+// delay table, and without an incumbent only unreachable nodes are
+// pruned. The latch router runs no probe: every wave tests the deadline
+// (latchScheme.prune).
 func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, error) {
-	b := sc.PrepBounds(p)
+	b := sc.prepBounds(p)
 	g := &spanBound{b: b, s: s, lat: math.Inf(1), maxLat: math.Inf(1)}
-	for z, d := range s.dom[:s.nd] {
-		g.reach[z] = segmentReach(p.Model, d.T, int(b.maxSrc), z > 0, z+1 < s.nd)
+	if s.latch != nil {
+		g.seg[0], g.flat = openSeg, &waveBound{span: [2]int{int(b.maxSrc)}, keyed: [2]bool{true}}
+		return g, 0, nil
 	}
 	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
-		return search(p, s, o, sc, win)
+		return search(p, s, o, sc, win, nil)
 	})
 	if err != nil {
 		return nil, 0, err
+	}
+	if s.queue == oneWave {
+		g.seg[0], g.flat = openSeg, &waveBound{span: [2]int{int(b.maxSrc)}}
+		if inc != nil {
+			g.seg[0] = b.segBound(0, p.Model, inc.Latency+boundEps(inc.Latency), int(b.maxSrc), false, false)
+			g.flat.span[0] = 0
+		}
+		return g, probeConfigs, nil
+	}
+	for z, d := range s.dom[:s.nd] {
+		g.reach[z] = segmentReach(p.Model, d.T, int(b.maxSrc), z > 0, z+1 < s.nd)
 	}
 	if inc != nil {
 		g.lat, g.maxLat = inc.Latency, inc.Latency+latencyEps
@@ -495,10 +514,15 @@ func (g *spanBound) prune(v int32, z uint8, c, d float64, span int) bool {
 // keyPrune is the key test for an accepting-domain candidate with delay d
 // at node v in the probe's wave (waveBound.keyed): it must reach the
 // source within the key limit. Like prune, it depends on the node alone
-// and grows with d. Callers run it after prune, which rejects unreachable
+// and grows with d. Without a key table the wave is keyed only under the
+// latch scheme, whose deadline test also shrinks with the candidate's
+// deadline slack. Callers run it after prune, which rejects unreachable
 // nodes; the two stay separate so each inlines into the kernel's
 // admission test.
-func (g *spanBound) keyPrune(v int32, d float64) bool {
+func (g *spanBound) keyPrune(v int32, d, slack float64) bool {
+	if g.key.add == nil {
+		return g.s.latch.prune(d, slack, int(g.b.distSrc[v]))
+	}
 	return g.key.prune(d, int(g.b.distSrc[v]))
 }
 

@@ -97,16 +97,11 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 	ts, tt := c.T, c.T
 	switch kernel {
 	case "fastpath":
-		bd, seg, _, err := fastPathBounds(p, Options{}, sc)
+		sb, _, err := fastPathScheme().bound(p, Options{}, sc)
 		if err != nil {
-			t.Fatalf("%s: fastPathBounds: %v", label, err)
+			t.Fatalf("%s: fastpath bound: %v", label, err)
 		}
-		if seg.rem == nil {
-			return // no incumbent: the kernel prunes only unreachable nodes
-		}
-		prune = func(s pathState) bool {
-			return seg.prune(s.c, s.d, int(bd.DistToSource(s.node)))
-		}
+		prune = func(s pathState) bool { return sb.prune(s.node, 0, s.c, s.d, sb.flat.span[0]) }
 	case "rbp", "rbp-array", "rbp-slack":
 		q := twoQueue
 		if kernel == "rbp-array" {
@@ -118,7 +113,7 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 		}
 		prune = func(s pathState) bool {
 			w := sb.spans(c.T * float64(s.wave))
-			return sb.prune(s.node, 0, s.c, s.d, w.span[0]) || (w.keyed[0] && sb.keyPrune(s.node, s.d))
+			return sb.prune(s.node, 0, s.c, s.d, w.span[0]) || (w.keyed[0] && sb.keyPrune(s.node, s.d, 0))
 		}
 	case "gals":
 		ts, tt = c.Ts, c.Tt
@@ -128,7 +123,7 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 		}
 		prune = func(s pathState) bool {
 			w := sb.spans(s.l)
-			return sb.prune(s.node, s.z, s.c, s.d, w.span[s.z]) || (w.keyed[s.z] && sb.keyPrune(s.node, s.d))
+			return sb.prune(s.node, s.z, s.c, s.d, w.span[s.z]) || (w.keyed[s.z] && sb.keyPrune(s.node, s.d, 0))
 		}
 	default:
 		t.Fatalf("%s: unknown kernel %q", label, kernel)

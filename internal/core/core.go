@@ -2,20 +2,26 @@
 // Zhou et al. (Fig. 1), the registered-buffered path algorithm RBP for
 // single-clock domains (Fig. 5, including the array-of-queues variant
 // discussed at the end of Section III), and the GALS algorithm for
-// multiple-clock domains (Fig. 12).
+// multiple-clock domains (Fig. 12), plus the search of the latch router
+// (package latch).
 //
-// All three are backward dynamic programs: partial solutions grow from the
-// sink t toward the source s, keyed by Elmore delay, with (capacitance,
-// delay) dominance pruning per node. RBP and GALS additionally propagate in
-// wavefronts — one wave per register count (RBP) or per accumulated latency
-// (GALS) — because candidates from different waves are incomparable
-// (Section III, Fig. 4).
+// All of them are backward dynamic programs: partial solutions grow from
+// the sink t toward the source s, keyed by Elmore delay, with
+// (capacitance, delay) dominance pruning per node. RBP and GALS
+// additionally propagate in wavefronts — one wave per register count
+// (RBP) or per accumulated latency (GALS) — because candidates from
+// different waves are incomparable (Section III, Fig. 4).
 //
-// RBP, its array-of-queues variant and GALS are one wavefront engine
-// (wave.go) run under a clocking scheme: the clock domains with their
-// periods and closing elements (RBP has one; GALS two, the MCFIFO moving
-// a path from the sink's domain to the source's), and the queue holding
-// future waves. FastPath keeps its own single-wave loop.
+// They are one wavefront engine (wave.go) run under a clocking scheme:
+// the clock domains with their periods and closing elements (RBP has one;
+// GALS two, the MCFIFO moving a path from the sink's domain to the
+// source's), and the queue holding future waves. FastPath is the
+// one-wave scheme with no closing register, which keeps the least source
+// close as its incumbent until Q's least key reaches it. The latch
+// router's search at a fixed cycle count k is a register-count scheme
+// whose candidates carry a deadline and whose segments close into a
+// latch in a half-period slot (latch.go); the deepening over k is an
+// outer loop around the engine.
 package core
 
 import (

@@ -18,14 +18,14 @@ import (
 // memory so a pooled instance makes a steady-state search allocate almost
 // nothing.
 //
-// Ownership: a Scratch serves exactly one search at a time. GetScratch
+// Ownership: a Scratch serves exactly one search at a time. getScratch
 // hands one out (from a sync.Pool, so planner workers and the service
 // reuse instances across nets) and Release returns it; the exported
 // algorithm entry points do both, which is how clockroute.Route, the
-// planner's worker pool, and internal/server all share the pool without
-// any of them managing lifetimes explicitly. Everything a search returns
-// (Result, Path, Stats) is copied out of the scratch before Release, so
-// results never alias pooled memory.
+// planner's worker pool, internal/server and the latch router all share
+// the pool without any of them managing lifetimes explicitly. Everything
+// a search returns (Result, Path, Stats) is copied out of the scratch
+// before Release, so results never alias pooled memory.
 type Scratch struct {
 	// Arena allocates the search's candidates; Release-to-Get recycles
 	// every slab. See the candidate.Arena lifetime rule: nothing built
@@ -47,41 +47,35 @@ type Scratch struct {
 
 	// packedTie records whether the packed uint64 tie-key fast path is
 	// installed on the heaps, so lazily created wave heaps inherit the
-	// same setting mid-search. See SetPackedTie.
+	// same setting mid-search. See setPackedTie.
 	packedTie bool
 
 	// bounds holds the pooled A*-pruning state (BFS distance field,
-	// segment tables, probe window); see PrepBounds in bounds.go.
+	// segment tables, probe window); see prepBounds in bounds.go.
 	bounds Bounds
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// GetScratch returns a search-ready Scratch from the pool: arena recycled,
-// queues emptied, buffers truncated. Pair it with Release.
-func GetScratch() *Scratch {
+// getScratch returns a search-ready Scratch from the pool: arena recycled,
+// queues emptied, buffers truncated (each search installs its heaps' tie
+// order). Pair it with Release.
+func getScratch() *Scratch {
 	sc := scratchPool.Get().(*Scratch)
-	sc.Arena.Reset()
-	sc.Q.Reset()
-	sc.QStar.Reset()
-	sc.Q.Tie = candidateTieLess
-	sc.QStar.Tie = candidateTieLess
-	sc.SetPackedTie(true)
-	sc.Buf = sc.Buf[:0]
-	sc.ResetWaves()
+	sc.resetSearchState()
 	return sc
 }
 
-// SetPackedTie installs (or removes) the packed tie-key fast path on every
+// setPackedTie installs (or removes) the packed tie-key fast path on every
 // heap the scratch owns, including wave heaps created later in the same
 // search. The packed keys are order-preserving prefixes of candidateTieLess
 // under each heap's key discipline — Q and the wave heaps are keyed by the
 // candidate's accumulated delay D, so equal keys imply equal D and the
 // prefix is (Node, C); GALS's Q* is keyed by latency L, so its prefix is
 // (Node, D) — which keeps pop order, and therefore results, byte-identical
-// to the full comparator. Kernels call this with !opts.DisablePackedTie
-// before their first push.
-func (s *Scratch) SetPackedTie(on bool) {
+// to the full comparator. The engine calls this with !opts.DisablePackedTie
+// before its first push.
+func (s *Scratch) setPackedTie(on bool) {
 	s.packedTie = on
 	if on {
 		s.Q.TieKey = tieKeyNodeC
@@ -98,17 +92,20 @@ func (s *Scratch) SetPackedTie(on bool) {
 	}
 }
 
-// resetSearchState rewinds the search structures mutated by the one-path
-// probe — arena, heaps, wave heaps, shared buffer — so the exact search
-// that follows starts from a clean scratch. Pareto stores and flag sets
-// need no rewind here: the main search re-preps them (epoch bump) before
-// use.
+// resetSearchState rewinds the search structures a search mutates —
+// arena, heaps, wave heaps, shared buffer — so the next search on the
+// scratch (the exact search after the one-path probe, or the latch
+// router's next cycle count) starts clean. A feasible arrival returns
+// mid-drain, so heaps may be non-empty. Pareto stores and flag sets need
+// no rewind here: every search re-preps them (epoch bump) before use.
 func (s *Scratch) resetSearchState() {
 	s.Arena.Reset()
 	s.Q.Reset()
 	s.QStar.Reset()
 	s.Buf = s.Buf[:0]
-	s.ResetWaves()
+	for _, h := range s.waves {
+		h.Reset()
+	}
 }
 
 // Release returns sc to the pool. The caller must not touch sc — or any
@@ -143,8 +140,8 @@ func (s *Scratch) Quarantine() {
 func ScratchQuarantines() int64 { return quarantined.Load() }
 
 // containSearchPanic is the deferred recovery boundary shared by every
-// exported search wrapper (FastPath, RBP, RBPArrayQueues, GALS, and the
-// latch router): a panic anywhere in the search body is classified as an
+// exported search wrapper (FastPath, RBP, RBPArrayQueues, GALS, and
+// LatchSearch): a panic anywhere in the search body is classified as an
 // *InternalError with the panicking stack, and the borrowed scratch is
 // quarantined — never released — because its invariants cannot be trusted
 // after a mid-wave panic. On the normal path it releases the scratch, and a
@@ -165,9 +162,9 @@ func containSearchPanic(sc *Scratch, res **Result, err *error) {
 	}
 }
 
-// PrepStore returns the i-th reusable Pareto store (i in [0, 2)), prepared
+// prepStore returns the i-th reusable Pareto store (i in [0, 2)), prepared
 // for a fresh search over n nodes in the given dominance mode.
-func (s *Scratch) PrepStore(i, n int, tri bool) *candidate.Store {
+func (s *Scratch) prepStore(i, n int, tri bool) *candidate.Store {
 	if s.stores[i] == nil {
 		s.stores[i] = candidate.NewStore(0)
 	}
@@ -182,11 +179,11 @@ func (s *Scratch) prepFlags(i, n int) *nodeFlags {
 	return &s.flags[i]
 }
 
-// Wave returns the reusable heap for wave index w, allocating heaps on
+// wave returns the reusable heap for wave index w, allocating heaps on
 // first use and retaining them (and their backing slices) across searches.
-// Used by the array-of-queues RBP variant and the latch router, whose wave
-// heaps all live simultaneously.
-func (s *Scratch) Wave(w int) *pqueue.Heap[*candidate.Candidate] {
+// Used by the array-of-queues schemes (RBPArrayQueues and the latch
+// router), whose wave heaps all live simultaneously.
+func (s *Scratch) wave(w int) *pqueue.Heap[*candidate.Candidate] {
 	for len(s.waves) <= w {
 		h := &pqueue.Heap[*candidate.Candidate]{Tie: candidateTieLess}
 		if s.packedTie {
@@ -206,15 +203,6 @@ func (s *Scratch) Rebases() int {
 		n += h.Rebases()
 	}
 	return n
-}
-
-// ResetWaves empties every allocated wave heap. The latch router's
-// iterative deepening calls this between latency iterations; a feasible
-// arrival returns mid-drain, so heaps may be non-empty at iteration end.
-func (s *Scratch) ResetWaves() {
-	for _, h := range s.waves {
-		h.Reset()
-	}
 }
 
 // nodeFlags is a reusable per-node boolean set with O(1) clear via epoch

@@ -109,7 +109,7 @@ func randomMidCase(rng *rand.Rand) *sweepCase {
 		return nil
 	}
 	p, err := NewProblem(g, m, src, dst)
-	if err != nil || new(Scratch).PrepBounds(p).DistToSource(int32(dst)) < 0 {
+	if err != nil || new(Scratch).prepBounds(p).distSrc[dst] < 0 {
 		return nil
 	}
 	return &sweepCase{
@@ -156,7 +156,7 @@ func randomTechCase(rng *rand.Rand) *sweepCase {
 		return nil
 	}
 	p, err := NewProblem(g, m, src, dst)
-	if err != nil || new(Scratch).PrepBounds(p).DistToSource(int32(dst)) < 0 {
+	if err != nil || new(Scratch).prepBounds(p).distSrc[dst] < 0 {
 		return nil // walled-apart draws are redrawn, as in randomMidCase
 	}
 	return &sweepCase{
@@ -277,17 +277,19 @@ func TestRBPQueueDisciplinesIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelsNeverRebase runs every core kernel on the sweep instances,
-// bounds on and off and RBP in both slack modes, all on one fresh scratch,
-// and requires that no push ever landed below its queue's floor. Each key
-// a kernel pushes is a popped key plus a non-negative Elmore or period
-// term, so the radix heap's rebase path must stay cold: a scheme that
+// TestKernelsNeverRebase runs every scheme of the engine on the sweep
+// instances, bounds on and off and RBP in both slack modes, all on one
+// fresh scratch, and requires that no push ever landed below its queue's
+// floor. Each key a scheme pushes is a popped key plus a non-negative
+// Elmore or period term, or a fresh latch's zero delay in a wave not yet
+// drained, so the radix heap's rebase path must stay cold: a scheme that
 // pushes below the floor would still pop exactly, only slower, and fails
-// here instead. The latch router's queues are checked in its own package.
+// here instead. The latch router runs its deepening one cycle count at a
+// time, as LatchSearch does, up to four cycles.
 //
-// Every run must also leave the arena holding exactly its queued
-// candidates: a candidate the bounds or the Pareto store reject is
-// decided on its value and never takes a slot.
+// Every run, and every step of the deepening, must also leave the arena
+// holding exactly its queued candidates: a candidate the bounds or the
+// Pareto store reject is decided on its value and never takes a slot.
 func TestKernelsNeverRebase(t *testing.T) {
 	sc := new(Scratch)
 	for _, stream := range []struct {
@@ -305,21 +307,28 @@ func TestKernelsNeverRebase(t *testing.T) {
 			for _, opts := range []Options{{}, {DisableBounds: true}} {
 				slack := opts
 				slack.MaximizeSlack = true
-				for k, run := range []func() (*Result, error){
-					func() (*Result, error) { return fastPath(p, opts, sc, nil) },
-					func() (*Result, error) { return search(p, rbpScheme(p, c.T, twoQueue), opts, sc, nil) },
-					func() (*Result, error) { return search(p, rbpScheme(p, c.T, arrayQueues), opts, sc, nil) },
-					func() (*Result, error) { return search(p, rbpScheme(p, c.T, twoQueue), slack, sc, nil) },
-					func() (*Result, error) { return search(p, rbpScheme(p, c.T, arrayQueues), slack, sc, nil) },
-					func() (*Result, error) { return search(p, galsScheme(p, c.Ts, c.Tt), opts, sc, nil) },
+				for k, run := range []struct {
+					s    *scheme
+					opts Options
+				}{
+					{fastPathScheme(), opts},
+					{rbpScheme(p, c.T, twoQueue), opts},
+					{rbpScheme(p, c.T, arrayQueues), opts},
+					{rbpScheme(p, c.T, twoQueue), slack},
+					{rbpScheme(p, c.T, arrayQueues), slack},
+					{galsScheme(p, c.Ts, c.Tt), opts},
+					{newLatchScheme(p, c.T, p.tech().Latch(), 1), opts},
+					{newLatchScheme(p, c.T, p.tech().Latch(), 2), opts},
+					{newLatchScheme(p, c.T, p.tech().Latch(), 3), opts},
+					{newLatchScheme(p, c.T, p.tech().Latch(), 4), opts},
 				} {
 					sc.resetSearchState()
-					res, err := run()
+					res, err := search(p, run.s, run.opts, sc, nil, nil)
 					if err != nil && !errors.Is(err, ErrNoPath) {
 						t.Fatalf("seed %#x instance %d: %v", stream.seed, built-1, err)
 					}
 					if n := sc.Arena.Len(); n != res.Stats.Pushed {
-						t.Fatalf("seed %#x instance %d kernel %d (bounds off: %t): arena holds %d candidates, %d pushed",
+						t.Fatalf("seed %#x instance %d scheme %d (bounds off: %t): arena holds %d candidates, %d pushed",
 							stream.seed, built-1, k, opts.DisableBounds, n, res.Stats.Pushed)
 					}
 				}
@@ -335,7 +344,8 @@ func TestKernelsNeverRebase(t *testing.T) {
 // TestKernelsNeverRebase's arena check: with the Pareto stores off, every
 // candidate that passes the bounds is queued, and only those take a slot.
 // The coarse pitch keeps each segment's reach to a few edges, so the
-// unpruned searches stay small.
+// unpruned searches stay small. The latch router's deepening is checked
+// step by step up to the cycle count that routes.
 func TestArenaHoldsOnlyQueuedWithoutPruning(t *testing.T) {
 	g := grid.MustNew(8, 4, 2.0)
 	g.AddObstacle(geom.R(3, 1, 5, 3))
@@ -344,20 +354,30 @@ func TestArenaHoldsOnlyQueuedWithoutPruning(t *testing.T) {
 	opts := Options{DisablePruning: true}
 	slack := opts
 	slack.MaximizeSlack = true
-	for k, run := range []func() (*Result, error){
-		func() (*Result, error) { return search(p, rbpScheme(p, 250, twoQueue), opts, sc, nil) },
-		func() (*Result, error) { return search(p, rbpScheme(p, 250, arrayQueues), slack, sc, nil) },
-		func() (*Result, error) { return search(p, galsScheme(p, 300, 300), opts, sc, nil) },
-		func() (*Result, error) { return fastPath(p, opts, sc, nil) },
-	} {
+	check := func(name string, s *scheme, opts Options) error {
 		sc.resetSearchState()
-		res, err := run()
-		if err != nil {
-			t.Fatalf("kernel %d: %v", k, err)
+		res, err := search(p, s, opts, sc, nil, nil)
+		if err != nil && !errors.Is(err, ErrNoPath) {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if n := sc.Arena.Len(); n != res.Stats.Pushed || res.Stats.Pruned != 0 {
-			t.Fatalf("kernel %d: arena holds %d candidates, %d pushed, %d pruned",
-				k, n, res.Stats.Pushed, res.Stats.Pruned)
+			t.Fatalf("%s: arena holds %d candidates, %d pushed, %d pruned", name, n, res.Stats.Pushed, res.Stats.Pruned)
+		}
+		return err
+	}
+	for name, s := range map[string]*scheme{
+		"rbp": rbpScheme(p, 250, twoQueue), "gals": galsScheme(p, 300, 300), "fastpath": fastPathScheme(),
+	} {
+		if err := check(name, s, opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if err := check("rbp-array max slack", rbpScheme(p, 250, arrayQueues), slack); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; check(fmt.Sprintf("latch k=%d", k), newLatchScheme(p, 250, p.tech().Latch(), k), opts) != nil; k++ {
+		if k == 8 {
+			t.Fatal("latch: no route within 8 cycles")
 		}
 	}
 }

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"clockroute/internal/candidate"
 	"clockroute/internal/faultpoint"
 	"clockroute/internal/pqueue"
-	"clockroute/internal/tech"
 )
 
 // latencyEps groups Q* entries whose accumulated latencies differ only by
@@ -34,6 +34,9 @@ const (
 	// latencyHeap is Fig. 12's Q*: a heap keyed by accumulated latency l,
 	// drained one eps-bucketed wavefront at a time.
 	latencyHeap
+	// oneWave has no future queue: FastPath's single wave, which closes
+	// no segment into a register.
+	oneWave
 )
 
 // scheme is the clocking scheme a search runs under. Candidates start in
@@ -50,14 +53,22 @@ const (
 // into Q without a store check, while GALS bound-tests it against its
 // extracted wavefront and then runs it through the domain's store.
 // Swapping either changes RBP's effort counters (DESIGN.md).
+//
+// FastPath is the one-wave scheme: its domain has no period, and a source
+// close only updates the incumbent (the least close delay) until Q's least
+// key reaches it. The latch router's fixed-k search is a register-count
+// scheme whose candidates carry a deadline (latch.go).
 type scheme struct {
 	dom   [2]domain
-	nd    int // domains in use: 1 (RBP) or 2 (GALS)
+	nd    int // domains in use: 1 (RBP, FastPath, latches) or 2 (GALS)
 	queue queueKind
+	latch *latchScheme // the latch router's launch edge, slots and bound; nil otherwise
 }
 
 // maxSlack reports whether opts run s in RBP's max-slack mode.
-func (s *scheme) maxSlack(opts Options) bool { return opts.MaximizeSlack && s.queue != latencyHeap }
+func (s *scheme) maxSlack(opts Options) bool {
+	return opts.MaximizeSlack && (s.queue == twoQueue || s.queue == arrayQueues) && s.latch == nil
+}
 
 // rbpScheme is RBP's single domain of period T: segments close into a
 // register.
@@ -73,6 +84,33 @@ func galsScheme(p *Problem, Ts, Tt float64) *scheme {
 	kt, rt := closing(tc, true)
 	ks, rs := closing(tc, false)
 	return &scheme{dom: [2]domain{{Tt, kt, rt}, {Ts, ks, rs}}, nd: 2, queue: latencyHeap}
+}
+
+// fastPathScheme is FastPath's single wave: one domain of infinite
+// period, so no look-ahead or close test ever fails.
+func fastPathScheme() *scheme {
+	return &scheme{dom: [2]domain{{T: math.Inf(1)}}, nd: 1, queue: oneWave}
+}
+
+// FastPath finds the minimum Elmore-delay buffered path from the problem's
+// source to its sink, exploring all routing and buffer-insertion options
+// simultaneously (Zhou et al., Fig. 1 of the paper). The source and sink
+// are modeled as registers (g_s = g_t = r) so results are directly
+// comparable with RBP: the reported Latency is the full source-to-sink
+// delay including the driver delay and the sink setup.
+//
+// Completed solutions are tracked as an incumbent (the least source close
+// seen so far), not re-queued as marker candidates: the search ends when
+// Q's least key can no longer strictly beat the incumbent — every
+// completion from a queued candidate adds a strictly positive close on top
+// of its key. Value-identical markers from different parents would bypass
+// the Pareto store and make pop order shape-dependent; the incumbent keeps
+// pop order a pure function of live store-guarded candidates, which the
+// A*-equivalence argument requires.
+func FastPath(p *Problem, opts Options) (res *Result, err error) {
+	sc := getScratch()
+	defer containSearchPanic(sc, &res, &err)
+	return search(p, fastPathScheme(), opts, sc, nil, nil)
 }
 
 // RBP finds a feasible buffer-register path with the minimum cycle latency
@@ -100,9 +138,9 @@ func rbpQueues(p *Problem, T float64, opts Options, q queueKind) (res *Result, e
 	if T <= 0 {
 		return nil, fmt.Errorf("core: non-positive clock period %g", T)
 	}
-	sc := GetScratch()
+	sc := getScratch()
 	defer containSearchPanic(sc, &res, &err)
-	return search(p, rbpScheme(p, T, q), opts, sc, nil)
+	return search(p, rbpScheme(p, T, q), opts, sc, nil, nil)
 }
 
 // GALS finds a feasible MCFIFO path of minimum total latency
@@ -120,9 +158,9 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (res *Result, err error) {
 	if Ts <= 0 || Tt <= 0 {
 		return nil, fmt.Errorf("core: non-positive clock period (Ts=%g, Tt=%g)", Ts, Tt)
 	}
-	sc := GetScratch()
+	sc := getScratch()
 	defer containSearchPanic(sc, &res, &err)
-	return search(p, galsScheme(p, Ts, Tt), opts, sc, nil)
+	return search(p, galsScheme(p, Ts, Tt), opts, sc, nil, nil)
 }
 
 // engine is the state of one wavefront search: the pruning stores, the
@@ -136,6 +174,7 @@ type engine struct {
 	sc       *Scratch
 	res      *Result
 	maxSlack bool // RBP's max-slack mode
+	drain    bool // an arrival does not end the search: max-slack and FastPath
 
 	// win non-nil = this run is the one-path incumbent probe; bd non-nil =
 	// the run prunes candidates that cannot finish within the incumbent.
@@ -144,7 +183,7 @@ type engine struct {
 
 	q        *pqueue.Heap[*candidate.Candidate] // the current wave, keyed by delay
 	stores   [2]*candidate.Store                // same-wave dominance per domain
-	seeds    *candidate.Store                   // max-slack register-seed dedup
+	seeds    *candidate.Store                   // tri-store seed dedup (max slack, latches)
 	regDone  [2]*nodeFlags                      // A_z(v)
 	fifoDone *nodeFlags                         // F(v)
 
@@ -163,12 +202,18 @@ type arrival struct {
 
 // search runs the wavefront DP under s on borrowed scratch memory;
 // everything the result carries is copied out before the caller releases
-// sc. A failed search returns its result with ErrNoPath, so a probe can
-// count its effort.
-func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*Result, error) {
+// sc. res, when not nil, is the result to fill: its Stats carry on, as
+// the latch router's deepening needs for its effort and abort budget. A
+// failed search returns its result with ErrNoPath, so a probe can count
+// its effort.
+func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, res *Result) (*Result, error) {
 	start := time.Now()
-	e := &engine{p: p, s: s, opts: opts, sc: sc, res: &Result{}, win: win,
+	if res == nil {
+		res = &Result{}
+	}
+	e := &engine{p: p, s: s, opts: opts, sc: sc, res: res, win: win,
 		maxSlack: s.maxSlack(opts)}
+	e.drain = e.maxSlack || s.queue == oneWave
 	if !opts.DisableBounds {
 		var err error
 		if e.bd, e.res.Stats.ProbeConfigs, err = s.bound(p, opts, sc); err != nil {
@@ -177,34 +222,44 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 	}
 	// Content-determined pop order among equal keys; see bounds.go.
 	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
-	sc.SetPackedTie(!opts.DisablePackedTie)
+	sc.setPackedTie(!opts.DisablePackedTie)
 	n := p.Grid.NumNodes()
+	// Max-slack stores are slack-aware: a worse-delay candidate may
+	// survive for its better sink slack; latch stores keep a later
+	// deadline the same way.
+	tri := e.maxSlack || s.latch != nil
 	for z := 0; z < s.nd; z++ {
 		// Candidates of different domains are never compared (Section
-		// IV-B, point 2). Max-slack stores are slack-aware: a worse-delay
-		// candidate may survive for its better sink slack.
-		e.stores[z] = sc.PrepStore(z, n, e.maxSlack)
+		// IV-B, point 2).
+		e.stores[z] = sc.prepStore(z, n, tri)
 		e.regDone[z] = sc.prepFlags(z, n)
 	}
 	if s.nd == 2 {
 		e.fifoDone = sc.prepFlags(2, n)
 	}
-	if e.maxSlack {
-		e.seeds = sc.PrepStore(1, n, true)
+	if tri {
+		e.seeds = sc.prepStore(1, n, true)
 	}
 	e.q = &sc.Q
 	if s.queue == arrayQueues {
-		e.q = sc.Wave(0)
+		e.q = sc.wave(0)
 	}
 
 	e.openWave()
 	init := p.initialCandidate() // (C(r), Setup(r), m', t), z = 0, l = 0
-	if e.admit(init.Node, 0, init.C, init.D, &e.cur) {
-		e.enter(&init)
+	st := e.stores[0]
+	if s.latch != nil {
+		// The sink's setup is its deadline, and its candidate is wave 0's
+		// seed: latch seeds are store-checked apart from their wave.
+		init.D, init.Slack, st = 0, -init.D, e.seeds
+	}
+	if e.admit(init.Node, 0, init.C, init.D, init.Slack, &e.cur) {
+		e.enter(st, &init)
 	}
 
 	// In max-slack mode the winning wave is drained completely and the
-	// best-slack arrival wins; otherwise the first arrival is returned.
+	// best-slack arrival wins; FastPath keeps the least close delay until
+	// Q's least key reaches it; otherwise the first arrival is returned.
 	var best *arrival
 	for {
 		if e.q.Len() == 0 {
@@ -212,6 +267,11 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 				break
 			}
 			continue
+		}
+		if best != nil && s.queue == oneWave {
+			if key, _, _ := e.q.Peek(); key >= best.srcDelay {
+				break
+			}
 		}
 		_, c, _ := e.q.Pop()
 		e.queued--
@@ -222,19 +282,22 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags) (*
 		if err != nil {
 			return nil, err
 		}
-		if arr != nil {
-			if !e.maxSlack {
-				return e.close(arr, start), nil
-			}
-			if best == nil || arr.slack > best.slack {
+		switch {
+		case arr == nil:
+		case !e.drain:
+			return e.close(arr, start), nil
+		case s.queue == oneWave:
+			if best == nil || arr.srcDelay < best.srcDelay {
 				best = arr
 			}
+		case best == nil || arr.slack > best.slack:
+			best = arr
 		}
 	}
 	if best != nil {
 		return e.close(best, start), nil
 	}
-	e.res.Stats.Killed = e.killed()
+	e.res.Stats.Killed += e.killed()
 	e.res.Stats.Elapsed = time.Since(start)
 	return e.res, ErrNoPath
 }
@@ -259,19 +322,23 @@ func (e *engine) killed() int {
 func (e *engine) advance() bool {
 	sc := e.sc
 	switch e.s.queue {
+	case oneWave:
+		return false
 	case twoQueue, arrayQueues:
 		// Infeasibility cutoff. A feasible minimum-register solution needs
 		// at most NumNodes waves (the single-shot A(v) marking gives each
 		// wave a distinct register node, and max-slack mode agrees with
-		// plain mode on feasibility and minimum wave). In max-slack mode,
-		// however, the per-wave store epochs re-admit identical register
-		// seeds every wave, so an infeasible cyclic instance would
-		// otherwise reproduce wave N as wave N+1 forever.
-		if e.wave >= e.p.Grid.NumNodes() {
+		// plain mode on feasibility and minimum wave, so only max-slack
+		// mode can reach the cutoff). In max-slack mode, however, the
+		// per-wave store epochs re-admit identical register seeds every
+		// wave, so an infeasible cyclic instance would otherwise reproduce
+		// wave N as wave N+1 forever. The latch router's waves end at its
+		// last half-period slot.
+		if e.maxSlack && e.wave >= e.p.Grid.NumNodes() {
 			return false
 		}
 		if e.s.queue == arrayQueues {
-			if next := sc.Wave(e.wave + 1); next.Len() > 0 {
+			if next := sc.wave(e.wave + 1); next.Len() > 0 {
 				e.q = next
 				break
 			}
@@ -303,8 +370,8 @@ func (e *engine) advance() bool {
 		// An extracted seed enters Q as a copy: its Q* slot counted as one
 		// push, and its kept copy in Q is another.
 		for _, c := range sc.Buf {
-			if e.admit(c.Node, c.Z, c.C, c.D, &e.cur) {
-				e.enter(c)
+			if e.admit(c.Node, c.Z, c.C, c.D, c.Slack, &e.cur) {
+				e.enter(e.stores[c.Z], c)
 			}
 		}
 	}
@@ -314,12 +381,16 @@ func (e *engine) advance() bool {
 // openWave starts the current wave: it counts and traces the wave and
 // sets the bound state for it and, for register-count waves, whose
 // seeds are bound-tested when emitted, for the next one. The tracer sees
-// an RBP wave at the latency T×(wave+1) of a solution found in it and a
-// GALS wavefront at its accumulated l.
+// an RBP wave at the latency T×(wave+1) of a solution found in it, a
+// latch wave at k·T, FastPath's one wave at +Inf and a GALS wavefront at
+// its accumulated l.
 func (e *engine) openWave() {
 	e.res.Stats.Waves++
 	T, lat := e.s.dom[0].T, e.l
-	if e.s.queue != latencyHeap {
+	switch {
+	case e.s.latch != nil:
+		lat = -e.s.latch.launch
+	case e.s.queue != latencyHeap:
 		lat = T * float64(e.wave+1)
 	}
 	if e.opts.Trace != nil {
@@ -327,6 +398,8 @@ func (e *engine) openWave() {
 	}
 	switch {
 	case e.bd == nil:
+	case e.bd.flat != nil:
+		e.cur, e.next = *e.bd.flat, *e.bd.flat
 	case e.s.queue == latencyHeap:
 		e.cur = e.bd.spans(e.l)
 	default:
@@ -336,21 +409,23 @@ func (e *engine) openWave() {
 
 // admit runs the bound tests on a candidate's scalars, before it is even
 // built: the probe window, and under the bound state w of the candidate's
-// wave the delay-aware bound and, in the probe's wave, the key test.
-func (e *engine) admit(v int32, z uint8, c, d float64, w *waveBound) bool {
+// wave the delay-aware bound and, in a keyed wave, the key or deadline
+// test.
+func (e *engine) admit(v int32, z uint8, c, d, slack float64, w *waveBound) bool {
 	faultpoint.Must("core.wave_push")
 	if (e.win != nil && !e.win.Has(int(v))) || (e.bd != nil && e.bd.prune(v, z, c, d, w.span[z])) ||
-		(w.keyed[z] && e.bd.keyPrune(v, d)) {
+		(w.keyed[z] && e.bd.keyPrune(v, d, slack)) {
 		e.res.Stats.BoundPruned++
 		return false
 	}
 	return true
 }
 
-// enter dominance-checks an admitted candidate against its domain's store
-// and queues its arena copy in the current wave.
-func (e *engine) enter(c *candidate.Candidate) {
-	if p := e.keep(e.stores[c.Z], c); p != nil {
+// enter dominance-checks an admitted candidate against st (its domain's
+// store, or the latch router's seed store for the sink's candidate) and
+// queues its arena copy in the current wave.
+func (e *engine) enter(st *candidate.Store, c *candidate.Candidate) {
+	if p := e.keep(st, c); p != nil {
 		e.q.Push(p.D, p)
 		e.pushed()
 	}
@@ -378,15 +453,15 @@ func (e *engine) pushed() {
 	}
 }
 
-// seed queues the candidate that opens a new segment in domain z at c's
-// node behind el — a register or the FIFO — for a later wave; its latency
-// grows by the period of the segment el closes.
-func (e *engine) seed(c *candidate.Candidate, el tech.Element, gate candidate.Gate, z uint8, slack float64) {
-	if e.s.queue != latencyHeap && !e.admit(c.Node, z, el.C, el.Setup, &e.next) {
+// seed queues the candidate (cIn, d) that opens a new segment in domain
+// z at c's node behind gate — a register, the FIFO or a latch — for a
+// later wave; its latency grows by the period of the segment gate closes.
+func (e *engine) seed(c *candidate.Candidate, cIn, d float64, gate candidate.Gate, z uint8, slack float64) {
+	if e.s.queue != latencyHeap && !e.admit(c.Node, z, cIn, d, slack, &e.next) {
 		return
 	}
 	s := e.keep(e.seeds, &candidate.Candidate{
-		C: el.C, D: el.Setup, Slack: slack, L: c.L + e.s.dom[c.Z].T, Node: c.Node,
+		C: cIn, D: d, Slack: slack, L: c.L + e.s.dom[c.Z].T, Node: c.Node,
 		Gate: gate, Z: z, Regs: c.Regs + 1, Parent: c,
 	})
 	if s == nil {
@@ -396,7 +471,7 @@ func (e *engine) seed(c *candidate.Candidate, el tech.Element, gate candidate.Ga
 	case twoQueue:
 		e.sc.Buf = append(e.sc.Buf, s)
 	case arrayQueues:
-		e.sc.Wave(e.wave+1).Push(s.D, s)
+		e.sc.wave(e.wave+1).Push(s.D, s)
 	case latencyHeap:
 		e.sc.QStar.Push(s.L, s)
 	}
@@ -405,8 +480,8 @@ func (e *engine) seed(c *candidate.Candidate, el tech.Element, gate candidate.Ga
 
 // expand pops one candidate (Fig. 5 steps 4-8, Fig. 12 steps 4-9): checks
 // the source close, returning the arrival when the path closes feasibly,
-// and generates the edge, buffer, register and FIFO successors. A non-nil
-// error (wrapping ErrAborted) stops the search.
+// and generates the edge, buffer, register (or latch) and FIFO
+// successors. A non-nil error (wrapping ErrAborted) stops the search.
 func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	p, g, m := e.p, e.p.Grid, e.p.Model
 	tc := p.tech()
@@ -424,17 +499,19 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	dom := e.s.dom[z]
 
 	// Step 4: a feasible close at the source in the accepting domain ends
-	// the search; wave ordering guarantees minimal latency.
+	// the search; wave ordering guarantees minimal latency. A latch
+	// path's source register, launching at −k·T, must meet the deadline.
 	var arr *arrival
+	ls := e.s.latch
 	if u == p.Source && int(z) == e.s.nd-1 {
-		if d2 := m.DriveInto(reg, c.C, c.D); d2 <= dom.T {
+		if d2 := m.DriveInto(reg, c.C, c.D); d2 <= dom.T && ls.meets(d2, c.Slack) {
 			slack := c.Slack + (dom.T - d2)
 			if c.Regs == 0 {
 				// Single segment: source and sink slacks coincide.
 				slack = 2 * (dom.T - d2)
 			}
 			arr = &arrival{final: c, srcDelay: d2, slack: slack}
-			if !e.maxSlack {
+			if !e.drain {
 				return arr, nil
 			}
 		}
@@ -442,16 +519,17 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 
 	// Step 5: extend across each live edge. The feasibility look-ahead
 	// d' ≤ T − K − R·c' discards expansions that no element of the domain
-	// could ever close within its period.
+	// could ever close within its period; a latch candidate past its
+	// deadline can never recover (the deadline only shrinks).
 	ec, ed := m.AddEdge(c.C, c.D)
 	limit := dom.T
 	if !e.opts.DisableLookahead {
 		limit = dom.T - dom.K - dom.R*ec
 	}
-	if ed <= limit {
+	if ed <= limit && ls.meets(ed, c.Slack) {
 		g.ForNeighbors(u, func(v int) {
-			if e.admit(int32(v), z, ec, ed, &e.cur) {
-				e.enter(&candidate.Candidate{
+			if e.admit(int32(v), z, ec, ed, c.Slack, &e.cur) {
+				e.enter(e.stores[z], &candidate.Candidate{
 					C: ec, D: ed, Slack: c.Slack, L: c.L, Node: int32(v),
 					Gate: candidate.GateNone, Z: z, Regs: c.Regs, Parent: c,
 				})
@@ -473,14 +551,22 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	}
 	for bi := range tc.Buffers {
 		c2, d2 := m.AddGate(tc.Buffers[bi], c.C, c.D)
-		if d2 <= limit && e.admit(c.Node, z, c2, d2, &e.cur) {
-			e.enter(&candidate.Candidate{
+		if d2 <= limit && ls.meets(d2, c.Slack) && e.admit(c.Node, z, c2, d2, c.Slack, &e.cur) {
+			e.enter(e.stores[z], &candidate.Candidate{
 				C: c2, D: d2, Slack: c.Slack, L: c.L, Node: c.Node,
 				Gate: candidate.Gate(bi), Z: z, Regs: c.Regs, Parent: c,
 			})
 		}
 	}
-	if !g.RegisterInsertable(u) {
+	if !g.RegisterInsertable(u) || e.s.queue == oneWave {
+		return arr, nil
+	}
+	// Step 8 of the latch router: a latch in the next half-period slot
+	// opens the next wave.
+	if ls != nil {
+		if deadline, ok := ls.slot(c); ok {
+			e.seed(c, ls.el.C, 0, candidate.GateLatch, 0, deadline)
+		}
 		return arr, nil
 	}
 
@@ -497,7 +583,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 			if c.Regs == 0 && e.s.queue != latencyHeap {
 				slack = dom.T - d2 // the sink-adjacent segment just closed
 			}
-			e.seed(c, reg, candidate.GateRegister, z, slack)
+			e.seed(c, reg.C, reg.Setup, candidate.GateRegister, z, slack)
 		}
 	}
 
@@ -505,24 +591,27 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	// on a path, and at most one candidate per node ever carries it (F(v)).
 	if int(z)+1 < e.s.nd && !e.fifoDone.Has(u) && m.DriveInto(tc.FIFO, c.C, c.D) <= dom.T {
 		e.fifoDone.Set(u)
-		e.seed(c, tc.FIFO, candidate.GateFIFO, z+1, c.Slack)
+		e.seed(c, tc.FIFO.C, tc.FIFO.Setup, candidate.GateFIFO, z+1, c.Slack)
 	}
 	return arr, nil
 }
 
 // close fills the result of a search ending at arrival a. The probe reads
 // only the latency and the arrival key, so windowed runs skip path
-// reconstruction.
+// reconstruction. A latch search's latency is its deepening's k·T.
 func (e *engine) close(a *arrival, start time.Time) *Result {
 	res := e.res
-	if e.s.queue == latencyHeap {
+	switch e.s.queue {
+	case latencyHeap:
 		res.Latency = a.final.L + e.s.dom[e.s.nd-1].T
-	} else {
+	case oneWave:
+		res.Latency = a.srcDelay
+	default:
 		res.Latency = e.s.dom[0].T * float64(e.wave+1)
 		res.SlackPS = a.slack
 	}
 	res.SourceDelay = a.srcDelay
-	res.Stats.Killed = e.killed()
+	res.Stats.Killed += e.killed()
 	res.Stats.Elapsed = time.Since(start)
 	if e.win == nil {
 		e.p.finish(a.final, res)

@@ -2,8 +2,14 @@ package latch
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"clockroute/internal/core"
@@ -238,15 +244,19 @@ func TestLatchCyclesMonotoneWithDistance(t *testing.T) {
 	}
 }
 
-// Randomized property: latch routes on arbitrary blockage maps always pass
-// the forward-simulation verifier and never beat the information-theoretic
-// lower bound. The deepening, bounds on and off, also runs on one fresh
-// scratch whose wave heaps must never rebase: every key pushed into a wave
-// is a popped delay plus a non-negative Elmore term, or a fresh latch's
-// zero delay in a wave not yet drained.
-func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
+// latchTrial is one of TestLatchRandomInstancesAlwaysVerify's instances.
+type latchTrial struct {
+	n int // the draw's index, skipped draws included
+	g *grid.Grid
+	p *core.Problem
+	T float64
+}
+
+// latchTrials draws the random blockage maps of
+// TestLatchRandomInstancesAlwaysVerify, also pinned by TestLatchStatsGolden.
+func latchTrials(t *testing.T) []latchTrial {
 	rng := rand.New(rand.NewSource(42))
-	sc := new(core.Scratch)
+	var out []latchTrial
 	for trial := 0; trial < 25; trial++ {
 		g := grid.MustNew(14+rng.Intn(10), 6+rng.Intn(6), 0.5)
 		for i := 0; i < 2+rng.Intn(3); i++ {
@@ -263,9 +273,32 @@ func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 		if !g.RegisterInsertable(g.ID(src)) || !g.RegisterInsertable(g.ID(dst)) {
 			continue
 		}
-		p := problemOn(t, g, src, dst)
-		T := 200 + rng.Float64()*600
+		out = append(out, latchTrial{n: trial, g: g, p: problemOn(t, g, src, dst), T: 200 + rng.Float64()*600})
+	}
+	return out
+}
+
+// answer renders a routed latch result without its effort, or the error.
+func answer(res *Result, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("latency=%s cycles=%d latches=%d buffers=%d path=%v %s",
+		strconv.FormatFloat(res.LatencyPS, 'g', -1, 64), res.Cycles, res.Latches, res.Buffers,
+		res.Path.Nodes, res.Path)
+}
+
+// Randomized property: latch routes on arbitrary blockage maps always pass
+// the forward-simulation verifier, never beat the information-theoretic
+// lower bound, and are the same with the bounds on and off. (The core
+// package checks the latch scheme's wave heaps and arena.)
+func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
+	for _, tr := range latchTrials(t) {
+		trial, g, p, T := tr.n, tr.g, tr.p, tr.T
 		res, err := Route(p, T, latchElem(), 16, core.Options{})
+		if unb := answer(Route(p, T, latchElem(), 16, core.Options{DisableBounds: true})); unb != answer(res, err) {
+			t.Fatalf("trial %d T=%.0f: bounds change the answer\nbounds on  %s\nbounds off %s", trial, T, answer(res, err), unb)
+		}
 		if err != nil {
 			continue
 		}
@@ -276,13 +309,45 @@ func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 		if err == nil && res.LatencyPS < math.Ceil(fp.Latency/T)*T-1e-6 {
 			t.Fatalf("trial %d: latency %g beats lower bound from fastpath %g", trial, res.LatencyPS, fp.Latency)
 		}
+	}
+}
+
+// TestLatchStatsGolden pins the answer and the whole effort (every Stats
+// field but Elapsed) of Route on TestLatchRandomInstancesAlwaysVerify's
+// trials, bounds on and off, against testdata/latch-stats.golden.
+func TestLatchStatsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, tr := range latchTrials(t) {
 		for _, opts := range []core.Options{{}, {DisableBounds: true}} {
-			if _, err := deepen(p, T, latchElem(), 16, opts, sc); err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opts, err)
+			res, err := Route(tr.p, tr.T, latchElem(), 16, opts)
+			fmt.Fprintf(&b, "%d bounds=%t: %s", tr.n, !opts.DisableBounds, answer(res, err))
+			if err == nil {
+				v := reflect.ValueOf(res.Stats)
+				for i := 0; i < v.NumField(); i++ {
+					if name := v.Type().Field(i).Name; name != "Elapsed" {
+						fmt.Fprintf(&b, " %s=%v", name, v.Field(i).Interface())
+					}
+				}
 			}
+			b.WriteString("\n")
 		}
-		if n := sc.Rebases(); n != 0 {
-			t.Fatalf("trial %d: %d wave-heap rebases", trial, n)
+	}
+	got := b.String()
+	raw, err := os.ReadFile(filepath.Join("testdata", "latch-stats.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(raw), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("latch-stats.golden: line %d differs\n got: %s\nwant: %s", i+1, gl, wl)
 		}
 	}
 }
