@@ -36,9 +36,10 @@ shuffle:
 # file through the /v1/plan one) and the NDJSON request-stream decoder,
 # each against its encoding/json reference, every decode mode of the
 # wire codec on every api type against encoding/json, the client's
-# streamed-result line reader against its reference, plus the canonical
-# hash, the kernels' priority queue against a sorted-slice oracle, and
-# the kernels' differential fuzzer.
+# streamed-result line reader against its reference, the result cache's
+# snapshot segment reader (routed replays -cache-dir at boot), plus the
+# canonical hash, the kernels' priority queue against a sorted-slice
+# oracle, and the kernels' differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
 # crasher fails the target. Regexes are anchored because ./api hosts five
 # fuzz functions and `go test -fuzz` demands a unique match.
@@ -54,6 +55,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZTIME) ./client
 	go test -run xxx -fuzz '^FuzzCanonicalHash$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzRouteDifferential$$' -fuzztime $(FUZZTIME) ./internal/core
+	go test -run xxx -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/resultcache
 
 # Fault-injection battery under the race detector: the faultpoint
 # registry's own tests, the chaos suite (panic containment, scratch
@@ -93,7 +95,9 @@ bench:
 # Allocation/latency trajectory of the search core: the headline RBP,
 # FastPath and GALS single-search benchmarks, the one-register RBP and GALS
 # searches, the batch of short route-cold-shaped searches (where per-search
-# set-up is a large share), plus the parallel planner
+# set-up is a large share; its DroppedPool row runs each pass on a fresh
+# pooled Scratch, as after the GCs that empty the service's pool), plus
+# the parallel planner
 # batch, the planner's full wire-width ladder and the latch router's
 # iterative deepening, with allocation reporting,
 # recorded as JSON so future PRs can
@@ -103,7 +107,7 @@ bench:
 # noisy at 10); the planner batches and the latch row (about 1.4 s a
 # search) stay at 10 to keep the target fast.
 bench-core:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$' -benchmem -benchtime 50x -json . > BENCH_core.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkShortSearchesDroppedPool$$' -benchmem -benchtime 50x -json . > BENCH_core.json
 	go test -run xxx -bench 'BenchmarkPlanner_ParallelVsSerial$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchmem -benchtime 10x -json . >> BENCH_core.json
 	@grep -o '"Output":"[^"]*/op[^"]*' BENCH_core.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 
@@ -117,8 +121,8 @@ bench-cache:
 
 # Perf-regression gate: rerun the headline RBP, FastPath and GALS benchmarks,
 # the one-register RBP and GALS searches (where the probe's arrival-key
-# bound does most of the pruning), the batch of short searches,
-# plus the serial batch-planner, wire-width-ladder and latch-router rows
+# bound does most of the pruning), the batch of short searches (warm and
+# on a dropped pool), plus the serial batch-planner, wire-width-ladder and latch-router rows
 # into a local (gitignored) JSON stream and
 # compare them against the checked-in BENCH_core.json — >5% configs/op or
 # probe_configs/op regression or any routed-result drift (registers/op,
@@ -126,7 +130,7 @@ bench-cache:
 # fingerprint: it would have caught the heap tie-ordering tax that once
 # landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkShortSearchesDroppedPool$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchtime 10x -json . > bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"clockroute/api"
@@ -549,13 +550,29 @@ func shortSearchBatch(b *testing.B) ([]*core.Problem, []core.Request) {
 // configs each, so per-search set-up (the BFS, the probe, the bound
 // tables) is a large share of their time, unlike the single large
 // searches of the rows above. The metrics sum over the batch.
-func BenchmarkShortSearches(b *testing.B) {
+func BenchmarkShortSearches(b *testing.B) { benchShortSearches(b, false) }
+
+// BenchmarkShortSearchesDroppedPool routes BenchmarkShortSearches' batch
+// after two forced GCs before each pass, timer stopped. The first GC moves
+// the pooled Scratch to the pool's victim cache and the second drops it,
+// which is what the collector does to the service's pool between
+// requests, so each pass prices a fresh Scratch's warm-up on top of the
+// same searches.
+func BenchmarkShortSearchesDroppedPool(b *testing.B) { benchShortSearches(b, true) }
+
+func benchShortSearches(b *testing.B, dropPool bool) {
 	probs, reqs := shortSearchBatch(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	var configs, probeConfigs, regs int
 	var lat float64
 	for n := 0; n < b.N; n++ {
+		if dropPool {
+			b.StopTimer()
+			runtime.GC()
+			runtime.GC()
+			b.StartTimer()
+		}
 		configs, probeConfigs, regs, lat = 0, 0, 0, 0
 		for i, p := range probs {
 			res, err := core.Route(ctx, p, reqs[i])

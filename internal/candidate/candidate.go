@@ -13,6 +13,8 @@ package candidate
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"clockroute/internal/faultpoint"
 )
@@ -126,51 +128,24 @@ func (a *Arena) Reset() {
 	a.cur, a.used = 0, 0
 }
 
-// frontier is one node's Pareto set in struct-of-arrays layout: the hot
-// dominance keys (c, d, and slack in tri mode) live in parallel float64
-// slices scanned linearly or binary-searched per insertion, while the
-// candidate pointers are touched only to mark kills or reconstruct paths.
-// Keeping the keys out of the 56-byte Candidate structs means an Insert
-// walks densely packed floats instead of chasing one pointer per compare.
-type frontier struct {
-	c, d  []float64
-	slack []float64 // maintained in tri mode only
-	cand  []*Candidate
+// key is one frontier entry's 2-D dominance keys, side by side so a
+// binary search on c reads its d from the same cache line.
+type key struct{ c, d float64 }
+
+// run is one node's frontier: entries [off, off+n) of the store's pools,
+// inside a slot of room entries. stamp is the epoch the entries belong to.
+type run struct {
+	off, n, room, stamp int32
 }
 
-// reset empties the frontier, keeping capacity.
-func (fr *frontier) reset() {
-	fr.c, fr.d = fr.c[:0], fr.d[:0]
-	fr.slack, fr.cand = fr.slack[:0], fr.cand[:0]
-}
-
-// replace splices c over entries [start, end) of the sorted 2-D frontier,
-// mirroring the splice across every parallel slice.
-func (fr *frontier) replace(start, end int, c *Candidate) {
-	n := len(fr.c)
-	if end == start {
-		fr.c = append(fr.c, 0)
-		copy(fr.c[start+1:], fr.c[start:n])
-		fr.c[start] = c.C
-		fr.d = append(fr.d, 0)
-		copy(fr.d[start+1:], fr.d[start:n])
-		fr.d[start] = c.D
-		fr.cand = append(fr.cand, nil)
-		copy(fr.cand[start+1:], fr.cand[start:n])
-		fr.cand[start] = c
-		return
-	}
-	m := n - (end - start) + 1
-	fr.c[start] = c.C
-	copy(fr.c[start+1:], fr.c[end:n])
-	fr.c = fr.c[:m]
-	fr.d[start] = c.D
-	copy(fr.d[start+1:], fr.d[end:n])
-	fr.d = fr.d[:m]
-	fr.cand[start] = c
-	copy(fr.cand[start+1:], fr.cand[end:n])
-	fr.cand = fr.cand[:m]
-}
+// minRoom is the room of a node's first slot; a full run moves to a slot
+// of twice its room. Rooms are powers of two from minRoom up, so slot
+// sizes fall into a few classes and a moved-out slot fits any later run
+// of its class.
+const (
+	minShift = 2
+	minRoom  = 1 << minShift
+)
 
 // Store keeps, for every grid node, the Pareto frontier of live candidates
 // seen in the current pruning epoch. An entry (c1,d1) is inferior to
@@ -179,10 +154,27 @@ func (fr *frontier) replace(start, end int, c *Candidate) {
 // RBP and GALS must only compare candidates with the same register count /
 // wavefront latency (Section III), so the store supports O(1) epoch resets:
 // NextEpoch invalidates all frontiers lazily via a per-node stamp.
+//
+// Frontiers are struct-of-arrays runs over store-wide pools: the hot
+// dominance keys (c and d in keys, slack in tri mode) are scanned or
+// binary-searched per insertion, while the candidate pointers in cands are
+// touched only to mark kills or reconstruct paths. Keeping the keys out of
+// the 56-byte Candidate structs means an Insert walks densely packed floats
+// instead of chasing one pointer per compare. A node holds a 16-byte run
+// header and no memory of its own, so what a store allocates depends on
+// how large one search's frontiers grow, not on which node IDs they sit at.
 type Store struct {
-	nodes []frontier
-	stamp []int32
-	cur   int32
+	runs []run
+	cur  int32 // the current epoch
+	base int32 // the epoch Reuse opened: an older stamp holds no slot
+
+	keys  []key
+	slack []float64 // maintained in tri mode only
+	cands []*Candidate
+	// free[k] lists the offsets of moved-out slots of room minRoom<<k,
+	// recycled by the next run of this search that needs one; k runs up
+	// to the largest power of two an int32 room holds.
+	free [31 - minShift][]int32
 
 	// tri switches to three-dimensional dominance (c, d, and Slack):
 	// a candidate is inferior only if its slack is also no better. Used by
@@ -197,11 +189,7 @@ type Store struct {
 
 // NewStore returns a store covering nodes [0, n).
 func NewStore(n int) *Store {
-	return &Store{
-		nodes: make([]frontier, n),
-		stamp: make([]int32, n),
-		cur:   1,
-	}
+	return &Store{runs: make([]run, n), cur: 1, base: 1}
 }
 
 // NewTriStore returns a store covering nodes [0, n) that prunes on
@@ -215,38 +203,96 @@ func NewTriStore(n int) *Store {
 // NextEpoch starts a new pruning epoch: every node's frontier becomes
 // logically empty. Existing candidates are untouched (they belong to queues
 // of earlier waves, which are already drained when RBP/GALS call this).
+// Each run keeps its slot, so a node that grew in an earlier wave of the
+// search does not grow again.
 func (s *Store) NextEpoch() { s.cur++ }
 
 // Reuse prepares the store for a fresh search covering nodes [0, n) in the
-// given dominance mode, growing the node arrays as needed and invalidating
-// every frontier with an epoch bump instead of reallocating. The diagnostic
-// counters restart from zero. Pooled stores (core.Scratch) call this
-// between searches so frontier list capacity is retained across the
-// thousands of searches of a batch.
+// given dominance mode, growing the run headers as needed and invalidating
+// every frontier with an epoch bump instead of reallocating. It cuts the
+// pools and free lists back to empty, keeping their capacity, so every
+// slot is handed out anew: the store allocates again only when a search
+// outgrows every search it has served. The diagnostic counters restart
+// from zero. Pooled stores (core.Scratch) call this between searches.
 func (s *Store) Reuse(n int, tri bool) {
-	if len(s.stamp) < n {
-		s.nodes = append(s.nodes, make([]frontier, n-len(s.nodes))...)
-		s.stamp = append(s.stamp, make([]int32, n-len(s.stamp))...)
+	if len(s.runs) < n {
+		s.runs = append(s.runs, make([]run, n-len(s.runs))...)
 	}
 	s.tri = tri
+	s.keys, s.slack, s.cands = s.keys[:0], s.slack[:0], s.cands[:0]
+	for k := range s.free {
+		s.free[k] = s.free[k][:0]
+	}
 	// Guard the epoch counter against wrap on very long-lived pooled
 	// stores: restart stamps from zero well before overflow.
 	if s.cur >= math.MaxInt32-(1<<20) {
-		clear(s.stamp)
+		clear(s.runs)
 		s.cur = 0
 	}
 	s.cur++
+	s.base = s.cur
 	s.inserted, s.rejected, s.killed = 0, 0, 0
 }
 
-// node returns the current-epoch frontier for node v, resetting it lazily.
-func (s *Store) node(v int32) *frontier {
-	fr := &s.nodes[v]
-	if s.stamp[v] != s.cur {
-		s.stamp[v] = s.cur
-		fr.reset()
+// node returns node v's current-epoch run, emptying it lazily. A run last
+// used by an earlier search also loses its slot: Reuse handed the pools
+// out anew.
+func (s *Store) node(v int32) *run {
+	r := &s.runs[v]
+	if r.stamp != s.cur {
+		if r.stamp < s.base {
+			r.off, r.room = 0, 0
+		}
+		r.n, r.stamp = 0, s.cur
 	}
-	return fr
+	return r
+}
+
+// move gives the full run r a slot of twice its room (minRoom for a run
+// without one), copies its entries over and frees the old slot.
+func (s *Store) move(r *run) {
+	room := max(2*r.room, minRoom)
+	off := s.take(room)
+	from, to, n := int(r.off), int(off), int(r.n)
+	copy(s.keys[to:to+n], s.keys[from:from+n])
+	copy(s.cands[to:to+n], s.cands[from:from+n])
+	if s.tri {
+		copy(s.slack[to:to+n], s.slack[from:from+n])
+	}
+	if r.room > 0 {
+		k := roomClass(r.room)
+		s.free[k] = append(s.free[k], r.off)
+	}
+	r.off, r.room = off, room
+}
+
+// take returns the offset of a free slot of room entries: a moved-out slot
+// of that room if the search has one, else fresh entries at the pools' end.
+func (s *Store) take(room int32) int32 {
+	k := roomClass(room)
+	if f := s.free[k]; len(f) > 0 {
+		s.free[k] = f[:len(f)-1]
+		return f[len(f)-1]
+	}
+	off := int32(len(s.keys))
+	s.keys = extend(s.keys, int(room))
+	s.cands = extend(s.cands, int(room))
+	if s.tri {
+		s.slack = extend(s.slack, int(room))
+	}
+	return off
+}
+
+// roomClass is the free-list index of a slot of room entries.
+func roomClass(room int32) int {
+	return bits.TrailingZeros32(uint32(room)) - minShift
+}
+
+// extend lengthens p by n entries, growing its capacity as append does.
+// The new entries are not cleared: a slot's entries past its run's length
+// are never read.
+func extend[T any](p []T, n int) []T {
+	return slices.Grow(p, n)[:len(p)+n]
 }
 
 // Insert offers c to its node's frontier. The dominance test runs on c's
@@ -260,23 +306,24 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	if s.tri {
 		return s.insertTri(a, c)
 	}
-	fr := s.node(c.Node)
-	cs, ds := fr.c, fr.d
+	r := s.node(c.Node)
+	off, n := int(r.off), int(r.n)
+	ks, cs := s.keys[off:off+n], s.cands[off:off+n]
 
 	// Upper bound: first index with C strictly greater than c.C. The
 	// frontier is sorted by C ascending with D strictly descending, so the
 	// predecessor (if any) has C <= c.C and the smallest D among those.
-	lo, hi := 0, len(cs)
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if cs[mid] <= c.C {
+		if ks[mid].c <= c.C {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	pos := lo
-	if pos > 0 && ds[pos-1] <= c.D {
+	if pos > 0 && ks[pos-1].d <= c.D {
 		s.rejected++
 		return nil // dominated: smaller-or-equal cap, smaller-or-equal delay
 	}
@@ -284,8 +331,8 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	// Kill equal-capacitance predecessors: they have C == c.C and (since we
 	// were not rejected) D > c.D, so c dominates them.
 	start := pos
-	for start > 0 && cs[start-1] == c.C {
-		fr.cand[start-1].Dead = true
+	for start > 0 && ks[start-1].c == c.C {
+		cs[start-1].Dead = true
 		s.killed++
 		start--
 	}
@@ -293,16 +340,43 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	// Kill successors dominated by c: they have C >= c.C; dominated iff
 	// D >= c.D. D is descending, so they form a prefix of the suffix at pos.
 	end := pos
-	for end < len(ds) && ds[end] >= c.D {
-		fr.cand[end].Dead = true
+	for end < n && ks[end].d >= c.D {
+		cs[end].Dead = true
 		s.killed++
 		end++
 	}
 
 	p := a.New(*c)
-	fr.replace(start, end, p)
+	s.splice(r, start, end, p)
 	s.inserted++
 	return p
+}
+
+// splice puts p over entries [start, end) of r's sorted 2-D frontier,
+// mirroring the splice across keys and cands; a run that gains an entry
+// moves first if its slot is full.
+func (s *Store) splice(r *run, start, end int, p *Candidate) {
+	n := int(r.n)
+	if end == start {
+		if r.n == r.room {
+			s.move(r)
+		}
+		off := int(r.off)
+		ks, cs := s.keys[off:off+n+1], s.cands[off:off+n+1]
+		copy(ks[start+1:], ks[start:n])
+		ks[start] = key{p.C, p.D}
+		copy(cs[start+1:], cs[start:n])
+		cs[start] = p
+		r.n++
+		return
+	}
+	off := int(r.off)
+	ks, cs := s.keys[off:off+n], s.cands[off:off+n]
+	ks[start] = key{p.C, p.D}
+	copy(ks[start+1:], ks[end:])
+	cs[start] = p
+	copy(cs[start+1:], cs[end:])
+	r.n = int32(n - (end - start) + 1)
 }
 
 // insertTri is the three-key variant of Insert: the frontier is kept
@@ -310,29 +384,32 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 // Dominance: existing (c,d,slack) kills newcomer (c',d',slack') iff
 // c <= c', d <= d' and slack >= slack'.
 func (s *Store) insertTri(a *Arena, c *Candidate) *Candidate {
-	fr := s.node(c.Node)
-	for i := range fr.c {
-		if fr.c[i] <= c.C && fr.d[i] <= c.D && fr.slack[i] >= c.Slack {
+	r := s.node(c.Node)
+	off, n := int(r.off), int(r.n)
+	ks, sl, cs := s.keys[off:off+n], s.slack[off:off+n], s.cands[off:off+n]
+	for i := range ks {
+		if ks[i].c <= c.C && ks[i].d <= c.D && sl[i] >= c.Slack {
 			s.rejected++
 			return nil
 		}
 	}
 	out := 0
-	for i := range fr.c {
-		if c.C <= fr.c[i] && c.D <= fr.d[i] && c.Slack >= fr.slack[i] {
-			fr.cand[i].Dead = true
+	for i := range ks {
+		if c.C <= ks[i].c && c.D <= ks[i].d && c.Slack >= sl[i] {
+			cs[i].Dead = true
 			s.killed++
 			continue
 		}
-		fr.c[out], fr.d[out] = fr.c[i], fr.d[i]
-		fr.slack[out], fr.cand[out] = fr.slack[i], fr.cand[i]
+		ks[out], sl[out], cs[out] = ks[i], sl[i], cs[i]
 		out++
 	}
 	p := a.New(*c)
-	fr.c = append(fr.c[:out], c.C)
-	fr.d = append(fr.d[:out], c.D)
-	fr.slack = append(fr.slack[:out], c.Slack)
-	fr.cand = append(fr.cand[:out], p)
+	if r.n = int32(out); r.n == r.room {
+		s.move(r)
+	}
+	i := int(r.off) + out
+	s.keys[i], s.slack[i], s.cands[i] = key{c.C, c.D}, c.Slack, p
+	r.n++
 	s.inserted++
 	return p
 }
@@ -342,11 +419,12 @@ func (s *Store) insertTri(a *Arena, c *Candidate) *Candidate {
 //
 // Side effect: like every frontier accessor it goes through node(), which
 // lazily applies any pending epoch reset — if v has not been touched since
-// the last NextEpoch/Reuse, its stale frontier is truncated here, not at
+// the last NextEpoch/Reuse, its stale frontier is emptied here, not at
 // epoch-bump time. Reading a frontier therefore commits the reset for that
 // node; candidates from earlier epochs are never returned.
 func (s *Store) Frontier(v int32) []*Candidate {
-	return append([]*Candidate(nil), s.node(v).cand...)
+	r := s.node(v)
+	return append([]*Candidate(nil), s.cands[r.off:r.off+r.n]...)
 }
 
 // Stats returns (inserted, rejected, killed) counters.

@@ -347,3 +347,40 @@ func TestTriStoreEpochReset(t *testing.T) {
 		t.Error("new epoch must not inherit old frontiers")
 	}
 }
+
+// TestStoreAllocatesNothingAtUnseenNodes pins that a store's memory
+// depends on how large a search's frontiers grow, not on their node IDs:
+// once a store has served a search, Insert, NextEpoch and Reuse allocate
+// nothing for a search of the same shape at node IDs it has never seen,
+// in either dominance mode.
+func TestStoreAllocatesNothingAtUnseenNodes(t *testing.T) {
+	const nodes, span = 2048, 64
+	s, ar := NewStore(0), new(Arena)
+	// search offers, over three epochs, staircases of 1 to 20 entries at
+	// nodes [lo, lo+span): every run moves from room 4 up to 32.
+	search := func(lo int32, tri bool) {
+		s.Reuse(nodes, tri)
+		ar.Reset()
+		for e := 0; e < 3; e++ {
+			for v := int32(0); v < span; v++ {
+				for i := 0; i <= int(v+int32(e))%20; i++ {
+					// Built on the stack, as the kernels build theirs.
+					c := Candidate{Node: lo + v, C: float64(i), D: float64(20 - i), Slack: float64(i), Gate: GateNone}
+					s.Insert(ar, &c)
+				}
+			}
+			s.NextEpoch()
+		}
+	}
+	search(0, false)
+	search(0, true)
+	lo := int32(span)
+	allocs := testing.AllocsPerRun(10, func() {
+		search(lo, false)
+		search(lo, true)
+		lo += span
+	})
+	if allocs != 0 {
+		t.Errorf("a grown store allocates %.0f/op at unseen nodes, want 0", allocs)
+	}
+}

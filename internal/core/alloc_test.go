@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"clockroute/internal/elmore"
+	"clockroute/internal/floorplan"
 	"clockroute/internal/geom"
 	"clockroute/internal/grid"
+	"clockroute/internal/tech"
 )
 
 // allocProblem is large enough that the pre-arena implementation allocated
@@ -76,6 +80,92 @@ func TestSearchAllocBudgets(t *testing.T) {
 				t.Errorf("%s allocates %.0f/op, budget %.0f: arena/scratch reuse regressed", name, allocs, budget)
 			}
 		})
+	}
+}
+
+// routeColdDies draws n problems shaped like perfbench's route-cold
+// requests, the way the root package's BenchmarkShortSearches draws its
+// batch: 32–64-node dies at 0.25 mm with floorplan.Random blocks,
+// endpoints 30–65% of the half-perimeter apart on register-insertable
+// nodes the source reaches, a Model per problem, and RBP:GALS:FastPath
+// requests 5:3:2 at 400–800 ps.
+func routeColdDies(t *testing.T, seed int64, n int) ([]*Problem, []Request) {
+	t.Helper()
+	kinds := [10]Kind{KindRBP, KindGALS, KindRBP, KindFastPath, KindRBP, KindGALS, KindRBP, KindGALS, KindRBP, KindFastPath}
+	periods := []float64{400, 500, 650, 800}
+	rng := rand.New(rand.NewSource(seed))
+	var probs []*Problem
+	var reqs []Request
+	for len(probs) < n {
+		w, h := 32+rng.Intn(33), 32+rng.Intn(33)
+		fp, err := floorplan.Random(rng.Int63(), w, h, 0.25, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := fp.BuildGrid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := geom.Pt(rng.Intn(w), rng.Intn(h))
+		d := int(float64(w+h) * (0.3 + 0.35*rng.Float64()))
+		dx := rng.Intn(2*d+1) - d
+		dy := d - max(dx, -dx)
+		if rng.Intn(2) == 0 {
+			dy = -dy
+		}
+		dst := src.Add(geom.Pt(dx, dy))
+		if !g.InBounds(dst) || !g.RegisterInsertable(g.ID(src)) || !g.RegisterInsertable(g.ID(dst)) ||
+			!g.Reachable(g.ID(src), g.ID(dst)) {
+			continue
+		}
+		m, err := elmore.NewModel(tech.CongPan70nm(), g.PitchMM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProblem(g, m, g.ID(src), g.ID(dst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Kind: kinds[len(probs)%len(kinds)]}
+		pi := rng.Intn(len(periods))
+		switch req.Kind {
+		case KindRBP:
+			req.PeriodPS = periods[pi]
+		case KindGALS:
+			req.SrcPeriodPS = periods[pi]
+			req.DstPeriodPS = periods[(pi+1+rng.Intn(3))%len(periods)]
+		}
+		probs = append(probs, p)
+		reqs = append(reqs, req)
+	}
+	return probs, reqs
+}
+
+// TestNewDieAllocBudget holds TestSearchAllocBudgets' budget on grids the
+// pooled scratch has never seen. After a warm-up on a few dies, every
+// measured search routes a new route-cold-shaped die, as the service does
+// for each distinct request, so no memory the scratch grew at earlier
+// node IDs can serve it by accident: what the scratch keeps must depend
+// on how large a search grows, not on where.
+func TestNewDieAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime randomizes sync.Pool retention; alloc budgets are asserted without -race")
+	}
+	const warm, runs, budget = 5, 40, 64.0
+	probs, reqs := routeColdDies(t, 25, warm+runs+1)
+	ctx := context.Background()
+	next := 0
+	route := func() {
+		if _, err := Route(ctx, probs[next], reqs[next]); err != nil {
+			t.Fatalf("die %d (%v): %v", next, reqs[next].Kind, err)
+		}
+		next++
+	}
+	for next < warm {
+		route()
+	}
+	if allocs := testing.AllocsPerRun(runs, route); allocs > budget {
+		t.Errorf("a search on a new die allocates %.0f/op, budget %.0f: scratch memory grows per node", allocs, budget)
 	}
 }
 

@@ -31,8 +31,14 @@ import (
 const segMagic = "CRCACHE1"
 
 // maxPayload bounds one record's payload; far above any real response,
-// it keeps a corrupted length field from driving a huge allocation.
+// it rejects a corrupted length field outright.
 const maxPayload = 64 << 20
+
+// payloadChunk is the most ScanSegment allocates for a payload ahead of
+// the bytes it has read: one allocation for any real response, and a
+// length field claiming more than the segment holds costs no more than
+// this plus the bytes that do follow.
+const payloadChunk = 64 << 10
 
 // ErrCorruptSegment marks a segment whose magic or a record's CRC failed.
 var ErrCorruptSegment = errors.New("resultcache: corrupt snapshot segment")
@@ -106,8 +112,8 @@ func ScanSegment(r io.Reader, fn func(k Key, payload []byte) error) error {
 		if n > maxPayload {
 			return fmt.Errorf("%w: payload length %d", ErrCorruptSegment, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, err := readPayload(br, int(n))
+		if err != nil {
 			return fmt.Errorf("%w: truncated payload", ErrCorruptSegment)
 		}
 		crc := crc32.NewIEEE()
@@ -119,6 +125,24 @@ func ScanSegment(r io.Reader, fn func(k Key, payload []byte) error) error {
 		if err := fn(k, payload); err != nil {
 			return err
 		}
+	}
+}
+
+// readPayload reads an n-byte payload from r into a buffer that starts at
+// payloadChunk bytes at most and doubles, capped at n, only once the bytes
+// before it have arrived.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, payloadChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, p[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(p); got == n {
+			return p, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, p)
+		p = grown
 	}
 }
 
