@@ -35,13 +35,14 @@ shuffle:
 # store, the two service request decoders (routed plan -config reads its
 # file through the /v1/plan one) and the NDJSON request-stream decoder,
 # each against its encoding/json reference, every decode mode of the
-# wire codec on every api type against encoding/json, the client's
+# wire codec on every api type against encoding/json, the splices that
+# serve a stored cache entry as a hit against encoding/json, the client's
 # streamed-result line reader against its reference, the result cache's
 # snapshot segment reader (routed replays -cache-dir at boot), plus the
 # canonical hash, the kernels' priority queue against a sorted-slice
 # oracle, and the kernels' differential fuzzer.
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
-# crasher fails the target. Regexes are anchored because ./api hosts five
+# crasher fails the target. Regexes are anchored because ./api hosts six
 # fuzz functions and `go test -fuzz` demands a unique match.
 FUZZTIME ?= 30s
 
@@ -52,6 +53,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzDecodePlanRequest$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzPlanStreamDecoder$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzWireDecoders$$' -fuzztime $(FUZZTIME) ./api
+	go test -run xxx -fuzz '^FuzzHitSplice$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZTIME) ./client
 	go test -run xxx -fuzz '^FuzzCanonicalHash$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzRouteDifferential$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -2,7 +2,10 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -163,5 +166,76 @@ func FuzzWireDecoders(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAllDecoders(t, data)
+	})
+}
+
+// FuzzHitSplice holds the hit splices (hit.go) to encoding/json: for
+// random RouteResponse, NetResult and PlanStats values, a fuzzed net name
+// and a fuzzed gate label, a stored encoding (nameless, unflagged) spliced
+// by AppendCached or AppendNamed must equal json.Marshal of the named,
+// flagged value, AppendPlanResponse over the spliced nets must equal
+// json.Marshal of the PlanResponse, and MarshalExact must return its
+// prefix and AppendJSON's bytes in an exact-length slice.
+func FuzzHitSplice(f *testing.F) {
+	f.Add(int64(1), "n<&\u2028", "reg")
+	f.Add(int64(2), "\xff\xfeok", "<script>&amp;")
+	f.Add(int64(3), "", "")
+	f.Add(int64(4), "a\u2029b\"\\c", "\x00\x1f\x7f")
+	f.Add(int64(5), "cpu-sram", "buf3")
+	f.Fuzz(func(t *testing.T, seed int64, name, label string) {
+		rng := rand.New(rand.NewSource(seed))
+		splice := func(what string, got []byte, want any) {
+			t.Helper()
+			w, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, w) {
+				t.Fatalf("%s:\nspliced       %s\nencoding/json %s", what, got, w)
+			}
+		}
+
+		var rr RouteResponse
+		randFill(rng, reflect.ValueOf(&rr).Elem(), false)
+		rr.Gates = append(rr.Gates, label)
+		rr.Cached = false
+		stored, err := MarshalExact([]byte{'R'}, &rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc, _ := AppendJSON([]byte{'R'}, &rr); cap(stored) != len(stored) || !bytes.Equal(stored, enc) {
+			t.Fatalf("MarshalExact = %q (cap %d), want %q", stored, cap(stored), enc)
+		}
+		rr.Cached = true
+		splice("AppendCached(RouteResponse)", AppendCached(nil, stored[1:]), &rr)
+
+		nets := make([]NetResult, rng.Intn(4))
+		encs := make([][]byte, len(nets))
+		for i := range nets {
+			n := &nets[i]
+			randFill(rng, reflect.ValueOf(n).Elem(), false)
+			served := n.Name
+			if i == 0 {
+				served = name
+			}
+			n.Name, n.Cached = "", false
+			stored, err := AppendJSON([]byte("prefix"), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Name, n.Cached = served, rng.Intn(2) == 0
+			encs[i] = AppendNamed([]byte("prefix"), stored[len("prefix"):], served, n.Cached)
+			if !bytes.HasPrefix(encs[i], []byte("prefix")) {
+				t.Fatalf("AppendNamed dropped its prefix: %q", encs[i])
+			}
+			encs[i] = encs[i][len("prefix"):]
+			splice("AppendNamed", encs[i], n)
+		}
+		pr := PlanResponse{Nets: nets}
+		randFill(rng, reflect.ValueOf(&pr.Stats).Elem(), false)
+		if rng.Intn(4) == 0 {
+			pr.Nets, encs = nil, nil
+		}
+		splice("AppendPlanResponse", AppendPlanResponse(nil, encs, &pr.Stats), &pr)
 	})
 }

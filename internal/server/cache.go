@@ -13,24 +13,40 @@ import (
 // The result cache sits between the HTTP handlers and the search engine:
 // requests are reduced to their canonical problem form (api.Canonicalize),
 // hashed, and looked up before any search runs. A hit serves the stored
-// response without touching the kernel; a miss computes, then fills. The
+// answer without touching the kernel; a miss computes, then fills. The
 // correctness contract is bit-identity — a cached response is byte-for-byte
-// what a fresh search would produce (elapsed_ns timing aside), which holds
-// because routing is deterministic in its canonical inputs and because
-// nothing downstream of a contained panic is ever stored.
+// what a fresh search would produce (elapsed_ns timing aside, plus the
+// "cached" flag), which holds because routing is deterministic in its
+// canonical inputs, because nothing downstream of a contained panic is ever
+// stored, and because an entry is the very bytes its miss was written with.
 
-// Cache key domains. /v1/route caches whole RouteResponses while /v1/plan
-// caches per-net NetResults; the same canonical problem backs both, but
-// the stored shapes differ, so each response shape gets its own key
-// domain. The wire-visible problem_hash stays the undomained canonical
-// hash either way.
+// Cache key domains. /v1/route and /v1/plan answer the same canonical
+// problem in two shapes, a whole RouteResponse or one plan net's
+// NetResult, so each shape gets its own key domain; an entry's envelope
+// byte (below) names the shape it holds, and a lookup that finds the
+// other shape counts as a miss. The wire-visible problem_hash stays the
+// undomained canonical hash either way.
 const (
 	cacheDomainRoute byte = 0x00
 	cacheDomainNet   byte = 0x5a
 )
 
-// cacheEntryOverhead is added to each entry's JSON size to account for the
-// key, LRU links, and map slot, keeping the byte budget honest.
+// Every entry is its answer's bytes: an envelope byte naming the shape,
+// then the codec's encoding of the answer as a miss writes it, nameless (a
+// net's name belongs to the request, not the problem) and with Cached
+// false. The slice is exactly as long as its contents, is never written
+// after it is stored, and is its own snapshot payload. A hit serves it
+// through api.AppendCached and api.AppendNamed, which splice in the flag
+// and the name without decoding or encoding anything.
+const (
+	envRoute = 'R' // a RouteResponse
+	envNet   = 'N' // a NetResult with an empty Name
+)
+
+// cacheEntryOverhead is what an entry costs beyond its encoding: the key,
+// the boxed slice header, the LRU links and the map slot. Each entry is
+// charged its encoding's length (the envelope byte aside) plus this, so
+// the byte budget follows what the cache holds.
 const cacheEntryOverhead = 128
 
 // cacheKey maps a canonical problem hash into one key domain.
@@ -62,58 +78,60 @@ func (s *Server) cacheMode(opts *api.CacheOptions) string {
 	return opts.EffectiveMode()
 }
 
-// approxEntrySize prices a response for the byte budget: its JSON size
-// plus fixed bookkeeping overhead. The JSON rendering is also how the
-// entry is persisted, so the two accountings agree.
-func approxEntrySize[T api.Wire](v *T) (int64, error) {
-	b, err := api.AppendJSON(nil, v)
+// newEntry encodes an answer once, behind its envelope byte, into an
+// exact-length entry, and prices it for the byte budget.
+func newEntry[T api.Wire](env byte, v *T) ([]byte, int64, error) {
+	b, err := api.MarshalExact([]byte{env}, v)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return int64(len(b)) + cacheEntryOverhead, nil
+	return b, int64(len(b)-1) + cacheEntryOverhead, nil
 }
 
-// Snapshot envelope types, the first byte of each persisted payload.
-const (
-	envRoute = 'R' // *api.RouteResponse
-	envNet   = 'N' // api.NetResult
-)
-
-// encodeCacheEntry renders one live entry for a snapshot segment.
-func encodeCacheEntry(_ resultcache.Key, v any) ([]byte, bool) {
-	var b []byte
-	var err error
-	switch r := v.(type) {
-	case *api.RouteResponse:
-		b, err = api.AppendJSON([]byte{envRoute}, r)
-	case api.NetResult:
-		b, err = api.AppendJSON([]byte{envNet}, &r)
-	default:
+// storedAnswer returns the encoding an entry holds when it is an answer of
+// shape env; a value of another shape, or none, yields false.
+func storedAnswer(v any, env byte) ([]byte, bool) {
+	b, ok := v.([]byte)
+	if !ok || len(b) == 0 || b[0] != env {
 		return nil, false
 	}
-	return b, err == nil
+	return b[1:], true
 }
 
-// decodeCacheEntry rebuilds a live entry from a snapshot payload.
-func decodeCacheEntry(_ resultcache.Key, payload []byte) (any, int64, error) {
+// snapshotEntry renders a live entry for a snapshot segment: as it is.
+func snapshotEntry(_ resultcache.Key, v any) ([]byte, bool) {
+	b, ok := v.([]byte)
+	return b, ok
+}
+
+// loadEntry rebuilds an entry from a snapshot payload. The payload is
+// decoded once, by its envelope, and the entry is the codec's encoding of
+// what decoded, nameless and unflagged as a miss stores it: a hit never
+// serves bytes the codec did not write, whatever the segment holds. A
+// payload that does not decode is rejected, and the load skips it.
+func loadEntry(_ resultcache.Key, payload []byte) (any, int64, error) {
 	if len(payload) < 1 {
 		return nil, 0, errors.New("server: empty cache envelope")
 	}
-	switch payload[0] {
+	switch env, enc := payload[0], payload[1:]; env {
 	case envRoute:
-		var r api.RouteResponse
-		if err := api.Unmarshal(payload[1:], &r); err != nil {
-			return nil, 0, err
-		}
-		return &r, int64(len(payload)-1) + cacheEntryOverhead, nil
+		return reencode(env, enc, func(r *api.RouteResponse) { r.Cached = false })
 	case envNet:
-		var n api.NetResult
-		if err := api.Unmarshal(payload[1:], &n); err != nil {
-			return nil, 0, err
-		}
-		return n, int64(len(payload)-1) + cacheEntryOverhead, nil
+		return reencode(env, enc, func(n *api.NetResult) { n.Name, n.Cached = "", false })
 	}
 	return nil, 0, fmt.Errorf("server: unknown cache envelope %q", payload[0])
+}
+
+// reencode decodes one payload, clears in it what a miss does not store,
+// and encodes it into a new entry.
+func reencode[T api.Wire](env byte, enc []byte, reset func(*T)) (any, int64, error) {
+	var v T
+	if err := api.Unmarshal(enc, &v); err != nil {
+		return nil, 0, err
+	}
+	reset(&v)
+	b, size, err := newEntry(env, &v)
+	return b, size, err
 }
 
 // errCacheUnavailable is reported by the cache admin endpoints when the
@@ -129,7 +147,7 @@ func (s *Server) SnapshotCache() (path string, entries int, err error) {
 	if s.cfg.CacheDir == "" {
 		return "", 0, errors.New("server: no cache directory configured (-cache-dir)")
 	}
-	return resultcache.SnapshotDir(s.cfg.CacheDir, s.cache, encodeCacheEntry)
+	return resultcache.SnapshotDir(s.cfg.CacheDir, s.cache, snapshotEntry)
 }
 
 // LoadCache replays every snapshot segment under the configured cache
@@ -143,7 +161,7 @@ func (s *Server) LoadCache() (entries int, err error) {
 	if s.cfg.CacheDir == "" {
 		return 0, errors.New("server: no cache directory configured (-cache-dir)")
 	}
-	return resultcache.LoadDir(s.cfg.CacheDir, s.cache, decodeCacheEntry)
+	return resultcache.LoadDir(s.cfg.CacheDir, s.cache, loadEntry)
 }
 
 // handleCacheStats serves GET /v1/cache/stats.
@@ -198,49 +216,15 @@ func (s *Server) handleCacheLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"entries": entries})
 }
 
-// cachedRouteResponse fetches and adapts a cached /v1/route response: a
-// shallow copy flagged Cached (path/gate slices are shared read-only with
-// the stored entry). A stored value of the wrong shape counts as a miss.
-// Absence is counted by the Do call that follows, not here.
-func (s *Server) cachedRouteResponse(h api.ProblemHash) (*api.RouteResponse, bool) {
-	v, ok := s.cache.Peek(cacheKey(h, cacheDomainRoute))
-	if !ok {
-		return nil, false
-	}
-	stored, ok := v.(*api.RouteResponse)
-	if !ok {
-		return nil, false
-	}
-	resp := *stored
-	resp.Cached = true
-	return &resp, true
+// cachedRoute returns the encoding of a cached /v1/route answer. Absence
+// is counted by the Do call that follows, not here.
+func (s *Server) cachedRoute(h api.ProblemHash) ([]byte, bool) {
+	v, _ := s.cache.Peek(cacheKey(h, cacheDomainRoute))
+	return storedAnswer(v, envRoute)
 }
 
-// cachedNetResult fetches and adapts a cached per-net result, restoring
-// the request's net name (names are not part of the canonical problem).
-func (s *Server) cachedNetResult(h api.ProblemHash, name string) (api.NetResult, bool) {
-	v, ok := s.cache.Get(cacheKey(h, cacheDomainNet))
-	if !ok {
-		return api.NetResult{}, false
-	}
-	stored, ok := v.(api.NetResult)
-	if !ok {
-		return api.NetResult{}, false
-	}
-	stored.Name = name
-	stored.Cached = true
-	return stored, true
-}
-
-// fillNetResult stores one freshly routed net. The entry is stored
-// nameless and unflagged so a hit reproduces exactly what a fresh route
-// of that problem yields.
-func (s *Server) fillNetResult(h api.ProblemHash, nr api.NetResult) {
-	nr.Name = ""
-	nr.Cached = false
-	size, err := approxEntrySize(&nr)
-	if err != nil {
-		return
-	}
-	s.cache.Put(cacheKey(h, cacheDomainNet), nr, size)
+// cachedNet returns the nameless encoding of a cached plan net.
+func (s *Server) cachedNet(h api.ProblemHash) ([]byte, bool) {
+	v, _ := s.cache.Get(cacheKey(h, cacheDomainNet))
+	return storedAnswer(v, envNet)
 }

@@ -163,7 +163,7 @@ type planRun struct {
 	dec     *api.PlanStreamDecoder // streamed: the rest of the body
 	sw      *streamWriter          // streamed: set at commit
 	nets    []api.NetSpec          // buffered: nets not yet taken
-	results []api.NetResult        // buffered: collected in request order
+	results [][]byte               // buffered: each net's encoding, in request order
 
 	cached int // nets served from the cache; handler goroutine only
 
@@ -174,6 +174,7 @@ type planRun struct {
 	byName  map[string]planNet
 	aborted int   // routed nets that failed on an abort
 	abort   error // the first of them
+	encErr  error // buffered: the first result that would not encode
 }
 
 // planNet is what the way back needs of a net: its content address and
@@ -203,7 +204,7 @@ func (s *Server) decodePlan(r *http.Request, rec *telemetry.Recorder) (*planRun,
 		}
 		p.hdr = &api.PlanStreamHeader{Grid: req.Grid, Workers: req.Workers, TimeoutMS: req.TimeoutMS, Cache: req.Cache}
 		p.nets = req.Nets
-		p.results = make([]api.NetResult, len(req.Nets))
+		p.results = make([][]byte, len(req.Nets))
 	}
 	p.mode = s.cacheMode(p.hdr.Cache)
 	if s.cfg.Coordinator != nil {
@@ -263,9 +264,9 @@ func (p *planRun) take(ctx context.Context, route func(coordinator.Net)) error {
 		// directly replayable against /v1/route.
 		p.rec.SetNetAttr(n.Name, "problem_hash", h.Hex())
 		if p.mode == api.CacheModeDefault {
-			if nr, ok := p.s.cachedNetResult(h, n.Name); ok {
+			if enc, ok := p.s.cachedNet(h); ok {
 				p.cached++
-				p.write(idx, nr)
+				p.writeStored(idx, enc, n.Name, true)
 				continue
 			}
 		}
@@ -342,7 +343,9 @@ func (p *planRun) startRouter(ctx context.Context, sink telemetry.Sink) (*router
 // clean result fills the cache, and the result is written. Only a clean,
 // first-attempt success may fill: a net that panicked (even if its retry
 // healed) or failed stores nothing, so nothing downstream of a quarantined
-// search is ever served to a later request.
+// search is ever served to a later request. A filled net is encoded once,
+// nameless, into its entry, and written from the entry with its name
+// spliced in, as a later hit will be.
 func (p *planRun) deliver(nr api.NetResult, clean bool, abort error) {
 	p.mu.Lock()
 	n := p.byName[nr.Name]
@@ -355,9 +358,15 @@ func (p *planRun) deliver(nr api.NetResult, clean bool, abort error) {
 	p.mu.Unlock()
 	nr.ProblemHash = n.hash.Hex()
 	if clean && p.mode != api.CacheModeBypass {
-		p.s.fillNetResult(n.hash, nr)
+		stored := nr
+		stored.Name, stored.Cached = "", false
+		if entry, size, err := newEntry(envNet, &stored); err == nil {
+			p.s.cache.Put(cacheKey(n.hash, cacheDomainNet), entry, size)
+			p.writeStored(n.idx, entry[1:], nr.Name, false)
+			return
+		}
 	}
-	p.write(n.idx, nr)
+	p.writeResult(n.idx, &nr)
 }
 
 // commit opens a streamed response (wire form: commit); from here every
@@ -373,14 +382,37 @@ func (p *planRun) commit(w http.ResponseWriter) {
 	p.sw = newStreamWriter(w)
 }
 
-// write delivers one result (wire form: write): a line of a committed
-// stream, or the slot of a buffered plan's response.
-func (p *planRun) write(idx int, nr api.NetResult) {
+// writeStored delivers one net from its stored, nameless encoding (wire
+// form: write), with its name and, for a hit, "cached":true spliced in: a
+// line of a committed stream, or the net's slot in a buffered plan's
+// response.
+func (p *planRun) writeStored(idx int, enc []byte, name string, cached bool) {
 	if p.streamed() {
-		writeLine(p.sw, &nr)
+		p.sw.writeRaw(func(b []byte) []byte { return api.AppendNamed(b, enc, name, cached) })
 		return
 	}
-	p.results[idx] = nr
+	// One allocation unless the name needs escaping: the quoted name
+	// replaces the stored "", and the flag may follow.
+	b := make([]byte, 0, len(enc)+len(name)+len(`,"cached":true`))
+	p.results[idx] = api.AppendNamed(b, enc, name, cached)
+}
+
+// writeResult delivers one net that is not stored (wire form: write),
+// encoded as it is.
+func (p *planRun) writeResult(idx int, nr *api.NetResult) {
+	if p.streamed() {
+		writeLine(p.sw, nr)
+		return
+	}
+	b, err := api.MarshalExact(nil, nr)
+	if err != nil {
+		p.mu.Lock()
+		if p.encErr == nil {
+			p.encErr = err
+		}
+		p.mu.Unlock()
+	}
+	p.results[idx] = b
 }
 
 // finish ends the response. Cached nets count as routed. A stream gets
@@ -403,8 +435,14 @@ func (p *planRun) finish(w http.ResponseWriter, stats api.PlanStats, err error) 
 		p.s.failSearch(w, p.abort)
 		return
 	}
+	if p.encErr != nil {
+		p.s.fail(w, http.StatusInternalServerError, p.encErr)
+		return
+	}
 	w.Header().Set("X-Cache", xcache(p.cached == len(p.results)))
-	writeWire(w, http.StatusOK, &api.PlanResponse{Nets: p.results, Stats: stats})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = api.WriteLine(w, func(b []byte) []byte { return api.AppendPlanResponse(b, p.results, &stats) })
 }
 
 // fail reports a contained panic: a 500 while a buffered plan has written
@@ -433,18 +471,29 @@ func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	return &streamWriter{w: w, rc: http.NewResponseController(w)}
 }
 
-// writeLine writes v as one NDJSON line in one Write, and flushes it.
-func writeLine[T api.Wire](sw *streamWriter, v *T) {
+// line writes one NDJSON line through write, which must use one Write,
+// and flushes it.
+func (sw *streamWriter) line(write func(io.Writer) error) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.err != nil {
 		return
 	}
-	if err := api.EncodeJSON(sw.w, v); err != nil {
+	if err := write(sw.w); err != nil {
 		sw.err = err
 		return
 	}
 	_ = sw.rc.Flush() // per-line delivery; unsupported writers just buffer
+}
+
+// writeLine writes v as one NDJSON line.
+func writeLine[T api.Wire](sw *streamWriter, v *T) {
+	sw.line(func(w io.Writer) error { return api.EncodeJSON(w, v) })
+}
+
+// writeRaw writes the line appendLine builds from stored bytes.
+func (sw *streamWriter) writeRaw(appendLine func(b []byte) []byte) {
+	sw.line(func(w io.Writer) error { return api.WriteLine(w, appendLine) })
 }
 
 // trailerError ends a committed stream with an error trailer, counting it

@@ -465,12 +465,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// Warm hit: serve from memory without admission control or a search —
 	// hits must stay cheap even when the search slots are saturated.
 	if mode == api.CacheModeDefault {
-		if resp, ok := s.cachedRouteResponse(hash); ok {
+		if enc, ok := s.cachedRoute(hash); ok {
 			endCache()
 			endEncode := rec.Phase("encode")
 			w.Header().Set("ETag", hash.ETag())
 			w.Header().Set("X-Cache", "hit")
-			writeWire(w, http.StatusOK, resp)
+			writeRoute(w, enc, true)
 			endEncode()
 			return
 		}
@@ -513,11 +513,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := routeResponse(res, prob.Grid)
 		resp.ProblemHash = hash.Hex()
-		size, err := approxEntrySize(resp)
-		if err != nil {
-			return nil, 0, err
-		}
-		return resp, size, nil
+		entry, size, err := newEntry(envRoute, resp)
+		return entry, size, err
 	}
 
 	endSearch := rec.Phase("search")
@@ -547,16 +544,17 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endSearch()
-	resp := v.(*api.RouteResponse)
-	if joined {
-		cp := *resp
-		cp.Cached = true
-		resp = &cp
+	enc, ok := storedAnswer(v, envRoute)
+	if !ok {
+		// A net answer under a route key (a snapshot record filed under
+		// the wrong domain) is never served as a route answer.
+		s.fail(w, http.StatusInternalServerError, errors.New("server: cached entry is not a route answer"))
+		return
 	}
 	endEncode := rec.Phase("encode")
 	w.Header().Set("ETag", hash.ETag())
 	w.Header().Set("X-Cache", xcache(joined))
-	writeWire(w, http.StatusOK, resp)
+	writeRoute(w, enc, joined)
 	endEncode()
 }
 
@@ -669,6 +667,19 @@ func writeWire[T api.Wire](w http.ResponseWriter, status int, v *T) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = api.EncodeJSON(w, v)
+}
+
+// writeRoute writes a 200 body from a stored /v1/route encoding, with
+// "cached":true spliced in when it is served as a hit.
+func writeRoute(w http.ResponseWriter, enc []byte, cached bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = api.WriteLine(w, func(b []byte) []byte {
+		if cached {
+			return api.AppendCached(b, enc)
+		}
+		return append(b, enc...)
+	})
 }
 
 // writeJSON writes an admin body (health, cache stats), which are maps
