@@ -40,7 +40,9 @@ shuffle:
 # streamed-result line reader against its reference, the result cache's
 # snapshot segment reader (routed replays -cache-dir at boot), plus the
 # canonical hash, the kernels' priority queue against a sorted-slice
-# oracle, and the kernels' differential fuzzer.
+# oracle, the kernels' differential fuzzer, and the coordinator's
+# scheduling simulator on fuzzer-chosen seeds and shapes (backends,
+# in-flight bound, nets, fault rate, pacing, cancellation).
 # Each fuzzer gets FUZZTIME on top of its checked-in seed corpus; any
 # crasher fails the target. Regexes are anchored because ./api hosts six
 # fuzz functions and `go test -fuzz` demands a unique match.
@@ -58,6 +60,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzCanonicalHash$$' -fuzztime $(FUZZTIME) ./api
 	go test -run xxx -fuzz '^FuzzRouteDifferential$$' -fuzztime $(FUZZTIME) ./internal/core
 	go test -run xxx -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/resultcache
+	go test -run xxx -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/coordinator
 
 # Fault-injection battery under the race detector: the faultpoint
 # registry's own tests, the chaos suite (panic containment, scratch
@@ -71,12 +74,15 @@ chaos:
 	go test -race -count=1 -run 'Cache|Conditional' ./internal/server
 
 # Cluster partition drills under the race detector: the coordinator's own
-# unit tests (hash ring, circuit breaker, per-backend exposition), the
-# differential battery proving a sharded plan is byte-identical to the
-# serial one through killed backends, mid-exchange faults, full
-# degradation to local routing, circuit recovery, and a mid-stream drain —
-# plus one env-armed run where FAULTPOINTS hard-partitions backend 0 at
-# the dial site for the whole process.
+# unit tests (hash ring, circuit breaker, per-backend exposition, and the
+# seeded simulator that drives the scheduling core through 3,000 random
+# schedules and checks each net is emitted once, the plan terminates, no
+# half-open grant or waiting exchange is left, and the output equals the
+# serial plan), the differential battery proving a sharded plan is
+# byte-identical to the serial one through killed backends, mid-exchange
+# faults, full degradation to local routing, circuit recovery, and a
+# mid-stream drain — plus one env-armed run where FAULTPOINTS
+# hard-partitions backend 0 at the dial site for the whole process.
 cluster-drill:
 	go test -race -count=1 ./internal/coordinator
 	go test -race -count=1 -run '^TestCluster' ./internal/chaos

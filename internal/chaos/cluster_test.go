@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,13 +78,30 @@ func clusterNets(n int) []api.NetSpec {
 // drills' exactness contract.
 func startBackends(t *testing.T, n int) []*httptest.Server {
 	t.Helper()
+	out, _ := startCountedBackends(t, n)
+	return out
+}
+
+// startCountedBackends is startBackends with a wrapper in each backend's
+// handler that counts the /v1/plan requests it receives: one per
+// exchange the coordinator opens, retries included.
+func startCountedBackends(t *testing.T, n int) ([]*httptest.Server, []*atomic.Int64) {
+	t.Helper()
 	out := make([]*httptest.Server, n)
+	plans := make([]*atomic.Int64, n)
 	for i := range out {
 		svc := server.New(server.Config{Metrics: telemetry.NewMetrics(), MaxWorkers: 4})
-		out[i] = httptest.NewServer(svc.Handler())
+		h, count := svc.Handler(), new(atomic.Int64)
+		out[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/plan" {
+				count.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		plans[i] = count
 		t.Cleanup(out[i].Close)
 	}
-	return out
+	return out, plans
 }
 
 func backendURLs(backends []*httptest.Server) []string {
@@ -240,13 +258,28 @@ func assertFrontCacheEmpty(t *testing.T, svc *server.Server) {
 
 // TestClusterShardedEqualsSerial is the baseline differential: three
 // healthy backends, no faults — results and aggregate stats identical to
-// the serial plan in both wire forms, and the front's own cache untouched.
+// the serial plan in both wire forms, the front's own cache untouched, and
+// at most one exchange (one /v1/plan request) per backend per plan.
 func TestClusterShardedEqualsSerial(t *testing.T) {
 	checkGoroutines(t)
 	nets := clusterNets(48)
 	want, wantStats := serialPlan(t, nets)
 
-	backends := startBackends(t, 3)
+	backends, plans := startCountedBackends(t, 3)
+	assertOneExchangeEach := func(form string) {
+		t.Helper()
+		var total int64
+		for i, n := range plans {
+			got := n.Swap(0)
+			if got > 1 {
+				t.Fatalf("%s plan opened %d exchanges with backend %d, want at most 1", form, got, i)
+			}
+			total += got
+		}
+		if total == 0 {
+			t.Fatalf("%s plan reached no backend", form)
+		}
+	}
 	svc, fts, _, m := startFront(t, backendURLs(backends), nil)
 	res, stats, err := runStream(t, fts.URL, nets)
 	if err != nil {
@@ -255,8 +288,10 @@ func TestClusterShardedEqualsSerial(t *testing.T) {
 	assertResultsEqual(t, res, want)
 	assertStatsEqual(t, *stats, wantStats)
 	assertFrontCacheEmpty(t, svc)
+	assertOneExchangeEach("streamed")
 	assertBufferedEqual(t, runBuffered(t, fts.URL, nets), nets, want, wantStats)
 	assertFrontCacheEmpty(t, svc)
+	assertOneExchangeEach("buffered")
 	if m.CoordFailovers.Value() != 0 || m.CoordDegradedLocal.Value() != 0 {
 		t.Fatalf("healthy cluster took failovers=%d degraded=%d",
 			m.CoordFailovers.Value(), m.CoordDegradedLocal.Value())
@@ -411,7 +446,7 @@ func TestClusterMidStreamFaultReroutes(t *testing.T) {
 	nets := clusterNets(36)
 	want, wantStats := serialPlan(t, nets)
 
-	if err := faultpoint.Enable("coord.recv.0", "error@3"); err != nil {
+	if err := faultpoint.Enable("coord.recv", "error@3"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultpoint.Reset()
@@ -426,17 +461,16 @@ func TestClusterMidStreamFaultReroutes(t *testing.T) {
 	assertStatsEqual(t, *stats, wantStats)
 	assertFrontCacheEmpty(t, svc)
 	if m.CoordFailovers.Value() == 0 {
-		// Tell the two causes apart. The ring is keyed by httptest URLs
-		// with random ports, so backend 0's share of the nets varies from
-		// run to run: fewer than 3 receives there means the error@3 fault
+		// Tell the two causes apart. The plain site counts results from
+		// every backend, so fewer than 3 receives means the error@3 fault
 		// never fired; 3 or more means it fired and the coordinator did
 		// not fail over, which is a coordinator bug.
-		hits := faultpoint.Hits("coord.recv.0")
+		hits := faultpoint.Hits("coord.recv")
 		cause := "the fault fired (hit 3) without a failover: a coordinator bug"
 		if hits < 3 {
-			cause = "the fault never fired: backend 0 received too few results this run"
+			cause = "the fault never fired: the coordinator received too few results this run"
 		}
-		t.Fatalf("mid-stream receive fault produced no failovers; coord.recv.0 hits = %d, so %s", hits, cause)
+		t.Fatalf("mid-stream receive fault produced no failovers; coord.recv hits = %d, so %s", hits, cause)
 	}
 }
 

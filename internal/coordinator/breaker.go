@@ -25,11 +25,11 @@ const (
 // fresh cooldown); a probe whose exchange ends with no verdict is handed
 // back through ReturnProbe. All transitions happen inside
 // Allow/Success/Failure/ReturnProbe — there is no background state
-// machine to leak.
+// machine to leak — and each call that reads the clock takes the time as
+// an argument.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time // injectable for tests
 
 	mu       sync.Mutex
 	state    string
@@ -39,17 +39,14 @@ type breaker struct {
 	probeGen uint64 // identifies the outstanding probe grant
 }
 
-func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *breaker {
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	if threshold <= 0 {
 		threshold = 3
 	}
 	if cooldown <= 0 {
 		cooldown = 5 * time.Second
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, now: now, state: StateClosed}
+	return &breaker{threshold: threshold, cooldown: cooldown, state: StateClosed}
 }
 
 // Allow reports whether one exchange may be sent to the backend. In the
@@ -59,14 +56,14 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 // Failure, or by ReturnProbe(token) when the admitted exchange ends
 // without a verdict — or the circuit stays half-open refusing all
 // traffic, the health prober included.
-func (b *breaker) Allow() (ok bool, probe uint64) {
+func (b *breaker) Allow(now time.Time) (ok bool, probe uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case StateClosed:
 		return true, 0
 	case StateOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if now.Sub(b.openedAt) < b.cooldown {
 			return false, 0
 		}
 		b.state = StateHalfOpen
@@ -88,8 +85,8 @@ func (b *breaker) grantProbe() uint64 {
 }
 
 // ReturnProbe returns an unresolved probe grant: the admitted exchange
-// ended without proving anything about the backend (its session context
-// was canceled, or the job never reached an exchange at all), so the
+// ended without proving anything about the backend (its plan was
+// canceled, or the placement that took the grant had to wait), so the
 // circuit stays half-open and a later Allow may grant a fresh probe.
 // Stale tokens — grants already resolved by Success or Failure — are
 // ignored, so a late return can never release a newer in-flight probe.
@@ -113,23 +110,23 @@ func (b *breaker) Success() {
 // Failure records a failed exchange: a half-open probe reopens the
 // circuit immediately, a closed circuit opens once consecutive failures
 // reach the threshold.
-func (b *breaker) Failure() {
+func (b *breaker) Failure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
 	if b.state == StateHalfOpen || b.failures >= b.threshold {
 		b.state = StateOpen
-		b.openedAt = b.now()
+		b.openedAt = now
 		b.probing = false
 	}
 }
 
 // State reports the current circuit state, resolving an elapsed open
 // cooldown as half-open so health output matches what Allow would do.
-func (b *breaker) State() string {
+func (b *breaker) State(now time.Time) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateOpen && b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == StateOpen && now.Sub(b.openedAt) >= b.cooldown {
 		return StateHalfOpen
 	}
 	return b.state

@@ -1,9 +1,23 @@
 // Package coordinator is the sharding front end of the routing cluster: it
 // consumes a /v1/plan net by net (the server's plan pipeline hands it both
 // wire forms), shards the nets across N backend workers by consistent
-// hashing on their canonical problem hash — each exchange is an NDJSON
-// stream — and merges the results back in completion order with correct
-// aggregate statistics.
+// hashing on their canonical problem hash — each exchange with a backend
+// is one NDJSON stream — and merges the results back in completion order
+// with exact aggregate statistics.
+//
+// A plan runs in two layers. The scheduling core (sched, sched.go) is
+// plain state: where each net is, which exchange each backend has open,
+// which lines went out and what the clean trailers counted. Its methods
+// are the plan's events — add a net, claim one for an upload, record an
+// answer, finish an exchange, route a net in-process, cancel, end the
+// input — and each takes the time as an argument; none blocks, starts a
+// goroutine, does I/O or writes a line. The shell (plan, this file) holds
+// one mutex and one sync.Cond per plan, runs each exchange as one
+// client.PlanStream goroutine, and reaches the core only through
+// plan.do, which locks, steps, broadcasts and unlocks, and then starts
+// exchanges, writes lines and routes nets in-process outside the lock. A
+// seeded simulator in the package's tests drives the core through
+// thousands of random schedules with no goroutines at all.
 //
 // The robustness ladder, in order of escalation:
 //
@@ -37,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,10 +75,12 @@ type Config struct {
 	// "http://10.0.0.1:8080". Order fixes the backend indices used by the
 	// targeted failpoints (coord.dial.0 hits Backends[0]).
 	Backends []string
-	// InFlight bounds the nets queued per backend awaiting upload; a full
-	// queue blocks the dispatcher, which backpressures the stream's decode
-	// loop and, through TCP, the client (default 32). The backend's own
-	// bounded decode window limits uploaded-but-unanswered nets.
+	// InFlight bounds the nets queued on a backend's open exchange awaiting
+	// upload; while that queue is full the input waits, which backpressures
+	// the stream's decode loop and, through TCP, the client (default 32).
+	// Failover places past the bound: its nets were admitted once. The
+	// backend's own bounded decode window limits uploaded-but-unanswered
+	// nets.
 	InFlight int
 	// FailureThreshold is the consecutive exchange failures that open a
 	// backend's circuit (default 3).
@@ -76,9 +93,6 @@ type Config struct {
 	// live traffic. Zero disables it; half-open probes then ride on real
 	// exchanges.
 	ProbeInterval time.Duration
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 64).
-	Replicas int
 	// Tech is the technology the local degraded path routes against
 	// (default CongPan70nm — must match the backends').
 	Tech *tech.Tech
@@ -88,8 +102,6 @@ type Config struct {
 	// ClientOptions is appended to each backend client's options — tests
 	// shorten the retry budget here.
 	ClientOptions []client.Option
-	// Now is the clock the circuit breakers read (default time.Now).
-	Now func() time.Time
 }
 
 // backend is one routing worker: its client, circuit, and latency series.
@@ -100,20 +112,19 @@ type backend struct {
 	br  *breaker
 	lat *telemetry.Histogram
 
-	mu      sync.Mutex
-	lastErr string // most recent exchange failure, for /healthz
+	lastErr atomic.Pointer[string] // most recent exchange failure, for /healthz
 }
 
 func (b *backend) setErr(err error) {
-	b.mu.Lock()
-	b.lastErr = err.Error()
-	b.mu.Unlock()
+	msg := err.Error()
+	b.lastErr.Store(&msg)
 }
 
 func (b *backend) lastError() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
+	if msg := b.lastErr.Load(); msg != nil {
+		return *msg
+	}
+	return ""
 }
 
 // Coordinator shards plans across backends. Build with New, wire
@@ -123,6 +134,7 @@ type Coordinator struct {
 	cfg      Config
 	ring     *ring
 	backends []*backend
+	brs      []*breaker // backends[i].br, the scheduling core's view
 	m        *telemetry.Metrics
 
 	hc        *http.Client // healthz probes
@@ -161,30 +173,23 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		ring:      newRing(urls, cfg.Replicas),
+		ring:      newRing(urls),
 		m:         cfg.Metrics,
 		hc:        &http.Client{Timeout: 2 * time.Second},
 		probeStop: make(chan struct{}),
 	}
 	for i, u := range urls {
+		br := newBreaker(cfg.FailureThreshold, cfg.Cooldown)
+		c.brs = append(c.brs, br)
 		c.backends = append(c.backends, &backend{
 			idx: i,
 			url: u,
 			cli: client.New(u, cfg.ClientOptions...),
-			br:  newBreaker(cfg.FailureThreshold, cfg.Cooldown, cfg.Now),
+			br:  br,
 			lat: telemetry.NewHistogram(telemetry.ExpBuckets(1, 2, 12)...),
 		})
 	}
 	return c, nil
-}
-
-// Backends returns the configured backend URLs in index order.
-func (c *Coordinator) Backends() []string {
-	out := make([]string, len(c.backends))
-	for i, be := range c.backends {
-		out[i] = be.url
-	}
-	return out
 }
 
 // BackendState is one backend's health as reported through /healthz.
@@ -200,8 +205,9 @@ type BackendState struct {
 // States reports every backend's circuit state in index order.
 func (c *Coordinator) States() []BackendState {
 	out := make([]BackendState, len(c.backends))
+	now := time.Now()
 	for i, be := range c.backends {
-		out[i] = BackendState{URL: be.url, State: be.br.State(), Failures: be.br.Failures(), LastError: be.lastError()}
+		out[i] = BackendState{URL: be.url, State: be.br.State(now), Failures: be.br.Failures(), LastError: be.lastError()}
 	}
 	return out
 }
@@ -236,7 +242,7 @@ func (c *Coordinator) probeLoop() {
 			return
 		case <-t.C:
 			for _, be := range c.backends {
-				if be.br.State() != StateClosed {
+				if be.br.State(time.Now()) != StateClosed {
 					c.probeOne(be)
 				}
 			}
@@ -250,12 +256,12 @@ func (c *Coordinator) probeLoop() {
 func (c *Coordinator) probeOne(be *backend) {
 	// The grant token is unneeded: this probe always resolves, with
 	// Success or Failure, before probeOne returns.
-	if ok, _ := be.br.Allow(); !ok {
+	if ok, _ := be.br.Allow(time.Now()); !ok {
 		return
 	}
 	resp, err := c.hc.Get(be.url + "/healthz")
 	if err != nil {
-		be.br.Failure()
+		be.br.Failure(time.Now())
 		be.setErr(err)
 		return
 	}
@@ -264,7 +270,7 @@ func (c *Coordinator) probeOne(be *backend) {
 	if resp.StatusCode == http.StatusOK {
 		be.br.Success()
 	} else {
-		be.br.Failure()
+		be.br.Failure(time.Now())
 		be.setErr(fmt.Errorf("coordinator: healthz probe: status %d", resp.StatusCode))
 	}
 }
@@ -288,18 +294,23 @@ type Net struct {
 	Hash api.ProblemHash
 }
 
-// job is one net's journey through the cluster: which backends it has
-// already been offered to, and when its current upload went out.
-type job struct {
-	spec      api.NetSpec
-	hash      api.ProblemHash
-	attempted []bool    // per backend index
-	sentAt    time.Time // last upload, for the per-backend latency series
-	// probe is the half-open grant this job's admission consumed, if any.
-	// It travels with the job until an exchange claims it (claim moves it
-	// onto the worker, whose Success/Failure/ReturnProbe resolves it); a
-	// job that never reaches an exchange hands the grant back itself.
-	probe uint64
+// plan is the shell around one Plan call's sched: the one lock and cond
+// every step goes through, the goroutines that run its exchanges, and the
+// in-process planner of the degraded path, built on first use by whoever
+// holds the core's in-process slot.
+type plan struct {
+	c    *Coordinator
+	ctx  context.Context
+	hdr  *api.PlanStreamHeader
+	emit func(api.NetResult)
+
+	mu   sync.Mutex
+	cond *sync.Cond
+	s    *sched
+	wg   sync.WaitGroup // exchange goroutines
+
+	local    *planner.Planner
+	localErr error
 }
 
 // Plan shards the nets arriving on nets across the backends, calling emit
@@ -313,268 +324,150 @@ type job struct {
 // torn down and every unsettled net is emitted as an aborted failure, so
 // the caller always gets one line per net (the drain contract).
 func (c *Coordinator) Plan(ctx context.Context, hdr *api.PlanStreamHeader, workers int, nets <-chan Net, emit func(api.NetResult)) api.PlanStats {
-	s := &session{
-		c:       c,
-		ctx:     ctx,
-		hdr:     hdr,
-		emitFn:  emit,
-		start:   time.Now(),
-		emitted: make(map[string]bool),
-		workers: make(map[int]*shardWorker),
-	}
+	start := time.Now()
+	p := &plan{c: c, ctx: ctx, hdr: hdr, emit: emit, s: newSched(c.ring, c.brs, c.cfg.InFlight)}
+	p.cond = sync.NewCond(&p.mu)
 	for n := range nets {
-		j := &job{spec: n.Spec, hash: n.Hash, attempted: make([]bool, len(c.backends))}
-		s.mu.Lock()
-		s.received++
-		s.outstanding++
-		s.mu.Unlock()
-		s.dispatch(j)
+		p.do(func(s *sched, now time.Time) bool { return s.add(n, now) })
 	}
-	s.inputDone.Store(true)
-	// Wake every worker parked in claim()/waitWork(): one that last
-	// observed inputDone as false would otherwise sleep forever — its
-	// exchange never closes its upload, so its jobs never settle, and
-	// maybeDone (which only wakes workers once outstanding hits zero)
-	// can never be the one to rouse it. Snapshotting after the Store
-	// covers every waiter that missed the flag; workers spawned later
-	// re-check it before blocking.
-	s.wakeWorkers()
-	s.maybeDone()
-	s.wg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.received == 0 {
+	var st api.PlanStats
+	var received int
+	p.do(func(s *sched, _ time.Time) bool { s.endInput(); return true })
+	p.do(func(s *sched, _ time.Time) bool { st, received = s.stats, s.received; return s.done() })
+	p.wg.Wait()
+	if received == 0 {
 		// An empty stream reports the zero stats an empty serial plan would.
 		return api.PlanStats{}
 	}
-	st := s.stats
-	st.Workers = engine.Workers(workers, s.received)
-	st.ElapsedNS = time.Since(s.start).Nanoseconds()
+	st.Workers = engine.Workers(workers, received)
+	st.ElapsedNS = time.Since(start).Nanoseconds()
 	return st
 }
 
-// session is one Plan call's state.
-type session struct {
-	c      *Coordinator
-	ctx    context.Context
-	hdr    *api.PlanStreamHeader
-	emitFn func(api.NetResult)
-	start  time.Time
-
-	inputDone atomic.Bool // no more nets will arrive
-	done      atomic.Bool // inputDone && every job settled
-
-	mu          sync.Mutex
-	emitted     map[string]bool
-	stats       api.PlanStats
-	outstanding int // jobs not yet settled (stats-accounted)
-	received    int
-	workers     map[int]*shardWorker // live worker per backend index
-	wg          sync.WaitGroup
-
-	localMu  sync.Mutex
-	localPl  *planner.Planner
-	localErr error
-}
-
-// dispatch routes j to the first untried backend with a willing circuit on
-// its ring walk, or locally when there is none. It blocks on the chosen
-// backend's bounded queue — that is the backpressure path.
-func (s *session) dispatch(j *job) {
+// do is the shell's one way into the core. Under the plan's lock it folds
+// a canceled context into the core and runs step, sleeping on the cond
+// while step reports it must wait; then it wakes every waiter, unlocks,
+// and does what the step asked for: start exchanges, write lines, route
+// nets in-process. Every step ends in a broadcast, so no waiter can miss
+// the change it waits for. A canceled context needs no wake-up of its
+// own: whatever a waiter waits for is an exchange or an in-process route
+// under way, whose client call or search returns on the context and
+// steps.
+func (p *plan) do(step func(s *sched, now time.Time) bool) {
+	p.mu.Lock()
 	for {
-		if s.ctx.Err() != nil {
-			s.abortJob(j)
-			return
+		if err := context.Cause(p.ctx); err != nil {
+			p.s.cancel(err)
 		}
-		be := s.pick(j)
-		if be == nil {
-			s.routeLocal(j)
-			return
+		if step(p.s, time.Now()) {
+			break
 		}
-		if s.workerFor(be).push(j) {
-			return
-		}
-		// The worker died between lookup and push; its circuit has taken
-		// the failure, so the next pick moves on (or spawns a successor).
-		// A probe grant this pick consumed never reached an exchange —
-		// hand it back or the circuit is stuck half-open forever.
-		if j.probe != 0 {
-			be.br.ReturnProbe(j.probe)
-			j.probe = 0
-		}
+		p.cond.Wait()
+	}
+	fx := p.s.take()
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	for _, ex := range fx.start {
+		p.wg.Add(1)
+		go p.run(ex)
+	}
+	for _, nr := range fx.emit {
+		p.emit(nr)
+	}
+	if fx.failovers > 0 {
+		p.c.m.CoordFailovers.Add(fx.failovers)
+	}
+	for _, j := range fx.local {
+		p.routeLocal(j)
 	}
 }
 
-// pick walks the ring from j's hash, skipping backends already attempted
-// and circuits that refuse. A granted half-open probe is consumed here —
-// the exchange that follows is the probe — and its token rides on the
-// job until that exchange claims or abandons it.
-func (s *session) pick(j *job) *backend {
-	var chosen *backend
-	s.c.ring.walk(j.hash.Uint64(), func(idx int) bool {
-		if j.attempted[idx] {
-			return true
+// run carries ex through its client call and reports how it ended.
+func (p *plan) run(ex *exchange) {
+	defer p.wg.Done()
+	be := p.c.backends[ex.be]
+	st, err := p.exchange(ex, be)
+	var blame error
+	p.do(func(s *sched, now time.Time) bool { blame = s.finish(ex, st, err, now); return true })
+	if blame != nil {
+		be.setErr(blame)
+	}
+}
+
+// exchange runs ex as one client.PlanStream, so a 429 or 503 before the
+// stream opens is retried with backoff: the upload claims ex's nets one
+// by one, and each result line is recorded as it arrives. The coord.dial,
+// coord.send and coord.recv failpoints fail it at those three points, and
+// a panic there (their panic mode) is contained as a failure of ex.
+func (p *plan) exchange(ex *exchange, be *backend) (st *api.PlanStats, err error) {
+	defer contain(&err)
+	if err := checkPoint("coord.dial", be.idx); err != nil {
+		return nil, err
+	}
+	upload := func(send func(api.NetSpec) error) (err error) {
+		defer contain(&err)
+		for i := 0; ; i++ {
+			var j *job
+			p.do(func(s *sched, now time.Time) bool {
+				var wait bool
+				j, wait = s.claim(ex, i, now)
+				return !wait
+			})
+			if j == nil {
+				return nil
+			}
+			if err := checkPoint("coord.send", be.idx); err != nil {
+				return err
+			}
+			if err := send(j.net.Spec); err != nil {
+				return err
+			}
 		}
-		ok, probe := s.c.backends[idx].br.Allow()
-		if !ok {
-			return true
+	}
+	return be.cli.PlanStream(p.ctx, p.hdr, upload, func(nr api.NetResult) (err error) {
+		if err := checkPoint("coord.recv", be.idx); err != nil {
+			return err
 		}
-		chosen = s.c.backends[idx]
-		j.probe = probe
-		return false
+		var rtt time.Duration
+		p.do(func(s *sched, now time.Time) bool { rtt, err = s.answer(ex, nr, now); return true })
+		if err == nil {
+			be.lat.Observe(float64(rtt) / float64(time.Millisecond))
+		}
+		return err
 	})
-	return chosen
 }
 
-// workerFor returns the backend's live worker, spawning one if none.
-func (s *session) workerFor(be *backend) *shardWorker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w := s.workers[be.idx]; w != nil {
-		return w
-	}
-	w := newShardWorker(s, be)
-	s.workers[be.idx] = w
-	s.wg.Add(1)
-	go w.run()
-	return w
-}
-
-func (s *session) removeWorker(w *shardWorker) {
-	s.mu.Lock()
-	if s.workers[w.be.idx] == w {
-		delete(s.workers, w.be.idx)
-	}
-	s.mu.Unlock()
-}
-
-// emitResult writes nr to the stream unless a net of that name already
-// went out (failover re-routes re-answer nets; determinism makes the
-// duplicate byte-identical, so dropping it is safe). Reports whether the
-// line was emitted.
-func (s *session) emitResult(nr api.NetResult) bool {
-	s.mu.Lock()
-	if s.emitted[nr.Name] {
-		s.mu.Unlock()
-		return false
-	}
-	s.emitted[nr.Name] = true
-	s.mu.Unlock()
-	s.emitFn(nr)
-	return true
-}
-
-// settle accounts n jobs as finished, folding their exchange's trailer
-// stats into the aggregate. Exactly one settle (or abortJob) happens per
-// job, which is what makes the totals match a serial run.
-func (s *session) settle(n int, st *api.PlanStats) {
-	s.mu.Lock()
-	if st != nil {
-		addStats(&s.stats, st)
-	}
-	s.outstanding -= n
-	s.mu.Unlock()
-	s.maybeDone()
-}
-
-// abortJob settles j under a canceled session: an aborted-failure line if
-// none went out yet, counted as a failed net.
-func (s *session) abortJob(j *job) {
-	emitted := s.emitResult(api.NetResult{
-		Name:        j.spec.Name,
-		Error:       fmt.Sprintf("server: net aborted: %v", context.Cause(s.ctx)),
-		ProblemHash: j.hash.Hex(),
-	})
-	s.mu.Lock()
-	if emitted {
-		s.stats.NetsFailed++
-	}
-	s.outstanding--
-	s.mu.Unlock()
-	s.maybeDone()
-}
-
-// maybeDone flips the session to done once the input has ended and every
-// job has settled, waking every worker so idle ones exit.
-func (s *session) maybeDone() {
-	if !s.inputDone.Load() {
-		return
-	}
-	s.mu.Lock()
-	if s.outstanding != 0 || s.done.Load() {
-		s.mu.Unlock()
-		return
-	}
-	s.done.Store(true)
-	s.mu.Unlock()
-	s.wakeWorkers()
-}
-
-// wakeWorkers prods every live worker's condition so blocking waits
-// re-check inputDone/done/cancellation.
-func (s *session) wakeWorkers() {
-	s.mu.Lock()
-	ws := make([]*shardWorker, 0, len(s.workers))
-	for _, w := range s.workers {
-		ws = append(ws, w)
-	}
-	s.mu.Unlock()
-	for _, w := range ws {
-		w.wake()
+// contain turns a panic into *err.
+func contain(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("coordinator: contained panic: %v\n%s", v, debug.Stack())
 	}
 }
 
-// routeLocal is the bottom of the degradation ladder: route j in-process
-// through the same planner/conversion code the backends run. Serialized —
-// degraded mode trades throughput for availability — and stats-exact,
-// because per-net search statistics are deterministic whether or not the
-// net shares a batch with others.
-func (s *session) routeLocal(j *job) {
-	s.c.m.CoordDegradedLocal.Inc()
-	s.localMu.Lock()
-	defer s.localMu.Unlock()
-	if s.localPl == nil && s.localErr == nil {
-		s.localPl, s.localErr = planwire.NewStreamPlanner(&s.hdr.Grid, s.c.cfg.Tech, nil)
+// routeLocal is the bottom of the degradation ladder: j routes in-process
+// through the same planner/conversion code the backends run, one net at a
+// time (degraded mode trades throughput for availability), and
+// stats-exact, because per-net search statistics are deterministic
+// whether or not the net shares a batch with others.
+func (p *plan) routeLocal(j *job) {
+	p.c.m.CoordDegradedLocal.Inc()
+	p.do(func(s *sched, _ time.Time) bool { return s.takeLocal() })
+	if p.local == nil && p.localErr == nil {
+		p.local, p.localErr = planwire.NewStreamPlanner(&p.hdr.Grid, p.c.cfg.Tech, nil)
 	}
-	if s.localErr != nil {
-		if s.emitResult(api.NetResult{Name: j.spec.Name, Error: s.localErr.Error(), ProblemHash: j.hash.Hex()}) {
-			s.mu.Lock()
-			s.stats.NetsFailed++
-			s.mu.Unlock()
-		}
-		s.mu.Lock()
-		s.outstanding--
-		s.mu.Unlock()
-		s.maybeDone()
-		return
+	nr := api.NetResult{Name: j.net.Spec.Name, ProblemHash: j.net.Hash.Hex()}
+	st := api.PlanStats{NetsFailed: 1}
+	if p.localErr != nil {
+		nr.Error = p.localErr.Error()
+	} else {
+		specs := make(chan planner.NetSpec, 1)
+		specs <- planwire.SpecFromNet(&j.net.Spec)
+		close(specs)
+		pst, _ := p.local.RunStream(p.ctx, 1, specs, func(r planner.NetResult) {
+			nr = planwire.NetResultOnWire(&r, p.local.Grid())
+			nr.ProblemHash = j.net.Hash.Hex()
+		})
+		st = planwire.PlanStatsOnWire(pst)
 	}
-	specCh := make(chan planner.NetSpec, 1)
-	specCh <- planwire.SpecFromNet(&j.spec)
-	close(specCh)
-	st, _ := s.localPl.RunStream(s.ctx, 1, specCh, func(r planner.NetResult) {
-		nr := planwire.NetResultOnWire(&r, s.localPl.Grid())
-		nr.ProblemHash = j.hash.Hex()
-		s.emitResult(nr)
-	})
-	ws := planwire.PlanStatsOnWire(st)
-	s.settle(1, &ws)
-}
-
-// addStats folds one clean exchange's (or local route's) stats into the
-// aggregate. Workers and ElapsedNS are the session's own, set at the end;
-// MaxQSize is a high-water mark, so the partition-wide maximum is the max
-// of the per-exchange maxima.
-func addStats(dst *api.PlanStats, src *api.PlanStats) {
-	dst.NetsRouted += src.NetsRouted
-	dst.NetsFailed += src.NetsFailed
-	dst.TotalConfigs += src.TotalConfigs
-	dst.TotalPushed += src.TotalPushed
-	dst.TotalPruned += src.TotalPruned
-	dst.TotalBoundPruned += src.TotalBoundPruned
-	dst.TotalProbeConfigs += src.TotalProbeConfigs
-	dst.TotalWaves += src.TotalWaves
-	if src.MaxQSize > dst.MaxQSize {
-		dst.MaxQSize = src.MaxQSize
-	}
+	p.do(func(s *sched, _ time.Time) bool { s.answerLocal(nr, st); return true })
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,8 +20,8 @@ import (
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(urls, 0)
-	r2 := newRing(urls, 0)
+	r1 := newRing(urls)
+	r2 := newRing(urls)
 	counts := make([]int, len(urls))
 	const keys = 4096
 	for k := uint64(0); k < keys; k++ {
@@ -42,7 +43,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 
 func TestRingWalkVisitsEachBackendOnce(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := newRing(urls, 8)
+	r := newRing(urls)
 	for k := uint64(0); k < 256; k++ {
 		var order []int
 		r.walk(k*0x9e3779b97f4a7c15, func(idx int) bool {
@@ -70,8 +71,8 @@ func TestRingConsistencyUnderBackendLoss(t *testing.T) {
 	// owned by a survivor keeps its owner. This is the property that keeps
 	// the other backends' result caches warm through a partition.
 	all := []string{"http://a:1", "http://b:1", "http://c:1"}
-	rAll := newRing(all, 0)
-	rLess := newRing([]string{"http://a:1", "http://c:1"}, 0)
+	rAll := newRing(all)
+	rLess := newRing([]string{"http://a:1", "http://c:1"})
 	for k := uint64(0); k < 2048; k++ {
 		key := k * 0x9e3779b97f4a7c15
 		ownAll := rAll.owner(key)
@@ -91,20 +92,19 @@ func TestRingConsistencyUnderBackendLoss(t *testing.T) {
 
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBreaker(3, time.Second, clock)
-	allow := func() bool { ok, _ := b.Allow(); return ok }
+	b := newBreaker(3, time.Second)
+	allow := func() bool { ok, _ := b.Allow(now); return ok }
 
-	if b.State() != StateClosed || !allow() {
+	if b.State(now) != StateClosed || !allow() {
 		t.Fatal("new breaker must be closed and admitting")
 	}
-	b.Failure()
-	b.Failure()
-	if b.State() != StateClosed {
-		t.Fatalf("state after 2 failures = %s, want closed", b.State())
+	b.Failure(now)
+	b.Failure(now)
+	if b.State(now) != StateClosed {
+		t.Fatalf("state after 2 failures = %s, want closed", b.State(now))
 	}
-	b.Failure()
-	if b.State() != StateOpen || allow() {
+	b.Failure(now)
+	if b.State(now) != StateOpen || allow() {
 		t.Fatal("threshold failures must open the circuit")
 	}
 	if b.Failures() != 3 {
@@ -113,8 +113,8 @@ func TestBreakerTransitions(t *testing.T) {
 
 	// Cooldown elapses: exactly one probe is granted.
 	now = now.Add(time.Second)
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state after cooldown = %s, want half-open", b.State())
+	if b.State(now) != StateHalfOpen {
+		t.Fatalf("state after cooldown = %s, want half-open", b.State(now))
 	}
 	if !allow() {
 		t.Fatal("half-open must grant one probe")
@@ -124,8 +124,8 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 
 	// Probe fails: reopen with a fresh cooldown.
-	b.Failure()
-	if b.State() != StateOpen || allow() {
+	b.Failure(now)
+	if b.State(now) != StateOpen || allow() {
 		t.Fatal("failed probe must reopen the circuit")
 	}
 	now = now.Add(time.Second)
@@ -133,7 +133,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("second cooldown must grant a probe again")
 	}
 	b.Success()
-	if b.State() != StateClosed || b.Failures() != 0 || !allow() {
+	if b.State(now) != StateClosed || b.Failures() != 0 || !allow() {
 		t.Fatal("successful probe must close the circuit and reset failures")
 	}
 }
@@ -144,25 +144,25 @@ func TestBreakerTransitions(t *testing.T) {
 // ignored, so a late return can never release someone else's probe.
 func TestBreakerReturnProbe(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(1, time.Second, func() time.Time { return now })
+	b := newBreaker(1, time.Second)
 
-	b.Failure() // threshold 1: open
+	b.Failure(now) // threshold 1: open
 	now = now.Add(time.Second)
-	ok, tok := b.Allow()
+	ok, tok := b.Allow(now)
 	if !ok || tok == 0 {
 		t.Fatalf("half-open Allow = (%v, %d), want a granted probe token", ok, tok)
 	}
-	if ok, _ := b.Allow(); ok {
+	if ok, _ := b.Allow(now); ok {
 		t.Fatal("second probe granted while the first is outstanding")
 	}
 
 	// The probe's exchange ends with no verdict: return the grant and the
 	// circuit must stay half-open and grant again.
 	b.ReturnProbe(tok)
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state after return = %s, want half-open", b.State())
+	if b.State(now) != StateHalfOpen {
+		t.Fatalf("state after return = %s, want half-open", b.State(now))
 	}
-	ok2, tok2 := b.Allow()
+	ok2, tok2 := b.Allow(now)
 	if !ok2 || tok2 == 0 {
 		t.Fatal("returned grant did not free the circuit for a fresh probe")
 	}
@@ -170,19 +170,19 @@ func TestBreakerReturnProbe(t *testing.T) {
 	// Stale return: tok belongs to a resolved grant and must not release
 	// the in-flight probe tok2.
 	b.ReturnProbe(tok)
-	if ok, _ := b.Allow(); ok {
+	if ok, _ := b.Allow(now); ok {
 		t.Fatal("stale token released a newer in-flight probe")
 	}
 
 	// Failure resolves tok2 and reopens; a late return of tok2 must not
 	// flip probing under the open state either.
-	b.Failure()
+	b.Failure(now)
 	b.ReturnProbe(tok2)
-	if b.State() != StateOpen {
-		t.Fatalf("state after failed probe = %s, want open", b.State())
+	if b.State(now) != StateOpen {
+		t.Fatalf("state after failed probe = %s, want open", b.State(now))
 	}
 	now = now.Add(time.Second)
-	if ok, _ := b.Allow(); !ok {
+	if ok, _ := b.Allow(now); !ok {
 		t.Fatal("cooldown after resolved probe must grant again")
 	}
 }
@@ -213,7 +213,7 @@ func TestCanceledProbeExchangeReturnsGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := c.backends[0].br
-	br.Failure()                     // threshold 1: circuit opens
+	br.Failure(time.Now())           // threshold 1: circuit opens
 	time.Sleep(5 * time.Millisecond) // cooldown elapses: next Allow grants the probe
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -240,10 +240,10 @@ func TestCanceledProbeExchangeReturnsGrant(t *testing.T) {
 		t.Fatal("Plan did not return after cancellation")
 	}
 
-	if st := br.State(); st != StateHalfOpen {
+	if st := br.State(time.Now()); st != StateHalfOpen {
 		t.Fatalf("state after canceled probe exchange = %q, want half-open", st)
 	}
-	if ok, _ := br.Allow(); !ok {
+	if ok, _ := br.Allow(time.Now()); !ok {
 		t.Fatal("probe grant leaked: half-open circuit refuses a fresh probe after a canceled exchange")
 	}
 }
@@ -269,12 +269,22 @@ func TestWritePrometheusStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.backends[0].br.Failure() // one consecutive failure on a
+	c.backends[0].br.Failure(time.Now()) // one consecutive failure on a
 	c.backends[1].lat.Observe(3)
 	c.backends[1].lat.Observe(700)
 
 	var buf bytes.Buffer
 	c.WritePrometheus(&buf)
+	// The exposition's bytes are pinned: the golden file is this
+	// fixture's output as rendered before the per-backend histograms moved
+	// onto telemetry's formatter.
+	golden, err := os.ReadFile("testdata/write_prometheus.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("exposition differs from testdata/write_prometheus.golden:\n%s", buf.Bytes())
+	}
 
 	type sample struct {
 		name   string

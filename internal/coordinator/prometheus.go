@@ -3,8 +3,9 @@ package coordinator
 import (
 	"fmt"
 	"io"
-	"math"
-	"strconv"
+	"time"
+
+	"clockroute/internal/telemetry"
 )
 
 // WritePrometheus renders the coordinator's per-backend series in
@@ -14,10 +15,11 @@ import (
 // extra writer to telemetry.WritePrometheus, after the registry-level
 // coord_failovers/coord_degraded_local counters.
 func (c *Coordinator) WritePrometheus(w io.Writer) {
+	now := time.Now()
 	fmt.Fprintf(w, "# HELP clockroute_coord_backend_up Backend circuit admits traffic (1 closed, 0 open or half-open).\n# TYPE clockroute_coord_backend_up gauge\n")
 	for _, be := range c.backends {
 		up := 0
-		if be.br.State() == StateClosed {
+		if be.br.State(now) == StateClosed {
 			up = 1
 		}
 		fmt.Fprintf(w, "clockroute_coord_backend_up{backend=%q} %d\n", be.url, up)
@@ -28,29 +30,6 @@ func (c *Coordinator) WritePrometheus(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# HELP clockroute_coord_backend_latency_ms Per-net round trip through each backend in milliseconds.\n# TYPE clockroute_coord_backend_latency_ms histogram\n")
 	for _, be := range c.backends {
-		bounds := be.lat.Bounds()
-		var cum int64
-		for i, b := range bounds {
-			cum += be.lat.BucketCount(i)
-			fmt.Fprintf(w, "clockroute_coord_backend_latency_ms_bucket{backend=%q,le=%q} %d\n", be.url, promFloat(b), cum)
-		}
-		cum += be.lat.BucketCount(len(bounds))
-		fmt.Fprintf(w, "clockroute_coord_backend_latency_ms_bucket{backend=%q,le=\"+Inf\"} %d\n", be.url, cum)
-		fmt.Fprintf(w, "clockroute_coord_backend_latency_ms_sum{backend=%q} %s\n", be.url, promFloat(be.lat.Sum()))
-		fmt.Fprintf(w, "clockroute_coord_backend_latency_ms_count{backend=%q} %d\n", be.url, be.lat.Count())
+		telemetry.WriteHistogramSamples(w, "clockroute_coord_backend_latency_ms", "backend", be.url, be.lat)
 	}
-}
-
-// promFloat matches telemetry's sample formatting (shortest
-// round-trippable form, spelled infinities).
-func promFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

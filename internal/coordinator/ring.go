@@ -10,10 +10,10 @@ import (
 // ring is a consistent-hash ring over backend indices. Each backend owns
 // replicas virtual points, placed by hashing "url|replica"; a problem hash
 // maps to the first point clockwise from its 64-bit prefix. Consistency is
-// what makes failover cheap: a backend leaving (circuit open, worker dead)
-// moves only its own arc to the next healthy backend, so the rest of the
-// plan keeps its assignment — and with it, each backend's warm result
-// cache stays hot across drills.
+// what makes failover cheap: a backend leaving (circuit open, exchange
+// failed) moves only its own arc to the next healthy backend, so the rest
+// of the plan keeps its assignment — and with it, each backend's warm
+// result cache stays hot across drills.
 type ring struct {
 	points []ringPoint // sorted by key
 }
@@ -23,12 +23,11 @@ type ringPoint struct {
 	idx int
 }
 
-// newRing builds the ring. URLs must be distinct; replicas <= 0 selects
-// the default of 64 virtual points per backend.
-func newRing(urls []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
+// replicas is the number of virtual points each backend owns.
+const replicas = 64
+
+// newRing builds the ring. URLs must be distinct.
+func newRing(urls []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(urls)*replicas)}
 	for i, u := range urls {
 		for v := 0; v < replicas; v++ {

@@ -41,21 +41,34 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promHistogram renders h as a full histogram family: cumulative
-// _bucket{le="bound"} series, the mandatory le="+Inf" bucket equal to
-// _count, then _sum and _count.
+// promHistogram renders h as a full histogram family: its HELP and TYPE
+// lines, then its samples.
 func promHistogram(w io.Writer, name, help string, h *Histogram) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	WriteHistogramSamples(w, name, "", "", h)
+}
+
+// WriteHistogramSamples writes h's samples under name: cumulative
+// _bucket{le="bound"} series, the mandatory le="+Inf" bucket equal to
+// _count, then _sum and _count. A non-empty label puts the pair
+// label="value" on every sample, ahead of le, so one family can hold a
+// histogram per label value (the coordinator's per-backend latencies).
+func WriteHistogramSamples(w io.Writer, name, label, value string, h *Histogram) {
+	var pair, set string // `label="value",` inside a bucket's braces; `{label="value"}` on _sum and _count
+	if label != "" {
+		pair = fmt.Sprintf("%s=%q,", label, value)
+		set = "{" + pair[:len(pair)-1] + "}"
+	}
 	bounds := h.Bounds()
 	var cum int64
 	for i, b := range bounds {
 		cum += h.BucketCount(i)
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(b), cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pair, formatFloat(b), cum)
 	}
 	cum += h.BucketCount(len(bounds))
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, pair, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, set, formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, h.Count())
 }
 
 // WritePrometheus renders the registry in Prometheus text format,
