@@ -112,7 +112,7 @@ bench:
 # compare their allocs/op and ns/op against the checked-in numbers. BenchmarkRBP's
 # telemetry=* rows price the observability layer.
 # The single-search rows get 50 iterations (they are milliseconds each and
-# noisy at 10); the planner batches and the latch row (about 1.4 s a
+# noisy at 10); the planner batches and the latch row (about 0.19 s a
 # search) stay at 10 to keep the target fast.
 bench-core:
 	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkShortSearchesDroppedPool$$' -benchmem -benchtime 50x -json . > BENCH_core.json

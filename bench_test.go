@@ -259,7 +259,6 @@ func BenchmarkMCFIFO_Simulation(b *testing.B) {
 // and its answer through latency_ps and registers/op (the latch count).
 func BenchmarkExtension_LatchVsRegister(b *testing.B) {
 	prob := reducedProblem(b)
-	lt := tech.CongPan70nm().Latch()
 	b.Run("rbp", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			if _, err := core.RBP(prob, 400, core.Options{}); err != nil {
@@ -271,7 +270,7 @@ func BenchmarkExtension_LatchVsRegister(b *testing.B) {
 		var res *latch.Result
 		for n := 0; n < b.N; n++ {
 			var err error
-			if res, err = latch.Route(prob, 400, lt, 0, core.Options{}); err != nil {
+			if res, err = latch.Route(prob, 400, 0, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -239,7 +239,7 @@ type LatchResult = latch.Result
 // two-phase transparent latches instead of registers, exploiting time
 // borrowing. maxCycles bounds the latency search (0 = default).
 func LatchRoute(p *Problem, T float64, maxCycles int, opts Options) (*LatchResult, error) {
-	return latch.Route(p, T, p.Model.Tech().Latch(), maxCycles, opts)
+	return latch.Route(p, T, maxCycles, opts)
 }
 
 // VerifyLatch independently re-checks a latch route by forward simulation

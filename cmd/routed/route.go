@@ -178,7 +178,7 @@ func runRoute(args []string, stdout, stderr io.Writer) int {
 	g, m := prob.Grid, prob.Model
 
 	if *kind == "latch" {
-		res, err := latch.Route(prob, *period, tc.Latch(), *maxCycles, creq.Options)
+		res, err := latch.Route(prob, *period, *maxCycles, creq.Options)
 		if err != nil {
 			return obs.Fail("routing", err)
 		}

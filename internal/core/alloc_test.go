@@ -190,7 +190,7 @@ func TestBoundsPrecomputeAllocBudget(t *testing.T) {
 		if bd.pathWindow(p) == nil {
 			t.Fatal("pathWindow found no path on a reachable problem")
 		}
-		bd.segBound(0, p.Model, ref.Latency, int(bd.maxSrc), false, false)
+		bd.segBound(0, p.Model, ref.Latency, int(bd.maxSrc), plainSeg)
 		bd.keyBound(p.Model, ref.Latency, int(bd.maxSrc), true)
 	}
 	warm()

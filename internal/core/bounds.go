@@ -25,8 +25,9 @@ import (
 //     edges the current segment must still cross once later segments
 //     span all they can within the budget; a segBound delay table turns
 //     that into a test on the candidate's own (c, d) (RBP, GALS,
-//     FastPath), and the latch router telescopes it into a deadline test.
-//     The reach and the tables come from per-model curves (curves.go).
+//     FastPath), and the latch router's table, over every edge left to
+//     the source, into a test on its deadline (latch.go). The reach and
+//     the tables come from per-model curves (curves.go).
 //  3. An incumbent: a feasible solution cost U found before the main
 //     search, against which the lower bounds prune. The probe runs the
 //     search's own kernel confined to one BFS shortest path (probe), so
@@ -132,10 +133,10 @@ func (b *Bounds) bfs(p *Problem, src int, dist []int32) int32 {
 // buffer options, so its span can never exceed the ideal one. The reach is
 // capped at maxReach edges (distances beyond the grid's diameter never
 // matter), so huge periods cost O(maxReach) instead of exploding.
-func segmentReach(m *elmore.Model, T float64, maxReach int, fifoOpens, fifoCloses bool) int {
-	k, _ := closing(m.Tech(), fifoCloses)
+func segmentReach(m *elmore.Model, T float64, maxReach int, kind segKind) int {
+	k, _ := closing(m.Tech(), kind == fifoClosedSeg)
 	limit := T - k
-	c := curvesFor(m).curve(m, reachTable, kindOf(fifoOpens, fifoCloses), limit, maxReach)
+	c := curvesFor(m).curve(m, reachTable, kind, limit, maxReach)
 	reach := 0
 	for n := 1; n <= maxReach && c.at(n) <= limit; n++ {
 		reach = n
@@ -200,9 +201,10 @@ func (sc *Scratch) probe(p *Problem, opts Options, kernel func(Options, *nodeFla
 
 // segBound is the delay-aware A* bound for one kind of clocked segment:
 // RBP's period-T segment, GALS's Tt (sink-side) or Ts (source-side)
-// segment, or FastPath's single source-to-sink segment under its
-// incumbent. A candidate (c, d) that must still cross need edges of its
-// current segment before the segment closes is doomed when
+// segment, FastPath's single source-to-sink segment under its incumbent,
+// or the latch router's chain to the source under its launch edge. A
+// candidate (c, d) that must still cross need edges of its current
+// segment before the segment closes is doomed when
 //
 //	d + slope·(c − cmin) + rem[need] > limit.
 //
@@ -244,15 +246,17 @@ func (s *segBound) prune(c, d float64, need int) bool {
 }
 
 // newSegBound returns the bound of one segment kind without its table.
-// The segment opens from the register or a buffer (or the FIFO when
-// fifoOpens) and closes into the register (or the FIFO when fifoCloses).
-func newSegBound(tc *tech.Tech, limit float64, fifoOpens, fifoCloses bool) segBound {
+// The segment opens from the register, a buffer or a latch (or the FIFO
+// when the FIFO opens the kind) and closes into the register (or the FIFO
+// when the FIFO closes it). tech.Latch is the register under another
+// name, so a latch adds no capacitance or resistance of its own.
+func newSegBound(tc *tech.Tech, limit float64, kind segKind) segBound {
 	sb := segBound{cmin: tc.Register.C, limit: limit}
-	_, sb.slope = closing(tc, fifoCloses)
+	_, sb.slope = closing(tc, kind == fifoClosedSeg)
 	for _, bu := range tc.Buffers {
 		sb.cmin = math.Min(sb.cmin, bu.C)
 	}
-	if fifoOpens {
+	if kind == fifoOpenedSeg {
 		sb.cmin = math.Min(sb.cmin, tc.FIFO.C)
 	}
 	return sb
@@ -268,9 +272,9 @@ func newSegBound(tc *tech.Tech, limit float64, fifoOpens, fifoCloses bool) segBo
 // k ≤ reach already covers completions longer than reach, and the closing
 // suffix-minimum only guards the invariant. A caller's reach bounds every
 // need it asks about: a segment's span, or FastPath's BFS radius.
-func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, fifoOpens, fifoCloses bool) segBound {
-	sb := newSegBound(m.Tech(), limit, fifoOpens, fifoCloses)
-	c := curvesFor(m).curve(m, remTable, kindOf(fifoOpens, fifoCloses), limit, reach)
+func (b *Bounds) segBound(slot int, m *elmore.Model, limit float64, reach int, kind segKind) segBound {
+	sb := newSegBound(m.Tech(), limit, kind)
+	c := curvesFor(m).curve(m, remTable, kind, limit, reach)
 	b.rem[slot] = copyTable(b.rem[slot], c, reach)
 	raw := b.rem[slot]
 	for k := reach - 1; k >= 0; k-- {
@@ -361,16 +365,18 @@ func (b *Bounds) keyBound(m *elmore.Model, key float64, reach int, fifoOpens boo
 // wave.
 //
 // FastPath and the latch router have no latency budget to split: flat is
-// then the bound state of every wave.
+// then the bound state of every wave. deadline is the latch router's
+// deadline test (latchSeg), in place of the key test.
 type spanBound struct {
-	b      *Bounds
-	s      *scheme
-	seg    [2]segBound
-	reach  [2]int
-	lat    float64 // the incumbent's latency; +Inf without one
-	maxLat float64 // lat plus latencyEps
-	key    keyBound
-	flat   *waveBound
+	b        *Bounds
+	s        *scheme
+	seg      [2]segBound
+	reach    [2]int
+	lat      float64 // the incumbent's latency; +Inf without one
+	maxLat   float64 // lat plus latencyEps
+	key      keyBound
+	deadline segBound
+	flat     *waveBound
 }
 
 // waveBound is the bound state of one wave: each domain's span (spans),
@@ -396,12 +402,13 @@ type waveBound struct {
 // wherever a candidate stands: its flat span is 0 under that incumbent's
 // delay table, and without an incumbent only unreachable nodes are
 // pruned. The latch router runs no probe: every wave tests the deadline
-// (latchScheme.prune).
+// (latchBound).
 func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, error) {
 	b := sc.prepBounds(p)
 	g := &spanBound{b: b, s: s, lat: math.Inf(1), maxLat: math.Inf(1)}
 	if s.latch != nil {
 		g.seg[0], g.flat = openSeg, &waveBound{span: [2]int{int(b.maxSrc)}, keyed: [2]bool{true}}
+		g.deadline = latchBound(b, p.Model, -s.latch.launch)
 		return g, 0, nil
 	}
 	inc, probeConfigs, err := sc.probe(p, opts, func(o Options, win *nodeFlags) (*Result, error) {
@@ -413,19 +420,19 @@ func (s *scheme) bound(p *Problem, opts Options, sc *Scratch) (*spanBound, int, 
 	if s.queue == oneWave {
 		g.seg[0], g.flat = openSeg, &waveBound{span: [2]int{int(b.maxSrc)}}
 		if inc != nil {
-			g.seg[0] = b.segBound(0, p.Model, inc.Latency+boundEps(inc.Latency), int(b.maxSrc), false, false)
+			g.seg[0] = b.segBound(0, p.Model, inc.Latency+boundEps(inc.Latency), int(b.maxSrc), plainSeg)
 			g.flat.span[0] = 0
 		}
 		return g, probeConfigs, nil
 	}
 	for z, d := range s.dom[:s.nd] {
-		g.reach[z] = segmentReach(p.Model, d.T, int(b.maxSrc), z > 0, z+1 < s.nd)
+		g.reach[z] = segmentReach(p.Model, d.T, int(b.maxSrc), kindOf(z > 0, z+1 < s.nd))
 	}
 	if inc != nil {
 		g.lat, g.maxLat = inc.Latency, inc.Latency+latencyEps
 	}
 	for z, d := range s.dom[:s.nd] {
-		g.seg[z] = b.segBound(z, p.Model, d.T+boundEps(d.T), g.reach[z], z > 0, z+1 < s.nd)
+		g.seg[z] = b.segBound(z, p.Model, d.T+boundEps(d.T), g.reach[z], kindOf(z > 0, z+1 < s.nd))
 	}
 	if last := s.nd - 1; inc != nil && !s.maxSlack(opts) {
 		g.key = b.keyBound(p.Model, inc.arrivalKey, g.reach[last], last > 0)
@@ -515,15 +522,19 @@ func (g *spanBound) prune(v int32, z uint8, c, d float64, span int) bool {
 // at node v in the probe's wave (waveBound.keyed): it must reach the
 // source within the key limit. Like prune, it depends on the node alone
 // and grows with d. Without a key table the wave is keyed only under the
-// latch scheme, whose deadline test also shrinks with the candidate's
-// deadline slack. Callers run it after prune, which rejects unreachable
-// nodes; the two stay separate so each inlines into the kernel's
-// admission test.
-func (g *spanBound) keyPrune(v int32, d, slack float64) bool {
+// latch scheme, whose deadline test (latchBound) grows with c too and
+// shrinks with the candidate's deadline slack: segBound's test on
+// (c, d − slack) at need = dist, which lies within the table, so written
+// without prune's clamps. Callers run it after prune, which rejects
+// unreachable nodes; the two stay separate so each inlines into the
+// kernel's admission test.
+func (g *spanBound) keyPrune(v int32, c, d, slack float64) bool {
+	dist := int(g.b.distSrc[v])
 	if g.key.add == nil {
-		return g.s.latch.prune(d, slack, int(g.b.distSrc[v]))
+		dl := &g.deadline
+		return d-slack+dl.slope*(c-dl.cmin)+dl.rem[dist] > dl.limit
 	}
-	return g.key.prune(d, int(g.b.distSrc[v]))
+	return g.key.prune(d, dist)
 }
 
 // maxCloses returns the most closes n of period T with base + n·T ≤ maxLat

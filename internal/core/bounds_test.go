@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clockroute/internal/candidate"
@@ -113,7 +114,7 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 		}
 		prune = func(s pathState) bool {
 			w := sb.spans(c.T * float64(s.wave))
-			return sb.prune(s.node, 0, s.c, s.d, w.span[0]) || (w.keyed[0] && sb.keyPrune(s.node, s.d, 0))
+			return sb.prune(s.node, 0, s.c, s.d, w.span[0]) || (w.keyed[0] && sb.keyPrune(s.node, s.c, s.d, 0))
 		}
 	case "gals":
 		ts, tt = c.Ts, c.Tt
@@ -123,7 +124,7 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 		}
 		prune = func(s pathState) bool {
 			w := sb.spans(s.l)
-			return sb.prune(s.node, s.z, s.c, s.d, w.span[s.z]) || (w.keyed[s.z] && sb.keyPrune(s.node, s.d, 0))
+			return sb.prune(s.node, s.z, s.c, s.d, w.span[s.z]) || (w.keyed[s.z] && sb.keyPrune(s.node, s.c, s.d, 0))
 		}
 	default:
 		t.Fatalf("%s: unknown kernel %q", label, kernel)
@@ -173,31 +174,36 @@ func TestSegBoundAdmitsOptimalPaths(t *testing.T) {
 // TestSegBoundLowerBoundsContinuations checks the segBound inequality
 // itself, away from any search: for random states of each segment kind —
 // opened by any element that can open it, then grown by random edges and
-// buffers — and random continuations of j edges with at most one buffer
-// per node, closed by any element that can close the kind, a close within
-// the limit is never below d + slope·(c − cmin) + rem[j]. Tight periods
-// exercise the table's state dropping; the FIFO-distinct skewTech
-// exercises the seed, slope and closer choices.
+// buffers — and random continuations of j edges with at most one repeater
+// per node (a buffer, or on the latch line also the latch), closed by any
+// element that can close the kind, a close within the limit is never
+// below d + slope·(c − cmin) + rem[j]. Tight periods exercise the table's
+// state dropping; the FIFO-distinct skewTech exercises the seed, slope
+// and closer choices, and weakBufTech a latch that out-drives the buffer.
 func TestSegBoundLowerBoundsContinuations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const reach = 40
-	for _, tc := range []*tech.Tech{testTech(), multiTech(), skewTech()} {
+	for _, tc := range []*tech.Tech{testTech(), multiTech(), skewTech(), weakBufTech()} {
 		for _, pitch := range []float64{0.25, 0.5} {
 			m := elmore.MustNewModel(tc, pitch)
 			for _, kind := range []struct {
-				name                  string
-				fifoOpens, fifoCloses bool
-			}{{"rbp", false, false}, {"gals-z0", false, true}, {"gals-z1", true, false}} {
+				name string
+				k    segKind
+			}{{"rbp", plainSeg}, {"gals-z0", fifoClosedSeg}, {"gals-z1", fifoOpenedSeg}, {"latch", latchSeg}} {
 				for _, T := range []float64{150, 400, 1e6} {
 					openers := append([]tech.Element{tc.Register}, tc.Buffers...)
 					closers := []tech.Element{tc.Register}
-					if kind.fifoOpens {
+					repeaters := tc.Buffers
+					switch kind.k {
+					case fifoOpenedSeg:
 						openers = append(openers, tc.FIFO)
-					}
-					if kind.fifoCloses {
+					case fifoClosedSeg:
 						closers = append(closers, tc.FIFO)
+					case latchSeg:
+						openers = append(openers, tc.Latch())
+						repeaters = append(slices.Clip(tc.Buffers), tc.Latch())
 					}
-					sb := new(Bounds).segBound(0, m, T+boundEps(T), reach, kind.fifoOpens, kind.fifoCloses)
+					sb := new(Bounds).segBound(0, m, T+boundEps(T), reach, kind.k)
 					for trial := 0; trial < 400; trial++ {
 						o := openers[rng.Intn(len(openers))]
 						c, d := o.C, o.Setup
@@ -209,13 +215,13 @@ func TestSegBoundLowerBoundsContinuations(t *testing.T) {
 						// optionally followed by one buffer.
 						cc, dd := c, d
 						if c != o.C && rng.Intn(3) == 0 {
-							cc, dd = m.AddGate(tc.Buffers[rng.Intn(len(tc.Buffers))], cc, dd)
+							cc, dd = m.AddGate(repeaters[rng.Intn(len(repeaters))], cc, dd)
 						}
 						j := rng.Intn(reach + 1)
 						for k := 0; k < j; k++ {
 							cc, dd = m.AddEdge(cc, dd)
 							if k < j-1 && rng.Intn(4) == 0 {
-								cc, dd = m.AddGate(tc.Buffers[rng.Intn(len(tc.Buffers))], cc, dd)
+								cc, dd = m.AddGate(repeaters[rng.Intn(len(repeaters))], cc, dd)
 							}
 						}
 						cl := closers[rng.Intn(len(closers))]

@@ -201,13 +201,6 @@ type Options struct {
 	// a non-nil return aborts the search with that error wrapped in
 	// ErrAborted. Route installs a context check here.
 	Abort func() error
-	// DisablePackedTie turns off the packed uint64 tie-key fast path in the
-	// wavefront heaps, falling back to the full candidateTieLess comparator
-	// on every equal-key compare. The packed key is an order-preserving
-	// prefix of the same comparator, so results are byte-identical either
-	// way — the switch exists so the equivalence harness can prove exactly
-	// that, and for ablation benchmarks of the tie-ordering tax.
-	DisablePackedTie bool
 	// DisableSharing stops the planner's batch layers from memoizing
 	// results of canonically equal nets. The kernels never consult it; it
 	// is the one switch that turns cross-net reuse off, for ablations and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,13 +34,17 @@ import (
 
 // segKind is the kind of a clocked segment: whether the FIFO may open it
 // (GALS's source domain) and whether it may close it (GALS's sink domain).
-// RBP's segments and FastPath's single segment are the plain kind.
+// RBP's segments and FastPath's single segment are the plain kind. The
+// latch kind is the plain kind with the latch among the repeaters: the
+// latch router's deadline test prices every edge left to the source with
+// it (latch.go).
 type segKind uint8
 
 const (
 	plainSeg      segKind = iota // opened and closed by the register (or a buffer)
 	fifoClosedSeg                // GALS z=0: the FIFO may close it
 	fifoOpenedSeg                // GALS z=1: the FIFO may open it
+	latchSeg                     // latch router: a latch may repeat the signal too
 	numSegKinds
 )
 
@@ -78,22 +83,25 @@ func closing(tc *tech.Tech, fifoCloses bool) (k, r float64) {
 type closer struct{ K, R float64 }
 
 // line is one ideal-line Pareto DP: from seed (step 0), each step crosses
-// one edge and may then insert one library buffer. A state stays while its
-// potential d + slope·c + offset is within the sweep's limit, and each step
-// records the least min over closers of d + K + R·c over its frontier.
+// one edge and may then insert one repeater (a library buffer, or on the
+// latch line the latch as well). A state stays while its potential
+// d + slope·c + offset is within the sweep's limit, and each step records
+// the least min over closers of d + K + R·c over its frontier.
 type line struct {
 	seed          segState
 	slope, offset float64
 	closers       []closer
+	repeaters     []tech.Element
 }
 
 // potential is the quantity a sweep holds within its limit.
 func (l *line) potential(s segState) float64 { return s.d + l.slope*s.c + l.offset }
 
 // value is the least close of s over the line's closers, rounded in the
-// kernel's own order (elmore.DriveInto). Every closer's R is at least the
-// slope and its K at least the offset, and each product and sum rounds
-// monotonically, so a value is never below its state's potential.
+// kernel's own order (elmore.DriveInto). Every closer's and repeater's R
+// is at least the slope and every closer's K at least the offset, and each
+// product and sum rounds monotonically, so a value is never below its
+// state's potential.
 func (l *line) value(s segState) float64 {
 	v := s.d + l.closers[0].R*s.c + l.closers[0].K
 	for _, cl := range l.closers[1:] {
@@ -128,7 +136,6 @@ func (c *curve) at(k int) float64 {
 // sweep runs l's DP for up to n steps at limit. This is the one sweep
 // behind every table.
 func (l *line) sweep(m *elmore.Model, limit float64, n int) *curve {
-	tc := m.Tech()
 	c := &curve{limit: limit, n: n, rec: make([]float64, n+1)}
 	for k := range c.rec {
 		c.rec[k] = math.Inf(1)
@@ -151,8 +158,8 @@ func (l *line) sweep(m *elmore.Model, limit float64, n int) *curve {
 			if e := (segState{c2, d2}); viable(e) {
 				next = appendState(next, e)
 			}
-			for bi := range tc.Buffers {
-				cg, dg := m.AddGate(tc.Buffers[bi], c2, d2)
+			for _, r := range l.repeaters {
+				cg, dg := m.AddGate(r, c2, d2)
 				if g := (segState{cg, dg}); viable(g) {
 					next = appendState(next, g)
 				}
@@ -227,7 +234,8 @@ func newCurveSet(m *elmore.Model) *curveSet {
 	for _, b := range tc.Buffers {
 		cs.lib.bufs = append(cs.lib.bufs, elecOf(b))
 	}
-	for k := plainSeg; k < numSegKinds; k++ {
+	bufs := slices.Clone(tc.Buffers)
+	for k := plainSeg; k < latchSeg; k++ {
 		opens, closes := k == fifoOpenedSeg, k == fifoClosedSeg
 		K, R := closing(tc, closes)
 		// The reach line starts at the register (or the componentwise
@@ -237,17 +245,23 @@ func newCurveSet(m *elmore.Model) *curveSet {
 		if opens {
 			start = segState{math.Min(start.c, fifo.C), math.Min(start.d, fifo.Setup)}
 		}
-		cs.lines[reachTable][k] = line{seed: start, slope: R, closers: []closer{{0, R}}}
+		cs.lines[reachTable][k] = line{seed: start, slope: R, closers: []closer{{0, R}}, repeaters: bufs}
 		// The delay and key tables start at (cmin, 0); the delay table closes
 		// into the register or the FIFO, the key table records d.
-		seed := segState{newSegBound(tc, 0, opens, closes).cmin, 0}
+		seed := segState{newSegBound(tc, 0, k).cmin, 0}
 		closers := []closer{{reg.K, reg.R}}
 		if closes {
 			closers = append(closers, closer{fifo.K, fifo.R})
 		}
-		cs.lines[remTable][k] = line{seed: seed, slope: R, offset: K, closers: closers}
-		cs.lines[keyTable][k] = line{seed: seed, closers: []closer{{0, 0}}}
+		cs.lines[remTable][k] = line{seed: seed, slope: R, offset: K, closers: closers, repeaters: bufs}
+		cs.lines[keyTable][k] = line{seed: seed, closers: []closer{{0, 0}}, repeaters: bufs}
 	}
+	// The latch line is the plain delay line with the latch among the
+	// repeaters. tech.Latch is the register under another name, so the
+	// library key already covers it. The latch router reads no reach or
+	// key table, so the latch kind has no other line.
+	cs.lines[remTable][latchSeg] = cs.lines[remTable][plainSeg]
+	cs.lines[remTable][latchSeg].repeaters = append(slices.Clip(bufs), tc.Latch())
 	return cs
 }
 
@@ -279,7 +293,7 @@ func (cs *curveSet) curve(m *elmore.Model, t int, k segKind, limit float64, n in
 // other nets run on its nominal model, net after net. A least-recently-used
 // cache smaller than that ladder misses on every lookup of such a plan, so
 // the bound holds two full ladders: one plan's, and another client's plan
-// or technology beside it. A set holds nine curves of at most one entry per
+// or technology beside it. A set holds ten curves of at most one entry per
 // edge of the longest BFS radius asked for.
 // TestCurveCacheCoversAPIWidthLadders ties the bound to the API's limit.
 const maxCurveSets = 2 * (1 + 16)

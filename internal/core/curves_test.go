@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,10 +20,10 @@ import (
 // its reaches and its prune decisions exactly.
 
 // oracleSweep runs the ideal-line Pareto DP from seed for up to maxSteps
-// steps, keeping the states viable accepts; visit sees every non-empty
-// step's frontier. It returns the last step with a non-empty frontier.
-func oracleSweep(m *elmore.Model, seed segState, maxSteps int, viable func(segState) bool, visit func(k int, st []segState)) int {
-	tc := m.Tech()
+// steps, each an edge and then at most one of repeaters, keeping the
+// states viable accepts; visit sees every non-empty step's frontier. It
+// returns the last step with a non-empty frontier.
+func oracleSweep(m *elmore.Model, seed segState, maxSteps int, repeaters []tech.Element, viable func(segState) bool, visit func(k int, st []segState)) int {
 	var cur, next []segState
 	if viable(seed) {
 		cur = append(cur, seed)
@@ -36,8 +37,8 @@ func oracleSweep(m *elmore.Model, seed segState, maxSteps int, viable func(segSt
 			if e := (segState{c2, d2}); viable(e) {
 				next = appendState(next, e)
 			}
-			for bi := range tc.Buffers {
-				cg, dg := m.AddGate(tc.Buffers[bi], c2, d2)
+			for _, r := range repeaters {
+				cg, dg := m.AddGate(r, c2, d2)
 				if g := (segState{cg, dg}); viable(g) {
 					next = appendState(next, g)
 				}
@@ -62,14 +63,20 @@ func oracleReach(m *elmore.Model, T float64, maxReach int, fifoOpens bool, close
 		seed = segState{math.Min(seed.c, fifo.C), math.Min(seed.d, fifo.Setup)}
 	}
 	limit := T - closeK
-	return oracleSweep(m, seed, maxReach, func(s segState) bool { return s.d+closeMinR*s.c <= limit }, func(int, []segState) {})
+	return oracleSweep(m, seed, maxReach, m.Tech().Buffers, func(s segState) bool { return s.d+closeMinR*s.c <= limit }, func(int, []segState) {})
 }
 
-// oracleSegBound is the per-call segBound table.
-func oracleSegBound(m *elmore.Model, limit float64, reach int, fifoOpens, fifoCloses bool) segBound {
+// oracleSegBound is the per-call segBound table. The latch kind's line
+// also repeats through the latch.
+func oracleSegBound(m *elmore.Model, limit float64, reach int, kind segKind) segBound {
 	tc := m.Tech()
 	reg, fifo := tc.Register, tc.FIFO
-	sb := newSegBound(tc, limit, fifoOpens, fifoCloses)
+	fifoCloses := kind == fifoClosedSeg
+	sb := newSegBound(tc, limit, kind)
+	repeaters := tc.Buffers
+	if kind == latchSeg {
+		repeaters = append(slices.Clip(tc.Buffers), tc.Latch())
+	}
 	closeK := reg.K
 	if fifoCloses {
 		closeK = math.Min(closeK, fifo.K)
@@ -85,7 +92,7 @@ func oracleSegBound(m *elmore.Model, limit float64, reach int, fifoOpens, fifoCl
 	for i := range raw {
 		raw[i] = math.Inf(1)
 	}
-	oracleSweep(m, segState{sb.cmin, 0}, reach, func(s segState) bool { return s.d+sb.slope*s.c+closeK <= limit }, func(k int, st []segState) {
+	oracleSweep(m, segState{sb.cmin, 0}, reach, repeaters, func(s segState) bool { return s.d+sb.slope*s.c+closeK <= limit }, func(k int, st []segState) {
 		for _, s := range st {
 			raw[k] = math.Min(raw[k], closeAt(s))
 		}
@@ -109,8 +116,8 @@ func oracleKeyBound(m *elmore.Model, key float64, reach int, fifoOpens bool) key
 	for i := range add {
 		add[i] = math.Inf(1)
 	}
-	seed := segState{newSegBound(tc, 0, fifoOpens, false).cmin, 0}
-	oracleSweep(m, seed, reach, func(s segState) bool { return s.d <= kb.limit }, func(k int, st []segState) {
+	seed := segState{newSegBound(tc, 0, kindOf(fifoOpens, false)).cmin, 0}
+	oracleSweep(m, seed, reach, tc.Buffers, func(s segState) bool { return s.d <= kb.limit }, func(k int, st []segState) {
 		for _, s := range st {
 			add[k] = math.Min(add[k], s.d)
 		}
@@ -164,25 +171,28 @@ func checkNondecreasing(t *testing.T, label string, m *elmore.Model, tbl int, k 
 // checkCurvesMatchOracle compares, for one model at period T (or key K)
 // and length n, every reach, segBound table and keyBound table the curves
 // give against the per-call oracle, with the prune decisions on a lattice
-// of (c, d, need) and (d, dist).
+// of (c, d, need) and (d, dist). The latch kind has a segBound table only.
 func checkCurvesMatchOracle(t *testing.T, label string, m *elmore.Model, T float64, n int) {
 	t.Helper()
 	tc := m.Tech()
 	b := new(Bounds)
 	for _, kind := range []struct {
-		name                  string
-		fifoOpens, fifoCloses bool
-	}{{"plain", false, false}, {"fifo-closed", false, true}, {"fifo-opened", true, false}} {
+		name string
+		k    segKind
+	}{{"plain", plainSeg}, {"fifo-closed", fifoClosedSeg}, {"fifo-opened", fifoOpenedSeg}, {"latch", latchSeg}} {
 		lbl := label + "/" + kind.name
-		K, R := closing(tc, kind.fifoCloses)
-		if got, want := segmentReach(m, T, n, kind.fifoOpens, kind.fifoCloses), oracleReach(m, T, n, kind.fifoOpens, K, R); got != want {
-			t.Fatalf("%s: reach %d, oracle %d", lbl, got, want)
+		fifoOpens, fifoCloses := kind.k == fifoOpenedSeg, kind.k == fifoClosedSeg
+		if kind.k != latchSeg { // the latch router reads no reach
+			K, R := closing(tc, fifoCloses)
+			if got, want := segmentReach(m, T, n, kind.k), oracleReach(m, T, n, fifoOpens, K, R); got != want {
+				t.Fatalf("%s: reach %d, oracle %d", lbl, got, want)
+			}
 		}
 		limit := T + boundEps(T)
-		got := b.segBound(0, m, limit, n, kind.fifoOpens, kind.fifoCloses)
-		want := oracleSegBound(m, limit, n, kind.fifoOpens, kind.fifoCloses)
+		got := b.segBound(0, m, limit, n, kind.k)
+		want := oracleSegBound(m, limit, n, kind.k)
 		checkTableAgainst(t, lbl+" rem", got.rem, want.rem, limit)
-		checkNondecreasing(t, lbl+" rem", m, remTable, kindOf(kind.fifoOpens, kind.fifoCloses))
+		checkNondecreasing(t, lbl+" rem", m, remTable, kind.k)
 		for need := -1; need <= n+1; need++ {
 			for i := 0; i <= 8; i++ {
 				c := want.cmin + float64(i)*0.02
@@ -194,15 +204,15 @@ func checkCurvesMatchOracle(t *testing.T, label string, m *elmore.Model, T float
 				}
 			}
 		}
-		if kind.fifoCloses {
-			continue // no key table closes into the FIFO
+		if fifoCloses || kind.k == latchSeg {
+			continue // no key table closes into the FIFO or repeats through a latch
 		}
-		gk, wk := b.keyBound(m, T, n, kind.fifoOpens), oracleKeyBound(m, T, n, kind.fifoOpens)
+		gk, wk := b.keyBound(m, T, n, fifoOpens), oracleKeyBound(m, T, n, fifoOpens)
 		if gk.rUB != wk.rUB {
 			t.Fatalf("%s: key rUB %d, oracle %d", lbl, gk.rUB, wk.rUB)
 		}
 		checkTableAgainst(t, lbl+" key", gk.add, wk.add, wk.limit)
-		checkNondecreasing(t, lbl+" key", m, keyTable, kindOf(kind.fifoOpens, false))
+		checkNondecreasing(t, lbl+" key", m, keyTable, kind.k)
 		for dist := 0; dist <= n+1; dist++ {
 			for j := 0; j <= 16; j++ {
 				d := wk.limit * float64(j) / 16
@@ -215,10 +225,11 @@ func checkCurvesMatchOracle(t *testing.T, label string, m *elmore.Model, T float
 }
 
 // TestCurvesMatchPerCallSweeps checks the per-model curves against the
-// per-call sweeps they replace, for the three test libraries at two
+// per-call sweeps they replace, for the four test libraries at two
 // pitches, with periods and lengths visited in increasing, decreasing and
 // mixed order, so curves are grown, reused at a looser limit or a longer
-// length, and grown again.
+// length, and grown again. On weakBufTech alone the latch line differs
+// from the plain one.
 func TestCurvesMatchPerCallSweeps(t *testing.T) {
 	resetCurves()
 	type visit struct {
@@ -230,7 +241,7 @@ func TestCurvesMatchPerCallSweeps(t *testing.T) {
 		{700, 55}, {420, 30}, {200, 10}, {90, 3}, // reusing the grown curves
 		{1500, 20}, {100, 90}, {3000, 120}, {380, 70}, // limit up with length down, and back
 	}
-	for _, tc := range []*tech.Tech{testTech(), multiTech(), skewTech()} {
+	for _, tc := range []*tech.Tech{testTech(), multiTech(), skewTech(), weakBufTech()} {
 		for _, pitch := range []float64{0.25, 0.5} {
 			for _, v := range visits {
 				// A fresh Model per visit, as the service builds one per

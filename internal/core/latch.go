@@ -16,25 +16,18 @@ import (
 // domain of period T without look-ahead, with wave heaps over the latch
 // count; a candidate's Slack is its deadline, which the source register
 // launching at −k·T must meet, and so must every edge and buffer on the
-// way. A latch closes a segment in a half-period slot, and the bound is
-// the deadline chain telescoped over the candidate's remaining BFS
-// distance.
+// way. A latch closes a segment in a half-period slot; it is the model's
+// own latch (tech.Latch), the register under another name.
 type latchScheme struct {
 	el         tech.Element // the latch
 	T          float64
 	launch     float64 // −k·T
 	maxLatches int     // 2k−1: latch j's slot must open after the launch edge
-
-	// The telescoped deadline bound: every completion still pays at least
-	// dist·minEdge of wire and the source register's K, under eps.
-	minEdge, regK, eps float64
 }
 
 // newLatchScheme returns the latch router's scheme for k cycles.
-func newLatchScheme(p *Problem, T float64, l tech.Element, k int) *scheme {
-	launch := -float64(k) * T
-	ls := &latchScheme{el: l, T: T, launch: launch, maxLatches: 2*k - 1, minEdge: minEdgeDelay(p.Model),
-		regK: p.tech().Register.K, eps: 1e-6 * (1 + math.Abs(launch))}
+func newLatchScheme(p *Problem, T float64, k int) *scheme {
+	ls := &latchScheme{el: p.tech().Latch(), T: T, launch: -float64(k) * T, maxLatches: 2*k - 1}
 	return &scheme{dom: [2]domain{{T: T}}, nd: 1, queue: arrayQueues, latch: ls}
 }
 
@@ -69,65 +62,76 @@ func (ls *latchScheme) slot(c *candidate.Candidate) (float64, bool) {
 	return deadline, ls.launch <= deadline
 }
 
-// prune is the telescoped deadline bound for a candidate with delay d and
-// deadline slack at BFS distance dist from the source: every completion
-// still pays d, at least dist·minEdge of wire and the source register's
-// K before the (only shrinking) deadline. A pruned candidate's every
-// completion violates the source launch check, and in the tri-store a
-// doomed candidate only ever dominates doomed ones (the dominated one has
-// larger d, a smaller deadline and the same distance).
-func (ls *latchScheme) prune(d, slack float64, dist int) bool {
-	return ls.launch+d+float64(dist)*ls.minEdge+ls.regK > slack+ls.eps
+// latchBound returns the deadline test of the search whose source
+// register launches lat = k·T before the capture: a candidate
+// (c, d, deadline) at BFS distance dist from the source is doomed when
+//
+//	d − deadline + slope·(c − cmin) + rem[dist] > lat + eps,
+//
+// rem being the latch line (latchSeg): the least delay over ideal-line
+// labelings of dist or more edges with buffers and latches as repeaters,
+// closed by the source register. A latch departs at max(arrival, open),
+// never before its data arrives, so every latch of a completion is at
+// best one more repeater with its own K, R and C, and the launch plus
+// that delay must meet the (only shrinking) deadline. The test grows with
+// c and d and shrinks with the deadline, so in the tri-store a doomed
+// candidate only ever dominates doomed ones.
+func latchBound(b *Bounds, m *elmore.Model, lat float64) segBound {
+	return b.segBound(0, m, lat+boundEps(lat), int(b.maxSrc), latchSeg)
 }
 
-// minEdgeDelay returns the smallest Elmore delay a single grid edge can add
-// to any candidate: edgeR·edgeC/2, the wire term at zero downstream load.
-func minEdgeDelay(m *elmore.Model) float64 { return m.EdgeR() * m.EdgeC() / 2 }
-
 // LatchSearch is the latch router's search: iterative deepening over the
-// cycle count k, each k one search of the latch scheme, all on one pooled
-// scratch. It returns the path of the first feasible k with the effort
-// summed over every k tried. On failure k is the last count tried: 0
-// when the sink is unreachable, maxCycles when no k up to it admits a
-// path (both ErrNoPath).
-func LatchSearch(p *Problem, T float64, l tech.Element, maxCycles int, opts Options) (*route.Path, int, Stats, error) {
-	res, k, err := latchSearch(p, T, l, maxCycles, opts)
+// cycle count k, each k one search of the latch scheme with the model's
+// latch, all on one pooled scratch. It returns the path of the first
+// feasible k with the effort summed over every k tried. On failure k is
+// the last count tried: 0 when the sink is unreachable, maxCycles when no
+// k up to it admits a path (both ErrNoPath).
+func LatchSearch(p *Problem, T float64, maxCycles int, opts Options) (*route.Path, int, Stats, error) {
+	res, k, err := latchSearch(p, T, maxCycles, opts)
 	if err != nil {
 		return nil, k, Stats{}, err
 	}
 	return res.Path, k, res.Stats, nil
 }
 
-func latchSearch(p *Problem, T float64, l tech.Element, maxCycles int, opts Options) (res *Result, k int, err error) {
+func latchSearch(p *Problem, T float64, maxCycles int, opts Options) (res *Result, k int, err error) {
 	sc := getScratch()
 	defer containSearchPanic(sc, &res, &err)
 	start := time.Now()
-	// The latency floor comes from telescoping the deadline chain: any
-	// feasible k satisfies k·T ≥ K(reg) + Setup(reg) + totalWireDelay, and
-	// the wire delay of a path with d0 or more edges is at least
-	// d0·minEdge — so cycles below kmin are provably infeasible and the
-	// deepening skips straight past them. Bounds change which candidates
-	// are explored but never which solution is returned.
+	// The latency floor is the deadline test applied to the sink's own
+	// state (C(reg), 0, −Setup(reg)), on the table of the largest launch
+	// the deepening can use: the test prunes the sink, and so every
+	// completion, at every k below the floor. Bounds change which
+	// candidates are explored but never which solution is returned.
 	kmin := 1
 	if opts.DisableBounds {
 		if !p.Grid.Reachable(p.Source, p.Sink) {
 			return nil, 0, ErrNoPath
 		}
 	} else {
-		d0 := sc.prepBounds(p).distSrc[p.Sink]
+		b := sc.prepBounds(p)
+		d0 := b.distSrc[p.Sink]
 		if d0 < 0 {
 			return nil, 0, ErrNoPath
 		}
 		reg := p.tech().Register
-		floor := (reg.K + reg.Setup + float64(d0)*minEdgeDelay(p.Model)) / T
-		kmin = max(kmin, int(math.Ceil(floor-1e-6*(1+floor))))
+		sb := latchBound(b, p.Model, float64(maxCycles)*T)
+		floor := (reg.Setup + sb.slope*(reg.C-sb.cmin) + sb.rem[d0]) / T
+		// A floor past maxCycles, or a +Inf entry (no labeling within the
+		// largest launch, whose kf is NaN): no k admits a path. Go's
+		// conversion of NaN or ±Inf to int is implementation-defined.
+		kf := math.Ceil(floor - 1e-6*(1+floor))
+		if !(kf <= float64(maxCycles)) {
+			return nil, maxCycles, ErrNoPath
+		}
+		kmin = max(kmin, int(kf))
 	}
 	res = &Result{}
 	for k = kmin; k <= maxCycles; k++ {
 		// Each k recycles the previous one's arena and wave heaps; a
 		// feasible arrival returns mid-drain.
 		sc.resetSearchState()
-		if _, err = search(p, newLatchScheme(p, T, l, k), opts, sc, nil, res); !errors.Is(err, ErrNoPath) {
+		if _, err = search(p, newLatchScheme(p, T, k), opts, sc, nil, res); !errors.Is(err, ErrNoPath) {
 			break
 		}
 	}

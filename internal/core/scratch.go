@@ -45,11 +45,6 @@ type Scratch struct {
 	flags  [3]nodeFlags
 	waves  []*pqueue.Heap[*candidate.Candidate]
 
-	// packedTie records whether the packed uint64 tie-key fast path is
-	// installed on the heaps, so lazily created wave heaps inherit the
-	// same setting mid-search. See setPackedTie.
-	packedTie bool
-
 	// bounds holds the pooled A*-pruning state (BFS distance field,
 	// segment tables, probe window); see prepBounds in bounds.go.
 	bounds Bounds
@@ -64,32 +59,6 @@ func getScratch() *Scratch {
 	sc := scratchPool.Get().(*Scratch)
 	sc.resetSearchState()
 	return sc
-}
-
-// setPackedTie installs (or removes) the packed tie-key fast path on every
-// heap the scratch owns, including wave heaps created later in the same
-// search. The packed keys are order-preserving prefixes of candidateTieLess
-// under each heap's key discipline — Q and the wave heaps are keyed by the
-// candidate's accumulated delay D, so equal keys imply equal D and the
-// prefix is (Node, C); GALS's Q* is keyed by latency L, so its prefix is
-// (Node, D) — which keeps pop order, and therefore results, byte-identical
-// to the full comparator. The engine calls this with !opts.DisablePackedTie
-// before its first push.
-func (s *Scratch) setPackedTie(on bool) {
-	s.packedTie = on
-	if on {
-		s.Q.TieKey = tieKeyNodeC
-		s.QStar.TieKey = tieKeyNodeD
-		for _, h := range s.waves {
-			h.TieKey = tieKeyNodeC
-		}
-		return
-	}
-	s.Q.TieKey = nil
-	s.QStar.TieKey = nil
-	for _, h := range s.waves {
-		h.TieKey = nil
-	}
 }
 
 // resetSearchState rewinds the search structures a search mutates —
@@ -182,14 +151,11 @@ func (s *Scratch) prepFlags(i, n int) *nodeFlags {
 // wave returns the reusable heap for wave index w, allocating heaps on
 // first use and retaining them (and their backing slices) across searches.
 // Used by the array-of-queues schemes (RBPArrayQueues and the latch
-// router), whose wave heaps all live simultaneously.
+// router), whose wave heaps all live simultaneously. Like Q they are keyed
+// by delay, so they take Q's tie order and packed tie key (tiekey.go).
 func (s *Scratch) wave(w int) *pqueue.Heap[*candidate.Candidate] {
 	for len(s.waves) <= w {
-		h := &pqueue.Heap[*candidate.Candidate]{Tie: candidateTieLess}
-		if s.packedTie {
-			h.TieKey = tieKeyNodeC
-		}
-		s.waves = append(s.waves, h)
+		s.waves = append(s.waves, &pqueue.Heap[*candidate.Candidate]{Tie: candidateTieLess, TieKey: tieKeyNodeC})
 	}
 	return s.waves[w]
 }

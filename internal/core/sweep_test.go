@@ -317,10 +317,10 @@ func TestKernelsNeverRebase(t *testing.T) {
 					{rbpScheme(p, c.T, twoQueue), slack},
 					{rbpScheme(p, c.T, arrayQueues), slack},
 					{galsScheme(p, c.Ts, c.Tt), opts},
-					{newLatchScheme(p, c.T, p.tech().Latch(), 1), opts},
-					{newLatchScheme(p, c.T, p.tech().Latch(), 2), opts},
-					{newLatchScheme(p, c.T, p.tech().Latch(), 3), opts},
-					{newLatchScheme(p, c.T, p.tech().Latch(), 4), opts},
+					{newLatchScheme(p, c.T, 1), opts},
+					{newLatchScheme(p, c.T, 2), opts},
+					{newLatchScheme(p, c.T, 3), opts},
+					{newLatchScheme(p, c.T, 4), opts},
 				} {
 					sc.resetSearchState()
 					res, err := search(p, run.s, run.opts, sc, nil, nil)
@@ -375,7 +375,7 @@ func TestArenaHoldsOnlyQueuedWithoutPruning(t *testing.T) {
 	if err := check("rbp-array max slack", rbpScheme(p, 250, arrayQueues), slack); err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; check(fmt.Sprintf("latch k=%d", k), newLatchScheme(p, 250, p.tech().Latch(), k), opts) != nil; k++ {
+	for k := 1; check(fmt.Sprintf("latch k=%d", k), newLatchScheme(p, 250, k), opts) != nil; k++ {
 		if k == 8 {
 			t.Fatal("latch: no route within 8 cycles")
 		}

@@ -23,7 +23,8 @@ import (
 // multi-field comparator call across two cache lines. The projection is
 // order-preserving, not injective: when two packed keys collide the heap
 // falls back to the full comparator, so pop order (and therefore every
-// routed result) is byte-identical with the fast path on or off.
+// routed result) is exactly candidateTieLess's. TestPackedTieKeysAgree
+// checks the prefix property on random equal-key pairs.
 
 // tieBits32 maps f to a uint32 that preserves the < order of float64s:
 // a < b implies tieBits32(a) <= tieBits32(b), and tieBits32(a) <

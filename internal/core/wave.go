@@ -220,9 +220,10 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 			return nil, err
 		}
 	}
-	// Content-determined pop order among equal keys; see bounds.go.
+	// Content-determined pop order among equal keys (bounds.go), decided
+	// mostly by packed prefixes of it (tiekey.go).
 	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
-	sc.setPackedTie(!opts.DisablePackedTie)
+	sc.Q.TieKey, sc.QStar.TieKey = tieKeyNodeC, tieKeyNodeD
 	n := p.Grid.NumNodes()
 	// Max-slack stores are slack-aware: a worse-delay candidate may
 	// survive for its better sink slack; latch stores keep a later
@@ -414,7 +415,7 @@ func (e *engine) openWave() {
 func (e *engine) admit(v int32, z uint8, c, d, slack float64, w *waveBound) bool {
 	faultpoint.Must("core.wave_push")
 	if (e.win != nil && !e.win.Has(int(v))) || (e.bd != nil && e.bd.prune(v, z, c, d, w.span[z])) ||
-		(w.keyed[z] && e.bd.keyPrune(v, d, slack)) {
+		(w.keyed[z] && e.bd.keyPrune(v, c, d, slack)) {
 		e.res.Stats.BoundPruned++
 		return false
 	}

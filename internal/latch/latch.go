@@ -39,9 +39,11 @@
 // returned solution also minimizes the number of latches.
 //
 // The search is core.LatchSearch: each k is one run of core's wavefront
-// engine under the latch scheme, with the deepening as an outer loop. This
-// package validates the inputs, reports the result and keeps the
-// independent forward-simulation verifier (Verify).
+// engine under the latch scheme, with the deepening as an outer loop.
+// Every route uses the model's own latch (tech.Tech.Latch, the register
+// under another name), so the latch bounds share the model's cached
+// ideal-line curves. This package validates the inputs, reports the
+// result and keeps the independent forward-simulation verifier (Verify).
 package latch
 
 import (
@@ -50,7 +52,6 @@ import (
 
 	"clockroute/internal/core"
 	"clockroute/internal/route"
-	"clockroute/internal/tech"
 )
 
 // Result reports a latch-based route.
@@ -72,23 +73,17 @@ var ErrNoPath = errors.New("latch: no feasible latch-based routing solution")
 // MaxCyclesDefault bounds the iterative deepening when the caller passes 0.
 const MaxCyclesDefault = 64
 
-// Route finds the minimum-latency latch-buffered path for clock period T.
-// l is the latch element (tech.Tech.Latch() derives one from the register);
-// maxCycles bounds the latency search in clock cycles (0 = default).
-func Route(p *core.Problem, T float64, l tech.Element, maxCycles int, opts core.Options) (*Result, error) {
+// Route finds the minimum-latency latch-buffered path for clock period T
+// with the model's latch; maxCycles bounds the latency search in clock
+// cycles (0 = default).
+func Route(p *core.Problem, T float64, maxCycles int, opts core.Options) (*Result, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("latch: non-positive clock period %g", T)
-	}
-	if l.Kind != tech.KindLatch {
-		return nil, fmt.Errorf("latch: element %q has kind %v, want latch", l.Name, l.Kind)
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
 	}
 	if maxCycles <= 0 {
 		maxCycles = MaxCyclesDefault
 	}
-	path, k, st, err := core.LatchSearch(p, T, l, maxCycles, opts)
+	path, k, st, err := core.LatchSearch(p, T, maxCycles, opts)
 	switch {
 	case errors.Is(err, core.ErrNoPath) && k == 0:
 		return nil, ErrNoPath // the sink is unreachable

@@ -21,7 +21,12 @@ import (
 
 func problemOn(t *testing.T, g *grid.Grid, s, tt geom.Point) *core.Problem {
 	t.Helper()
-	m := elmore.MustNewModel(tech.CongPan70nm(), g.PitchMM())
+	return problemWith(t, tech.CongPan70nm(), g, s, tt)
+}
+
+func problemWith(t *testing.T, tc *tech.Tech, g *grid.Grid, s, tt geom.Point) *core.Problem {
+	t.Helper()
+	m := elmore.MustNewModel(tc, g.PitchMM())
 	p, err := core.NewProblem(g, m, g.ID(s), g.ID(tt))
 	if err != nil {
 		t.Fatal(err)
@@ -29,17 +34,22 @@ func problemOn(t *testing.T, g *grid.Grid, s, tt geom.Point) *core.Problem {
 	return p
 }
 
-func latchElem() tech.Element { return tech.CongPan70nm().Latch() }
+// weakBufTech is CongPan70nm with a buffer the register, and so the latch,
+// out-drives (K 60 ps, R 320 Ω against 22 ps and 160 Ω). On CongPan70nm
+// the latch is the buffer electrically, so only trials on this library
+// tell whether the latch bounds count the latch as a repeater.
+func weakBufTech() *tech.Tech {
+	tc := tech.CongPan70nm()
+	tc.Name = "weak-buffer"
+	tc.Buffers[0].K, tc.Buffers[0].R = 60, 320
+	return tc
+}
 
 func TestRouteValidation(t *testing.T) {
 	g := grid.MustNew(11, 3, 0.5)
 	p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(10, 1))
-	if _, err := Route(p, 0, latchElem(), 0, core.Options{}); err == nil {
+	if _, err := Route(p, 0, 0, core.Options{}); err == nil {
 		t.Error("T=0 must fail")
-	}
-	reg := tech.CongPan70nm().Register
-	if _, err := Route(p, 300, reg, 0, core.Options{}); err == nil {
-		t.Error("non-latch element must fail")
 	}
 }
 
@@ -47,7 +57,7 @@ func TestRouteOpenLineMatchesVerifier(t *testing.T) {
 	g := grid.MustNew(41, 3, 0.5) // 20 mm
 	p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(40, 1))
 	for _, T := range []float64{250, 400, 700, 1500} {
-		res, err := Route(p, T, latchElem(), 0, core.Options{})
+		res, err := Route(p, T, 0, core.Options{})
 		if err != nil {
 			t.Fatalf("T=%g: %v", T, err)
 		}
@@ -82,7 +92,7 @@ func TestLatchLatencyNeverWorseThanRBP(t *testing.T) {
 		p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(40, 1))
 		for _, T := range []float64{300, 500, 900} {
 			rbp, errR := core.RBP(p, T, core.Options{})
-			lat, errL := Route(p, T, latchElem(), 0, core.Options{})
+			lat, errL := Route(p, T, 0, core.Options{})
 			if errR != nil {
 				continue // RBP infeasible: nothing to compare (latch may still route)
 			}
@@ -114,7 +124,7 @@ func TestLatchBeatsRBPViaTimeBorrowing(t *testing.T) {
 	strictWin := false
 	for _, T := range []float64{740, 760, 800, 850} {
 		rbp, errR := core.RBP(p, T, core.Options{})
-		lat, errL := Route(p, T, latchElem(), 0, core.Options{})
+		lat, errL := Route(p, T, 0, core.Options{})
 		if errL != nil {
 			if errR == nil {
 				t.Errorf("T=%g: RBP routed but latches failed: %v", T, errL)
@@ -149,7 +159,7 @@ func TestLatchLatencyLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, T := range []float64{300, 500, 900} {
-		res, err := Route(p, T, latchElem(), 0, core.Options{})
+		res, err := Route(p, T, 0, core.Options{})
 		if err != nil {
 			t.Fatalf("T=%g: %v", T, err)
 		}
@@ -166,7 +176,7 @@ func TestLatchRespectsBlockages(t *testing.T) {
 	p := problemOn(t, g, geom.Pt(0, 2), geom.Pt(40, 2))
 	// The 10 mm clock-quiet band must fit inside one stage: use a period
 	// whose single-stage reach covers it.
-	res, err := Route(p, 900, latchElem(), 0, core.Options{})
+	res, err := Route(p, 900, 0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestLatchUnreachable(t *testing.T) {
 	g := grid.MustNew(11, 11, 0.5)
 	g.AddWiringBlockage(geom.R(5, 0, 6, 11))
 	p := problemOn(t, g, geom.Pt(0, 5), geom.Pt(10, 5))
-	if _, err := Route(p, 300, latchElem(), 0, core.Options{}); !errors.Is(err, ErrNoPath) {
+	if _, err := Route(p, 300, 0, core.Options{}); !errors.Is(err, ErrNoPath) {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
 }
@@ -197,7 +207,7 @@ func TestLatchMaxCyclesBound(t *testing.T) {
 	// cycles: the deepening must stop at the bound with ErrNoPath.
 	g := grid.MustNew(10, 3, 2.0)
 	p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(9, 1))
-	if _, err := Route(p, 40, latchElem(), 6, core.Options{}); !errors.Is(err, ErrNoPath) {
+	if _, err := Route(p, 40, 6, core.Options{}); !errors.Is(err, ErrNoPath) {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
 }
@@ -205,7 +215,7 @@ func TestLatchMaxCyclesBound(t *testing.T) {
 func TestVerifyRejectsBadPaths(t *testing.T) {
 	g := grid.MustNew(41, 3, 0.5)
 	p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(40, 1))
-	res, err := Route(p, 400, latchElem(), 0, core.Options{})
+	res, err := Route(p, 400, 0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestLatchCyclesMonotoneWithDistance(t *testing.T) {
 	for _, w := range []int{11, 21, 31, 41, 51} {
 		g := grid.MustNew(w, 3, 0.5)
 		p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(w-1, 1))
-		res, err := Route(p, 300, latchElem(), 0, core.Options{})
+		res, err := Route(p, 300, 0, core.Options{})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
@@ -252,12 +262,14 @@ type latchTrial struct {
 	T float64
 }
 
-// latchTrials draws the random blockage maps of
-// TestLatchRandomInstancesAlwaysVerify, also pinned by TestLatchStatsGolden.
-func latchTrials(t *testing.T) []latchTrial {
-	rng := rand.New(rand.NewSource(42))
+// latchTrials draws random blockage maps on library tc, draws of them
+// from seed. The seed-42, 25-draw CongPan70nm set is
+// TestLatchRandomInstancesAlwaysVerify's, also pinned by
+// TestLatchStatsGolden.
+func latchTrials(t *testing.T, tc *tech.Tech, seed int64, draws int) []latchTrial {
+	rng := rand.New(rand.NewSource(seed))
 	var out []latchTrial
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < draws; trial++ {
 		g := grid.MustNew(14+rng.Intn(10), 6+rng.Intn(6), 0.5)
 		for i := 0; i < 2+rng.Intn(3); i++ {
 			x, y := rng.Intn(g.W()-3), rng.Intn(g.H()-3)
@@ -273,7 +285,7 @@ func latchTrials(t *testing.T) []latchTrial {
 		if !g.RegisterInsertable(g.ID(src)) || !g.RegisterInsertable(g.ID(dst)) {
 			continue
 		}
-		out = append(out, latchTrial{n: trial, g: g, p: problemOn(t, g, src, dst), T: 200 + rng.Float64()*600})
+		out = append(out, latchTrial{n: trial, g: g, p: problemWith(t, tc, g, src, dst), T: 200 + rng.Float64()*600})
 	}
 	return out
 }
@@ -293,10 +305,10 @@ func answer(res *Result, err error) string {
 // lower bound, and are the same with the bounds on and off. (The core
 // package checks the latch scheme's wave heaps and arena.)
 func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
-	for _, tr := range latchTrials(t) {
+	for _, tr := range latchTrials(t, tech.CongPan70nm(), 42, 25) {
 		trial, g, p, T := tr.n, tr.g, tr.p, tr.T
-		res, err := Route(p, T, latchElem(), 16, core.Options{})
-		if unb := answer(Route(p, T, latchElem(), 16, core.Options{DisableBounds: true})); unb != answer(res, err) {
+		res, err := Route(p, T, 16, core.Options{})
+		if unb := answer(Route(p, T, 16, core.Options{DisableBounds: true})); unb != answer(res, err) {
 			t.Fatalf("trial %d T=%.0f: bounds change the answer\nbounds on  %s\nbounds off %s", trial, T, answer(res, err), unb)
 		}
 		if err != nil {
@@ -312,14 +324,41 @@ func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 	}
 }
 
+// TestLatchWeakBufferTrials runs random blockage maps on weakBufTech,
+// whose latch out-drives its buffer, so the latch line lies below the
+// plain buffered line: a latch bound that left the latch out of its
+// repeaters would prune completions through latches. Every trial must
+// route the same with the bounds on and off and pass the verifier.
+func TestLatchWeakBufferTrials(t *testing.T) {
+	trials := latchTrials(t, weakBufTech(), 7, 60)
+	routed := 0
+	for _, tr := range trials {
+		res, err := Route(tr.p, tr.T, 16, core.Options{})
+		if unb := answer(Route(tr.p, tr.T, 16, core.Options{DisableBounds: true})); unb != answer(res, err) {
+			t.Errorf("trial %d T=%.0f: bounds change the answer\nbounds on  %s\nbounds off %s", tr.n, tr.T, answer(res, err), unb)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		routed++
+		if verr := Verify(res.Path, tr.g, tr.p.Model, tr.T, res.Cycles); verr != nil {
+			t.Errorf("trial %d T=%.0f: %v\npath %v", tr.n, tr.T, verr, res.Path)
+		}
+	}
+	if routed < len(trials)/2 {
+		t.Errorf("only %d of %d trials routed", routed, len(trials))
+	}
+}
+
 // TestLatchStatsGolden pins the answer and the whole effort (every Stats
 // field but Elapsed) of Route on TestLatchRandomInstancesAlwaysVerify's
 // trials, bounds on and off, against testdata/latch-stats.golden.
 func TestLatchStatsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, tr := range latchTrials(t) {
+	for _, tr := range latchTrials(t, tech.CongPan70nm(), 42, 25) {
 		for _, opts := range []core.Options{{}, {DisableBounds: true}} {
-			res, err := Route(tr.p, tr.T, latchElem(), 16, opts)
+			res, err := Route(tr.p, tr.T, 16, opts)
 			fmt.Fprintf(&b, "%d bounds=%t: %s", tr.n, !opts.DisableBounds, answer(res, err))
 			if err == nil {
 				v := reflect.ValueOf(res.Stats)

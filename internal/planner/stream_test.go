@@ -96,24 +96,6 @@ func TestSharingOnOffByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedTieOnOffByteIdentical checks the packed tie-key against the
-// original comparator over the same workload.
-func TestPackedTieOnOffByteIdentical(t *testing.T) {
-	pl, specs := dupWorkload(t, 16, 0)
-	packed, err := pl.RunParallel(context.Background(), 4, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := rebuiltPlanner(t, pl, core.Options{DisablePackedTie: true}).
-		RunParallel(context.Background(), 4, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		sameRouting(t, specs[i].Name, &packed.Nets[i], &plain.Nets[i])
-	}
-}
-
 // TestRunStreamMatchesRunParallel feeds the same duplicate-heavy workload
 // through the streaming entry point and asserts results and aggregate
 // stats are identical to the buffered batch, elapsed time aside.

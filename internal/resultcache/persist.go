@@ -151,18 +151,22 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 // number of records loaded; a truncated or corrupt tail returns what
 // loaded before it along with ErrCorruptSegment.
 func ReadSegment(r io.Reader, c *Cache, dec func(k Key, payload []byte) (any, int64, error)) (entries int, err error) {
-	err = ScanSegment(r, func(k Key, payload []byte) error {
-		v, size, derr := dec(k, payload)
-		if derr != nil {
-			// A record the decoder rejects (e.g. an envelope from a newer
-			// build) is skipped, not fatal: the rest of the segment is fine.
-			return nil
-		}
-		c.Put(k, v, size)
-		entries++
-		return nil
-	})
+	err = ScanSegment(r, loader(c, dec, &entries))
 	return entries, err
+}
+
+// loader is the record callback of ReadSegment and LoadDir: it decodes a
+// record, puts it into c and counts it in *entries. A record the decoder
+// rejects (e.g. an envelope from a newer build) is skipped, not fatal: the
+// rest of the segment is fine. It never aborts a scan.
+func loader(c *Cache, dec func(k Key, payload []byte) (any, int64, error), entries *int) func(Key, []byte) error {
+	return func(k Key, payload []byte) error {
+		if v, size, err := dec(k, payload); err == nil {
+			c.Put(k, v, size)
+			*entries++
+		}
+		return nil
+	}
 }
 
 // SnapshotDir appends the next numbered segment file to dir, creating the
@@ -215,30 +219,8 @@ func SnapshotDir(dir string, c *Cache, enc func(k Key, v any) ([]byte, bool)) (p
 // returned after all segments are processed, so a warm start is as warm
 // as the disk allows.
 func LoadDir(dir string, c *Cache, dec func(k Key, payload []byte) (any, int64, error)) (entries int, err error) {
-	segs, serr := segmentFiles(dir)
-	if serr != nil {
-		if errors.Is(serr, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, serr
-	}
-	var firstErr error
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n, err := ReadSegment(f, c, dec)
-		f.Close()
-		entries += n
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", seg, err)
-		}
-	}
-	return entries, firstErr
+	err = ScanDir(dir, loader(c, dec, &entries))
+	return entries, err
 }
 
 // ScanDir streams every record of every segment in dir through fn in

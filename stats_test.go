@@ -47,7 +47,7 @@ func TestStatsKilled(t *testing.T) {
 		{"gals", prob, func(o core.Options) (int, error) { return killed(core.GALS(prob, 400, 350, o)) }},
 		{"fastpath", prob, func(o core.Options) (int, error) { return killed(core.FastPath(prob, o)) }},
 		{"latch", line, func(o core.Options) (int, error) {
-			r, err := latch.Route(line, 400, tc.Latch(), 0, o)
+			r, err := latch.Route(line, 400, 0, o)
 			if err != nil {
 				return 0, err
 			}
