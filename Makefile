@@ -2,7 +2,7 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables tables-check
+.PHONY: tier1 build vet lint inline-check test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables tables-check
 
 tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
@@ -12,13 +12,27 @@ build:
 vet:
 	go vet ./...
 
-# Static gate: vet plus a hard gofmt check — any file gofmt would rewrite
-# fails the build with the offending paths listed.
-lint: vet
+# Static gate: vet, the inlining check below, plus a hard gofmt check —
+# any file gofmt would rewrite fails the build with the offending paths
+# listed.
+lint: vet inline-check
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l flagged:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# Inlining gate: spanBound.prune and spanBound.keyPrune run on every
+# candidate the engine admits, and each must inline into engine.admit
+# (internal/core/wave.go) under the compiler's budget of 80. Losing that
+# passes every test and bench-check, which gates configs, not time; the
+# compiler's -m report fails here instead. The build cache replays that
+# report, so a cached build still prints it.
+inline-check:
+	@out=$$(go build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in prune keyPrune; do \
+		echo "$$out" | grep -Eq "wave\.go:[0-9]+:[0-9]+: inlining call to \(\*spanBound\)\.$$f$$" || \
+			{ echo "inline-check: (*spanBound).$$f no longer inlines into engine.admit (internal/core/wave.go)"; exit 1; }; \
+	done
 
 test:
 	go test ./...

@@ -23,7 +23,6 @@
 //	  "dst": {"x":60, "y":60},
 //	  "timeout_ms": 1000,              // optional per-request deadline
 //	  "max_configs": 0,                // optional search budget
-//	  "array_queues": false,           // rbp variant, identical results
 //	  "cache": {"mode": "default"}     // optional: "default"|"bypass"|"refresh"
 //	}
 //
@@ -122,8 +121,6 @@ type RouteRequest struct {
 	// MaxConfigs aborts the search after this many popped candidates
 	// (0 = unlimited), mirroring Options.MaxConfigs.
 	MaxConfigs int `json:"max_configs,omitempty"`
-	// ArrayQueues selects the array-of-queues RBP variant.
-	ArrayQueues bool `json:"array_queues,omitempty"`
 	// Cache selects how the request interacts with the server's result
 	// cache; nil means "default". See the package doc's Result cache
 	// section.

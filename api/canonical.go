@@ -93,10 +93,8 @@ func (h ProblemHash) Uint64() uint64 { return binary.BigEndian.Uint64(h[:8]) }
 //   - non-semantic request fields (timeout_ms, workers, the cache block)
 //     are absent by construction.
 //
-// MaxConfigs and ArrayQueues stay: the former changes which searches
-// abort, the latter selects a different (result-identical but separately
-// audited) kernel, and the cache must never conflate problems whose
-// responses could differ in any byte.
+// MaxConfigs stays: it changes which searches abort, and the cache must
+// never conflate problems whose responses could differ in any byte.
 type Problem struct {
 	Version     int
 	Kind        string
@@ -106,7 +104,6 @@ type Problem struct {
 	Grid        GridSpec
 	Src, Dst    Point
 	MaxConfigs  int
-	ArrayQueues bool
 	// WireWidths is the per-net width sweep (plan nets only). Order is
 	// preserved: the sweep keeps the first-best result, so reordering is
 	// not semantics-preserving.
@@ -122,24 +119,19 @@ func Canonicalize(req *RouteRequest) (Problem, error) {
 	}
 	kind, _ := core.ParseKind(req.Kind) // validated above
 	p := Problem{
-		Version:     CanonicalVersion,
-		Kind:        kind.String(),
-		Grid:        canonicalGrid(&req.Grid),
-		Src:         req.Src,
-		Dst:         req.Dst,
-		MaxConfigs:  req.MaxConfigs,
-		ArrayQueues: req.ArrayQueues,
+		Version:    CanonicalVersion,
+		Kind:       kind.String(),
+		Grid:       canonicalGrid(&req.Grid),
+		Src:        req.Src,
+		Dst:        req.Dst,
+		MaxConfigs: req.MaxConfigs,
 	}
 	switch kind {
 	case core.KindRBP:
 		p.PeriodPS = req.PeriodPS
-		// ArrayQueues is an RBP-only variant switch; elsewhere it is noise.
 	case core.KindGALS:
 		p.SrcPeriodPS = req.SrcPeriodPS
 		p.DstPeriodPS = req.DstPeriodPS
-		p.ArrayQueues = false
-	default:
-		p.ArrayQueues = false
 	}
 	return p, nil
 }
@@ -278,11 +270,9 @@ func (p *Problem) AppendBinary(dst []byte) []byte {
 	dst = appendInt(dst, p.Dst.X)
 	dst = appendInt(dst, p.Dst.Y)
 	dst = appendInt(dst, p.MaxConfigs)
-	if p.ArrayQueues {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	// The retired array_queues flag's byte, always 0, keeps every hash,
+	// ETag, cache key and snapshot of earlier builds valid.
+	dst = append(dst, 0)
 	dst = appendUint32(dst, uint32(len(p.WireWidths)))
 	for _, w := range p.WireWidths {
 		dst = appendFloat(dst, w)

@@ -61,7 +61,6 @@ func TestCanonicalizeNormalizesGrid(t *testing.T) {
 		"endpoint": func(r *RouteRequest) { r.Dst = Point{X: 29, Y: 30} },
 		"obstacle": func(r *RouteRequest) { r.Grid.Obstacles = r.Grid.Obstacles[:1] },
 		"budget":   func(r *RouteRequest) { r.MaxConfigs = 1000 },
-		"variant":  func(r *RouteRequest) { r.ArrayQueues = true },
 		"blockage kind": func(r *RouteRequest) {
 			r.Grid.WiringBlockages = r.Grid.RegisterBlockages
 			r.Grid.RegisterBlockages = nil
@@ -90,7 +89,7 @@ func TestCanonicalizeStripsNonSemanticFields(t *testing.T) {
 		}
 	}
 
-	// The inverse for GALS: period_ps and array_queues are rbp-only noise.
+	// The inverse for GALS: period_ps is rbp-only noise.
 	gals := validCanonRoute()
 	gals.Kind, gals.PeriodPS = "gals", 0
 	gals.SrcPeriodPS, gals.DstPeriodPS = 400, 650
@@ -98,7 +97,6 @@ func TestCanonicalizeStripsNonSemanticFields(t *testing.T) {
 	noisy := validCanonRoute()
 	noisy.Kind, noisy.PeriodPS = "gals", 777
 	noisy.SrcPeriodPS, noisy.DstPeriodPS = 400, 650
-	noisy.ArrayQueues = true
 	if g2 := mustHash(t, noisy); g2 != g1 {
 		t.Fatalf("rbp-only fields moved a gals hash: %s vs %s", g2, g1)
 	}

@@ -319,7 +319,7 @@ func TestCodecDecodeEdgeCases(t *testing.T) {
 		`{"cache":{"mode":"bypass"},"cache":{}}`, `{"cache":{"mode":"bypass"},"cache":null,"cache":{}}`,
 		`{"stats":{"workers":3},"stats":null}`, `{"stats":null,"error":"x"}`,
 		// null: no-op on scalars and structs, nil on slices and pointers.
-		`null`, ` null `, `{"grid":null,"kind":null,"src":null,"period_ps":null,"array_queues":null}`,
+		`null`, ` null `, `{"grid":null,"kind":null,"src":null,"period_ps":null}`,
 		`{"path":null,"gates":null,"stats":null,"cached":null}`, `{"nets":null}`, `{"nets":[null]}`,
 		`{"path":[]}`, `{"gates":[]}`, `{"nets":[]}`,
 		// Numbers.

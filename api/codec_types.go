@@ -158,9 +158,6 @@ func (e *encoder) routeRequest(v *RouteRequest) {
 		e.b = append(e.b, `,"max_configs":`...)
 		e.int(int64(v.MaxConfigs))
 	}
-	if v.ArrayQueues {
-		e.b = append(e.b, `,"array_queues":true`...)
-	}
 	if v.Cache != nil {
 		e.b = append(e.b, `,"cache":`...)
 		e.cacheOptions(v.Cache)
@@ -169,7 +166,7 @@ func (e *encoder) routeRequest(v *RouteRequest) {
 }
 
 var routeRequestFields = []string{"grid", "kind", "period_ps", "src_period_ps", "dst_period_ps",
-	"src", "dst", "timeout_ms", "max_configs", "array_queues", "cache"}
+	"src", "dst", "timeout_ms", "max_configs", "cache"}
 
 func (d *decoder) routeRequest(v *RouteRequest) {
 	for ok := d.object("RouteRequest"); ok; ok = d.more() {
@@ -192,8 +189,6 @@ func (d *decoder) routeRequest(v *RouteRequest) {
 			d.int(&v.TimeoutMS)
 		case "max_configs":
 			d.int(&v.MaxConfigs)
-		case "array_queues":
-			d.bool(&v.ArrayQueues)
 		case "cache":
 			pointer(d, &v.Cache, (*decoder).cacheOptions)
 		default:

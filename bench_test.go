@@ -195,26 +195,6 @@ func BenchmarkAblation_Lookahead(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_QueueDiscipline compares the published two-queue RBP
-// against the array-of-queues alternative of Section III.
-func BenchmarkAblation_QueueDiscipline(b *testing.B) {
-	prob := reducedProblem(b)
-	b.Run("two-queue", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if _, err := core.RBP(prob, 300, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("array", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if _, err := core.RBPArrayQueues(prob, 300, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_SimultaneousVsRouteFirst compares RBP to the naive
 // route-then-insert baseline on the same instance.
 func BenchmarkAblation_SimultaneousVsRouteFirst(b *testing.B) {

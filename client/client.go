@@ -183,9 +183,25 @@ func post[In, Out api.Wire](ctx context.Context, c *Client, path string, in *In,
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
-	// One trace identity per call, shared by every retry attempt: a trace
-	// riding ctx is joined as a child span, otherwise a fresh trace is
-	// minted. The request id follows the same rule.
+	var info *CacheInfo
+	err = c.retry(ctx, func(tc telemetry.TraceContext, rid string) (committed bool, err error) {
+		info, err = once(ctx, c, path, body, out, etag, tc, rid)
+		return false, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return info, nil
+}
+
+// retry runs one call of c as attempts of exchange until one succeeds.
+// Every attempt carries the call's one trace identity: a trace riding ctx
+// is joined as a child span, otherwise a fresh trace is minted, and the
+// request id follows the same rule. Between attempts it backs off (see
+// delay). It stops early on a permanent status (400/422/500/504 don't
+// improve on retry), a done context, or an attempt whose exchange the
+// server had committed to: a committed stream is never replayed.
+func (c *Client) retry(ctx context.Context, exchange func(tc telemetry.TraceContext, rid string) (committed bool, err error)) error {
 	tc, ok := telemetry.TraceFromContext(ctx)
 	if ok {
 		tc = tc.Child()
@@ -200,23 +216,20 @@ func post[In, Out api.Wire](ctx context.Context, c *Client, path string, in *In,
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		if attempt > 0 {
 			if err := sleep(ctx, c.delay(attempt, lastErr)); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		var info *CacheInfo
-		info, lastErr = once(ctx, c, path, body, out, etag, tc, rid)
-		if lastErr == nil {
-			return info, nil
+		committed, err := exchange(tc, rid)
+		if err == nil || committed {
+			return err
 		}
+		lastErr = err
 		var apiErr *APIError
-		if errors.As(lastErr, &apiErr) && !apiErr.Temporary() {
-			return nil, lastErr // permanent: 400/422/500/504 don't improve on retry
-		}
-		if ctx.Err() != nil {
-			return nil, lastErr
+		if (errors.As(err, &apiErr) && !apiErr.Temporary()) || ctx.Err() != nil {
+			return err
 		}
 	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.maxAttempts, lastErr)
+	return fmt.Errorf("client: giving up after %d attempts: %w", c.maxAttempts, lastErr)
 }
 
 // once performs a single HTTP exchange of c.

@@ -79,42 +79,15 @@ func NetsFromSlice(nets []api.NetSpec) NetSource {
 // *StreamError carrying the count of results delivered before the fault.
 // Only errors returned by fn itself come back unwrapped.
 func (c *Client) PlanStream(ctx context.Context, hdr *api.PlanStreamHeader, nets NetSource, fn func(api.NetResult) error) (*api.PlanStats, error) {
-	// One trace identity per call, shared by every retry attempt, exactly
-	// as in post.
-	tc, ok := telemetry.TraceFromContext(ctx)
-	if ok {
-		tc = tc.Child()
-	} else {
-		tc = telemetry.NewTraceContext()
+	var stats *api.PlanStats
+	err := c.retry(ctx, func(tc telemetry.TraceContext, rid string) (opened bool, err error) {
+		stats, opened, err = c.planStreamOnce(ctx, hdr, nets, fn, tc, rid)
+		return opened, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rid := telemetry.RequestIDFromContext(ctx)
-	if rid == "" {
-		rid = tc.TraceHex()
-	}
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := sleep(ctx, c.delay(attempt, lastErr)); err != nil {
-				return nil, err
-			}
-		}
-		stats, opened, err := c.planStreamOnce(ctx, hdr, nets, fn, tc, rid)
-		if err == nil {
-			return stats, nil
-		}
-		lastErr = err
-		if opened {
-			return nil, err // results already flowed; the exchange is not replayable
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !apiErr.Temporary() {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.maxAttempts, lastErr)
+	return stats, nil
 }
 
 // planStreamOnce performs a single streamed exchange. opened reports

@@ -210,12 +210,6 @@ func RBP(p *Problem, T float64, opts Options) (*Result, error) {
 	return core.Route(context.Background(), p, Request{Kind: KindRBP, PeriodPS: T, Options: opts})
 }
 
-// RBPArrayQueues is RBP's array-of-queues variant (identical results).
-func RBPArrayQueues(p *Problem, T float64, opts Options) (*Result, error) {
-	return core.Route(context.Background(), p,
-		Request{Kind: KindRBP, PeriodPS: T, ArrayQueues: true, Options: opts})
-}
-
 // GALS finds the minimum-latency path between a source clocked at Ts and a
 // sink clocked at Tt, inserting exactly one mixed-clock FIFO.
 func GALS(p *Problem, Ts, Tt float64, opts Options) (*Result, error) {

@@ -30,13 +30,6 @@ func TestPublicAPIEndToEndRBP(t *testing.T) {
 	if lat != res.Latency {
 		t.Errorf("verified %g != reported %g", lat, res.Latency)
 	}
-	alt, err := clockroute.RBPArrayQueues(prob, 400, clockroute.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alt.Latency != res.Latency {
-		t.Errorf("array-of-queues variant disagrees: %g vs %g", alt.Latency, res.Latency)
-	}
 }
 
 func TestPublicAPIEndToEndGALS(t *testing.T) {

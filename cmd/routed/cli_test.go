@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -63,7 +64,6 @@ func TestCLIGoldens(t *testing.T) {
 		args   []string
 	}{
 		{"route-rbp", []string{"route"}},
-		{"route-rbp-array", []string{"route", "-variant", "array"}},
 		{"route-fig6", []string{"route", "-grid", "61x25", "-pitch", "0.5", "-src", "2,12", "-dst", "58,12", "-period", "300", "-render"}},
 		{"route-gals", []string{"route", "-kind", "gals", "-ts", "300", "-tt", "250", "-simulate", "20"}},
 		{"route-latch", []string{"route", "-kind", "latch", "-grid", "41x5", "-pitch", "0.5", "-src", "0,2", "-dst", "40,2",
@@ -195,8 +195,8 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 			[]string{"-render: does not apply to -kind latch", "-png: does not apply to -kind latch"}},
 		{"period on gals", []string{"route", "-kind", "gals", "-period", "300"}, []string{"-period: does not apply to -kind gals"}},
 		{"maxcycles on fastpath", []string{"route", "-kind", "fastpath", "-maxcycles", "3"}, []string{"-maxcycles: does not apply"}},
-		{"garbage", []string{"route", "-grid", "1x0", "-pitch", "-1", "-variant", "bogus", "-src", "5,5", "-dst", "5,5", "-trace", "TMP/t.jsonl"},
-			[]string{"-grid grid 1x0 too small", "-pitch must be positive", "-variant must be one of", "must differ"}},
+		{"garbage", []string{"route", "-grid", "1x0", "-pitch", "-1", "-src", "5,5", "-dst", "5,5", "-trace", "TMP/t.jsonl"},
+			[]string{"-grid grid 1x0 too small", "-pitch must be positive", "must differ"}},
 		{"unparsable points", []string{"route", "-grid", "axb", "-src", "x", "-dst", "1,2,3"}, []string{"-grid: ", "-src: ", "-dst: "}},
 		{"unknown kind", []string{"route", "-kind", "bogus"}, []string{"-kind must be one of"}},
 		{"bad numbers", []string{"route", "-kind", "latch", "-period", "0", "-maxcycles", "-1", "-timeout", "-1s"},
@@ -236,5 +236,25 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 				t.Errorf("files created: %v %v", ents, err)
 			}
 		})
+	}
+}
+
+// TestVariantFlagIsUnknown checks that the retired -variant flag is
+// rejected like any flag route never defined. The flag package exits the
+// process on an unknown flag, so the route runs in a child process of the
+// test binary.
+func TestVariantFlagIsUnknown(t *testing.T) {
+	if os.Getenv("ROUTED_TEST_CHILD") == "1" {
+		os.Exit(runRoute([]string{"-variant", "array"}, io.Discard, os.Stderr))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestVariantFlagIsUnknown$")
+	cmd.Env = append(os.Environ(), "ROUTED_TEST_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("route -variant array: err %v, want exit 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -variant") {
+		t.Errorf("route -variant array: no unknown-flag message:\n%s", out)
 	}
 }

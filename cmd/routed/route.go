@@ -26,7 +26,6 @@ import (
 // other flag applies to all four.
 var kindFlags = map[string][]string{
 	"period":    {"rbp", "latch"},
-	"variant":   {"rbp"},
 	"render":    {"rbp"},
 	"png":       {"rbp"},
 	"cell":      {"rbp"},
@@ -43,7 +42,7 @@ var kindFlags = map[string][]string{
 // service does not offer, routes the rbp problem with transparent latches
 // and compares the two.
 //
-//	routed route -kind rbp -period 400 -obstacle 30,30,60,60 -variant array
+//	routed route -kind rbp -period 400 -obstacle 30,30,60,60
 //	routed route -kind rbp -grid 61x25 -pitch 0.5 -src 2,12 -dst 58,12 \
 //	    -period 300 -render -png fig6.png       # the paper's Fig. 6
 //	routed route -kind gals -ts 300 -tt 250 -simulate 100
@@ -64,7 +63,6 @@ func runRoute(args []string, stdout, stderr io.Writer) int {
 		dstFlag                          = fs.String("dst", "95,95", "sink node x,y")
 		timeout                          = fs.Duration("timeout", 0, "abort the search after this long (0 = unlimited)")
 		period                           = fs.Float64("period", 400, "rbp, latch: clock period in ps")
-		variant                          = fs.String("variant", "two-queue", "rbp: implementation, two-queue | array")
 		render                           = fs.Bool("render", false, "rbp: print the wave-front map (Fig. 6) and the visits per wave")
 		pngPath                          = fs.String("png", "", "rbp: also write the wave-front map as a PNG to this file")
 		cell                             = fs.Int("cell", 6, "rbp: pixels per grid node for -png")
@@ -112,7 +110,6 @@ func runRoute(args []string, stdout, stderr io.Writer) int {
 	v.Positive("pitch", *pitch)
 	v.NonNegativeDuration("timeout", *timeout)
 	v.Positive("period", *period)
-	v.OneOf("variant", *variant, "two-queue", "array")
 	v.Positive("cell", float64(*cell))
 	v.Positive("ts", *ts)
 	v.Positive("tt", *tt)
@@ -137,7 +134,7 @@ func runRoute(args []string, stdout, stderr io.Writer) int {
 	}
 	switch *kind {
 	case "rbp", "latch":
-		req.Kind, req.PeriodPS, req.ArrayQueues = "rbp", *period, *variant == "array"
+		req.Kind, req.PeriodPS = "rbp", *period
 	case "gals":
 		req.SrcPeriodPS, req.DstPeriodPS = *ts, *tt
 	}

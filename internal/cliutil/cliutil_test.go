@@ -58,7 +58,7 @@ func TestValidatorPassesGoodFlags(t *testing.T) {
 	v.InBounds("src", geom.Pt(0, 0), 101, 101)
 	v.InBounds("dst", geom.Pt(100, 100), 101, 101)
 	v.Distinct("src", "dst", geom.Pt(0, 0), geom.Pt(100, 100))
-	v.OneOf("variant", "array", "two-queue", "array")
+	v.OneOf("kind", "gals", "fastpath", "rbp", "gals")
 	if err := v.Err(); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
@@ -73,12 +73,12 @@ func TestValidatorCollectsEveryFailure(t *testing.T) {
 	v.InBounds("src", geom.Pt(-1, 3), 10, 10)
 	v.InBounds("dst", geom.Pt(10, 3), 10, 10)
 	v.Distinct("src", "dst", geom.Pt(2, 2), geom.Pt(2, 2))
-	v.OneOf("variant", "bogus", "two-queue", "array")
+	v.OneOf("kind", "bogus", "fastpath", "rbp", "gals")
 	err := v.Err()
 	if err == nil {
 		t.Fatal("all-bad flags accepted")
 	}
-	for _, want := range []string{"-pitch", "-period", "-workers", "-grid", "-src", "-dst", "-variant"} {
+	for _, want := range []string{"-pitch", "-period", "-workers", "-grid", "-src", "-dst", "-kind"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error drops %s: %v", want, err)
 		}

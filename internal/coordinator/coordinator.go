@@ -93,9 +93,6 @@ type Config struct {
 	// live traffic. Zero disables it; half-open probes then ride on real
 	// exchanges.
 	ProbeInterval time.Duration
-	// Tech is the technology the local degraded path routes against
-	// (default CongPan70nm — must match the backends').
-	Tech *tech.Tech
 	// Metrics receives coord_failovers and coord_degraded_local (default
 	// telemetry.Default()).
 	Metrics *telemetry.Metrics
@@ -136,6 +133,7 @@ type Coordinator struct {
 	backends []*backend
 	brs      []*breaker // backends[i].br, the scheduling core's view
 	m        *telemetry.Metrics
+	tech     *tech.Tech // the local degraded path's model: CongPan70nm, as on every backend
 
 	hc        *http.Client // healthz probes
 	probeStop chan struct{}
@@ -162,9 +160,6 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[u] = true
 		urls[i] = u
 	}
-	if cfg.Tech == nil {
-		cfg.Tech = tech.CongPan70nm()
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.Default()
 	}
@@ -175,6 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		ring:      newRing(urls),
 		m:         cfg.Metrics,
+		tech:      tech.CongPan70nm(),
 		hc:        &http.Client{Timeout: 2 * time.Second},
 		probeStop: make(chan struct{}),
 	}
@@ -453,7 +449,7 @@ func (p *plan) routeLocal(j *job) {
 	p.c.m.CoordDegradedLocal.Inc()
 	p.do(func(s *sched, _ time.Time) bool { return s.takeLocal() })
 	if p.local == nil && p.localErr == nil {
-		p.local, p.localErr = planwire.NewStreamPlanner(&p.hdr.Grid, p.c.cfg.Tech, nil)
+		p.local, p.localErr = planwire.NewStreamPlanner(&p.hdr.Grid, p.c.tech, nil)
 	}
 	nr := api.NetResult{Name: j.net.Spec.Name, ProblemHash: j.net.Hash.Hex()}
 	st := api.PlanStats{NetsFailed: 1}

@@ -45,20 +45,9 @@ func TestRouteDispatchesAllKinds(t *testing.T) {
 	if rbpVia.Latency != rbpDirect.Latency || rbpVia.Registers != rbpDirect.Registers {
 		t.Errorf("rbp via Route diverged")
 	}
-	// PeriodPS may be left zero when the endpoint periods agree.
-	rbpInfer, err := Route(ctx, p, Request{Kind: KindRBP, SrcPeriodPS: 400, DstPeriodPS: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rbpInfer.Latency != rbpDirect.Latency {
-		t.Errorf("rbp with inferred period diverged")
-	}
-	arrVia, err := Route(ctx, p, Request{Kind: KindRBP, PeriodPS: 400, ArrayQueues: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arrVia.Latency != rbpDirect.Latency {
-		t.Errorf("array-queues via Route diverged")
+	// RBP reads PeriodPS only; the GALS endpoint periods are not a fallback.
+	if _, err := Route(ctx, p, Request{Kind: KindRBP, SrcPeriodPS: 400, DstPeriodPS: 400}); err == nil {
+		t.Error("rbp without PeriodPS must fail")
 	}
 
 	galsDirect, err := GALS(p, 300, 250, Options{})
@@ -115,7 +104,6 @@ func TestOptionsDeadlineAbortsWithoutContext(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"fastpath": func() error { _, err := FastPath(p, opts); return err },
 		"rbp":      func() error { _, err := RBP(p, 400, opts); return err },
-		"array":    func() error { _, err := RBPArrayQueues(p, 400, opts); return err },
 		"gals":     func() error { _, err := GALS(p, 400, 300, opts); return err },
 	} {
 		start := time.Now()
@@ -142,7 +130,6 @@ func TestOptionsDeadlineAbortsWithoutContext(t *testing.T) {
 		for name, run := range map[string]func() (*Result, error){
 			"fastpath": func() (*Result, error) { return FastPath(small, o) },
 			"rbp":      func() (*Result, error) { return RBP(small, 400, o) },
-			"array":    func() (*Result, error) { return RBPArrayQueues(small, 400, o) },
 			"gals":     func() (*Result, error) { return GALS(small, 400, 300, o) },
 		} {
 			if res, err := run(); !errors.Is(err, ErrAborted) {
@@ -179,7 +166,6 @@ func TestMaxConfigsAbortsEveryAlgorithm(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"fastpath": func() error { _, err := FastPath(p, opts); return err },
 		"rbp":      func() error { _, err := RBP(p, 400, opts); return err },
-		"array":    func() error { _, err := RBPArrayQueues(p, 400, opts); return err },
 		"gals":     func() error { _, err := GALS(p, 400, 300, opts); return err },
 	} {
 		if err := run(); !errors.Is(err, ErrAborted) {

@@ -40,10 +40,6 @@ func TestSearchAllocBudgets(t *testing.T) {
 	cases := map[string]func() error{
 		"fastpath": func() error { _, err := FastPath(p, Options{}); return err },
 		"rbp":      func() error { _, err := RBP(p, 300, Options{}); return err },
-		"rbp-array": func() error {
-			_, err := RBPArrayQueues(p, 300, Options{})
-			return err
-		},
 		"rbp-slack": func() error {
 			_, err := RBP(p, 300, Options{MaximizeSlack: true})
 			return err
@@ -235,7 +231,6 @@ func TestScratchPoolReuseIdentical(t *testing.T) {
 	reqs := map[string]Request{
 		"fastpath":  {Kind: KindFastPath},
 		"rbp":       {Kind: KindRBP, PeriodPS: 300},
-		"rbp-array": {Kind: KindRBP, PeriodPS: 300, ArrayQueues: true},
 		"rbp-slack": {Kind: KindRBP, PeriodPS: 300, Options: Options{MaximizeSlack: true}},
 		"gals":      {Kind: KindGALS, SrcPeriodPS: 300, DstPeriodPS: 450},
 	}
@@ -249,10 +244,8 @@ func TestScratchPoolReuseIdentical(t *testing.T) {
 		switch {
 		case req.Kind == KindFastPath:
 			res, err = search(p, fastPathScheme(), req.Options, new(Scratch), nil, nil)
-		case req.Kind == KindRBP && req.ArrayQueues:
-			res, err = search(p, rbpScheme(p, req.PeriodPS, arrayQueues), req.Options, new(Scratch), nil, nil)
 		case req.Kind == KindRBP:
-			res, err = search(p, rbpScheme(p, req.PeriodPS, twoQueue), req.Options, new(Scratch), nil, nil)
+			res, err = search(p, rbpScheme(p, req.PeriodPS), req.Options, new(Scratch), nil, nil)
 		default:
 			res, err = search(p, galsScheme(p, req.SrcPeriodPS, req.DstPeriodPS), req.Options, new(Scratch), nil, nil)
 		}

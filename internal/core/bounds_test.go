@@ -88,7 +88,7 @@ func pathStates(p *Problem, path *route.Path, ts, tt float64) []pathState {
 // on-path state would mean an inadmissible table or span, whether or not
 // the bounded run happens to diverge on the instance. Each kernel's bound
 // is built under the options it runs with, so on the states in the
-// probe's wave rbp, rbp-array and gals also face the key test, and
+// probe's wave rbp and gals also face the key test, and
 // rbp-slack, whose answer need not hold the least key, faces none.
 func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res *Result) {
 	t.Helper()
@@ -103,12 +103,8 @@ func checkBoundsAdmitPath(t *testing.T, label, kernel string, c *sweepCase, res 
 			t.Fatalf("%s: fastpath bound: %v", label, err)
 		}
 		prune = func(s pathState) bool { return sb.prune(s.node, 0, s.c, s.d, sb.flat.span[0]) }
-	case "rbp", "rbp-array", "rbp-slack":
-		q := twoQueue
-		if kernel == "rbp-array" {
-			q = arrayQueues
-		}
-		sb, _, err := rbpScheme(p, c.T, q).bound(p, Options{MaximizeSlack: kernel == "rbp-slack"}, sc)
+	case "rbp", "rbp-slack":
+		sb, _, err := rbpScheme(p, c.T).bound(p, Options{MaximizeSlack: kernel == "rbp-slack"}, sc)
 		if err != nil {
 			t.Fatalf("%s: rbp bound: %v", label, err)
 		}

@@ -1,9 +1,8 @@
 // Package core implements the paper's algorithms: the fast-path baseline of
 // Zhou et al. (Fig. 1), the registered-buffered path algorithm RBP for
-// single-clock domains (Fig. 5, including the array-of-queues variant
-// discussed at the end of Section III), and the GALS algorithm for
-// multiple-clock domains (Fig. 12), plus the search of the latch router
-// (package latch).
+// single-clock domains (Fig. 5, in its published two-queue form), and the
+// GALS algorithm for multiple-clock domains (Fig. 12), plus the search of
+// the latch router (package latch).
 //
 // All of them are backward dynamic programs: partial solutions grow from
 // the sink t toward the source s, keyed by Elmore delay, with

@@ -294,35 +294,6 @@ func TestRBPDetoursForRegisterSite(t *testing.T) {
 	}
 }
 
-func TestRBPTwoQueueAndArrayAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 12; trial++ {
-		g := grid.MustNew(12, 12, 1.0)
-		for i := 0; i < 4; i++ {
-			x, y := rng.Intn(10), rng.Intn(10)
-			g.AddObstacle(geom.R(x, y, x+1+rng.Intn(2), y+1+rng.Intn(2)))
-		}
-		if !g.RegisterInsertable(g.ID(geom.Pt(0, 0))) || !g.RegisterInsertable(g.ID(geom.Pt(11, 11))) {
-			continue
-		}
-		p := problemOn(t, g, geom.Pt(0, 0), geom.Pt(11, 11))
-		for _, T := range []float64{150, 300, 600} {
-			a, errA := RBP(p, T, Options{})
-			b, errB := RBPArrayQueues(p, T, Options{})
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("trial %d T=%g: feasibility disagrees (%v vs %v)", trial, T, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if a.Latency != b.Latency || a.Registers != b.Registers {
-				t.Errorf("trial %d T=%g: two-queue (%g,%d) != array (%g,%d)",
-					trial, T, a.Latency, a.Registers, b.Latency, b.Registers)
-			}
-		}
-	}
-}
-
 func TestRBPAblationsPreserveOptimum(t *testing.T) {
 	// Coarse pitch keeps the single-cycle reach to 1-3 edges so the
 	// pruning-disabled run (exponential in reach) stays tiny.
@@ -474,8 +445,7 @@ func TestMultiSizeLibraryMatchesBruteForce(t *testing.T) {
 
 // Randomized end-to-end property: on arbitrary seeded blockage maps and
 // periods, every algorithm either reports ErrNoPath or returns a path that
-// passes its independent verifier with the advertised latency, and the two
-// RBP implementations agree.
+// passes its independent verifier with the advertised latency.
 func TestRandomInstancesAlwaysVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	trials := 40
@@ -502,19 +472,11 @@ func TestRandomInstancesAlwaysVerify(t *testing.T) {
 		T := 150 + rng.Float64()*800
 
 		res, err := RBP(p, T, Options{})
-		alt, errAlt := RBPArrayQueues(p, T, Options{})
-		if (err == nil) != (errAlt == nil) {
-			t.Fatalf("trial %d: RBP variants disagree on feasibility: %v vs %v", trial, err, errAlt)
-		}
 		if err == nil {
 			if lat, verr := route.VerifySingleClock(res.Path, g, p.Model, T); verr != nil {
 				t.Fatalf("trial %d T=%.0f: RBP verification: %v", trial, T, verr)
 			} else if math.Abs(lat-res.Latency) > 1e-6 {
 				t.Fatalf("trial %d: RBP latency mismatch %g vs %g", trial, lat, res.Latency)
-			}
-			if alt.Latency != res.Latency || alt.Registers != res.Registers {
-				t.Fatalf("trial %d: variants disagree: (%g,%d) vs (%g,%d)",
-					trial, res.Latency, res.Registers, alt.Latency, alt.Registers)
 			}
 		} else if !errors.Is(err, ErrNoPath) {
 			t.Fatalf("trial %d: unexpected RBP error: %v", trial, err)

@@ -122,7 +122,6 @@ func FuzzRouteDifferential(f *testing.F) {
 		}{
 			{"fastpath", func(o Options) (*Result, error) { return FastPath(p, o) }},
 			{"rbp", func(o Options) (*Result, error) { return RBP(p, T, o) }},
-			{"rbp-array", func(o Options) (*Result, error) { return RBPArrayQueues(p, T, o) }},
 			{"rbp-slack", func(o Options) (*Result, error) {
 				o.MaximizeSlack = true
 				return RBP(p, T, o)
@@ -163,7 +162,7 @@ func FuzzRouteDifferential(f *testing.F) {
 		}
 
 		wantRegs := bruteMinRegs(g, m, p.Source, p.Sink, T)
-		for _, name := range []string{"rbp", "rbp-array", "rbp-slack"} {
+		for _, name := range []string{"rbp", "rbp-slack"} {
 			if res, ok := results[name]; ok {
 				if _, err := route.VerifySingleClock(res.Path, g, m, T); err != nil {
 					t.Errorf("%s path invalid: %v", name, err)

@@ -13,10 +13,10 @@ import (
 
 // latchScheme is the data of the latch router's search at a fixed cycle
 // count k (package latch documents the timing model). Its scheme is one
-// domain of period T without look-ahead, with wave heaps over the latch
-// count; a candidate's Slack is its deadline, which the source register
-// launching at −k·T must meet, and so must every edge and buffer on the
-// way. A latch closes a segment in a half-period slot; it is the model's
+// domain of period T without look-ahead, with RBP's two-queue waves over
+// the latch count; a candidate's Slack is its deadline, which the source
+// register launching at −k·T must meet, and so must every edge and buffer
+// on the way. A latch closes a segment in a half-period slot; it is the model's
 // own latch (tech.Latch), the register under another name.
 type latchScheme struct {
 	el         tech.Element // the latch
@@ -28,7 +28,7 @@ type latchScheme struct {
 // newLatchScheme returns the latch router's scheme for k cycles.
 func newLatchScheme(p *Problem, T float64, k int) *scheme {
 	ls := &latchScheme{el: p.tech().Latch(), T: T, launch: -float64(k) * T, maxLatches: 2*k - 1}
-	return &scheme{dom: [2]domain{{T: T}}, nd: 1, queue: arrayQueues, latch: ls}
+	return &scheme{dom: [2]domain{{T: T}}, nd: 1, queue: twoQueue, latch: ls}
 }
 
 // meets reports whether a delay d after the launch edge meets deadline.
@@ -128,8 +128,8 @@ func latchSearch(p *Problem, T float64, maxCycles int, opts Options) (res *Resul
 	}
 	res = &Result{}
 	for k = kmin; k <= maxCycles; k++ {
-		// Each k recycles the previous one's arena and wave heaps; a
-		// feasible arrival returns mid-drain.
+		// Each k recycles the previous one's arena, queue and next-wave
+		// list; a feasible arrival returns mid-drain.
 		sc.resetSearchState()
 		if _, err = search(p, newLatchScheme(p, T, k), opts, sc, nil, res); !errors.Is(err, ErrNoPath) {
 			break

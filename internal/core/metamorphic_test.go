@@ -117,7 +117,6 @@ var metaKernels = []struct {
 }{
 	{"fastpath", func(p *Problem, mc metaCase) (*Result, error) { return FastPath(p, Options{}) }},
 	{"rbp", func(p *Problem, mc metaCase) (*Result, error) { return RBP(p, mc.T, Options{}) }},
-	{"rbp-array", func(p *Problem, mc metaCase) (*Result, error) { return RBPArrayQueues(p, mc.T, Options{}) }},
 	{"rbp-slack", func(p *Problem, mc metaCase) (*Result, error) {
 		return RBP(p, mc.T, Options{MaximizeSlack: true})
 	}},
@@ -228,7 +227,7 @@ func metaObjective(t *testing.T, kernel string, res *Result, err error) metaSnap
 	}
 	s := metaSnap{latency: res.Latency}
 	switch kernel {
-	case "rbp", "rbp-array":
+	case "rbp":
 		s.regs = res.Registers
 	case "rbp-slack":
 		s.regs = res.Registers

@@ -51,16 +51,11 @@ func ParseKind(s string) (Kind, error) {
 // published behavior; only the fields the Kind needs are consulted.
 type Request struct {
 	Kind Kind
-	// PeriodPS is the clock period for KindRBP. When zero and the endpoint
-	// periods below agree, that shared period is used instead — so a Request
-	// can be built uniformly from a net's two endpoint clocks.
+	// PeriodPS is the clock period for KindRBP.
 	PeriodPS float64
 	// SrcPeriodPS and DstPeriodPS are the two domain periods for KindGALS.
 	SrcPeriodPS float64
 	DstPeriodPS float64
-	// ArrayQueues selects the array-of-queues RBP variant (identical
-	// results; see RBPArrayQueues).
-	ArrayQueues bool
 	Options     Options
 }
 
@@ -128,14 +123,7 @@ func dispatch(p *Problem, req Request, opts Options) (*Result, error) {
 	case KindFastPath:
 		return FastPath(p, opts)
 	case KindRBP:
-		T := req.PeriodPS
-		if T == 0 && req.SrcPeriodPS == req.DstPeriodPS {
-			T = req.SrcPeriodPS
-		}
-		if req.ArrayQueues {
-			return RBPArrayQueues(p, T, opts)
-		}
-		return RBP(p, T, opts)
+		return RBP(p, req.PeriodPS, opts)
 	case KindGALS:
 		return GALS(p, req.SrcPeriodPS, req.DstPeriodPS, opts)
 	}

@@ -32,18 +32,16 @@ type Scratch struct {
 	// from arena candidates may outlive the search without copying.
 	Arena candidate.Arena
 
-	// Q is the primary wave heap (FastPath's only queue; RBP's and GALS's
-	// current wave).
+	// Q is the current wave's heap (FastPath's only queue).
 	Q pqueue.Heap[*candidate.Candidate]
 	// QStar is GALS's future-wave heap, keyed by accumulated latency.
 	QStar pqueue.Heap[*candidate.Candidate]
-	// Buf is the shared candidate buffer: RBP's next-wave accumulation
-	// list and GALS's wavefront extraction buffer.
+	// Buf is the shared candidate buffer: the next-wave accumulation list
+	// of RBP and the latch router, and GALS's wavefront extraction buffer.
 	Buf []*candidate.Candidate
 
 	stores [2]*candidate.Store
 	flags  [3]nodeFlags
-	waves  []*pqueue.Heap[*candidate.Candidate]
 
 	// bounds holds the pooled A*-pruning state (BFS distance field,
 	// segment tables, probe window); see prepBounds in bounds.go.
@@ -62,19 +60,16 @@ func getScratch() *Scratch {
 }
 
 // resetSearchState rewinds the search structures a search mutates —
-// arena, heaps, wave heaps, shared buffer — so the next search on the
-// scratch (the exact search after the one-path probe, or the latch
-// router's next cycle count) starts clean. A feasible arrival returns
-// mid-drain, so heaps may be non-empty. Pareto stores and flag sets need
-// no rewind here: every search re-preps them (epoch bump) before use.
+// arena, heaps, shared buffer — so the next search on the scratch (the
+// exact search after the one-path probe, or the latch router's next
+// cycle count) starts clean. A feasible arrival returns mid-drain, so
+// heaps may be non-empty. Pareto stores and flag sets need no rewind
+// here: every search re-preps them (epoch bump) before use.
 func (s *Scratch) resetSearchState() {
 	s.Arena.Reset()
 	s.Q.Reset()
 	s.QStar.Reset()
 	s.Buf = s.Buf[:0]
-	for _, h := range s.waves {
-		h.Reset()
-	}
 }
 
 // Release returns sc to the pool. The caller must not touch sc — or any
@@ -109,13 +104,13 @@ func (s *Scratch) Quarantine() {
 func ScratchQuarantines() int64 { return quarantined.Load() }
 
 // containSearchPanic is the deferred recovery boundary shared by every
-// exported search wrapper (FastPath, RBP, RBPArrayQueues, GALS, and
-// LatchSearch): a panic anywhere in the search body is classified as an
-// *InternalError with the panicking stack, and the borrowed scratch is
-// quarantined — never released — because its invariants cannot be trusted
-// after a mid-wave panic. On the normal path it releases the scratch, and a
-// failed search returns no result (the kernels hand one back with
-// ErrNoPath so a probe can count its effort).
+// exported search wrapper (FastPath, RBP, GALS, and LatchSearch): a panic
+// anywhere in the search body is classified as an *InternalError with the
+// panicking stack, and the borrowed scratch is quarantined — never
+// released — because its invariants cannot be trusted after a mid-wave
+// panic. On the normal path it releases the scratch, and a failed search
+// returns no result (the kernels hand one back with ErrNoPath so a probe
+// can count its effort).
 //
 // Deferred functions run before the stack unwinds, so the stack captured
 // here still shows the panicking frames.
@@ -148,27 +143,11 @@ func (s *Scratch) prepFlags(i, n int) *nodeFlags {
 	return &s.flags[i]
 }
 
-// wave returns the reusable heap for wave index w, allocating heaps on
-// first use and retaining them (and their backing slices) across searches.
-// Used by the array-of-queues schemes (RBPArrayQueues and the latch
-// router), whose wave heaps all live simultaneously. Like Q they are keyed
-// by delay, so they take Q's tie order and packed tie key (tiekey.go).
-func (s *Scratch) wave(w int) *pqueue.Heap[*candidate.Candidate] {
-	for len(s.waves) <= w {
-		s.waves = append(s.waves, &pqueue.Heap[*candidate.Candidate]{Tie: candidateTieLess, TieKey: tieKeyNodeC})
-	}
-	return s.waves[w]
-}
-
-// Rebases sums the rebase counts of every queue the scratch owns since it
+// Rebases sums the rebase counts of both queues the scratch owns since it
 // was created (see pqueue.Heap.Rebases). The kernels' keys never fall
 // below a queue's floor, so it stays zero.
 func (s *Scratch) Rebases() int {
-	n := s.Q.Rebases() + s.QStar.Rebases()
-	for _, h := range s.waves {
-		n += h.Rebases()
-	}
-	return n
+	return s.Q.Rebases() + s.QStar.Rebases()
 }
 
 // nodeFlags is a reusable per-node boolean set with O(1) clear via epoch

@@ -87,26 +87,6 @@ func TestMaxSlackStrictlyImprovesSomewhere(t *testing.T) {
 	}
 }
 
-func TestMaxSlackVariantsAgree(t *testing.T) {
-	g := grid.MustNew(31, 7, 0.5)
-	g.AddObstacle(geom.R(10, 1, 20, 6))
-	p := problemOn(t, g, geom.Pt(0, 3), geom.Pt(30, 3))
-	for _, T := range []float64{300, 500} {
-		a, err := RBP(p, T, Options{MaximizeSlack: true})
-		if err != nil {
-			t.Fatalf("T=%g: %v", T, err)
-		}
-		b, err := RBPArrayQueues(p, T, Options{MaximizeSlack: true})
-		if err != nil {
-			t.Fatalf("T=%g: %v", T, err)
-		}
-		if a.Latency != b.Latency || math.Abs(a.SlackPS-b.SlackPS) > 1e-6 {
-			t.Errorf("T=%g: variants disagree: (%g,%g) vs (%g,%g)",
-				T, a.Latency, a.SlackPS, b.Latency, b.SlackPS)
-		}
-	}
-}
-
 func TestPlainRBPAlsoReportsSlack(t *testing.T) {
 	g := grid.MustNew(41, 3, 0.5)
 	p := problemOn(t, g, geom.Pt(0, 1), geom.Pt(40, 1))

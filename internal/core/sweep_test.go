@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"clockroute/internal/elmore"
@@ -188,7 +187,6 @@ func kernelEquivalenceSweep(t *testing.T, seed int64, n int, draw func(*rand.Ran
 		}{
 			{"fastpath", func(o Options) (*Result, error) { return FastPath(p, o) }},
 			{"rbp", func(o Options) (*Result, error) { return RBP(p, c.T, o) }},
-			{"rbp-array", func(o Options) (*Result, error) { return RBPArrayQueues(p, c.T, o) }},
 			{"rbp-slack", func(o Options) (*Result, error) {
 				o.MaximizeSlack = true
 				return RBP(p, c.T, o)
@@ -238,45 +236,6 @@ func TestKernelEquivalenceSweepTechs(t *testing.T) {
 	kernelEquivalenceSweep(t, 0x7ec5, 60, randomTechCase)
 }
 
-// TestRBPQueueDisciplinesIdentical pins RBPArrayQueues to RBP result for
-// result, effort counters included: the two queue disciplines admit the
-// same candidates into the same waves and pop them in the same order, so
-// every Stats field but the wall time agrees — with bounds on and off, in
-// plain and max-slack mode.
-func TestRBPQueueDisciplinesIdentical(t *testing.T) {
-	for _, stream := range []struct {
-		seed int64
-		n    int
-		draw func(*rand.Rand) *sweepCase
-	}{{0xa77a, 300, randomSweepCase}, {0x7ec5, 60, randomTechCase}} {
-		rng := rand.New(rand.NewSource(stream.seed))
-		for built := 0; built < stream.n; {
-			c := stream.draw(rng)
-			if c == nil {
-				continue
-			}
-			built++
-			for _, opts := range []Options{
-				{}, {DisableBounds: true}, {MaximizeSlack: true}, {DisableBounds: true, MaximizeSlack: true},
-			} {
-				two, errTwo := RBP(c.p, c.T, opts)
-				arr, errArr := RBPArrayQueues(c.p, c.T, opts)
-				if errTwo != errArr {
-					t.Fatalf("seed %#x instance %d %+v: two-queue err %v, array err %v", stream.seed, built-1, opts, errTwo, errArr)
-				}
-				if errTwo != nil {
-					continue
-				}
-				two.Stats.Elapsed, arr.Stats.Elapsed = 0, 0
-				if !reflect.DeepEqual(two, arr) {
-					t.Fatalf("seed %#x instance %d %+v: results differ\ntwo-queue %+v\narray     %+v",
-						stream.seed, built-1, opts, two.Stats, arr.Stats)
-				}
-			}
-		}
-	}
-}
-
 // TestKernelsNeverRebase runs every scheme of the engine on the sweep
 // instances, bounds on and off and RBP in both slack modes, all on one
 // fresh scratch, and requires that no push ever landed below its queue's
@@ -312,10 +271,8 @@ func TestKernelsNeverRebase(t *testing.T) {
 					opts Options
 				}{
 					{fastPathScheme(), opts},
-					{rbpScheme(p, c.T, twoQueue), opts},
-					{rbpScheme(p, c.T, arrayQueues), opts},
-					{rbpScheme(p, c.T, twoQueue), slack},
-					{rbpScheme(p, c.T, arrayQueues), slack},
+					{rbpScheme(p, c.T), opts},
+					{rbpScheme(p, c.T), slack},
 					{galsScheme(p, c.Ts, c.Tt), opts},
 					{newLatchScheme(p, c.T, 1), opts},
 					{newLatchScheme(p, c.T, 2), opts},
@@ -366,13 +323,13 @@ func TestArenaHoldsOnlyQueuedWithoutPruning(t *testing.T) {
 		return err
 	}
 	for name, s := range map[string]*scheme{
-		"rbp": rbpScheme(p, 250, twoQueue), "gals": galsScheme(p, 300, 300), "fastpath": fastPathScheme(),
+		"rbp": rbpScheme(p, 250), "gals": galsScheme(p, 300, 300), "fastpath": fastPathScheme(),
 	} {
 		if err := check(name, s, opts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if err := check("rbp-array max slack", rbpScheme(p, 250, arrayQueues), slack); err != nil {
+	if err := check("rbp max slack", rbpScheme(p, 250), slack); err != nil {
 		t.Fatal(err)
 	}
 	for k := 1; check(fmt.Sprintf("latch k=%d", k), newLatchScheme(p, 250, k), opts) != nil; k++ {

@@ -187,7 +187,6 @@ func TestStatsElapsedFilledByEveryAlgorithm(t *testing.T) {
 	runs := map[string]func() (*Result, error){
 		"fastpath":  func() (*Result, error) { return FastPath(p, Options{}) },
 		"rbp":       func() (*Result, error) { return RBP(p, 300, Options{}) },
-		"rbp-array": func() (*Result, error) { return RBPArrayQueues(p, 300, Options{}) },
 		"rbp-slack": func() (*Result, error) { return RBP(p, 300, Options{MaximizeSlack: true}) },
 		"gals":      func() (*Result, error) { return GALS(p, 300, 450, Options{}) },
 	}

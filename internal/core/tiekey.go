@@ -8,10 +8,9 @@ import (
 // Packed tie keys.
 //
 // candidateTieLess orders equal-key heap entries by
-// (Node, D, C, Gate, Regs, Z, Slack, L). Every heap in the search core
-// pushes under a fixed key discipline: Q, RBP's array-of-queues waves, and
-// the latch router's wave heaps are keyed by the candidate's accumulated
-// delay D, and GALS's Q* is keyed by the candidate's latency L. The heap
+// (Node, D, C, Gate, Regs, Z, Slack, L). Both heaps in the search core
+// push under a fixed key discipline: Q is keyed by the candidate's
+// accumulated delay D, and GALS's Q* by the candidate's latency L. The heap
 // consults the tie order only on *exact* key equality, so on a D-keyed heap
 // the D comparison inside candidateTieLess is always a no-op and the
 // effective order starts (Node, C, ...); on the L-keyed Q* it starts
@@ -36,7 +35,7 @@ func tieBits32(f float64) uint32 {
 	return uint32(pqueue.OrderBits(f) >> 32)
 }
 
-// tieKeyNodeC packs (Node, C) — the tie prefix for every D-keyed heap.
+// tieKeyNodeC packs (Node, C) — the tie prefix for the D-keyed Q.
 // Node IDs are non-negative, so the int32→uint32 cast is monotone.
 func tieKeyNodeC(c *candidate.Candidate) uint64 {
 	return uint64(uint32(c.Node))<<32 | uint64(tieBits32(c.C))

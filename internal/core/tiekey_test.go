@@ -33,8 +33,8 @@ func randCandidate(rng *rand.Rand) candidate.Candidate {
 // compare packed tie keys before candidateTieLess: among two candidates
 // queued under equal keys (equal order bits, so +0 and −0 are one key), a
 // smaller packed key always means candidateTieLess puts that candidate
-// first, and never the other. The delay-keyed heaps (Q, the wave heaps)
-// pack (Node, C); the latency-keyed Q* packs (Node, D). FuzzHeapOrder in
+// first, and never the other. The delay-keyed Q packs (Node, C); the
+// latency-keyed Q* packs (Node, D). FuzzHeapOrder in
 // internal/pqueue pins the heap's own (key, TieKey, Tie) pop order.
 func TestPackedTieKeysAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))

@@ -7,7 +7,6 @@ import (
 
 	"clockroute/internal/candidate"
 	"clockroute/internal/faultpoint"
-	"clockroute/internal/pqueue"
 )
 
 // latencyEps groups Q* entries whose accumulated latencies differ only by
@@ -26,11 +25,8 @@ type queueKind uint8
 
 const (
 	// twoQueue is Fig. 5's register-count Q*: one list holding the next
-	// wave, swapped into Q when the current wave drains.
+	// wave, swapped into Q when the current wave drains (RBP, latches).
 	twoQueue queueKind = iota
-	// arrayQueues keeps one heap per register count, each candidate queued
-	// in its own wave's heap (the variant at the end of Section III).
-	arrayQueues
 	// latencyHeap is Fig. 12's Q*: a heap keyed by accumulated latency l,
 	// drained one eps-bucketed wavefront at a time.
 	latencyHeap
@@ -67,14 +63,14 @@ type scheme struct {
 
 // maxSlack reports whether opts run s in RBP's max-slack mode.
 func (s *scheme) maxSlack(opts Options) bool {
-	return opts.MaximizeSlack && (s.queue == twoQueue || s.queue == arrayQueues) && s.latch == nil
+	return opts.MaximizeSlack && s.queue == twoQueue && s.latch == nil
 }
 
 // rbpScheme is RBP's single domain of period T: segments close into a
 // register.
-func rbpScheme(p *Problem, T float64, q queueKind) *scheme {
+func rbpScheme(p *Problem, T float64) *scheme {
 	k, r := closing(p.tech(), false)
-	return &scheme{dom: [2]domain{{T, k, r}}, nd: 1, queue: q}
+	return &scheme{dom: [2]domain{{T, k, r}}, nd: 1, queue: twoQueue}
 }
 
 // galsScheme is GALS's pair of domains: the sink's at Tt, whose segments
@@ -121,26 +117,13 @@ func FastPath(p *Problem, opts Options) (res *Result, err error) {
 // the same wave (comparing across register counts is unsound, Fig. 4). This
 // is the published two-queue formulation: Q holds the current wave ordered
 // by delay, Q* accumulates the next wave, and Q = Q*, Q* = ∅ on exhaustion.
-func RBP(p *Problem, T float64, opts Options) (*Result, error) {
-	return rbpQueues(p, T, opts, twoQueue)
-}
-
-// RBPArrayQueues is the alternative implementation discussed at the end of
-// Section III: an array of priority queues indexed by register count, each
-// candidate inserted into the queue of its own wave. It returns exactly
-// RBP's Result, Stats included; the array trades memory (all wave heaps
-// live simultaneously) for not having to swap queues.
-func RBPArrayQueues(p *Problem, T float64, opts Options) (*Result, error) {
-	return rbpQueues(p, T, opts, arrayQueues)
-}
-
-func rbpQueues(p *Problem, T float64, opts Options, q queueKind) (res *Result, err error) {
+func RBP(p *Problem, T float64, opts Options) (res *Result, err error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("core: non-positive clock period %g", T)
 	}
 	sc := getScratch()
 	defer containSearchPanic(sc, &res, &err)
-	return search(p, rbpScheme(p, T, q), opts, sc, nil, nil)
+	return search(p, rbpScheme(p, T), opts, sc, nil, nil)
 }
 
 // GALS finds a feasible MCFIFO path of minimum total latency
@@ -164,9 +147,10 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (res *Result, err error) {
 }
 
 // engine is the state of one wavefront search: the pruning stores, the
-// single-shot insertion marks, the current wave and its bound spans. All
-// working memory is borrowed from a Scratch, so a pooled run allocates
-// candidates from the arena instead of the heap.
+// single-shot insertion marks, the current wave's index and its bound
+// spans. All working memory, the queues included, is borrowed from a
+// Scratch, so a pooled run allocates candidates from the arena instead of
+// the heap.
 type engine struct {
 	p        *Problem
 	s        *scheme
@@ -181,11 +165,10 @@ type engine struct {
 	win *nodeFlags
 	bd  *spanBound
 
-	q        *pqueue.Heap[*candidate.Candidate] // the current wave, keyed by delay
-	stores   [2]*candidate.Store                // same-wave dominance per domain
-	seeds    *candidate.Store                   // tri-store seed dedup (max slack, latches)
-	regDone  [2]*nodeFlags                      // A_z(v)
-	fifoDone *nodeFlags                         // F(v)
+	stores   [2]*candidate.Store // same-wave dominance per domain
+	seeds    *candidate.Store    // tri-store seed dedup (max slack, latches)
+	regDone  [2]*nodeFlags       // A_z(v)
+	fifoDone *nodeFlags          // F(v)
 
 	wave      int       // index of the wave being drained
 	l         float64   // its accumulated latency (latency heap only)
@@ -241,10 +224,6 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 	if tri {
 		e.seeds = sc.prepStore(1, n, true)
 	}
-	e.q = &sc.Q
-	if s.queue == arrayQueues {
-		e.q = sc.wave(0)
-	}
 
 	e.openWave()
 	init := p.initialCandidate() // (C(r), Setup(r), m', t), z = 0, l = 0
@@ -262,19 +241,20 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 	// best-slack arrival wins; FastPath keeps the least close delay until
 	// Q's least key reaches it; otherwise the first arrival is returned.
 	var best *arrival
+	q := &sc.Q // the current wave, keyed by delay
 	for {
-		if e.q.Len() == 0 {
+		if q.Len() == 0 {
 			if best != nil || !e.advance() {
 				break
 			}
 			continue
 		}
 		if best != nil && s.queue == oneWave {
-			if key, _, _ := e.q.Peek(); key >= best.srcDelay {
+			if key, _, _ := q.Peek(); key >= best.srcDelay {
 				break
 			}
 		}
-		_, c, _ := e.q.Pop()
+		_, c, _ := q.Pop()
 		e.queued--
 		if c.Dead {
 			continue
@@ -325,7 +305,7 @@ func (e *engine) advance() bool {
 	switch e.s.queue {
 	case oneWave:
 		return false
-	case twoQueue, arrayQueues:
+	case twoQueue:
 		// Infeasibility cutoff. A feasible minimum-register solution needs
 		// at most NumNodes waves (the single-shot A(v) marking gives each
 		// wave a distinct register node, and max-slack mode agrees with
@@ -338,18 +318,11 @@ func (e *engine) advance() bool {
 		if e.maxSlack && e.wave >= e.p.Grid.NumNodes() {
 			return false
 		}
-		if e.s.queue == arrayQueues {
-			if next := sc.wave(e.wave + 1); next.Len() > 0 {
-				e.q = next
-				break
-			}
-			return false
-		}
 		if len(sc.Buf) == 0 {
 			return false
 		}
 		for _, c := range sc.Buf { // Q = Q*, Q* = ∅
-			e.q.Push(c.D, c)
+			sc.Q.Push(c.D, c)
 		}
 		sc.Buf = sc.Buf[:0]
 	case latencyHeap:
@@ -427,7 +400,7 @@ func (e *engine) admit(v int32, z uint8, c, d, slack float64, w *waveBound) bool
 // queues its arena copy in the current wave.
 func (e *engine) enter(st *candidate.Store, c *candidate.Candidate) {
 	if p := e.keep(st, c); p != nil {
-		e.q.Push(p.D, p)
+		e.sc.Q.Push(p.D, p)
 		e.pushed()
 	}
 }
@@ -471,8 +444,6 @@ func (e *engine) seed(c *candidate.Candidate, cIn, d float64, gate candidate.Gat
 	switch e.s.queue {
 	case twoQueue:
 		e.sc.Buf = append(e.sc.Buf, s)
-	case arrayQueues:
-		e.sc.wave(e.wave+1).Push(s.D, s)
 	case latencyHeap:
 		e.sc.QStar.Push(s.L, s)
 	}

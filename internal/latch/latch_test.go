@@ -303,7 +303,7 @@ func answer(res *Result, err error) string {
 // Randomized property: latch routes on arbitrary blockage maps always pass
 // the forward-simulation verifier, never beat the information-theoretic
 // lower bound, and are the same with the bounds on and off. (The core
-// package checks the latch scheme's wave heaps and arena.)
+// package checks the latch scheme's queues and arena.)
 func TestLatchRandomInstancesAlwaysVerify(t *testing.T) {
 	for _, tr := range latchTrials(t, tech.CongPan70nm(), 42, 25) {
 		trial, g, p, T := tr.n, tr.g, tr.p, tr.T

@@ -66,7 +66,6 @@ func BuildRoute(req *api.RouteRequest, tc *tech.Tech) (*core.Problem, core.Reque
 		PeriodPS:    req.PeriodPS,
 		SrcPeriodPS: req.SrcPeriodPS,
 		DstPeriodPS: req.DstPeriodPS,
-		ArrayQueues: req.ArrayQueues,
 	}, nil
 }
 

@@ -185,16 +185,6 @@ func (c *Cache) Peek(k Key) (any, bool) {
 	return v, true
 }
 
-// Contains reports whether k is cached without touching recency or the
-// hit/miss counters — the conditional-request (ETag) path uses it.
-func (c *Cache) Contains(k Key) bool {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	_, ok := s.items[k]
-	s.mu.Unlock()
-	return ok
-}
-
 // Put stores v under k with the given byte size, replacing any existing
 // entry and evicting LRU entries past the shard budget. Values larger than
 // the shard budget are not stored at all — one oversized response must not

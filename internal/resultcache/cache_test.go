@@ -211,7 +211,7 @@ func TestDoPanicReleasesJoiners(t *testing.T) {
 		if v, ok := c.Get(k); !ok || v.(string) != "fresh" {
 			t.Fatalf("joiner recomputed but cache holds %v/%v", v, ok)
 		}
-	} else if c.Contains(k) {
+	} else if c.Len() != 0 {
 		t.Fatal("panicked flight filled the cache")
 	}
 }
@@ -247,7 +247,7 @@ func TestDoNilValueIsNotAPanic(t *testing.T) {
 	if joinErr != nil || joinV != nil {
 		t.Fatalf("joiner: v=%v hit=%v err=%v, want nil value without error", joinV, joinHit, joinErr)
 	}
-	if !c.Contains(k) {
+	if c.Len() != 1 {
 		t.Fatal("nil-valued success did not fill the cache")
 	}
 }

@@ -316,7 +316,7 @@ func (p *planRun) startRouter(ctx context.Context, sink telemetry.Sink) (*router
 			stop: sync.OnceValue(func() api.PlanStats { close(in); return <-done }),
 		}, nil
 	}
-	pl, err := planwire.NewStreamPlanner(&p.hdr.Grid, p.s.cfg.Tech, sink)
+	pl, err := planwire.NewStreamPlanner(&p.hdr.Grid, p.s.tech, sink)
 	if err != nil {
 		return nil, err
 	}

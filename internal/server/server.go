@@ -68,8 +68,6 @@ type Config struct {
 	// persistent snapshot segments: LoadCache warms the cache from it at
 	// boot and SnapshotCache (POST /v1/cache/snapshot) appends to it.
 	CacheDir string
-	// Tech is the technology routing runs against (default CongPan70nm).
-	Tech *tech.Tech
 	// Metrics receives the service counters and, as a telemetry sink, the
 	// search and net span events (default telemetry.Default()).
 	Metrics *telemetry.Metrics
@@ -118,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.PanicDegradeThreshold == 0 {
 		c.PanicDegradeThreshold = 3
 	}
-	if c.Tech == nil {
-		c.Tech = tech.CongPan70nm()
-	}
 	if c.Metrics == nil {
 		c.Metrics = telemetry.Default()
 	}
@@ -135,6 +130,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg  Config
 	sink telemetry.Sink // metrics + extra sink, fanned out once
+	tech *tech.Tech     // the technology every search runs against: CongPan70nm
 
 	// cache memoizes results by canonical problem hash; nil when disabled.
 	cache *resultcache.Cache
@@ -175,6 +171,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		sink:       telemetry.Multi(cfg.Metrics, cfg.Sink),
+		tech:       tech.CongPan70nm(),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		queued:     make(chan struct{}, cfg.MaxQueue),
 		base:       base,
@@ -489,7 +486,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.testHookAdmitted()
 	}
 
-	prob, coreReq, err := planwire.BuildRoute(req, s.cfg.Tech)
+	prob, coreReq, err := planwire.BuildRoute(req, s.tech)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

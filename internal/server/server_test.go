@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,6 +199,25 @@ func TestRouteBadRequests(t *testing.T) {
 	}
 	if m.RequestErrors.Value() != 4 {
 		t.Errorf("request_errors = %d, want 4", m.RequestErrors.Value())
+	}
+}
+
+// TestRouteRejectsRetiredVariant: a body that still sets the retired
+// array-of-queues switch (testdata/retired-variant-route.json, otherwise a
+// valid rbp request) is a 400 for an unknown field, like any other.
+func TestRouteRejectsRetiredVariant(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	body, err := os.ReadFile(filepath.Join("testdata", "retired-variant-route.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/route", string(body))
+	var e api.ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatalf("error body %q: %v", raw, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "unknown field") {
+		t.Errorf("status %d, body %s; want 400 for an unknown field", resp.StatusCode, raw)
 	}
 }
 

@@ -228,6 +228,7 @@ func (t *Tech) MinDelayPerMM(b Element) float64 {
 // paper's single-size setup.
 func CongPan70nmMultiSize() *Tech {
 	t := CongPan70nm()
+	t.Name = "congpan-0.07um-multisize"
 	base := t.Buffers[0]
 	half := base
 	half.Name = "buf50x"

@@ -232,6 +232,28 @@ func TestCongPan70nmMultiSize(t *testing.T) {
 	}
 }
 
+// TestShippedLibraryNamesDiffer checks that output labelled by Tech.Name
+// tells the shipped libraries apart, their wire-width variants included.
+func TestShippedLibraryNamesDiffer(t *testing.T) {
+	seen := map[string]bool{}
+	for _, tc := range []*Tech{CongPan70nm(), CongPan70nmMultiSize()} {
+		names := []string{tc.Name}
+		for _, width := range []float64{1, 2, 3} {
+			wt, err := tc.WithWireWidth(width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, wt.Name)
+		}
+		for _, name := range names {
+			if name == "" || seen[name] {
+				t.Errorf("library name %q is empty or shared", name)
+			}
+			seen[name] = true
+		}
+	}
+}
+
 func TestWithWireWidth(t *testing.T) {
 	base := CongPan70nm()
 	wide, err := base.WithWireWidth(2)

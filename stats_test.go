@@ -43,7 +43,6 @@ func TestStatsKilled(t *testing.T) {
 		run  func(core.Options) (int, error)
 	}{
 		{"rbp", prob, func(o core.Options) (int, error) { return killed(core.RBP(prob, 400, o)) }},
-		{"rbp-array", prob, func(o core.Options) (int, error) { return killed(core.RBPArrayQueues(prob, 400, o)) }},
 		{"gals", prob, func(o core.Options) (int, error) { return killed(core.GALS(prob, 400, 350, o)) }},
 		{"fastpath", prob, func(o core.Options) (int, error) { return killed(core.FastPath(prob, o)) }},
 		{"latch", line, func(o core.Options) (int, error) {
