@@ -2,7 +2,7 @@
 # suite under the race detector (the parallel planner engine and the
 # telemetry sinks make -race load-bearing, not optional), and survive a
 # short fuzzing pass over every decoder that accepts untrusted bytes.
-.PHONY: tier1 build vet lint inline-check test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables tables-check
+.PHONY: tier1 build vet lint inline-check test race shuffle fuzz-smoke chaos cluster-drill perfbench-check bench bench-core bench-cache bench-check obs-demo tables tables-check loc
 
 tier1: build lint race shuffle chaos cluster-drill perfbench-check fuzz-smoke
 
@@ -178,3 +178,19 @@ tables:
 tables-check:
 	go run ./cmd/routed tables -table all -scale paper > tables-check.txt
 	go test -count=1 -run '^TestTablesPaperScale$$' ./cmd/routed; status=$$?; rm -f tables-check.txt; exit $$status
+
+# Size of the program: non-test Go code lines per package of the root
+# module and in total. perfbench/ is a module of its own, so ./... leaves
+# it out. A code line is neither blank nor only a // comment. A measure
+# for change notes, not a gate: tier1 does not run it.
+loc:
+	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | awk ' \
+		NF > 1 { \
+			n = 0; \
+			for (i = 2; i <= NF; i++) { \
+				while ((getline line < $$i) > 0) if (line !~ /^[ \t]*(\/\/.*)?$$/) n++; \
+				close($$i); \
+			} \
+			printf "%7d  %s\n", n, $$1; total += n; \
+		} \
+		END { printf "%7d  total\n", total }'

@@ -208,8 +208,6 @@ func (e *encoder) key(k string) {
 
 func (e *encoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
 
-func (e *encoder) bool(v bool) { e.b = strconv.AppendBool(e.b, v) }
-
 // float renders v as encoding/json does, after ES6's number-to-string
 // rule: shortest round-trip digits, in 'e' form below 1e-6 and from 1e21
 // on, with a one-digit negative exponent unpadded (1e-7, not 1e-07).

@@ -459,7 +459,7 @@ func (p *plan) routeLocal(j *job) {
 		specs := make(chan planner.NetSpec, 1)
 		specs <- planwire.SpecFromNet(&j.net.Spec)
 		close(specs)
-		pst, _ := p.local.RunStream(p.ctx, 1, specs, func(r planner.NetResult) {
+		pst := p.local.RunStream(p.ctx, 1, specs, func(r planner.NetResult) {
 			nr = planwire.NetResultOnWire(&r, p.local.Grid())
 			nr.ProblemHash = j.net.Hash.Hex()
 		})

@@ -200,11 +200,12 @@ type Options struct {
 	// a non-nil return aborts the search with that error wrapped in
 	// ErrAborted. Route installs a context check here.
 	Abort func() error
-	// DisableSharing stops the planner's batch layers from memoizing
-	// results of canonically equal nets. The kernels never consult it; it
-	// is the one switch that turns cross-net reuse off, for ablations and
-	// for the differential harness proving sharing changes nothing.
-	DisableSharing bool
+
+	// waves receives a wave_start event, labelled waveAlgo, as each
+	// wavefront opens. Only Route sets it, from Telemetry, so direct
+	// kernel calls, the incumbent probe and the latch router emit none.
+	waves    telemetry.Sink
+	waveAlgo string
 }
 
 // abortStride is how many popped candidates go between polls of the

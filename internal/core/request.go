@@ -90,13 +90,13 @@ func Route(ctx context.Context, p *Problem, req Request) (*Result, error) {
 	}
 
 	// Instrumented path: bracket the run with search_start/search_end and
-	// tee wave_start events off the existing Tracer call sites. Everything
-	// here is reached only with a sink installed, keeping the zero-value
-	// path allocation-free.
+	// hand the sink to the engine, which emits wave_start as each wave
+	// opens. Everything here is reached only with a sink installed, keeping
+	// the zero-value path allocation-free.
 	algo := req.Kind.String()
 	sink := opts.Telemetry
 	sink.Emit(telemetry.Event{Kind: telemetry.EventSearchStart, TimeNS: telemetry.Now(), Algo: algo})
-	opts.Trace = &waveTee{prev: opts.Trace, sink: sink, algo: algo}
+	opts.waves, opts.waveAlgo = sink, algo
 	res, err := dispatch(p, req, opts)
 	end := telemetry.Event{Kind: telemetry.EventSearchEnd, TimeNS: telemetry.Now(), Algo: algo}
 	if err != nil {
@@ -128,31 +128,6 @@ func dispatch(p *Problem, req Request, opts Options) (*Result, error) {
 		return GALS(p, req.SrcPeriodPS, req.DstPeriodPS, opts)
 	}
 	return nil, fmt.Errorf("core: unknown request kind %v", req.Kind)
-}
-
-// waveTee forwards Tracer callbacks to the previous tracer (if any) and
-// emits a wave_start event per wavefront. Visit stays event-free: it fires
-// per popped candidate, far too hot for a structured stream.
-type waveTee struct {
-	prev Tracer
-	sink telemetry.Sink
-	algo string
-}
-
-func (t *waveTee) WaveStart(wave int, latency float64) {
-	if t.prev != nil {
-		t.prev.WaveStart(wave, latency)
-	}
-	t.sink.Emit(telemetry.Event{
-		Kind: telemetry.EventWaveStart, TimeNS: telemetry.Now(),
-		Algo: t.algo, Wave: wave, LatencyPS: latency,
-	})
-}
-
-func (t *waveTee) Visit(wave, node int) {
-	if t.prev != nil {
-		t.prev.Visit(wave, node)
-	}
 }
 
 // withContext folds ctx's deadline and cancellation into a copy of opts.

@@ -90,8 +90,8 @@ func TestRouteEmitsAbortCause(t *testing.T) {
 	}
 }
 
-// TestRouteTelemetryPreservesTracer checks the wave tee forwards to a
-// caller-installed Tracer unchanged.
+// TestRouteTelemetryPreservesTracer checks that a caller-installed Tracer
+// still sees every wave and every visit of an instrumented search.
 func TestRouteTelemetryPreservesTracer(t *testing.T) {
 	p := traceProblem(t)
 	ring := telemetry.NewRing(256)
@@ -140,6 +140,34 @@ func TestRouteZeroValueNoAllocOverhead(t *testing.T) {
 	})
 	if routed != direct {
 		t.Errorf("Route allocates %.0f/op vs %.0f/op direct: zero-value path regressed", routed, direct)
+	}
+}
+
+// TestRouteTelemetryNoAllocOverhead pins the instrumented path's cost:
+// with a sink installed, Route emits its search and wave events without a
+// single allocation beyond the uninstrumented search.
+func TestRouteTelemetryNoAllocOverhead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime randomizes sync.Pool retention; alloc parity is asserted without -race")
+	}
+	p := traceProblem(t)
+	ctx := context.Background()
+	sink := telemetry.NewMetrics()
+	plain := testing.AllocsPerRun(10, func() {
+		if _, err := Route(ctx, p, Request{Kind: KindRBP, PeriodPS: 300}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	traced := testing.AllocsPerRun(10, func() {
+		if _, err := Route(ctx, p, Request{Kind: KindRBP, PeriodPS: 300, Options: Options{Telemetry: sink}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if traced != plain {
+		t.Errorf("Route allocates %.0f/op with a sink vs %.0f/op without", traced, plain)
+	}
+	if sink.Searches.Value() == 0 || sink.Waves.Value() == 0 {
+		t.Errorf("sink saw %d searches, %d waves", sink.Searches.Value(), sink.Waves.Value())
 	}
 }
 

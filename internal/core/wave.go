@@ -7,6 +7,7 @@ import (
 
 	"clockroute/internal/candidate"
 	"clockroute/internal/faultpoint"
+	"clockroute/internal/telemetry"
 )
 
 // latencyEps groups Q* entries whose accumulated latencies differ only by
@@ -352,12 +353,12 @@ func (e *engine) advance() bool {
 	return true
 }
 
-// openWave starts the current wave: it counts and traces the wave and
-// sets the bound state for it and, for register-count waves, whose
-// seeds are bound-tested when emitted, for the next one. The tracer sees
-// an RBP wave at the latency T×(wave+1) of a solution found in it, a
-// latch wave at k·T, FastPath's one wave at +Inf and a GALS wavefront at
-// its accumulated l.
+// openWave starts the current wave: it counts the wave, reports it to
+// the tracer and, under Route, as a wave_start event, and sets the bound
+// state for it and, for register-count waves, whose seeds are
+// bound-tested when emitted, for the next one. Both see an RBP wave at
+// the latency T×(wave+1) of a solution found in it, a latch wave at k·T,
+// FastPath's one wave at +Inf and a GALS wavefront at its accumulated l.
 func (e *engine) openWave() {
 	e.res.Stats.Waves++
 	T, lat := e.s.dom[0].T, e.l
@@ -369,6 +370,12 @@ func (e *engine) openWave() {
 	}
 	if e.opts.Trace != nil {
 		e.opts.Trace.WaveStart(e.wave, lat)
+	}
+	if e.opts.waves != nil {
+		e.opts.waves.Emit(telemetry.Event{
+			Kind: telemetry.EventWaveStart, TimeNS: telemetry.Now(),
+			Algo: e.opts.waveAlgo, Wave: e.wave, LatencyPS: lat,
+		})
 	}
 	switch {
 	case e.bd == nil:

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -56,16 +55,6 @@ type batchState struct {
 	flights map[netKey]*netFlight
 }
 
-// newBatchState builds the reuse state for one plan, or returns nil when
-// the options disable sharing (a nil *batchState routes every net
-// independently, exactly the pre-sharing behavior).
-func newBatchState(opts core.Options) *batchState {
-	if opts.DisableSharing {
-		return nil
-	}
-	return &batchState{flights: make(map[netKey]*netFlight)}
-}
-
 // route runs compute for spec, memoized per canonical problem. The first
 // net to claim a key is the leader; its result is published to every
 // follower only when it is a clean first-attempt success (no error, no
@@ -81,9 +70,6 @@ func newBatchState(opts core.Options) *batchState {
 // can never strand followers on the channel; the flight is then simply
 // not shareable.
 func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
-	if bs == nil {
-		return compute()
-	}
 	key := specKey(spec)
 	bs.mu.Lock()
 	fl := bs.flights[key]
@@ -117,17 +103,20 @@ func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
 //
 // emit is serialized — at most one call at a time — and must not block
 // longer than it takes to encode the result: every worker's next net
-// waits behind it. Per-net failures are reported in the emitted results,
-// not returned. Spec validation is streaming too: an empty or duplicate
-// net name fails that net (there is no whole-request rewind in a stream),
-// with the duplicate check covering every name seen so far.
+// waits behind it. Per-net failures are reported in the emitted results;
+// the stats report Workers as the pool a buffered run of the same net
+// count uses.
+//
+// Precondition: every net has a non-empty name that no other net of the
+// stream uses. RunStream does not check it; its callers already have:
+// RunParallel validates its slice, the service checks each name as it
+// decodes the net, and the coordinator's degraded path streams one net
+// at a time.
 //
 // Cross-net reuse: whole-result memoization for canonically equal specs.
 // It is plan-scoped, so nothing leaks between plans, and preserves
-// byte-identical results; Options.DisableSharing turns it off.
-// PlanNetsExclusive never comes through here — it mutates its grid between
-// nets, which invalidates the memo's premise. The returned stats
-// report Workers as the pool a buffered run of the same net count uses.
+// byte-identical results. PlanNetsExclusive never comes through here — it
+// mutates its grid between nets, which invalidates the memo's premise.
 //
 // When the Options carry a Tracer and the pool has more than one worker,
 // the shared tracer is fanned in through core.SynchronizedTracer so
@@ -135,7 +124,7 @@ func (bs *batchState) route(spec NetSpec, compute func() NetResult) NetResult {
 // nets in completion order. When the Options carry a telemetry sink, every
 // net's span events (see traceNet) and its searches' events are emitted
 // labeled with the net name and worker index.
-func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetSpec, emit func(NetResult)) (PlanStats, error) {
+func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetSpec, emit func(NetResult)) PlanStats {
 	opts := pl.opts
 	pool := workers
 	if pool <= 0 {
@@ -144,10 +133,8 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	if pool > 1 {
 		opts.Trace = core.SynchronizedTracer(opts.Trace)
 	}
-	bs := newBatchState(opts)
+	bs := &batchState{flights: make(map[netKey]*netFlight)}
 
-	var seenMu sync.Mutex
-	seen := make(map[string]bool)
 	start := time.Now()
 	stats := PlanStats{}
 	// StreamRecover is the second containment line behind the search
@@ -157,9 +144,6 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	received := engine.StreamRecover(ctx, pool, specs,
 		func(ctx context.Context, worker int, spec NetSpec) NetResult {
 			route := func(ctx context.Context, opts core.Options) NetResult {
-				if err := claimName(&seenMu, seen, spec.Name); err != nil {
-					return NetResult{Spec: spec, Err: err}
-				}
 				return bs.route(spec, func() NetResult { return pl.routeNet(ctx, spec, opts) })
 			}
 			if opts.Telemetry == nil {
@@ -181,24 +165,9 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	if received == 0 {
 		// An empty stream reports the zero stats an empty buffered batch
 		// would: no nets means no pool and no meaningful worker count.
-		return PlanStats{}, nil
+		return PlanStats{}
 	}
 	stats.Workers = engine.Workers(workers, received)
 	stats.Elapsed = time.Since(start)
-	return stats, nil
-}
-
-// claimName registers a net name, failing on the stream-level validation
-// errors that RunParallel rejects up front.
-func claimName(mu *sync.Mutex, seen map[string]bool, name string) error {
-	if name == "" {
-		return errors.New("planner: net with empty name")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if seen[name] {
-		return fmt.Errorf("planner: duplicate net name %q", name)
-	}
-	seen[name] = true
-	return nil
+	return stats
 }

@@ -49,7 +49,7 @@ func TestRunParallelMatchesSerial32Nets(t *testing.T) {
 		}
 		if s.Mode != p.Mode || s.LatencyPS != p.LatencyPS || s.Registers != p.Registers ||
 			s.Buffers != p.Buffers || s.SrcCycles != p.SrcCycles || s.DstCycles != p.DstCycles ||
-			s.Configs != p.Configs {
+			s.Stats.Configs != p.Stats.Configs {
 			t.Errorf("net %q diverged: serial %+v vs parallel %+v", specs[i].Name, s, p)
 		}
 		if len(s.Path.Nodes) != len(p.Path.Nodes) {
@@ -93,9 +93,6 @@ func TestRunParallelMatchesSerial32Nets(t *testing.T) {
 		n := &par.Nets[i]
 		if n.Stats.Elapsed <= 0 || n.Elapsed <= 0 {
 			t.Errorf("net %q missing wall time: search %v, net %v", n.Spec.Name, n.Stats.Elapsed, n.Elapsed)
-		}
-		if n.Stats.Configs != n.Configs || n.Stats.MaxQSize != n.MaxQSize {
-			t.Errorf("net %q Stats/headline mismatch: %+v", n.Spec.Name, n)
 		}
 	}
 }
@@ -144,8 +141,9 @@ func TestRunParallelSharedTracerIsFannedIn(t *testing.T) {
 }
 
 // TestRunParallelEmitsNetSpans routes a batch with a telemetry sink and
-// checks the per-net span protocol: every net queued, started exactly once
-// with a valid worker id, and ended with its effort counters.
+// checks the per-net span protocol: every net started exactly once with a
+// valid worker id, and ended with its effort counters, the bound layer's
+// included.
 func TestRunParallelEmitsNetSpans(t *testing.T) {
 	pl, specs, err := bench.SoCNetWorkload(1.0, 16)
 	if err != nil {
@@ -163,14 +161,11 @@ func TestRunParallelEmitsNetSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	queued := map[string]int{}
 	started := map[string]int{}
 	ended := map[string]int{}
-	searches := 0
+	searches, boundPruned, probeConfigs := 0, 0, 0
 	for _, e := range ring.Events() {
 		switch e.Kind {
-		case telemetry.EventNetQueued:
-			queued[e.Net]++
 		case telemetry.EventNetStart:
 			started[e.Net]++
 			if e.Worker < 0 || e.Worker >= 8 {
@@ -178,6 +173,8 @@ func TestRunParallelEmitsNetSpans(t *testing.T) {
 			}
 		case telemetry.EventNetEnd:
 			ended[e.Net]++
+			boundPruned += e.BoundPruned
+			probeConfigs += e.ProbeConfigs
 			if e.Configs == 0 || e.ElapsedNS <= 0 {
 				t.Errorf("net_end for %q missing effort: %+v", e.Net, e)
 			}
@@ -192,13 +189,18 @@ func TestRunParallelEmitsNetSpans(t *testing.T) {
 		}
 	}
 	for _, s := range specs {
-		if queued[s.Name] != 1 || started[s.Name] != 1 || ended[s.Name] != 1 {
-			t.Errorf("net %q spans: queued %d started %d ended %d, want 1/1/1",
-				s.Name, queued[s.Name], started[s.Name], ended[s.Name])
+		if started[s.Name] != 1 || ended[s.Name] != 1 {
+			t.Errorf("net %q spans: started %d ended %d, want 1/1",
+				s.Name, started[s.Name], ended[s.Name])
 		}
 	}
 	if searches < len(specs) {
 		t.Errorf("saw %d search spans for %d nets", searches, len(specs))
+	}
+	if boundPruned == 0 || boundPruned != plan.Stats.TotalBoundPruned ||
+		probeConfigs == 0 || probeConfigs != plan.Stats.TotalProbeConfigs {
+		t.Errorf("net_end bound_pruned/probe_configs sum to %d/%d, plan totals %d/%d, want equal and nonzero",
+			boundPruned, probeConfigs, plan.Stats.TotalBoundPruned, plan.Stats.TotalProbeConfigs)
 	}
 
 	// The metrics registry consumed the same stream: its aggregates must

@@ -121,12 +121,8 @@ type NetResult struct {
 	Registers int
 	Buffers   int
 	WireMM    float64
-	Configs   int
-	// MaxQSize is the largest peak queue size of the net's searches.
-	MaxQSize int
-	// Stats is the net's full effort record, summed over every wire width
-	// that returned a result (Configs and MaxQSize above are its headline
-	// columns, kept for the report path).
+	// Stats is the net's effort record, summed over every wire width that
+	// returned a result; its MaxQSize is the largest peak among them.
 	Stats core.Stats
 	// Elapsed is this net's wall time, covering every wire width tried.
 	Elapsed time.Duration
@@ -181,15 +177,13 @@ func (s *PlanStats) add(n *NetResult) {
 	if n.Retried {
 		s.NetsRetried++
 	}
-	s.TotalConfigs += n.Configs
+	s.TotalConfigs += n.Stats.Configs
 	s.TotalPushed += n.Stats.Pushed
 	s.TotalPruned += n.Stats.Pruned
 	s.TotalBoundPruned += n.Stats.BoundPruned
 	s.TotalProbeConfigs += n.Stats.ProbeConfigs
 	s.TotalWaves += n.Stats.Waves
-	if n.MaxQSize > s.MaxQSize {
-		s.MaxQSize = n.MaxQSize
-	}
+	s.MaxQSize = max(s.MaxQSize, n.Stats.MaxQSize)
 }
 
 // Plan is the set of routed nets over one floorplan.
@@ -286,15 +280,7 @@ func (pl *Planner) modelForWidth(width float64) (*elmore.Model, error) {
 // periods, and independently verifies the result before reporting it. When
 // the spec lists wire widths, every width is tried and the best kept.
 func (pl *Planner) RouteNet(spec NetSpec) NetResult {
-	return pl.RouteNetContext(context.Background(), spec)
-}
-
-// RouteNetContext is RouteNet with cooperative cancellation: the context's
-// deadline and cancellation are threaded into the search's wavefront loops
-// (core.Route), so an expired context records an error wrapping
-// core.ErrAborted in the result instead of blocking until exhaustion.
-func (pl *Planner) RouteNetContext(ctx context.Context, spec NetSpec) NetResult {
-	return pl.routeNet(ctx, spec, pl.opts)
+	return pl.routeNet(context.Background(), spec, pl.opts)
 }
 
 // routeNet routes one net with an explicit option set — the batch engine
@@ -328,9 +314,9 @@ func retryable(err error) bool {
 }
 
 // routeNetWidths runs one attempt over the spec's width ladder, keeping
-// the best feasible result. The kept result's effort (Configs, MaxQSize
-// and Stats) covers every width that returned a result, the losing
-// searches included, with MaxQSize the largest peak among them.
+// the best feasible result. The kept result's Stats cover every width
+// that returned a result, the losing searches included, with MaxQSize
+// the largest peak among them.
 func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.Options) NetResult {
 	widths := spec.WireWidths
 	if len(widths) == 0 {
@@ -358,7 +344,6 @@ func (pl *Planner) routeNetWidths(ctx context.Context, spec NetSpec, opts core.O
 	}
 	if best.Err == nil {
 		best.Stats = effort
-		best.Configs, best.MaxQSize = effort.Configs, effort.MaxQSize
 	}
 	best.Panicked = panicked
 	return best
@@ -427,8 +412,6 @@ func (pl *Planner) routeNetAtWidth(ctx context.Context, spec NetSpec, width floa
 	out.Buffers = res.Buffers
 	out.WireMM = float64(res.Path.Len()) * pl.g.PitchMM()
 	out.Stats = res.Stats
-	out.Configs = res.Stats.Configs
-	out.MaxQSize = res.Stats.MaxQSize
 	if out.Mode == ModeRBP {
 		out.SrcCycles = res.Registers + 1
 		out.DstCycles = 0
@@ -453,12 +436,13 @@ func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 // goroutines (<= 0 selects GOMAXPROCS) over the shared read-only grid and
 // delay model. It is RunStream over a slice: the specs are validated up
 // front (no nets, an empty or a duplicate name fail the whole call before
-// anything routes), and the results are put back in spec order. They are
-// bit-identical to a serial PlanNets run: each net's search is an
-// independent deterministic dynamic program, so scheduling cannot change
-// its outcome. The context's deadline/cancellation aborts in-flight and
-// pending searches promptly; aborted nets record an error wrapping
-// core.ErrAborted. Tracing and telemetry follow RunStream.
+// anything routes, as RunStream's precondition asks), and the results are
+// put back in spec order. They are bit-identical to a serial PlanNets run:
+// each net's search is an independent deterministic dynamic program, so
+// scheduling cannot change its outcome. The context's deadline and
+// cancellation abort in-flight and pending searches promptly; aborted nets
+// record an error wrapping core.ErrAborted. Tracing and telemetry follow
+// RunStream.
 func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec) (*Plan, error) {
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
@@ -471,31 +455,22 @@ func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec
 	}
 	close(in)
 	nets := make([]NetResult, len(specs))
-	stats, err := pl.RunStream(ctx, engine.Workers(workers, len(specs)), in, func(res NetResult) {
+	stats := pl.RunStream(ctx, engine.Workers(workers, len(specs)), in, func(res NetResult) {
 		nets[at[res.Spec.Name]] = res
 	})
-	if err != nil {
-		return nil, err
-	}
 	return &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets, Stats: stats}, nil
 }
 
 // traceNet wraps one net's trip through the batch engine in its span
-// events — net_queued as the engine takes the net in, net_start with the
-// claiming worker, net_end with the effort counters and failure cause —
-// with the plan's sink relabeled so every event the net's searches emit
-// carries the net and worker, and the worker goroutine pprof-labeled with
-// the net and algorithm (joining any request_id label already riding ctx)
-// so CPU profiles break search time down per net. Every net the engine
-// takes in is queued and ended once — memo followers and misnamed nets
-// too — so a finished plan leaves nets_queued equal to nets_done +
-// nets_failed; only a panic that escapes the net to the engine's boundary
-// skips its net_end.
+// events — net_start with the claiming worker, net_end with the net's
+// effort summed over its wire widths and its failure cause — with the
+// plan's sink relabeled so every event the net's searches emit carries
+// the net and worker, and the worker goroutine pprof-labeled with the net
+// and algorithm (joining any request_id label already riding ctx) so CPU
+// profiles break search time down per net. Every net the engine takes in
+// is started and ended once, memo followers too; only a panic that
+// escapes the net to the engine's boundary skips its net_end.
 func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options, worker int, route func(context.Context, core.Options) NetResult) NetResult {
-	opts.Telemetry.Emit(telemetry.Event{
-		Kind: telemetry.EventNetQueued, TimeNS: telemetry.Now(),
-		Net: spec.Name, Worker: -1,
-	})
 	netSink := telemetry.WithFields(opts.Telemetry, spec.Name, worker)
 	opts.Telemetry = netSink
 	netSink.Emit(telemetry.Event{Kind: telemetry.EventNetStart, TimeNS: telemetry.Now()})
@@ -509,14 +484,16 @@ func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options
 	})
 	end := telemetry.Event{
 		Kind: telemetry.EventNetEnd, TimeNS: telemetry.Now(),
-		Algo:      string(res.Mode),
-		LatencyPS: res.LatencyPS,
-		Configs:   res.Configs,
-		Pushed:    res.Stats.Pushed,
-		Pruned:    res.Stats.Pruned,
-		Waves:     res.Stats.Waves,
-		MaxQSize:  res.MaxQSize,
-		ElapsedNS: res.Elapsed.Nanoseconds(),
+		Algo:         string(res.Mode),
+		LatencyPS:    res.LatencyPS,
+		Configs:      res.Stats.Configs,
+		Pushed:       res.Stats.Pushed,
+		Pruned:       res.Stats.Pruned,
+		BoundPruned:  res.Stats.BoundPruned,
+		ProbeConfigs: res.Stats.ProbeConfigs,
+		Waves:        res.Stats.Waves,
+		MaxQSize:     res.Stats.MaxQSize,
+		ElapsedNS:    res.Elapsed.Nanoseconds(),
 	}
 	if res.Err != nil {
 		end.Err = res.Err.Error()

@@ -259,10 +259,6 @@ func (p *planRun) take(ctx context.Context, route func(coordinator.Net)) error {
 		idx := len(p.byName)
 		p.byName[n.Name] = planNet{hash: h, idx: idx}
 		p.mu.Unlock()
-		// Register each net's content address so its span carries it the
-		// moment a worker opens the net — a slow miss in the tree is then
-		// directly replayable against /v1/route.
-		p.rec.SetNetAttr(n.Name, "problem_hash", h.Hex())
 		if p.mode == api.CacheModeDefault {
 			if enc, ok := p.s.cachedNet(h); ok {
 				p.cached++
@@ -270,6 +266,10 @@ func (p *planRun) take(ctx context.Context, route func(coordinator.Net)) error {
 				continue
 			}
 		}
+		// Register the content address of each net that routes so its span
+		// carries it the moment a worker opens the net — a slow miss in the
+		// tree is then directly replayable against /v1/route.
+		p.rec.SetNetAttr(n.Name, "problem_hash", h.Hex())
 		route(coordinator.Net{Spec: *n, Hash: h})
 	}
 }
@@ -323,8 +323,7 @@ func (p *planRun) startRouter(ctx context.Context, sink telemetry.Sink) (*router
 	in := make(chan planner.NetSpec, window)
 	g := pl.Grid()
 	go func() {
-		// RunStream reports every failure per net, in the results.
-		st, _ := pl.RunStream(ctx, workers, in, func(res planner.NetResult) {
+		st := pl.RunStream(ctx, workers, in, func(res planner.NetResult) {
 			var abort error
 			if errors.Is(res.Err, core.ErrAborted) {
 				abort = res.Err

@@ -164,8 +164,8 @@ func TestPlanRoundTrip(t *testing.T) {
 	if m.NetsDone.Value() != 3 {
 		t.Errorf("net spans missing from registry: nets_done = %d", m.NetsDone.Value())
 	}
-	if q, ended := m.NetsQueued.Value(), m.NetsDone.Value()+m.NetsFailed.Value(); q != ended {
-		t.Errorf("nets_queued = %d, want nets_done + nets_failed = %d", q, ended)
+	if inFlight, ended := m.NetsInFlight.Value(), m.NetsDone.Value()+m.NetsFailed.Value(); inFlight != 0 || ended != 3 {
+		t.Errorf("nets_in_flight = %d, nets_done + nets_failed = %d, want 0 and 3", inFlight, ended)
 	}
 }
 

@@ -106,9 +106,9 @@ func TestPlanStreamMatchesBuffered(t *testing.T) {
 	}
 	// Every net that enters the engine leaves it, in either wire form.
 	for form, m := range map[string]*telemetry.Metrics{"buffered": mBuf, "streamed": mStr} {
-		q, ended := m.NetsQueued.Value(), m.NetsDone.Value()+m.NetsFailed.Value()
-		if q != int64(len(nets)) || q != ended {
-			t.Errorf("%s: nets_queued = %d, nets_done + nets_failed = %d, want both %d", form, q, ended, len(nets))
+		inFlight, ended := m.NetsInFlight.Value(), m.NetsDone.Value()+m.NetsFailed.Value()
+		if inFlight != 0 || ended != int64(len(nets)) {
+			t.Errorf("%s: nets_in_flight = %d, nets_done + nets_failed = %d, want 0 and %d", form, inFlight, ended, len(nets))
 		}
 	}
 }

@@ -128,7 +128,6 @@ type Metrics struct {
 	Waves        Counter // wavefronts processed
 	MaxQSize     Gauge   // largest per-search peak queue size seen
 	// Net-level counters (net_* events).
-	NetsQueued   Counter
 	NetsInFlight Gauge
 	NetsDone     Counter
 	NetsFailed   Counter
@@ -198,8 +197,6 @@ func (m *Metrics) Emit(e Event) {
 		m.ProbeConfigs.Add(int64(e.ProbeConfigs))
 		m.Waves.Add(int64(e.Waves))
 		m.MaxQSize.Max(int64(e.MaxQSize))
-	case EventNetQueued:
-		m.NetsQueued.Inc()
 	case EventNetStart:
 		m.NetsInFlight.Add(1)
 	case EventNetEnd:

@@ -100,8 +100,6 @@ func TestMetricsFromEvents(t *testing.T) {
 	m := NewMetrics()
 	emit := func(e Event) { m.Emit(e) }
 
-	emit(Event{Kind: EventNetQueued, Net: "a"})
-	emit(Event{Kind: EventNetQueued, Net: "b"})
 	emit(Event{Kind: EventNetStart, Net: "a"})
 	emit(Event{Kind: EventSearchEnd, Configs: 100, Pushed: 60, Pruned: 40, Waves: 3, MaxQSize: 17})
 	emit(Event{Kind: EventNetEnd, Net: "a", ElapsedNS: int64(3 * time.Millisecond)})
@@ -121,7 +119,6 @@ func TestMetricsFromEvents(t *testing.T) {
 		{"pruned", m.Pruned.Value(), 60},
 		{"waves", m.Waves.Value(), 5},
 		{"max_q", m.MaxQSize.Value(), 17},
-		{"nets_queued", m.NetsQueued.Value(), 2},
 		{"nets_in_flight", m.NetsInFlight.Value(), 0},
 		{"nets_done", m.NetsDone.Value(), 1},
 		{"nets_failed", m.NetsFailed.Value(), 1},

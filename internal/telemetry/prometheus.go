@@ -83,7 +83,6 @@ func WritePrometheus(w io.Writer, m *Metrics, extras ...func(io.Writer)) {
 		promCounter(w, "clockroute_pruned_total", "Candidates rejected as dominated.", m.Pruned.Value())
 		promCounter(w, "clockroute_waves_total", "Wavefronts processed.", m.Waves.Value())
 		promGauge(w, "clockroute_max_q_size", "Largest per-search peak queue size seen.", float64(m.MaxQSize.Value()))
-		promCounter(w, "clockroute_nets_queued_total", "Nets entering the batch engine.", m.NetsQueued.Value())
 		promGauge(w, "clockroute_nets_in_flight", "Nets currently being routed.", float64(m.NetsInFlight.Value()))
 		promCounter(w, "clockroute_nets_done_total", "Nets routed successfully.", m.NetsDone.Value())
 		promCounter(w, "clockroute_nets_failed_total", "Nets ending in error.", m.NetsFailed.Value())

@@ -202,15 +202,16 @@ func (r *Recorder) SetAttr(key, value string) {
 }
 
 // SetNetAttr annotates the named net's span; recorded attributes are
-// applied when the net span opens (batch handlers register per-net
-// problem hashes before routing starts).
+// applied, and forgotten, when the net span opens (batch handlers register
+// per-net problem hashes before routing starts). A tree at its span cap
+// opens no more net spans, so it stores nothing.
 func (r *Recorder) SetNetAttr(net, key, value string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.finished {
+	if r.finished || r.tree.Spans >= maxSpansPerTree {
 		return
 	}
 	if r.netAttrs == nil {
@@ -244,11 +245,10 @@ func (r *Recorder) Emit(e Event) {
 		o := r.openFor(e.Net)
 		parent := r.parentSpan()
 		s := r.newSpan(parent, "net", e.TimeNS)
+		attrs := r.netAttrs[e.Net]
+		delete(r.netAttrs, e.Net)
 		if s != nil {
-			s.Net, s.Worker = e.Net, e.Worker
-			if attrs := r.netAttrs[e.Net]; len(attrs) > 0 {
-				s.Attrs = attrs
-			}
+			s.Net, s.Worker, s.Attrs = e.Net, e.Worker, attrs
 		}
 		o.net, o.search, o.wave = s, nil, nil
 	case EventSearchStart:

@@ -137,12 +137,24 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
+// TestRecorderSpanCap also bounds the per-net attributes: each is let go
+// when its net span opens, and none is stored once the tree is full.
 func TestRecorderSpanCap(t *testing.T) {
 	rec := NewRecorder(NewTraceContext(), "r", "root")
 	for i := 0; i < maxSpansPerTree+100; i++ {
 		net := fmt.Sprintf("n%d", i)
+		rec.SetNetAttr(net, "problem_hash", net)
+		if rec.tree.Spans >= maxSpansPerTree && len(rec.netAttrs) != 0 {
+			t.Fatalf("net %q: attribute stored past the span cap", net)
+		}
 		rec.Emit(Event{Kind: EventNetStart, Net: net, TimeNS: int64(i)})
 		rec.Emit(Event{Kind: EventNetEnd, Net: net, TimeNS: int64(i + 1)})
+	}
+	if len(rec.netAttrs) != 0 {
+		t.Errorf("%d net attributes kept after their nets ended", len(rec.netAttrs))
+	}
+	if n := findSpans(rec.root, "net")[0]; n.Attrs["problem_hash"] != "n0" {
+		t.Errorf("first net span attrs = %v", n.Attrs)
 	}
 	tree := rec.Finish(200, nil)
 	if tree.Spans > maxSpansPerTree {

@@ -34,14 +34,12 @@ const (
 	// EventSearchEnd closes a search span with its Stats fields filled;
 	// Err holds the abort cause or infeasibility, empty on success.
 	EventSearchEnd
-	// EventNetQueued records the batch engine taking a net in
-	// (planner.RunStream, for either wire form), just before a worker
-	// starts it.
-	EventNetQueued
-	// EventNetStart records a worker picking the net up; Worker is set.
+	// EventNetStart records a worker of the batch engine
+	// (planner.RunStream, for either wire form) picking the net up;
+	// Worker is set.
 	EventNetStart
-	// EventNetEnd closes the net span: ElapsedNS, LatencyPS, the winning
-	// search's effort counters, and Err on failure.
+	// EventNetEnd closes the net span: ElapsedNS, LatencyPS, the net's
+	// effort counters summed over its wire widths, and Err on failure.
 	EventNetEnd
 	// EventSlowRequest records a request that breached the flight
 	// recorder's SLO: Trace/Request identify it, ElapsedNS is its wall
@@ -53,7 +51,6 @@ var kindNames = [...]string{
 	EventSearchStart: "search_start",
 	EventWaveStart:   "wave_start",
 	EventSearchEnd:   "search_end",
-	EventNetQueued:   "net_queued",
 	EventNetStart:    "net_start",
 	EventNetEnd:      "net_end",
 	EventSlowRequest: "slow_request",
@@ -99,7 +96,7 @@ type Event struct {
 	Seq    uint64 `json:"seq,omitempty"`
 	// Net labels the net the event belongs to (batch runs only).
 	Net string `json:"net,omitempty"`
-	// Worker is the batch-engine worker index, -1 when unknown.
+	// Worker is the batch-engine worker index (batch runs only).
 	Worker int `json:"worker,omitempty"`
 	// Algo names the search algorithm (fastpath, rbp, gals).
 	Algo string `json:"algo,omitempty"`

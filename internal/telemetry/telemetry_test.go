@@ -171,7 +171,7 @@ func TestWithFieldsStampsNetAndWorker(t *testing.T) {
 func TestMultiFanOutAndCollapse(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
 	m := Multi(nil, a, nil, b)
-	m.Emit(Event{Kind: EventNetQueued})
+	m.Emit(Event{Kind: EventNetStart})
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Errorf("fan-out missed a sink: a=%d b=%d", a.Len(), b.Len())
 	}
@@ -195,18 +195,44 @@ func TestEventKindJSON(t *testing.T) {
 
 func TestProgressTracksInFlight(t *testing.T) {
 	p := NewProgress()
-	p.Emit(Event{Kind: EventNetQueued, Net: "a"})
-	p.Emit(Event{Kind: EventNetQueued, Net: "b"})
 	p.Emit(Event{Kind: EventNetStart, Net: "b", Worker: 1, TimeNS: Now()})
 	s := p.Snapshot()
-	if s.Queued != 1 || len(s.InFlight) != 1 || s.InFlight[0].Net != "b" || s.InFlight[0].Worker != 1 {
+	if len(s.InFlight) != 1 || s.InFlight[0].Net != "b" || s.InFlight[0].Worker != 1 {
 		t.Fatalf("snapshot after start = %+v", s)
 	}
 	p.Emit(Event{Kind: EventNetEnd, Net: "b"})
 	p.Emit(Event{Kind: EventNetStart, Net: "a", TimeNS: Now()})
 	p.Emit(Event{Kind: EventNetEnd, Net: "a", Err: "no path"})
 	s = p.Snapshot()
-	if s.Done != 1 || s.Failed != 1 || len(s.InFlight) != 0 || s.Queued != 0 {
+	if s.Done != 1 || s.Failed != 1 || len(s.InFlight) != 0 {
+		t.Fatalf("final snapshot = %+v", s)
+	}
+}
+
+// TestProgressKeysNetsByRequest interleaves two requests' events for one
+// net name, as two plans in flight on one server emit them: each keeps
+// its own entry, and one request's net_end leaves the other's running.
+func TestProgressKeysNetsByRequest(t *testing.T) {
+	p := NewProgress()
+	p.Emit(Event{Kind: EventNetStart, Request: "r1", Net: "cpu-dsp", Worker: 0, TimeNS: Now()})
+	p.Emit(Event{Kind: EventNetStart, Request: "r2", Net: "cpu-dsp", Worker: 1, TimeNS: Now()})
+	s := p.Snapshot()
+	want := []NetProgress{{Request: "r1", Net: "cpu-dsp", Worker: 0}, {Request: "r2", Net: "cpu-dsp", Worker: 1}}
+	if len(s.InFlight) != len(want) {
+		t.Fatalf("in flight = %+v, want both requests' nets", s.InFlight)
+	}
+	for i, w := range want {
+		if g := s.InFlight[i]; g.Request != w.Request || g.Net != w.Net || g.Worker != w.Worker {
+			t.Errorf("in flight[%d] = %+v, want %+v", i, g, w)
+		}
+	}
+	p.Emit(Event{Kind: EventNetEnd, Request: "r1", Net: "cpu-dsp"})
+	s = p.Snapshot()
+	if len(s.InFlight) != 1 || s.InFlight[0].Request != "r2" || s.Done != 1 {
+		t.Fatalf("after r1's net_end: %+v, want r2's net still in flight", s)
+	}
+	p.Emit(Event{Kind: EventNetEnd, Request: "r2", Net: "cpu-dsp"})
+	if s = p.Snapshot(); len(s.InFlight) != 0 || s.Done != 2 {
 		t.Fatalf("final snapshot = %+v", s)
 	}
 }
