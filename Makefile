@@ -180,17 +180,21 @@ tables-check:
 	go test -count=1 -run '^TestTablesPaperScale$$' ./cmd/routed; status=$$?; rm -f tables-check.txt; exit $$status
 
 # Size of the program: non-test Go code lines per package of the root
-# module and in total. perfbench/ is a module of its own, so ./... leaves
-# it out. A code line is neither blank nor only a // comment. A measure
-# for change notes, not a gate: tier1 does not run it.
+# module, each package's files under it, and the total. perfbench/ is a
+# module of its own, so ./... leaves it out. A code line is neither blank
+# nor only a // comment. A measure for change notes, not a gate: tier1
+# does not run it.
 loc:
 	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | awk ' \
 		NF > 1 { \
-			n = 0; \
+			n = 0; files = ""; \
 			for (i = 2; i <= NF; i++) { \
-				while ((getline line < $$i) > 0) if (line !~ /^[ \t]*(\/\/.*)?$$/) n++; \
+				f = 0; \
+				while ((getline line < $$i) > 0) if (line !~ /^[ \t]*(\/\/.*)?$$/) f++; \
 				close($$i); \
+				k = split($$i, parts, "/"); \
+				files = files sprintf("%7d    %s\n", f, parts[k]); n += f; \
 			} \
-			printf "%7d  %s\n", n, $$1; total += n; \
+			printf "%7d  %s\n%s", n, $$1, files; total += n; \
 		} \
 		END { printf "%7d  total\n", total }'

@@ -217,14 +217,6 @@ func GALS(p *Problem, Ts, Tt float64, opts Options) (*Result, error) {
 		Request{Kind: KindGALS, SrcPeriodPS: Ts, DstPeriodPS: Tt, Options: opts})
 }
 
-// RoutePlanContext routes every net of specs over pl's floorplan with up to
-// `workers` concurrent searches (<= 0 selects GOMAXPROCS), honoring ctx's
-// deadline and cancellation per net. Results keep the order of specs and
-// match a serial Planner.PlanNets run exactly; see Planner.RunParallel.
-func RoutePlanContext(ctx context.Context, pl *Planner, specs []NetSpec, workers int) (*Plan, error) {
-	return pl.RunParallel(ctx, workers, specs)
-}
-
 // LatchResult reports a transparent-latch route (the latch-based routing
 // extension; see internal/latch).
 type LatchResult = latch.Result

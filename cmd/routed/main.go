@@ -195,7 +195,6 @@ func serve() int {
 		promExtra = append(promExtra, coord.WritePrometheus)
 	}
 	msrv, err := obs.Serve(telemetry.ServerOptions{
-		Metrics:  telemetry.Default(),
 		Recorder: svc.FlightRecorder(),
 		Extra:    promExtra,
 	})

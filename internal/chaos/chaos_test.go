@@ -426,7 +426,7 @@ func TestServerSurvivesHandlerPanic(t *testing.T) {
 // HTTP 200 — the process serves) once panics cross the threshold.
 func TestServerDegradedHealthAfterPanics(t *testing.T) {
 	checkGoroutines(t)
-	s, ts, _ := chaosServer(t, server.Config{PanicDegradeThreshold: 2})
+	s, ts, _ := chaosServer(t, server.Config{})
 	if err := faultpoint.Enable("server.decode", "panic"); err != nil {
 		t.Fatal(err)
 	}
@@ -449,10 +449,11 @@ func TestServerDegradedHealthAfterPanics(t *testing.T) {
 	if got := health(); !strings.Contains(got, `"ok"`) {
 		t.Fatalf("pristine healthz = %s", got)
 	}
-	post(t, ts.URL+"/v1/route")
-	post(t, ts.URL+"/v1/route")
+	for range 3 {
+		post(t, ts.URL+"/v1/route")
+	}
 	if !s.Degraded() {
-		t.Fatalf("server not degraded after %d panics (threshold 2)", s.Panics())
+		t.Fatalf("server not degraded after %d panics (threshold 3)", s.Panics())
 	}
 	if got := health(); !strings.Contains(got, `"degraded"`) {
 		t.Fatalf("degraded healthz = %s", got)

@@ -40,8 +40,9 @@ func clusterHeader() *api.PlanStreamHeader {
 
 // clusterNets builds n nets cycling through a set of distinct problems —
 // RBP (equal periods) and GALS (unequal) — with deliberate canonical
-// duplicates under different names, so the batch exercises both the hash
-// ring's spread and the per-backend memoization.
+// duplicates under different names, so the batch exercises the hash
+// ring's spread and its placing of every copy of a problem on one
+// backend, which routes each copy.
 func clusterNets(n int) []api.NetSpec {
 	type shape struct {
 		sx, sy, dx, dy int

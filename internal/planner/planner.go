@@ -14,7 +14,6 @@ import (
 	"io"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -195,20 +194,16 @@ type Plan struct {
 	Stats     PlanStats
 }
 
-// Planner routes nets over a fixed floorplan and technology. The grid and
-// delay model are shared read-only by every search, so one Planner may
-// route many nets concurrently (see RunStream).
+// Planner routes nets over a fixed floorplan and technology. It holds
+// only its inputs — floorplan, grid, nominal delay model, technology and
+// options — and every search reads them without writing, so one Planner
+// may route many nets concurrently (see RunStream).
 type Planner struct {
 	fp   *floorplan.Floorplan
 	g    *grid.Grid
 	m    *elmore.Model
 	tc   *tech.Tech
 	opts core.Options
-
-	// widthModels caches delay models for non-nominal wire widths
-	// (NetSpec.WireWidths); mu makes the cache safe under concurrent nets.
-	mu          sync.Mutex
-	widthModels map[float64]*elmore.Model
 }
 
 // New builds a planner. The floorplan's blockages are materialized once and
@@ -250,30 +245,19 @@ func (pl *Planner) Floorplan() *floorplan.Floorplan { return pl.fp }
 // Model exposes the bound delay model.
 func (pl *Planner) Model() *elmore.Model { return pl.m }
 
-// modelForWidth returns (and caches) the delay model at the given wire
-// width multiple; width 1 is the planner's nominal model.
+// modelForWidth returns the delay model at the given wire width multiple:
+// the planner's nominal model at width 1, else one built for this search.
+// The search core keys its cached curves by a model's electrical values,
+// so a rebuilt model still finds the curves an earlier one grew.
 func (pl *Planner) modelForWidth(width float64) (*elmore.Model, error) {
 	if width == 1 {
 		return pl.m, nil
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if m, ok := pl.widthModels[width]; ok {
-		return m, nil
 	}
 	wtech, err := pl.tc.WithWireWidth(width)
 	if err != nil {
 		return nil, err
 	}
-	m, err := elmore.NewModel(wtech, pl.g.PitchMM())
-	if err != nil {
-		return nil, err
-	}
-	if pl.widthModels == nil {
-		pl.widthModels = make(map[float64]*elmore.Model)
-	}
-	pl.widthModels[width] = m
-	return m, nil
+	return elmore.NewModel(wtech, pl.g.PitchMM())
 }
 
 // RouteNet routes a single net, choosing RBP or GALS from the endpoint
@@ -434,16 +418,22 @@ func (pl *Planner) PlanNets(specs []NetSpec) (*Plan, error) {
 
 // RunParallel routes every net concurrently across up to `workers`
 // goroutines (<= 0 selects GOMAXPROCS) over the shared read-only grid and
-// delay model. It is RunStream over a slice: the specs are validated up
-// front (no nets, an empty or a duplicate name fail the whole call before
-// anything routes, as RunStream's precondition asks), and the results are
-// put back in spec order. They are bit-identical to a serial PlanNets run:
+// delay model. The results are bit-identical to a serial PlanNets run:
 // each net's search is an independent deterministic dynamic program, so
 // scheduling cannot change its outcome. The context's deadline and
 // cancellation abort in-flight and pending searches promptly; aborted nets
 // record an error wrapping core.ErrAborted. Tracing and telemetry follow
 // RunStream.
 func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec) (*Plan, error) {
+	return pl.runSlice(ctx, workers, specs, func(*NetResult) {})
+}
+
+// runSlice is RunStream over a slice: the specs are validated up front
+// (no nets, an empty or a duplicate name fail the whole call before
+// anything routes, as RunStream's precondition asks), each result is
+// handed to routed as it is emitted, and the plan lists the results in
+// spec order.
+func (pl *Planner) runSlice(ctx context.Context, workers int, specs []NetSpec, routed func(*NetResult)) (*Plan, error) {
 	if err := validateSpecs(specs); err != nil {
 		return nil, err
 	}
@@ -456,6 +446,7 @@ func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec
 	close(in)
 	nets := make([]NetResult, len(specs))
 	stats := pl.RunStream(ctx, engine.Workers(workers, len(specs)), in, func(res NetResult) {
+		routed(&res)
 		nets[at[res.Spec.Name]] = res
 	})
 	return &Plan{Floorplan: pl.fp, Grid: pl.g, Model: pl.m, Nets: nets, Stats: stats}, nil
@@ -468,9 +459,9 @@ func (pl *Planner) RunParallel(ctx context.Context, workers int, specs []NetSpec
 // the net and worker, and the worker goroutine pprof-labeled with the net
 // and algorithm (joining any request_id label already riding ctx) so CPU
 // profiles break search time down per net. Every net the engine takes in
-// is started and ended once, memo followers too; only a panic that
-// escapes the net to the engine's boundary skips its net_end.
-func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options, worker int, route func(context.Context, core.Options) NetResult) NetResult {
+// is started and ended once; only a panic that escapes the net to the
+// engine's boundary skips its net_end.
+func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options, worker int) NetResult {
 	netSink := telemetry.WithFields(opts.Telemetry, spec.Name, worker)
 	opts.Telemetry = netSink
 	netSink.Emit(telemetry.Event{Kind: telemetry.EventNetStart, TimeNS: telemetry.Now()})
@@ -480,7 +471,7 @@ func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options
 	}
 	var res NetResult
 	pprof.Do(ctx, pprof.Labels("net", spec.Name, "algo", algo), func(ctx context.Context) {
-		res = route(ctx, opts)
+		res = pl.routeNet(ctx, spec, opts)
 	})
 	end := telemetry.Event{
 		Kind: telemetry.EventNetEnd, TimeNS: telemetry.Now(),
@@ -507,25 +498,17 @@ func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options
 // its grid edges become unavailable (the tracks are taken) and its element
 // sites become obstacles. Later nets therefore detour around earlier ones —
 // a simple sequential congestion model. Net ordering matters (callers
-// typically sort by criticality), so this path is inherently serial.
+// typically sort by criticality), so this path is inherently serial: it
+// runs RunStream with one worker, whose emit reserves each routed path
+// before the worker takes the next net. Panic containment, net spans and
+// the stats follow RunStream.
 func (pl *Planner) PlanNetsExclusive(specs []NetSpec) (*Plan, error) {
-	if err := validateSpecs(specs); err != nil {
-		return nil, err
-	}
 	work := &Planner{fp: pl.fp, g: pl.g.Clone(), m: pl.m, tc: pl.tc, opts: pl.opts}
-	start := time.Now()
-	plan := &Plan{Floorplan: work.fp, Grid: work.g, Model: work.m}
-	plan.Stats.Workers = 1
-	for _, s := range specs {
-		res := work.RouteNet(s)
-		plan.Nets = append(plan.Nets, res)
-		plan.Stats.add(&res)
+	return work.runSlice(context.Background(), 1, specs, func(res *NetResult) {
 		if res.Err == nil {
 			reserve(work.g, res.Path)
 		}
-	}
-	plan.Stats.Elapsed = time.Since(start)
-	return plan, nil
+	})
 }
 
 // validateSpecs rejects structurally bad net lists before any routing runs.

@@ -2,13 +2,17 @@ package planner
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"clockroute/internal/core"
+	"clockroute/internal/faultpoint"
 	"clockroute/internal/floorplan"
 	"clockroute/internal/geom"
+	"clockroute/internal/route"
 	"clockroute/internal/tech"
+	"clockroute/internal/telemetry"
 )
 
 // testPlanner builds a planner over a coarse 25 mm SoC so tests stay fast.
@@ -204,6 +208,22 @@ func TestPlanReportsPartialFailure(t *testing.T) {
 	}
 }
 
+// sharedEdges counts the grid edges of b that a also uses.
+func sharedEdges(a, b *route.Path) int {
+	used := map[[2]int]bool{}
+	for i := 1; i < len(a.Nodes); i++ {
+		u, v := a.Nodes[i-1], a.Nodes[i]
+		used[[2]int{u, v}], used[[2]int{v, u}] = true, true
+	}
+	n := 0
+	for i := 1; i < len(b.Nodes); i++ {
+		if used[[2]int{b.Nodes[i-1], b.Nodes[i]}] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlanNetsExclusiveForcesDetours(t *testing.T) {
 	pl, _ := testPlanner(t)
 	// Two identical nets: independent planning may give both the same
@@ -230,18 +250,8 @@ func TestPlanNetsExclusiveForcesDetours(t *testing.T) {
 	}
 
 	// Net b's exclusive route must not reuse any edge of net a's route.
-	edgeSet := map[[2]int]bool{}
-	a := excl.Nets[0].Path
-	for i := 1; i < len(a.Nodes); i++ {
-		u, v := a.Nodes[i-1], a.Nodes[i]
-		edgeSet[[2]int{u, v}] = true
-		edgeSet[[2]int{v, u}] = true
-	}
-	b := excl.Nets[1].Path
-	for i := 1; i < len(b.Nodes); i++ {
-		if edgeSet[[2]int{b.Nodes[i-1], b.Nodes[i]}] {
-			t.Fatalf("exclusive plan shares an edge between nets")
-		}
+	if sharedEdges(excl.Nets[0].Path, excl.Nets[1].Path) != 0 {
+		t.Fatalf("exclusive plan shares an edge between nets")
 	}
 
 	// Exclusive planning can only lengthen routes.
@@ -277,6 +287,87 @@ func TestPlanNetsExclusiveReportsBlockedNet(t *testing.T) {
 	// it must fail rather than silently share.
 	if plan.Nets[1].Err == nil {
 		t.Error("second net reusing reserved endpoints should fail")
+	}
+}
+
+// TestPlanNetsExclusiveContainsPanic arms engine.task to panic on the
+// second net of an exclusive plan. The batch engine contains it: that net
+// fails wrapping core.ErrInternal, and the nets on either side route, the
+// third around the first's reserved edges.
+func TestPlanNetsExclusiveContainsPanic(t *testing.T) {
+	pl, _ := testPlanner(t)
+	specs := []NetSpec{
+		{Name: "first", Src: geom.Pt(0, 0), Dst: geom.Pt(12, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+		{Name: "dies", Src: geom.Pt(0, 3), Dst: geom.Pt(12, 3), SrcPeriodPS: 900, DstPeriodPS: 900},
+		// Routed alone, "third" runs along 10 of "first"'s edges.
+		{Name: "third", Src: geom.Pt(1, 1), Dst: geom.Pt(11, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+	}
+	first, third := pl.RouteNet(specs[0]), pl.RouteNet(specs[2])
+	if first.Err != nil || third.Err != nil || sharedEdges(first.Path, third.Path) == 0 {
+		t.Fatalf("independent routes must succeed and share edges: %v, %v", first.Err, third.Err)
+	}
+
+	if err := faultpoint.Enable("engine.task", "panic@2"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.Reset()
+	plan, err := pl.PlanNetsExclusive(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := plan.Nets[1]; !errors.Is(n.Err, core.ErrInternal) || !n.Panicked {
+		t.Errorf("net %q: err %v, panicked %v; want a contained panic", n.Spec.Name, n.Err, n.Panicked)
+	}
+	a, c := plan.Nets[0], plan.Nets[2]
+	if a.Err != nil || c.Err != nil {
+		t.Fatalf("nets around the panic must route: %v, %v", a.Err, c.Err)
+	}
+	if sharedEdges(a.Path, c.Path) != 0 {
+		t.Error("the third net reuses the first net's reserved edges")
+	}
+	if st := plan.Stats; st.NetsRouted != 2 || st.NetsFailed != 1 || st.NetsPanicked != 1 || st.Workers != 1 {
+		t.Errorf("stats = %+v, want 2 routed, 1 failed, 1 panicked on 1 worker", st)
+	}
+}
+
+// TestPlanNetsExclusiveEmitsNetSpans: an exclusive plan with a telemetry
+// sink opens and closes one net span per net, failed nets included.
+func TestPlanNetsExclusiveEmitsNetSpans(t *testing.T) {
+	fp, err := floorplan.SoC25mm(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := telemetry.NewRing(1 << 12)
+	pl, err := New(fp, tech.CongPan70nm(), core.Options{Telemetry: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []NetSpec{
+		{Name: "first", Src: geom.Pt(0, 0), Dst: geom.Pt(12, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+		// Shares the first net's endpoints, which it reserved: fails.
+		{Name: "second", Src: geom.Pt(0, 0), Dst: geom.Pt(12, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+		{Name: "third", Src: geom.Pt(0, 1), Dst: geom.Pt(12, 1), SrcPeriodPS: 900, DstPeriodPS: 900},
+	}
+	plan, err := pl.PlanNetsExclusive(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Stats.NetsRouted != 2 || plan.Stats.NetsFailed != 1 {
+		t.Fatalf("stats = %+v, want 2 routed and 1 failed", plan.Stats)
+	}
+	started, ended := map[string]int{}, map[string]int{}
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case telemetry.EventNetStart:
+			started[e.Net]++
+		case telemetry.EventNetEnd:
+			ended[e.Net]++
+		}
+	}
+	for _, s := range specs {
+		if started[s.Name] != 1 || ended[s.Name] != 1 {
+			t.Errorf("net %q spans: started %d ended %d, want 1/1", s.Name, started[s.Name], ended[s.Name])
+		}
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 )
 
 // dupWorkload builds a mixed RBP/GALS workload whose tail re-poses earlier
-// nets under fresh names, so the batch memoization has real duplicates to
-// collapse. Returns the planner, the specs, and the number of distinct
-// canonical problems.
+// nets under fresh names, so a batch routes canonical duplicates, each on
+// its own. Returns the planner and the specs.
 func dupWorkload(t *testing.T, n, dups int) (*planner.Planner, []planner.NetSpec) {
 	t.Helper()
 	pl, specs, err := bench.SoCNetWorkload(1.0, n)
@@ -60,20 +59,18 @@ func sameRouting(t *testing.T, label string, a, b *planner.NetResult) {
 	}
 }
 
-// TestSharingOnOffByteIdentical is the safety differential of cross-net
-// reuse: canonical-problem memoization must be invisible in the results.
-// The duplicate-heavy workload runs as one batch, whose memo routes each
-// distinct problem once, and net by net through RouteNet, which never
-// goes through the memo; every observable field must match.
-func TestSharingOnOffByteIdentical(t *testing.T) {
+// TestBatchMatchesRouteNet is the differential of the batch engine: the
+// duplicate-heavy workload runs as one 8-worker batch and net by net
+// through RouteNet, and every observable field must match.
+func TestBatchMatchesRouteNet(t *testing.T) {
 	pl, specs := dupWorkload(t, 16, 16)
-	shared, err := pl.RunParallel(context.Background(), 8, specs)
+	batch, err := pl.RunParallel(context.Background(), 8, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range specs {
 		iso := pl.RouteNet(specs[i])
-		sameRouting(t, specs[i].Name, &shared.Nets[i], &iso)
+		sameRouting(t, specs[i].Name, &batch.Nets[i], &iso)
 	}
 }
 
@@ -158,9 +155,8 @@ func runStreamByName(t *testing.T, pl *planner.Planner, specs []planner.NetSpec)
 // TestStreamChaosContainedPanicHealsAndDoesNotPoison arms core.wave_push
 // to panic once deep inside a search of a duplicate-heavy streamed plan.
 // The panic is contained at the search boundary and healed by the planner's
-// retry-once policy, and the clean-only publication rule keeps the injured
-// attempt out of the memo table: every net must
-// report the same routing as an uninjured run.
+// retry-once policy on a fresh scratch: every net, the injured one and its
+// duplicates included, must report the same routing as an uninjured run.
 func TestStreamChaosContainedPanicHealsAndDoesNotPoison(t *testing.T) {
 	pl, specs := dupWorkload(t, 8, 24)
 	clean, err := pl.RunParallel(context.Background(), 4, specs)
@@ -190,9 +186,8 @@ func TestStreamChaosContainedPanicHealsAndDoesNotPoison(t *testing.T) {
 // TestStreamChaosEscapedPanicFailsOneNetOnly arms core.search in panic
 // mode, whose panic escapes the search's own containment and is recovered
 // only at the engine's worker boundary — past the planner's retry. Exactly
-// one net may fail, and every other net (including duplicates of the dead
-// one, whose memo flight died unshareable) must match the uninjured run:
-// a dead leader's followers recompute rather than inherit the corpse.
+// one net may fail, and every other net, duplicates of the dead one
+// included, must match the uninjured run.
 func TestStreamChaosEscapedPanicFailsOneNetOnly(t *testing.T) {
 	pl, specs := dupWorkload(t, 8, 24)
 	clean, err := pl.RunParallel(context.Background(), 4, specs)

@@ -266,10 +266,6 @@ func (p *planRun) take(ctx context.Context, route func(coordinator.Net)) error {
 				continue
 			}
 		}
-		// Register the content address of each net that routes so its span
-		// carries it the moment a worker opens the net — a slow miss in the
-		// tree is then directly replayable against /v1/route.
-		p.rec.SetNetAttr(n.Name, "problem_hash", h.Hex())
 		route(coordinator.Net{Spec: *n, Hash: h})
 	}
 }
@@ -333,7 +329,15 @@ func (p *planRun) startRouter(ctx context.Context, sink telemetry.Sink) (*router
 		done <- planwire.PlanStatsOnWire(st)
 	}()
 	return &router{
-		send: func(n coordinator.Net) { in <- planwire.SpecFromNet(&n.Spec) },
+		send: func(n coordinator.Net) {
+			// Register the content address of each net the planner routes
+			// so its span carries it the moment a worker opens the net — a
+			// slow miss in the tree is then directly replayable against
+			// /v1/route. The coordinator opens no net spans here, so a
+			// front registers nothing.
+			p.rec.SetNetAttr(n.Spec.Name, "problem_hash", n.Hash.Hex())
+			in <- planwire.SpecFromNet(&n.Spec)
+		},
 		stop: sync.OnceValue(func() api.PlanStats { close(in); return <-done }),
 	}, nil
 }

@@ -53,11 +53,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxWorkers clamps a PlanRequest's workers field (default GOMAXPROCS).
 	MaxWorkers int
-	// PanicDegradeThreshold is the number of contained handler panics
-	// after which /healthz reports "degraded" — the process stays up and
-	// keeps serving, but an orchestrator watching health can rotate the
-	// instance out (default 3; negative disables the degraded state).
-	PanicDegradeThreshold int
 	// CacheMaxBytes, when positive, enables the content-addressed result
 	// cache with this byte budget: requests are reduced to their canonical
 	// problem hash and identical problems are served from memory without a
@@ -80,13 +75,6 @@ type Config struct {
 	// event. Zero disables recording (cmd/routed defaults to 500ms via
 	// -slow-ms).
 	SlowThreshold time.Duration
-	// SlowKeep is the flight recorder's ring size (default 32).
-	SlowKeep int
-	// SlowDegradeThreshold is the number of consecutive slow requests
-	// after which /healthz reports "degraded", mirroring the panic
-	// threshold: one slow request is an outlier, an unbroken run is an
-	// instance in trouble. Zero disables the slow-driven degraded state.
-	SlowDegradeThreshold int
 	// Coordinator, when non-nil, turns this instance into the sharding
 	// front end of a cluster: /v1/plan requests, buffered and streamed
 	// alike, are distributed across its backends (see internal/coordinator)
@@ -113,17 +101,22 @@ func (c Config) withDefaults() Config {
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.PanicDegradeThreshold == 0 {
-		c.PanicDegradeThreshold = 3
-	}
 	if c.Metrics == nil {
 		c.Metrics = telemetry.Default()
 	}
-	if c.SlowKeep <= 0 {
-		c.SlowKeep = 32
-	}
 	return c
 }
+
+const (
+	// panicDegradeThreshold is the number of contained handler panics
+	// after which /healthz reports "degraded": the process stays up and
+	// keeps serving, but an orchestrator watching health can rotate the
+	// instance out.
+	panicDegradeThreshold = 3
+	// slowKeep is the flight recorder's ring size: the slow-request trees
+	// /debug/slow can show.
+	slowKeep = 32
+)
 
 // Server implements the service. Build one with New and mount Handler on
 // any http.Server (cmd/routed does exactly that).
@@ -184,7 +177,7 @@ func New(cfg Config) *Server {
 		})
 	}
 	if cfg.SlowThreshold > 0 {
-		s.flightRec = telemetry.NewFlightRecorder(cfg.SlowThreshold, cfg.SlowKeep, cfg.Sink, cfg.Metrics)
+		s.flightRec = telemetry.NewFlightRecorder(cfg.SlowThreshold, slowKeep, cfg.Sink, cfg.Metrics)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/route", s.handleRoute)
@@ -238,19 +231,10 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 // Panics reports the number of handler panics this server has contained.
 func (s *Server) Panics() int64 { return s.panics.Load() }
 
-// Degraded reports whether contained panics have crossed the configured
-// health threshold, or consecutive SLO breaches have crossed the slow
-// threshold — either way the instance keeps serving but should be
+// Degraded reports whether contained panics have reached
+// panicDegradeThreshold: the instance keeps serving but should be
 // rotated out.
-func (s *Server) Degraded() bool {
-	if t := s.cfg.PanicDegradeThreshold; t > 0 && s.panics.Load() >= int64(t) {
-		return true
-	}
-	if t := s.cfg.SlowDegradeThreshold; t > 0 && s.flightRec.ConsecutiveSlow() >= int64(t) {
-		return true
-	}
-	return false
-}
+func (s *Server) Degraded() bool { return s.panics.Load() >= panicDegradeThreshold }
 
 // InFlight reports the number of requests currently holding a slot.
 func (s *Server) InFlight() int { return len(s.sem) }

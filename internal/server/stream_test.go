@@ -156,71 +156,144 @@ func TestPlanStreamServesAndFillsCache(t *testing.T) {
 	}
 }
 
-// TestPlanStreamLargePlanBoundedMemory drives a 10k-net plan through the
-// stream and asserts the two properties that justify the transport: the
-// first result arrives while the client still has most of the plan left to
-// upload (results are emitted as finished, not after the batch), and the
-// server-side heap grows by far less than the materialized plan would
-// need — neither side buffers all nets.
+// TestPlanStreamLargePlanBoundedMemory drives large plans through the
+// stream and asserts the properties that justify the transport: results
+// are emitted as they finish, not after the batch, and the server-side
+// heap grows by far less than the materialized plan would need — neither
+// side buffers all nets, and the planner keeps no result it has emitted.
 func TestPlanStreamLargePlanBoundedMemory(t *testing.T) {
-	const W, H = 24, 24
-	const total = 10_000
-	nets := streamNets(total, W, H)
-	_, ts, _ := newTestServer(t, Config{})
-	c := client.New(ts.URL)
+	// 10,000 nets over 32 problems, on the production cache config: the
+	// first result arrives while the client still has most of the plan
+	// left to upload, and the cache answers the repeats.
+	t.Run("repeats", func(t *testing.T) {
+		const W, H = 24, 24
+		const total = 10_000
+		nets := streamNets(total, W, H)
+		_, ts, _ := newTestServer(t, Config{CacheMaxBytes: 64 << 20})
+		c := client.New(ts.URL)
 
-	// The source uploads 100 nets and then refuses to continue until a
-	// result has come back: a server that buffered the whole batch before
-	// emitting (the non-streaming behavior) would deadlock here, waiting
-	// for an EOF the client withholds. The outer context bounds the test
-	// against exactly that regression.
-	firstResult := make(chan struct{})
-	var results atomic.Int64
-	source := func(emit func(api.NetSpec) error) error {
-		for i, n := range nets {
-			if i == 100 {
-				select {
-				case <-firstResult:
-				case <-time.After(30 * time.Second):
-					return fmt.Errorf("no result after %d nets: server is buffering the batch", i)
+		// The source uploads 100 nets and then refuses to continue until a
+		// result has come back: a server that buffered the whole batch before
+		// emitting (the non-streaming behavior) would deadlock here, waiting
+		// for an EOF the client withholds. The outer context bounds the test
+		// against exactly that regression.
+		firstResult := make(chan struct{})
+		var results atomic.Int64
+		source := func(emit func(api.NetSpec) error) error {
+			for i, n := range nets {
+				if i == 100 {
+					select {
+					case <-firstResult:
+					case <-time.After(30 * time.Second):
+						return fmt.Errorf("no result after %d nets: server is buffering the batch", i)
+					}
+				}
+				if err := emit(n); err != nil {
+					return err
 				}
 			}
-			if err := emit(n); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
-	}
 
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+		runtime.GC()
+		var before runtime.MemStats
+		runtime.ReadMemStats(&before)
 
-	stats, err := c.PlanStream(context.Background(), streamHeader(W, H), source,
-		func(nr api.NetResult) error {
-			if results.Add(1) == 1 {
-				close(firstResult)
+		stats, err := c.PlanStream(context.Background(), streamHeader(W, H), source,
+			func(nr api.NetResult) error {
+				if results.Add(1) == 1 {
+					close(firstResult)
+				}
+				if nr.Error != "" {
+					return fmt.Errorf("net %q failed: %s", nr.Name, nr.Error)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := results.Load(); n != total {
+			t.Fatalf("received %d results, want %d", n, total)
+		}
+		if stats.NetsRouted != total {
+			t.Errorf("trailer NetsRouted = %d, want %d", stats.NetsRouted, total)
+		}
+		runtime.GC()
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		if delta := int64(after.HeapAlloc) - int64(before.HeapAlloc); delta > 64<<20 {
+			t.Errorf("heap grew by %d MiB across a 10k-net stream", delta>>20)
+		}
+	})
+
+	// 20,000 distinct RBP nets with the cache off, so every net is
+	// searched: near the end of the stream the live heap must not hold
+	// the results already emitted.
+	t.Run("distinct", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("heap readings are meaningless under the race detector")
+		}
+		const W, H, total, at = 33, 33, 20_000, 19_500
+		nets := distinctNets(total, W, H)
+		_, ts, _ := newTestServer(t, Config{})
+		c := client.New(ts.URL)
+		hdr := &api.PlanStreamHeader{Grid: api.GridSpec{W: W, H: H, PitchMM: 0.25}, Workers: 2}
+		source := func(emit func(api.NetSpec) error) error {
+			for _, n := range nets {
+				if err := emit(n); err != nil {
+					return err
+				}
 			}
+			return nil
+		}
+
+		runtime.GC()
+		var before, live runtime.MemStats
+		runtime.ReadMemStats(&before)
+		results := 0
+		stats, err := c.PlanStream(context.Background(), hdr, source, func(nr api.NetResult) error {
 			if nr.Error != "" {
 				return fmt.Errorf("net %q failed: %s", nr.Name, nr.Error)
 			}
+			if results++; results == at {
+				runtime.GC()
+				runtime.ReadMemStats(&live)
+			}
 			return nil
 		})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results != total || stats.NetsRouted != total {
+			t.Fatalf("received %d results, trailer NetsRouted = %d, want %d", results, stats.NetsRouted, total)
+		}
+		delta := int64(live.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("live heap grew by %.1f MiB by result %d", float64(delta)/(1<<20), at)
+		if delta > 12<<20 {
+			t.Errorf("live heap grew by %.1f MiB by result %d of %d distinct nets, want under 12 MiB",
+				float64(delta)/(1<<20), at, total)
+		}
+	})
+}
+
+// distinctNets builds n RBP nets at 600 ps on a w×h grid, no two of them
+// the same problem: net i pairs interior node i mod m with the node
+// 1 + i/m places after it, m being the interior's node count.
+func distinctNets(n, w, h int) []api.NetSpec {
+	iw, m := w-2, (w-2)*(h-2)
+	at := func(k int) api.Point { return api.Point{X: 1 + k%iw, Y: 1 + k/iw} }
+	nets := make([]api.NetSpec, n)
+	for i := range nets {
+		a := i % m
+		nets[i] = api.NetSpec{
+			Name:        fmt.Sprintf("d%05d", i),
+			Src:         at(a),
+			Dst:         at((a + 1 + i/m) % m),
+			SrcPeriodPS: 600,
+			DstPeriodPS: 600,
+		}
 	}
-	if n := results.Load(); n != total {
-		t.Fatalf("received %d results, want %d", n, total)
-	}
-	if stats.NetsRouted != total {
-		t.Errorf("trailer NetsRouted = %d, want %d", stats.NetsRouted, total)
-	}
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if delta := int64(after.HeapAlloc) - int64(before.HeapAlloc); delta > 64<<20 {
-		t.Errorf("heap grew by %d MiB across a 10k-net stream", delta>>20)
-	}
+	return nets
 }
 
 // TestPlanStreamBadLineTrailer sends a stream whose second net line is

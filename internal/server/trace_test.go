@@ -249,7 +249,7 @@ func TestTracedResultsByteIdentical(t *testing.T) {
 // /debug/slow with its complete span tree — phases, search spans, and the
 // problem hash — and the slow counters move.
 func TestSlowRequestFlightRecorder(t *testing.T) {
-	s, ts, m := newTestServer(t, Config{SlowThreshold: time.Nanosecond, SlowKeep: 4})
+	s, ts, m := newTestServer(t, Config{SlowThreshold: time.Nanosecond})
 	resp, raw := postJSON(t, ts.URL+"/v1/route", routeBody(16, 16, 0.25, 500, 1, 1, 14, 14, 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
@@ -324,7 +324,7 @@ func TestSlowRequestFlightRecorder(t *testing.T) {
 // cache phase before the write, which gets its own encode phase, and
 // never enter admission or search.
 func TestHitTraceSplitsLayers(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond, SlowKeep: 4, CacheMaxBytes: 1 << 20})
+	s, ts, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond, CacheMaxBytes: 1 << 20})
 	body := quickBody()
 	resp, raw := postJSON(t, ts.URL+"/v1/route", body)
 	if resp.StatusCode != http.StatusOK {
@@ -358,33 +358,5 @@ func TestHitTraceSplitsLayers(t *testing.T) {
 		if got := strings.Join(names, ","); got != "decode,canonical,cache,encode" {
 			t.Errorf("tree %d (status %d) phases = %s, want decode,canonical,cache,encode", i, tree.Status, got)
 		}
-	}
-}
-
-// TestConsecutiveSlowDegradesHealth: a run of slow requests past the
-// configured threshold flips /healthz to degraded; a fast one would reset
-// it (covered at the unit level in telemetry).
-func TestConsecutiveSlowDegradesHealth(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond, SlowDegradeThreshold: 2})
-	health := func() string {
-		_, body := getURL(t, ts.URL+"/healthz")
-		var h map[string]any
-		if err := json.Unmarshal(body, &h); err != nil {
-			t.Fatal(err)
-		}
-		st, _ := h["status"].(string)
-		return st
-	}
-	if got := health(); got != "ok" {
-		t.Fatalf("initial health %q", got)
-	}
-	for i := 0; i < 2; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/route", quickBody())
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("route status %d", resp.StatusCode)
-		}
-	}
-	if got := health(); got != "degraded" {
-		t.Errorf("health after %d consecutive slow requests = %q, want degraded", 2, got)
 	}
 }

@@ -11,12 +11,10 @@ import (
 )
 
 // ServerOptions configures the debug server's routes. All fields are
-// optional; the zero value serves metrics from the Default registry.
+// optional; /metrics always serves the Default registry.
 type ServerOptions struct {
 	// Progress mounts /progress with the tracker's in-flight snapshot.
 	Progress *Progress
-	// Metrics backs the Prometheus exposition; nil means Default().
-	Metrics *Metrics
 	// Recorder mounts /debug/slow with the retained slow-request trees.
 	Recorder *FlightRecorder
 	// Extra appends per-subsystem Prometheus series after the registry
@@ -46,14 +44,10 @@ func NewServer(addr string, opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := opts.Metrics
-	if m == nil {
-		m = Default()
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", PrometheusContentType)
-		WritePrometheus(w, m, opts.Extra...)
+		WritePrometheus(w, Default(), opts.Extra...)
 	})
 	if opts.Progress != nil {
 		progress := opts.Progress

@@ -380,8 +380,7 @@ type FlightRecorder struct {
 	next int
 	full bool
 
-	slow        atomic.Int64
-	consecutive atomic.Int64
+	slow atomic.Int64
 }
 
 // NewFlightRecorder builds a recorder keeping the last `keep` slow trees
@@ -397,20 +396,14 @@ func NewFlightRecorder(slo time.Duration, keep int, sink Sink, m *Metrics) *Flig
 // SLO returns the slow threshold.
 func (f *FlightRecorder) SLO() time.Duration { return f.slo }
 
-// Observe classifies one finished request tree. Fast requests only reset
-// the consecutive-slow counter; slow ones are ringed, counted, and
-// persisted. Safe for concurrent use; nil receivers and nil trees are
-// ignored.
+// Observe classifies one finished request tree. Fast requests are
+// ignored; slow ones are ringed, counted, and persisted. Safe for
+// concurrent use; nil receivers and nil trees are ignored.
 func (f *FlightRecorder) Observe(t *SpanTree) {
-	if f == nil || t == nil || f.slo <= 0 {
-		return
-	}
-	if time.Duration(t.DurationNS()) < f.slo {
-		f.consecutive.Store(0)
+	if f == nil || t == nil || f.slo <= 0 || time.Duration(t.DurationNS()) < f.slo {
 		return
 	}
 	f.slow.Add(1)
-	f.consecutive.Add(1)
 	if f.m != nil {
 		f.m.SlowRequests.Inc()
 	}
@@ -438,16 +431,6 @@ func (f *FlightRecorder) Slow() int64 {
 		return 0
 	}
 	return f.slow.Load()
-}
-
-// ConsecutiveSlow reports the current run of back-to-back slow requests —
-// the degraded-health signal: one slow request is an outlier, an unbroken
-// run is an instance in trouble.
-func (f *FlightRecorder) ConsecutiveSlow() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.consecutive.Load()
 }
 
 // Snapshot returns up to n retained slow trees, newest first (n <= 0
@@ -485,9 +468,8 @@ func (f *FlightRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(map[string]any{
-		"slo_ms":           float64(f.SLO()) / float64(time.Millisecond),
-		"slow_requests":    f.Slow(),
-		"consecutive_slow": f.ConsecutiveSlow(),
-		"trees":            f.Snapshot(n),
+		"slo_ms":        float64(f.SLO()) / float64(time.Millisecond),
+		"slow_requests": f.Slow(),
+		"trees":         f.Snapshot(n),
 	})
 }

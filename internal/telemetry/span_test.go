@@ -179,15 +179,12 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	fr.Observe(mkTree("fast", 0))
-	if fr.Slow() != 0 || fr.ConsecutiveSlow() != 0 {
+	if fr.Slow() != 0 {
 		t.Fatal("fast request counted slow")
 	}
 
-	for i, id := range []string{"s1", "s2", "s3"} {
+	for _, id := range []string{"s1", "s2", "s3"} {
 		fr.Observe(mkTree(id, 5*time.Millisecond))
-		if fr.ConsecutiveSlow() != int64(i+1) {
-			t.Errorf("consecutive = %d after %d slow", fr.ConsecutiveSlow(), i+1)
-		}
 	}
 	if fr.Slow() != 3 || m.SlowRequests.Value() != 3 {
 		t.Errorf("slow = %d, metric = %d", fr.Slow(), m.SlowRequests.Value())
@@ -224,16 +221,10 @@ func TestFlightRecorder(t *testing.T) {
 		t.Errorf("persisted %d slow_request events, want 3", slowEvents)
 	}
 
-	// A fast request breaks the consecutive run.
-	fr.Observe(mkTree("fast2", 0))
-	if fr.ConsecutiveSlow() != 0 {
-		t.Error("fast request did not reset the consecutive counter")
-	}
-
 	// Nil receiver and nil tree are ignored.
 	var nilFR *FlightRecorder
 	nilFR.Observe(mkTree("x", time.Second))
-	if nilFR.Slow() != 0 || nilFR.ConsecutiveSlow() != 0 || nilFR.Snapshot(0) != nil {
+	if nilFR.Slow() != 0 || nilFR.Snapshot(0) != nil {
 		t.Error("nil flight recorder not inert")
 	}
 	fr.Observe(nil)
