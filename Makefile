@@ -23,16 +23,23 @@ lint: vet inline-check
 
 # Inlining gate: spanBound.prune and spanBound.keyPrune run on every
 # candidate the engine admits, and each must inline into engine.admit
-# (internal/core/wave.go) under the compiler's budget of 80. Losing that
-# passes every test and bench-check, which gates configs, not time; the
-# compiler's -m report fails here instead. The build cache replays that
-# report, so a cached build still prints it.
+# (internal/core/wave.go) under the compiler's budget of 80. The arena's
+# Ref resolver, candidate.(*Arena).At, runs on every popped candidate and
+# in the heaps' tie order (wave.go) and on every kill a Store.Insert marks
+# (internal/candidate/candidate.go), and must inline at both. Losing any
+# of them passes every test and bench-check, which gates configs, not
+# time; the compiler's -m report fails here instead. The build cache
+# replays that report, so a cached build still prints it.
 inline-check:
-	@out=$$(go build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$(go build -gcflags=-m ./internal/core ./internal/candidate 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in prune keyPrune; do \
 		echo "$$out" | grep -Eq "wave\.go:[0-9]+:[0-9]+: inlining call to \(\*spanBound\)\.$$f$$" || \
 			{ echo "inline-check: (*spanBound).$$f no longer inlines into engine.admit (internal/core/wave.go)"; exit 1; }; \
-	done
+	done; \
+	echo "$$out" | grep -Eq 'core/wave\.go:[0-9]+:[0-9]+: inlining call to candidate\.\(\*Arena\)\.At$$' || \
+		{ echo "inline-check: candidate.(*Arena).At no longer inlines into internal/core/wave.go"; exit 1; }; \
+	echo "$$out" | grep -Eq 'candidate/candidate\.go:[0-9]+:[0-9]+: inlining call to \(\*Arena\)\.At$$' || \
+		{ echo "inline-check: candidate.(*Arena).At no longer inlines into internal/candidate/candidate.go"; exit 1; }
 
 test:
 	go test ./...
@@ -148,11 +155,15 @@ bench-cache:
 # into a local (gitignored) JSON stream and
 # compare them against the checked-in BENCH_core.json — >5% configs/op or
 # probe_configs/op regression or any routed-result drift (registers/op,
-# latency_ps) fails the target. The workers=1 planner row is the batch-path
+# latency_ps) fails the target, and so does >5% more B/op on the dropped
+# pool's row, the bytes of a fresh Scratch. That row runs at bench-core's
+# 50 iterations, because its B/op depends on -benchtime. The workers=1
+# planner row is the batch-path
 # fingerprint: it would have caught the heap tie-ordering tax that once
 # landed silently.
 bench-check:
-	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkShortSearchesDroppedPool$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkRBP$$|BenchmarkFastPath$$|BenchmarkGALS$$|BenchmarkOneRegister$$|BenchmarkShortSearches$$|BenchmarkPlanner_ParallelVsSerial$$/^workers=1$$|BenchmarkPlanner_WidthLadder$$|BenchmarkExtension_LatchVsRegister$$/^latch$$' -benchtime 10x -json . > bench-check.json
+	go test -run xxx -bench 'BenchmarkShortSearchesDroppedPool$$' -benchtime 50x -json . >> bench-check.json
 	go run ./cmd/benchcheck -baseline BENCH_core.json -current bench-check.json
 
 # End-to-end observability demo: route the SoC25mm batch with the live

@@ -7,12 +7,17 @@
 //     the incumbent probe ahead of it, did more work for the same answer, or
 //   - a routed-result fingerprint metric (registers/op, latency_ps)
 //     differs at all — the answer itself drifted, which the equivalence
-//     sweeps treat as a correctness failure, not a perf one.
+//     sweeps treat as a correctness failure, not a perf one, or
+//   - B/op grew by more than the tolerance on a row whose every pass
+//     starts on a fresh search scratch (BenchmarkShortSearchesDroppedPool):
+//     what one fresh scratch costs.
 //
 // Wall-clock time is deliberately not compared: ns/op is machine- and
 // load-dependent, while both config counts are deterministic effort
-// counts. A unit missing from either file is not compared, so a baseline
-// recorded before a unit existed still gates the others.
+// counts. So are a fresh-scratch row's bytes at a fixed -benchtime; a warm
+// row's are not, since a GC that empties the scratch pool mid-run makes
+// them bimodal. A unit missing from either file is not compared, so a
+// baseline recorded before a unit existed still gates the others.
 package main
 
 import (
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,6 +43,11 @@ var (
 	effortUnits = []string{"configs/op", "probe_configs/op"}
 	exactUnits  = []string{"registers/op", "latency_ps"}
 )
+
+// freshRow also gates B/op like an effort unit. Its bytes depend on
+// -benchtime (the first pass also grows caches later passes reuse), so it
+// must run at the baseline's.
+const freshRow = "BenchmarkShortSearchesDroppedPool"
 
 // parseBench extracts benchmark result lines from a `go test -json`
 // stream. A single result line is typically split across two Output
@@ -110,7 +121,7 @@ func parseBenchLine(rows map[string]metrics, line string) {
 func main() {
 	baseline := flag.String("baseline", "BENCH_core.json", "recorded baseline (go test -json stream)")
 	current := flag.String("current", "bench-check.json", "fresh run to check (go test -json stream)")
-	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional configs/op and probe_configs/op regression")
+	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional configs/op, probe_configs/op and fresh-scratch B/op regression")
 	flag.Parse()
 
 	base, err := parseBench(*baseline)
@@ -141,7 +152,11 @@ func main() {
 			continue
 		}
 		compared++
-		for _, unit := range effortUnits {
+		units := effortUnits
+		if name == freshRow {
+			units = append(slices.Clip(units), "B/op")
+		}
+		for _, unit := range units {
 			bv, bok := b[unit]
 			cv, cok := c[unit]
 			if !bok || !cok {

@@ -43,6 +43,10 @@ func (g Gate) IsClocked() bool {
 // Candidate is one partial solution. Candidates form a DAG through Parent;
 // they are immutable after creation except for the Dead flag, which marks
 // lazily-deleted (pruned) queue entries.
+//
+// The struct holds no pointer: Parent names its arena slot by Ref, so the
+// slabs, pools and queues of a search are memory the garbage collector
+// never scans. The fields are ordered so the struct packs to 48 bytes.
 type Candidate struct {
 	C float64 // input capacitance seen at Node, pF
 	D float64 // Elmore delay from Node to the most recent sync element (or sink), ps
@@ -51,27 +55,26 @@ type Candidate struct {
 	// the first register closes that segment (RBP's max-slack extension).
 	Slack float64
 
-	Node int32 // grid node ID
-	Gate Gate  // element inserted at Node when this candidate was created
-	Z    uint8 // clock domain; GALS: 1 once the MCFIFO is on the path
-	Regs int32 // clocked elements inserted so far (RBP wave index)
-
-	Dead   bool       // pruned while still queued
-	Parent *Candidate // the downstream candidate this one extends
+	Node   int32 // grid node ID
+	Regs   int32 // clocked elements inserted so far (RBP wave index)
+	Parent Ref   // the downstream candidate this one extends; 0 for the sink's
+	Gate   Gate  // element inserted at Node when this candidate was created
+	Z      uint8 // clock domain; GALS: 1 once the MCFIFO is on the path
+	Dead   bool  // pruned while still queued
 }
 
-// Walk calls fn for every candidate from c back to the initial sink
-// candidate, in upstream-to-downstream order (c first).
-func (c *Candidate) Walk(fn func(*Candidate)) {
-	for cur := c; cur != nil; cur = cur.Parent {
-		fn(cur)
-	}
-}
+// Ref names a candidate by its arena slot: 1 + the slot's index, so the
+// zero Ref means none. Arena.At resolves it.
+type Ref int32
 
 // arenaBlock is the slab size of an Arena: enough to amortize slab
 // allocation across thousands of expansions while keeping a mostly-idle
-// pooled arena under a few hundred KiB.
-const arenaBlock = 4096
+// pooled arena under a few hundred KiB. A power of two, so At splits a
+// slot index with a shift and a mask.
+const (
+	arenaShift = 12
+	arenaBlock = 1 << arenaShift
+)
 
 // Arena is a slab allocator for Candidates. The search loops build each
 // candidate on the stack and take a slot only for one they keep: it passed
@@ -81,25 +84,28 @@ const arenaBlock = 4096
 // blocks instead of the heap, and Reset recycles every candidate of the
 // finished search in O(1).
 //
-// Lifetime rule: a candidate obtained from New (or returned by
-// Store.Insert) is valid only until the arena's next Reset. That is safe
-// for the routers because candidates are immortal within a search and
-// nothing escapes it — route.FromCandidate copies the winning chain into
-// a fresh Path before the search returns.
-// Anything that must outlive Reset (results, diagnostics) must copy, never
-// retain *Candidate pointers.
+// New returns a slot's Ref, and everything that keeps a candidate (the
+// stores' frontiers, the search queues, Parent) keeps its Ref. At turns
+// one into a pointer; slabs never move, so that pointer stays valid while
+// later News grow the arena.
+//
+// Lifetime rule: no Ref, and no pointer from At, outlives its arena's next
+// Reset. That is safe for the routers because candidates are immortal
+// within a search and nothing escapes it — route.FromCandidate copies the
+// winning chain into a fresh Path before the search returns. Anything that
+// must outlive Reset (results, diagnostics) must copy.
 //
 // The zero value is ready to use. An Arena is not goroutine-safe; each
 // concurrent search owns its own (core.Scratch pools them).
 type Arena struct {
-	blocks [][]Candidate
+	blocks []*[arenaBlock]Candidate
 	cur    int // index of the block New is filling
 	used   int // slots handed out from blocks[cur]
 }
 
-// New copies c into the next free slot and returns the slot's pointer.
-func (a *Arena) New(c Candidate) *Candidate {
-	if a.cur < len(a.blocks) && a.used == len(a.blocks[a.cur]) {
+// New copies c into the next free slot and returns the slot's Ref.
+func (a *Arena) New(c Candidate) Ref {
+	if a.used == arenaBlock {
 		a.cur++
 		a.used = 0
 	}
@@ -107,12 +113,29 @@ func (a *Arena) New(c Candidate) *Candidate {
 		// arena.grow fires on slab growth only — the rare branch — so an
 		// armed failpoint injects mid-search without taxing every New.
 		faultpoint.Must("arena.grow")
-		a.blocks = append(a.blocks, make([]Candidate, arenaBlock))
+		a.blocks = append(a.blocks, new([arenaBlock]Candidate))
 	}
-	p := &a.blocks[a.cur][a.used]
+	a.blocks[a.cur][a.used] = c
 	a.used++
-	*p = c
-	return p
+	return Ref(a.cur<<arenaShift + a.used)
+}
+
+// At returns the candidate r names. r must be a Ref New returned since the
+// last Reset. Its inline cost (20) keeps it inlined even into functions too
+// large for the compiler's full budget; make inline-check holds it there.
+func (a *Arena) At(r Ref) *Candidate {
+	i := r - 1
+	return &a.blocks[i>>arenaShift][i&(arenaBlock-1)]
+}
+
+// Walk calls fn for every candidate from r back to the initial sink
+// candidate, in upstream-to-downstream order (r's first).
+func (a *Arena) Walk(r Ref, fn func(*Candidate)) {
+	for r != 0 {
+		c := a.At(r)
+		fn(c)
+		r = c.Parent
+	}
 }
 
 // Len returns the number of live candidates handed out since the last
@@ -122,8 +145,8 @@ func (a *Arena) Len() int {
 }
 
 // Reset recycles every candidate at once: subsequent News reuse the slabs
-// from the start. All previously returned pointers become invalid (their
-// memory will be rewritten); see the lifetime rule above.
+// from the start. Every Ref handed out before becomes invalid (its slot
+// will be rewritten); see the lifetime rule above.
 func (a *Arena) Reset() {
 	a.cur, a.used = 0, 0
 }
@@ -157,12 +180,13 @@ const (
 //
 // Frontiers are struct-of-arrays runs over store-wide pools: the hot
 // dominance keys (c and d in keys, slack in tri mode) are scanned or
-// binary-searched per insertion, while the candidate pointers in cands are
-// touched only to mark kills or reconstruct paths. Keeping the keys out of
-// the 56-byte Candidate structs means an Insert walks densely packed floats
-// instead of chasing one pointer per compare. A node holds a 16-byte run
-// header and no memory of its own, so what a store allocates depends on
+// binary-searched per insertion, while the candidate Refs in cands are
+// resolved only to mark kills or reconstruct paths. Keeping the keys out of
+// the 48-byte Candidate structs means an Insert walks densely packed floats
+// instead of resolving one candidate per compare. A node holds a 16-byte
+// run header and no memory of its own, so what a store allocates depends on
 // how large one search's frontiers grow, not on which node IDs they sit at.
+// No pool holds a pointer, so the collector never scans one.
 type Store struct {
 	runs []run
 	cur  int32 // the current epoch
@@ -170,7 +194,7 @@ type Store struct {
 
 	keys  []key
 	slack []float64 // maintained in tri mode only
-	cands []*Candidate
+	cands []Ref
 	// free[k] lists the offsets of moved-out slots of room minRoom<<k,
 	// recycled by the next run of this search that needs one; k runs up
 	// to the largest power of two an int32 room holds.
@@ -268,11 +292,17 @@ func (s *Store) move(r *run) {
 
 // take returns the offset of a free slot of room entries: a moved-out slot
 // of that room if the search has one, else fresh entries at the pools' end.
+// A fresh store's first take sizes its pools for one first slot per node
+// in one allocation each, instead of doubling them up from empty.
 func (s *Store) take(room int32) int32 {
 	k := roomClass(room)
 	if f := s.free[k]; len(f) > 0 {
 		s.free[k] = f[:len(f)-1]
 		return f[len(f)-1]
+	}
+	if cap(s.keys) == 0 {
+		n := minRoom * len(s.runs)
+		s.keys, s.cands = make([]key, 0, n), make([]Ref, 0, n)
 	}
 	off := int32(len(s.keys))
 	s.keys = extend(s.keys, int(room))
@@ -297,12 +327,12 @@ func extend[T any](p []T, n int) []T {
 
 // Insert offers c to its node's frontier. The dominance test runs on c's
 // value, before c costs an arena slot: if an existing live candidate
-// dominates c, Insert returns nil and leaves the frontier and the arena
+// dominates c, Insert returns 0 and leaves the frontier and the arena
 // unchanged. Otherwise it copies *c into the next slot of a, marks every
-// now-dominated candidate Dead, and returns the copy, which the frontier
-// now holds. Insert never retains c itself, so callers may build it on
-// the stack.
-func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
+// now-dominated candidate Dead, and returns the copy's Ref, which the
+// frontier now holds. Insert never retains c itself, so callers may build
+// it on the stack or pass a candidate of a's own.
+func (s *Store) Insert(a *Arena, c *Candidate) Ref {
 	if s.tri {
 		return s.insertTri(a, c)
 	}
@@ -325,14 +355,14 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	pos := lo
 	if pos > 0 && ks[pos-1].d <= c.D {
 		s.rejected++
-		return nil // dominated: smaller-or-equal cap, smaller-or-equal delay
+		return 0 // dominated: smaller-or-equal cap, smaller-or-equal delay
 	}
 
 	// Kill equal-capacitance predecessors: they have C == c.C and (since we
 	// were not rejected) D > c.D, so c dominates them.
 	start := pos
 	for start > 0 && ks[start-1].c == c.C {
-		cs[start-1].Dead = true
+		a.At(cs[start-1]).Dead = true
 		s.killed++
 		start--
 	}
@@ -341,21 +371,21 @@ func (s *Store) Insert(a *Arena, c *Candidate) *Candidate {
 	// D >= c.D. D is descending, so they form a prefix of the suffix at pos.
 	end := pos
 	for end < n && ks[end].d >= c.D {
-		cs[end].Dead = true
+		a.At(cs[end]).Dead = true
 		s.killed++
 		end++
 	}
 
-	p := a.New(*c)
-	s.splice(r, start, end, p)
+	ref := a.New(*c)
+	s.splice(r, start, end, key{c.C, c.D}, ref)
 	s.inserted++
-	return p
+	return ref
 }
 
-// splice puts p over entries [start, end) of r's sorted 2-D frontier,
-// mirroring the splice across keys and cands; a run that gains an entry
-// moves first if its slot is full.
-func (s *Store) splice(r *run, start, end int, p *Candidate) {
+// splice puts (k, ref) over entries [start, end) of r's sorted 2-D
+// frontier, mirroring the splice across keys and cands; a run that gains
+// an entry moves first if its slot is full.
+func (s *Store) splice(r *run, start, end int, k key, ref Ref) {
 	n := int(r.n)
 	if end == start {
 		if r.n == r.room {
@@ -364,17 +394,17 @@ func (s *Store) splice(r *run, start, end int, p *Candidate) {
 		off := int(r.off)
 		ks, cs := s.keys[off:off+n+1], s.cands[off:off+n+1]
 		copy(ks[start+1:], ks[start:n])
-		ks[start] = key{p.C, p.D}
+		ks[start] = k
 		copy(cs[start+1:], cs[start:n])
-		cs[start] = p
+		cs[start] = ref
 		r.n++
 		return
 	}
 	off := int(r.off)
 	ks, cs := s.keys[off:off+n], s.cands[off:off+n]
-	ks[start] = key{p.C, p.D}
+	ks[start] = k
 	copy(ks[start+1:], ks[end:])
-	cs[start] = p
+	cs[start] = ref
 	copy(cs[start+1:], cs[end:])
 	r.n = int32(n - (end - start) + 1)
 }
@@ -383,48 +413,53 @@ func (s *Store) splice(r *run, start, end int, p *Candidate) {
 // unsorted and scanned linearly (frontiers stay small in practice).
 // Dominance: existing (c,d,slack) kills newcomer (c',d',slack') iff
 // c <= c', d <= d' and slack >= slack'.
-func (s *Store) insertTri(a *Arena, c *Candidate) *Candidate {
+func (s *Store) insertTri(a *Arena, c *Candidate) Ref {
 	r := s.node(c.Node)
 	off, n := int(r.off), int(r.n)
 	ks, sl, cs := s.keys[off:off+n], s.slack[off:off+n], s.cands[off:off+n]
 	for i := range ks {
 		if ks[i].c <= c.C && ks[i].d <= c.D && sl[i] >= c.Slack {
 			s.rejected++
-			return nil
+			return 0
 		}
 	}
 	out := 0
 	for i := range ks {
 		if c.C <= ks[i].c && c.D <= ks[i].d && c.Slack >= sl[i] {
-			cs[i].Dead = true
+			a.At(cs[i]).Dead = true
 			s.killed++
 			continue
 		}
 		ks[out], sl[out], cs[out] = ks[i], sl[i], cs[i]
 		out++
 	}
-	p := a.New(*c)
+	ref := a.New(*c)
 	if r.n = int32(out); r.n == r.room {
 		s.move(r)
 	}
 	i := int(r.off) + out
-	s.keys[i], s.slack[i], s.cands[i] = key{c.C, c.D}, c.Slack, p
+	s.keys[i], s.slack[i], s.cands[i] = key{c.C, c.D}, c.Slack, ref
 	r.n++
 	s.inserted++
-	return p
+	return ref
 }
 
-// Frontier returns a copy of the current-epoch Pareto frontier at node v,
-// for inspection by tests and diagnostics.
+// Frontier returns the current-epoch Pareto frontier at node v, resolved
+// through a, the arena the store's candidates live in, for inspection by
+// tests and diagnostics.
 //
 // Side effect: like every frontier accessor it goes through node(), which
 // lazily applies any pending epoch reset — if v has not been touched since
 // the last NextEpoch/Reuse, its stale frontier is emptied here, not at
 // epoch-bump time. Reading a frontier therefore commits the reset for that
 // node; candidates from earlier epochs are never returned.
-func (s *Store) Frontier(v int32) []*Candidate {
+func (s *Store) Frontier(a *Arena, v int32) []*Candidate {
 	r := s.node(v)
-	return append([]*Candidate(nil), s.cands[r.off:r.off+r.n]...)
+	out := make([]*Candidate, 0, r.n)
+	for _, ref := range s.cands[r.off : r.off+r.n] {
+		out = append(out, a.At(ref))
+	}
+	return out
 }
 
 // Stats returns (inserted, rejected, killed) counters.

@@ -23,17 +23,17 @@ func TestInsertKeepsNonDominated(t *testing.T) {
 	s, ar := NewStore(4), new(Arena)
 	a := s.Insert(ar, cand(1, 2.0, 10.0))
 	b := s.Insert(ar, cand(1, 1.0, 20.0)) // less cap, more delay: incomparable with a
-	if a == nil || b == nil {
+	if a == 0 || b == 0 {
 		t.Fatal("both incomparable candidates should insert")
 	}
-	f := s.Frontier(1)
+	f := s.Frontier(ar, 1)
 	if len(f) != 2 {
 		t.Fatalf("frontier size = %d, want 2", len(f))
 	}
 	if f[0].C > f[1].C {
 		t.Error("frontier must be sorted by capacitance")
 	}
-	if a.Dead || b.Dead {
+	if ar.At(a).Dead || ar.At(b).Dead {
 		t.Error("nothing should be dead")
 	}
 }
@@ -41,19 +41,19 @@ func TestInsertKeepsNonDominated(t *testing.T) {
 func TestInsertRejectsDominated(t *testing.T) {
 	s, ar := NewStore(4), new(Arena)
 	s.Insert(ar, cand(2, 1.0, 10.0))
-	if s.Insert(ar, cand(2, 1.5, 11.0)) != nil {
+	if s.Insert(ar, cand(2, 1.5, 11.0)) != 0 {
 		t.Error("strictly dominated candidate must be rejected")
 	}
-	if s.Insert(ar, cand(2, 1.0, 10.0)) != nil {
+	if s.Insert(ar, cand(2, 1.0, 10.0)) != 0 {
 		t.Error("exact duplicate must be rejected")
 	}
-	if s.Insert(ar, cand(2, 1.0, 12.0)) != nil {
+	if s.Insert(ar, cand(2, 1.0, 12.0)) != 0 {
 		t.Error("equal cap, worse delay must be rejected")
 	}
-	if s.Insert(ar, cand(2, 1.2, 10.0)) != nil {
+	if s.Insert(ar, cand(2, 1.2, 10.0)) != 0 {
 		t.Error("worse cap, equal delay must be rejected")
 	}
-	if len(s.Frontier(2)) != 1 {
+	if len(s.Frontier(ar, 2)) != 1 {
 		t.Error("frontier should still hold one candidate")
 	}
 	if ar.Len() != 1 {
@@ -67,14 +67,14 @@ func TestInsertKillsDominatedExisting(t *testing.T) {
 	b := s.Insert(ar, cand(3, 3.0, 8.0))
 	// c dominates both.
 	c := s.Insert(ar, cand(3, 1.5, 7.0))
-	if c == nil {
+	if c == 0 {
 		t.Fatal("dominating candidate must insert")
 	}
-	if !a.Dead || !b.Dead {
+	if !ar.At(a).Dead || !ar.At(b).Dead {
 		t.Error("dominated candidates must be marked Dead")
 	}
-	f := s.Frontier(3)
-	if len(f) != 1 || f[0] != c {
+	f := s.Frontier(ar, 3)
+	if len(f) != 1 || f[0] != ar.At(c) {
 		t.Errorf("frontier = %v, want just the dominator", f)
 	}
 }
@@ -83,13 +83,13 @@ func TestInsertKillsEqualCapPredecessor(t *testing.T) {
 	s, ar := NewStore(2), new(Arena)
 	a := s.Insert(ar, cand(0, 1.0, 10.0))
 	b := s.Insert(ar, cand(0, 1.0, 5.0)) // same cap, better delay
-	if b == nil {
+	if b == 0 {
 		t.Fatal("better-delay candidate must insert")
 	}
-	if !a.Dead {
+	if !ar.At(a).Dead {
 		t.Error("equal-cap worse-delay predecessor must die")
 	}
-	if f := s.Frontier(0); len(f) != 1 || f[0] != b {
+	if f := s.Frontier(ar, 0); len(f) != 1 || f[0] != ar.At(b) {
 		t.Errorf("frontier = %v", f)
 	}
 }
@@ -98,10 +98,10 @@ func TestInsertMiddleKeepsOrder(t *testing.T) {
 	s, ar := NewStore(1), new(Arena)
 	s.Insert(ar, cand(0, 1.0, 30.0))
 	s.Insert(ar, cand(0, 3.0, 10.0))
-	if s.Insert(ar, cand(0, 2.0, 20.0)) == nil {
+	if s.Insert(ar, cand(0, 2.0, 20.0)) == 0 {
 		t.Fatal("incomparable middle candidate must insert")
 	}
-	f := s.Frontier(0)
+	f := s.Frontier(ar, 0)
 	if len(f) != 3 {
 		t.Fatalf("frontier size = %d, want 3", len(f))
 	}
@@ -116,15 +116,15 @@ func TestNextEpochClearsFrontiers(t *testing.T) {
 	s, ar := NewStore(2), new(Arena)
 	a := s.Insert(ar, cand(0, 1.0, 1.0))
 	s.NextEpoch()
-	if len(s.Frontier(0)) != 0 {
+	if len(s.Frontier(ar, 0)) != 0 {
 		t.Error("frontier must be empty after NextEpoch")
 	}
 	// The old candidate must NOT influence the new epoch.
 	// b would be dominated by a within one epoch.
-	if s.Insert(ar, cand(0, 2.0, 2.0)) == nil {
+	if s.Insert(ar, cand(0, 2.0, 2.0)) == 0 {
 		t.Error("new-epoch candidate must not be pruned by old epochs")
 	}
-	if a.Dead {
+	if ar.At(a).Dead {
 		t.Error("old-epoch candidate must not be killed by new epochs")
 	}
 }
@@ -177,7 +177,7 @@ func TestStoreMatchesBruteForcePareto(t *testing.T) {
 			s.Insert(ar, cand(0, p[0], p[1]))
 		}
 		want := bruteFrontier(pts)
-		got := s.Frontier(0)
+		got := s.Frontier(ar, 0)
 		if len(got) != len(want) {
 			return false
 		}
@@ -206,21 +206,21 @@ func TestDeadFlagConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, ar := NewStore(1), new(Arena)
-		var accepted []*Candidate
+		var accepted []Ref
 		for i := 0; i < 60; i++ {
-			if c := s.Insert(ar, cand(0, float64(rng.Intn(10)), float64(rng.Intn(10)))); c != nil {
+			if c := s.Insert(ar, cand(0, float64(rng.Intn(10)), float64(rng.Intn(10)))); c != 0 {
 				accepted = append(accepted, c)
 			}
 		}
 		inFrontier := make(map[*Candidate]bool)
-		for _, c := range s.Frontier(0) {
+		for _, c := range s.Frontier(ar, 0) {
 			if c.Dead {
 				return false // live frontier entry marked dead
 			}
 			inFrontier[c] = true
 		}
-		for _, c := range accepted {
-			if !inFrontier[c] && !c.Dead {
+		for _, r := range accepted {
+			if c := ar.At(r); !inFrontier[c] && !c.Dead {
 				return false // evicted but not marked dead
 			}
 		}
@@ -232,14 +232,15 @@ func TestDeadFlagConsistency(t *testing.T) {
 }
 
 func TestWalk(t *testing.T) {
-	root := &Candidate{Node: 0, Gate: GateRegister}
-	step1 := &Candidate{Node: 1, Gate: GateNone, Parent: root}
-	step2 := &Candidate{Node: 2, Gate: GateNone, Parent: step1}
-	gate := &Candidate{Node: 2, Gate: Gate(0), Parent: step2} // buffer at node 2
-	step3 := &Candidate{Node: 3, Gate: GateNone, Parent: gate}
+	var a Arena
+	root := a.New(Candidate{Node: 0, Gate: GateRegister})
+	step1 := a.New(Candidate{Node: 1, Gate: GateNone, Parent: root})
+	step2 := a.New(Candidate{Node: 2, Gate: GateNone, Parent: step1})
+	gate := a.New(Candidate{Node: 2, Gate: Gate(0), Parent: step2}) // buffer at node 2
+	step3 := a.New(Candidate{Node: 3, Gate: GateNone, Parent: gate})
 
 	var order []int32
-	step3.Walk(func(c *Candidate) { order = append(order, c.Node) })
+	a.Walk(step3, func(c *Candidate) { order = append(order, c.Node) })
 	want := []int32{3, 2, 2, 1, 0}
 	if len(order) != len(want) {
 		t.Fatalf("Walk visited %v", order)
@@ -259,16 +260,16 @@ func TestTriStoreKeepsSlackIncomparable(t *testing.T) {
 	s, ar := NewTriStore(2), new(Arena)
 	a := s.Insert(ar, triCand(0, 1.0, 10.0, 5.0))
 	b := s.Insert(ar, triCand(0, 1.5, 12.0, 9.0)) // worse (c,d) but better slack: must survive
-	if a == nil || b == nil {
+	if a == 0 || b == 0 {
 		t.Fatal("both candidates should insert under 3-D dominance")
 	}
-	if a.Dead || b.Dead {
+	if ar.At(a).Dead || ar.At(b).Dead {
 		t.Error("nothing should die")
 	}
 	// A 2-D store would have rejected b.
 	s2 := NewStore(2)
 	s2.Insert(ar, cand(0, 1.0, 10.0))
-	if s2.Insert(ar, cand(0, 1.5, 12.0)) != nil {
+	if s2.Insert(ar, cand(0, 1.5, 12.0)) != 0 {
 		t.Error("sanity: 2-D store should reject the dominated pair")
 	}
 }
@@ -276,23 +277,23 @@ func TestTriStoreKeepsSlackIncomparable(t *testing.T) {
 func TestTriStoreRejectsAndKills(t *testing.T) {
 	s, ar := NewTriStore(1), new(Arena)
 	a := s.Insert(ar, triCand(0, 1.0, 10.0, 5.0))
-	if s.Insert(ar, triCand(0, 1.2, 11.0, 4.0)) != nil {
+	if s.Insert(ar, triCand(0, 1.2, 11.0, 4.0)) != 0 {
 		t.Error("3-D dominated candidate must be rejected")
 	}
-	if s.Insert(ar, triCand(0, 1.0, 10.0, 5.0)) != nil {
+	if s.Insert(ar, triCand(0, 1.0, 10.0, 5.0)) != 0 {
 		t.Error("exact duplicate must be rejected")
 	}
 	if ar.Len() != 1 {
 		t.Errorf("arena holds %d candidates, want only the kept one", ar.Len())
 	}
 	killer := s.Insert(ar, triCand(0, 0.5, 9.0, 6.0))
-	if killer == nil {
+	if killer == 0 {
 		t.Fatal("dominating candidate must insert")
 	}
-	if !a.Dead {
+	if !ar.At(a).Dead {
 		t.Error("3-D dominated existing candidate must die")
 	}
-	if f := s.Frontier(0); len(f) != 1 || f[0] != killer {
+	if f := s.Frontier(ar, 0); len(f) != 1 || f[0] != ar.At(killer) {
 		t.Errorf("frontier = %v", f)
 	}
 }
@@ -323,7 +324,7 @@ func TestTriStoreMatchesBruteForce(t *testing.T) {
 				want[p] = true
 			}
 		}
-		got := s.Frontier(0)
+		got := s.Frontier(ar, 0)
 		if len(got) != len(want) {
 			return false
 		}
@@ -343,7 +344,7 @@ func TestTriStoreEpochReset(t *testing.T) {
 	s, ar := NewTriStore(1), new(Arena)
 	s.Insert(ar, triCand(0, 1, 1, 9))
 	s.NextEpoch()
-	if s.Insert(ar, triCand(0, 2, 2, 1)) == nil {
+	if s.Insert(ar, triCand(0, 2, 2, 1)) == 0 {
 		t.Error("new epoch must not inherit old frontiers")
 	}
 }

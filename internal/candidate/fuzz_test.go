@@ -14,7 +14,7 @@ func (q fuzzPoint) covers(p fuzzPoint, tri bool) bool {
 // fuzzOffer is one offered point and what Insert returned for it.
 type fuzzOffer struct {
 	p    fuzzPoint
-	got  *Candidate
+	got  Ref
 	dead bool // the oracle's Dead flag for a kept point, from its epoch's end on
 }
 
@@ -28,7 +28,7 @@ type fuzzStore struct {
 	n     int           // nodes of the current search
 	epoch [][]fuzzOffer // per node: the points offered in the current epoch
 	done  []fuzzOffer   // kept points of the search's finished epochs
-	slots map[*Candidate]bool
+	slots map[Ref]bool
 
 	kept, rejected, killed int // the search's counters, by the oracle
 }
@@ -40,7 +40,7 @@ func (f *fuzzStore) reuse(n int, tri bool) {
 	f.s.Reuse(n, tri)
 	f.ar.Reset()
 	f.epoch = make([][]fuzzOffer, n)
-	f.done, f.slots = nil, map[*Candidate]bool{}
+	f.done, f.slots = nil, map[Ref]bool{}
 	f.kept, f.rejected, f.killed = 0, 0, 0
 }
 
@@ -61,13 +61,14 @@ func (f *fuzzStore) offer(v int, p fuzzPoint) {
 		}
 	}
 	switch {
-	case keep != (got != nil):
-		f.t.Fatalf("node %d point %v: kept=%t, oracle says %t", v, p, got != nil, keep)
-	case got == nil:
+	case keep != (got != 0):
+		f.t.Fatalf("node %d point %v: kept=%t, oracle says %t", v, p, got != 0, keep)
+	case got == 0:
 		f.rejected++
 	case f.slots[got]:
 		f.t.Fatalf("node %d point %v: Insert returned an arena slot it already handed out", v, p)
-	case got.C != p.c || got.D != p.d || got.Slack != p.slack || got.Node != int32(v):
+	case *f.ar.At(got) != c:
+		got := f.ar.At(got)
 		f.t.Fatalf("node %d: slot holds (%g, %g, %g) at node %d, offered %v", v, got.C, got.D, got.Slack, got.Node, p)
 	default:
 		f.slots[got] = true
@@ -83,7 +84,7 @@ func (f *fuzzStore) offer(v int, p fuzzPoint) {
 // strict Pareto order in 2-D mode.
 func (f *fuzzStore) endEpoch() {
 	for v, offers := range f.epoch {
-		front := f.s.Frontier(int32(v))
+		front := f.s.Frontier(&f.ar, int32(v))
 		inFront := map[*Candidate]bool{}
 		for _, c := range front {
 			if c.Dead {
@@ -93,12 +94,12 @@ func (f *fuzzStore) endEpoch() {
 		}
 		kept, live := 0, 0
 		for i, o := range offers {
-			if o.got == nil {
+			if o.got == 0 {
 				continue
 			}
 			kept++
 			for _, q := range offers[i+1:] {
-				if q.got != nil && q.p.covers(o.p, f.tri) {
+				if q.got != 0 && q.p.covers(o.p, f.tri) {
 					o.dead = true
 					break
 				}
@@ -106,9 +107,9 @@ func (f *fuzzStore) endEpoch() {
 			if !o.dead {
 				live++
 			}
-			if inFront[o.got] == o.dead || o.got.Dead != o.dead {
+			if got := f.ar.At(o.got); inFront[got] == o.dead || got.Dead != o.dead {
 				f.t.Fatalf("node %d point %d %v: in frontier %t, dead %t; oracle says dead=%t",
-					v, i, o.p, inFront[o.got], o.got.Dead, o.dead)
+					v, i, o.p, inFront[got], got.Dead, o.dead)
 			}
 			f.done = append(f.done, o)
 		}
@@ -161,9 +162,9 @@ func (f *fuzzStore) endSearch() {
 		f.t.Fatalf("arena holds %d candidates, %d kept", f.ar.Len(), f.kept)
 	}
 	for _, o := range f.done {
-		if o.got.Dead != o.dead || o.got.C != o.p.c || o.got.D != o.p.d || o.got.Slack != o.p.slack {
+		if got := f.ar.At(o.got); got.Dead != o.dead || got.C != o.p.c || got.D != o.p.d || got.Slack != o.p.slack {
 			f.t.Fatalf("point %v: a later epoch changed its candidate to (%g, %g, %g) dead=%t",
-				o.p, o.got.C, o.got.D, o.got.Slack, o.got.Dead)
+				o.p, got.C, got.D, got.Slack, got.Dead)
 		}
 	}
 	if ins, rej, kil := f.s.Stats(); ins != f.kept || rej != f.rejected || kil != f.killed {

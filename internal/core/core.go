@@ -331,10 +331,10 @@ func (p *Problem) initialCandidate() candidate.Candidate {
 	}
 }
 
-// finish reconstructs the path and fills the counters common to all
-// algorithms.
-func (p *Problem) finish(final *candidate.Candidate, res *Result) {
-	res.Path = route.FromCandidate(final, candidate.GateRegister, candidate.GateRegister)
+// finish reconstructs the path from the final candidate's chain in a and
+// fills the counters common to all algorithms.
+func (p *Problem) finish(a *candidate.Arena, final candidate.Ref, res *Result) {
+	res.Path = route.FromCandidate(a, final, candidate.GateRegister, candidate.GateRegister)
 	res.Buffers = res.Path.NumBuffers()
 	res.Registers = res.Path.NumRegisters()
 	res.RegS, res.RegT = res.Path.RegistersBySide()

@@ -33,12 +33,12 @@ type Scratch struct {
 	Arena candidate.Arena
 
 	// Q is the current wave's heap (FastPath's only queue).
-	Q pqueue.Heap[*candidate.Candidate]
+	Q pqueue.Heap[candidate.Ref]
 	// QStar is GALS's future-wave heap, keyed by accumulated latency.
-	QStar pqueue.Heap[*candidate.Candidate]
+	QStar pqueue.Heap[candidate.Ref]
 	// Buf is the shared candidate buffer: the next-wave accumulation list
 	// of RBP and the latch router, and GALS's wavefront extraction buffer.
-	Buf []*candidate.Candidate
+	Buf []candidate.Ref
 
 	stores [2]*candidate.Store
 	flags  [3]nodeFlags

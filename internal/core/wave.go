@@ -179,7 +179,7 @@ type engine struct {
 
 // arrival is a feasible solution discovered at the source.
 type arrival struct {
-	final    *candidate.Candidate
+	final    candidate.Ref
 	srcDelay float64
 	slack    float64 // source slack + sink slack (register-count waves)
 }
@@ -204,10 +204,9 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 			return nil, err
 		}
 	}
-	// Content-determined pop order among equal keys (bounds.go), decided
-	// mostly by packed prefixes of it (tiekey.go).
-	sc.Q.Tie, sc.QStar.Tie = candidateTieLess, candidateTieLess
-	sc.Q.TieKey, sc.QStar.TieKey = tieKeyNodeC, tieKeyNodeD
+	if sc.Q.Tie == nil {
+		sc.bindTies()
+	}
 	n := p.Grid.NumNodes()
 	// Max-slack stores are slack-aware: a worse-delay candidate may
 	// survive for its better sink slack; latch stores keep a later
@@ -255,12 +254,13 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 				break
 			}
 		}
-		_, c, _ := q.Pop()
+		_, r, _ := q.Pop()
 		e.queued--
+		c := sc.Arena.At(r)
 		if c.Dead {
 			continue
 		}
-		arr, err := e.expand(c)
+		arr, err := e.expand(r, c)
 		if err != nil {
 			return nil, err
 		}
@@ -282,6 +282,18 @@ func search(p *Problem, s *scheme, opts Options, sc *Scratch, win *nodeFlags, re
 	e.res.Stats.Killed += e.killed()
 	e.res.Stats.Elapsed = time.Since(start)
 	return e.res, ErrNoPath
+}
+
+// bindTies installs the heaps' content-determined pop order among equal
+// keys (bounds.go), decided mostly by packed prefixes of it (tiekey.go).
+// The queues hold Refs, so each order resolves them through the scratch's
+// own arena; the closures are bound once per Scratch, on its first search.
+func (sc *Scratch) bindTies() {
+	a := &sc.Arena
+	tie := func(x, y candidate.Ref) bool { return candidateTieLess(a.At(x), a.At(y)) }
+	sc.Q.Tie, sc.QStar.Tie = tie, tie
+	sc.Q.TieKey = func(r candidate.Ref) uint64 { return tieKeyNodeC(a.At(r)) }
+	sc.QStar.TieKey = func(r candidate.Ref) uint64 { return tieKeyNodeD(a.At(r)) }
 }
 
 // killed sums the kills of the search's own stores: queued candidates a
@@ -322,8 +334,8 @@ func (e *engine) advance() bool {
 		if len(sc.Buf) == 0 {
 			return false
 		}
-		for _, c := range sc.Buf { // Q = Q*, Q* = ∅
-			sc.Q.Push(c.D, c)
+		for _, r := range sc.Buf { // Q = Q*, Q* = ∅
+			sc.Q.Push(sc.Arena.At(r).D, r)
 		}
 		sc.Buf = sc.Buf[:0]
 	case latencyHeap:
@@ -344,8 +356,8 @@ func (e *engine) advance() bool {
 	if e.s.queue == latencyHeap {
 		// An extracted seed enters Q as a copy: its Q* slot counted as one
 		// push, and its kept copy in Q is another.
-		for _, c := range sc.Buf {
-			if e.admit(c.Node, c.Z, c.C, c.D, c.Slack, &e.cur) {
+		for _, r := range sc.Buf {
+			if c := sc.Arena.At(r); e.admit(c.Node, c.Z, c.C, c.D, c.Slack, &e.cur) {
 				e.enter(e.stores[c.Z], c)
 			}
 		}
@@ -406,24 +418,24 @@ func (e *engine) admit(v int32, z uint8, c, d, slack float64, w *waveBound) bool
 // store, or the latch router's seed store for the sink's candidate) and
 // queues its arena copy in the current wave.
 func (e *engine) enter(st *candidate.Store, c *candidate.Candidate) {
-	if p := e.keep(st, c); p != nil {
-		e.sc.Q.Push(p.D, p)
+	if r := e.keep(st, c); r != 0 {
+		e.sc.Q.Push(c.D, r)
 		e.pushed()
 	}
 }
 
-// keep returns the arena copy of an admitted candidate, or nil when st
+// keep returns the Ref of an admitted candidate's arena copy, or 0 when st
 // (nil for none) finds it dominated, counted as pruned. The dominance test
 // reads c's value, so a dominated candidate never takes a slot.
-func (e *engine) keep(st *candidate.Store, c *candidate.Candidate) *candidate.Candidate {
+func (e *engine) keep(st *candidate.Store, c *candidate.Candidate) candidate.Ref {
 	if st == nil || e.opts.DisablePruning {
 		return e.sc.Arena.New(*c)
 	}
-	p := st.Insert(&e.sc.Arena, c)
-	if p == nil {
+	r := st.Insert(&e.sc.Arena, c)
+	if r == 0 {
 		e.res.Stats.Pruned++
 	}
-	return p
+	return r
 }
 
 // pushed counts a queued candidate and tracks the peak queue size.
@@ -437,22 +449,24 @@ func (e *engine) pushed() {
 // seed queues the candidate (cIn, d) that opens a new segment in domain
 // z at c's node behind gate — a register, the FIFO or a latch — for a
 // later wave; its latency grows by the period of the segment gate closes.
-func (e *engine) seed(c *candidate.Candidate, cIn, d float64, gate candidate.Gate, z uint8, slack float64) {
+// r is c's Ref, the seed's parent.
+func (e *engine) seed(r candidate.Ref, c *candidate.Candidate, cIn, d float64, gate candidate.Gate, z uint8, slack float64) {
 	if e.s.queue != latencyHeap && !e.admit(c.Node, z, cIn, d, slack, &e.next) {
 		return
 	}
+	l := c.L + e.s.dom[c.Z].T
 	s := e.keep(e.seeds, &candidate.Candidate{
-		C: cIn, D: d, Slack: slack, L: c.L + e.s.dom[c.Z].T, Node: c.Node,
-		Gate: gate, Z: z, Regs: c.Regs + 1, Parent: c,
+		C: cIn, D: d, Slack: slack, L: l, Node: c.Node,
+		Gate: gate, Z: z, Regs: c.Regs + 1, Parent: r,
 	})
-	if s == nil {
+	if s == 0 {
 		return
 	}
 	switch e.s.queue {
 	case twoQueue:
 		e.sc.Buf = append(e.sc.Buf, s)
 	case latencyHeap:
-		e.sc.QStar.Push(s.L, s)
+		e.sc.QStar.Push(l, s)
 	}
 	e.pushed()
 }
@@ -460,8 +474,9 @@ func (e *engine) seed(c *candidate.Candidate, cIn, d float64, gate candidate.Gat
 // expand pops one candidate (Fig. 5 steps 4-8, Fig. 12 steps 4-9): checks
 // the source close, returning the arrival when the path closes feasibly,
 // and generates the edge, buffer, register (or latch) and FIFO
-// successors. A non-nil error (wrapping ErrAborted) stops the search.
-func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
+// successors, each with Parent r, c's Ref. A non-nil error (wrapping
+// ErrAborted) stops the search.
+func (e *engine) expand(r candidate.Ref, c *candidate.Candidate) (*arrival, error) {
 	p, g, m := e.p, e.p.Grid, e.p.Model
 	tc := p.tech()
 	reg := tc.Register
@@ -489,7 +504,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 				// Single segment: source and sink slacks coincide.
 				slack = 2 * (dom.T - d2)
 			}
-			arr = &arrival{final: c, srcDelay: d2, slack: slack}
+			arr = &arrival{final: r, srcDelay: d2, slack: slack}
 			if !e.drain {
 				return arr, nil
 			}
@@ -510,7 +525,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 			if e.admit(int32(v), z, ec, ed, c.Slack, &e.cur) {
 				e.enter(e.stores[z], &candidate.Candidate{
 					C: ec, D: ed, Slack: c.Slack, L: c.L, Node: int32(v),
-					Gate: candidate.GateNone, Z: z, Regs: c.Regs, Parent: c,
+					Gate: candidate.GateNone, Z: z, Regs: c.Regs, Parent: r,
 				})
 			}
 		})
@@ -533,7 +548,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 		if d2 <= limit && ls.meets(d2, c.Slack) && e.admit(c.Node, z, c2, d2, c.Slack, &e.cur) {
 			e.enter(e.stores[z], &candidate.Candidate{
 				C: c2, D: d2, Slack: c.Slack, L: c.L, Node: c.Node,
-				Gate: candidate.Gate(bi), Z: z, Regs: c.Regs, Parent: c,
+				Gate: candidate.Gate(bi), Z: z, Regs: c.Regs, Parent: r,
 			})
 		}
 	}
@@ -544,7 +559,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	// opens the next wave.
 	if ls != nil {
 		if deadline, ok := ls.slot(c); ok {
-			e.seed(c, ls.el.C, 0, candidate.GateLatch, 0, deadline)
+			e.seed(r, c, ls.el.C, 0, candidate.GateLatch, 0, deadline)
 		}
 		return arr, nil
 	}
@@ -562,7 +577,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 			if c.Regs == 0 && e.s.queue != latencyHeap {
 				slack = dom.T - d2 // the sink-adjacent segment just closed
 			}
-			e.seed(c, reg.C, reg.Setup, candidate.GateRegister, z, slack)
+			e.seed(r, c, reg.C, reg.Setup, candidate.GateRegister, z, slack)
 		}
 	}
 
@@ -570,7 +585,7 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 	// on a path, and at most one candidate per node ever carries it (F(v)).
 	if int(z)+1 < e.s.nd && !e.fifoDone.Has(u) && m.DriveInto(tc.FIFO, c.C, c.D) <= dom.T {
 		e.fifoDone.Set(u)
-		e.seed(c, tc.FIFO.C, tc.FIFO.Setup, candidate.GateFIFO, z+1, c.Slack)
+		e.seed(r, c, tc.FIFO.C, tc.FIFO.Setup, candidate.GateFIFO, z+1, c.Slack)
 	}
 	return arr, nil
 }
@@ -579,10 +594,10 @@ func (e *engine) expand(c *candidate.Candidate) (*arrival, error) {
 // only the latency and the arrival key, so windowed runs skip path
 // reconstruction. A latch search's latency is its deepening's k·T.
 func (e *engine) close(a *arrival, start time.Time) *Result {
-	res := e.res
+	res, ar := e.res, &e.sc.Arena
 	switch e.s.queue {
 	case latencyHeap:
-		res.Latency = a.final.L + e.s.dom[e.s.nd-1].T
+		res.Latency = ar.At(a.final).L + e.s.dom[e.s.nd-1].T
 	case oneWave:
 		res.Latency = a.srcDelay
 	default:
@@ -593,9 +608,9 @@ func (e *engine) close(a *arrival, start time.Time) *Result {
 	res.Stats.Killed += e.killed()
 	res.Stats.Elapsed = time.Since(start)
 	if e.win == nil {
-		e.p.finish(a.final, res)
+		e.p.finish(ar, a.final, res)
 	} else {
-		res.arrivalKey = a.final.D
+		res.arrivalKey = ar.At(a.final).D
 	}
 	return res
 }

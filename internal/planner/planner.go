@@ -501,12 +501,24 @@ func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options
 // typically sort by criticality), so this path is inherently serial: it
 // runs RunStream with one worker, whose emit reserves each routed path
 // before the worker takes the next net. Panic containment, net spans and
-// the stats follow RunStream.
+// the stats follow RunStream. A failed net whose source or sink an
+// earlier net's element took has that endpoint and net named in its error.
 func (pl *Planner) PlanNetsExclusive(specs []NetSpec) (*Plan, error) {
 	work := &Planner{fp: pl.fp, g: pl.g.Clone(), m: pl.m, tc: pl.tc, opts: pl.opts}
+	held := make(map[int]string) // node -> the net whose element made it an obstacle
 	return work.runSlice(context.Background(), 1, specs, func(res *NetResult) {
 		if res.Err == nil {
-			reserve(work.g, res.Path)
+			reserve(work.g, res.Path, res.Spec.Name, held)
+			return
+		}
+		for _, pt := range [2]geom.Point{res.Spec.Src, res.Spec.Dst} {
+			if !work.g.InBounds(pt) {
+				continue
+			}
+			if net, ok := held[work.g.ID(pt)]; ok {
+				res.Err = fmt.Errorf("%w (endpoint %v is held by net %q)", res.Err, pt, net)
+				return
+			}
 		}
 	})
 }
@@ -529,10 +541,10 @@ func validateSpecs(specs []NetSpec) error {
 	return nil
 }
 
-// reserve removes a routed path's resources from g: every edge the path
-// uses is cut, and every node carrying an inserted element (or an endpoint
-// register) becomes an obstacle.
-func reserve(g *grid.Grid, p *route.Path) {
+// reserve removes net's routed path's resources from g: every edge the
+// path uses is cut, and every node carrying an inserted element (or an
+// endpoint register) becomes an obstacle, recorded in held as net's.
+func reserve(g *grid.Grid, p *route.Path, net string, held map[int]string) {
 	for i := 1; i < len(p.Nodes); i++ {
 		u, v := p.Nodes[i-1], p.Nodes[i]
 		for d := grid.East; d <= grid.South; d++ {
@@ -545,6 +557,7 @@ func reserve(g *grid.Grid, p *route.Path) {
 		if gate != candidate.GateNone {
 			pt := g.At(p.Nodes[i])
 			g.AddObstacle(geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X + 1, MaxY: pt.Y + 1})
+			held[p.Nodes[i]] = net
 		}
 	}
 }

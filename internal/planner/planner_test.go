@@ -270,23 +270,35 @@ func TestPlanNetsExclusiveForcesDetours(t *testing.T) {
 	}
 }
 
+// TestPlanNetsExclusiveReportsBlockedNet: a net whose source or sink an
+// earlier net's register took fails rather than silently sharing it, and
+// its error names that endpoint and the net holding it after the search's
+// own message; an off-die net whose source is free keeps its error as it
+// was.
 func TestPlanNetsExclusiveReportsBlockedNet(t *testing.T) {
 	pl, _ := testPlanner(t)
-	// Saturate a narrow corridor: wall off all rows except 0 and 1 near the
-	// start, then route two nets through; the second may detour or fail,
-	// but the plan call itself must succeed and stay consistent.
 	specs := []NetSpec{
 		{Name: "first", Src: geom.Pt(0, 0), Dst: geom.Pt(20, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
 		{Name: "second", Src: geom.Pt(0, 0), Dst: geom.Pt(20, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+		{Name: "same-dst", Src: geom.Pt(3, 8), Dst: geom.Pt(20, 0), SrcPeriodPS: 900, DstPeriodPS: 900},
+		{Name: "off-die", Src: geom.Pt(0, 30), Dst: geom.Pt(-1, 30), SrcPeriodPS: 900, DstPeriodPS: 900},
 	}
 	plan, err := pl.PlanNetsExclusive(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second net shares the first's endpoints, which became obstacles:
-	// it must fail rather than silently share.
-	if plan.Nets[1].Err == nil {
-		t.Error("second net reusing reserved endpoints should fail")
+	if plan.Nets[0].Err != nil {
+		t.Fatalf("first net: %v", plan.Nets[0].Err)
+	}
+	for i, want := range []string{
+		`: core: source and sink must accept clocked elements (endpoint (0,0) is held by net "first")`,
+		`: core: source and sink must accept clocked elements (endpoint (20,0) is held by net "first")`,
+		`: endpoint off the die`,
+	} {
+		n := plan.Nets[i+1]
+		if n.Err == nil || !strings.HasSuffix(n.Err.Error(), want) {
+			t.Errorf("net %q: err %v, want one ending %q", n.Spec.Name, n.Err, want)
+		}
 	}
 }
 

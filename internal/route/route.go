@@ -44,11 +44,11 @@ func ElemOf(t *tech.Tech, g candidate.Gate) tech.Element {
 }
 
 // FromCandidate reconstructs the full path from the final candidate popped
-// at the source. The candidate chain runs source→sink; sourceGate and
-// sinkGate are the initial labeling m'(s), m'(t).
-func FromCandidate(final *candidate.Candidate, sourceGate, sinkGate candidate.Gate) *Path {
+// at the source, final's chain in a. The candidate chain runs source→sink;
+// sourceGate and sinkGate are the initial labeling m'(s), m'(t).
+func FromCandidate(a *candidate.Arena, final candidate.Ref, sourceGate, sinkGate candidate.Gate) *Path {
 	p := &Path{}
-	final.Walk(func(c *candidate.Candidate) {
+	a.Walk(final, func(c *candidate.Candidate) {
 		n := len(p.Nodes)
 		if n == 0 || p.Nodes[n-1] != int(c.Node) {
 			p.Nodes = append(p.Nodes, int(c.Node))

@@ -63,14 +63,15 @@ func TestElemOf(t *testing.T) {
 func TestFromCandidateReconstruction(t *testing.T) {
 	// Chain built sink-out: t=node 0, edge to 1, buffer at 1, edge to 2,
 	// register at 2, edge to 3 (=source). Final candidate is at node 3.
-	init := &candidate.Candidate{Node: 0, Gate: gReg}
-	e1 := &candidate.Candidate{Node: 1, Gate: gNone, Parent: init}
-	b1 := &candidate.Candidate{Node: 1, Gate: gBuf, Parent: e1}
-	e2 := &candidate.Candidate{Node: 2, Gate: gNone, Parent: b1}
-	r2 := &candidate.Candidate{Node: 2, Gate: gReg, Parent: e2}
-	e3 := &candidate.Candidate{Node: 3, Gate: gNone, Parent: r2}
+	var a candidate.Arena
+	init := a.New(candidate.Candidate{Node: 0, Gate: gReg})
+	e1 := a.New(candidate.Candidate{Node: 1, Gate: gNone, Parent: init})
+	b1 := a.New(candidate.Candidate{Node: 1, Gate: gBuf, Parent: e1})
+	e2 := a.New(candidate.Candidate{Node: 2, Gate: gNone, Parent: b1})
+	r2 := a.New(candidate.Candidate{Node: 2, Gate: gReg, Parent: e2})
+	e3 := a.New(candidate.Candidate{Node: 3, Gate: gNone, Parent: r2})
 
-	p := FromCandidate(e3, gReg, gReg)
+	p := FromCandidate(&a, e3, gReg, gReg)
 	wantNodes := []int{3, 2, 1, 0}
 	wantGates := []candidate.Gate{gReg, gReg, gBuf, gReg}
 	if len(p.Nodes) != 4 {
