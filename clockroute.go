@@ -363,7 +363,3 @@ func NewMetrics() *Metrics { return telemetry.NewMetrics() }
 // DefaultMetrics returns the process-wide registry, created on first use;
 // routed's /metrics endpoint renders it.
 func DefaultMetrics() *Metrics { return telemetry.Default() }
-
-// SynchronizedTracer wraps a Tracer so it can be shared across concurrent
-// searches (see the Tracer concurrency contract in Options.Trace).
-func SynchronizedTracer(t Tracer) Tracer { return core.SynchronizedTracer(t) }

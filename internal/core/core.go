@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"clockroute/internal/candidate"
@@ -98,16 +97,11 @@ func (e *InternalError) Unwrap() []error {
 
 // Tracer observes the search for visualization and diagnostics.
 // Implementations must be cheap; the router calls Visit for every candidate
-// it pops.
-//
-// Concurrency contract: a Tracer is called from the goroutine running the
-// search and need not be goroutine-safe — but then it must observe only
-// one search at a time. Sharing one Tracer across concurrent searches
-// (e.g. a single Options.Trace under Planner.RunParallel) is a data race
-// unless the implementation locks internally; the planner fans shared
-// tracers in through SynchronizedTracer for exactly that reason. For
-// per-net structured observation, prefer Options.Telemetry — sinks are
-// goroutine-safe by contract.
+// it pops. A Tracer is called from the goroutine running the search and
+// need not be goroutine-safe, so it observes one search at a time: the
+// planner hands its searches none (see planner.RunStream). For per-net
+// structured observation use Options.Telemetry — sinks are goroutine-safe
+// by contract.
 type Tracer interface {
 	// WaveStart is called when a new wavefront begins. For RBP, wave is the
 	// register count and latency is T×(wave+1); for GALS, latency is the
@@ -115,40 +109,6 @@ type Tracer interface {
 	WaveStart(wave int, latency float64)
 	// Visit is called for every live candidate popped from Q.
 	Visit(wave int, node int)
-}
-
-// syncTracer serializes calls into a wrapped tracer so one instance can be
-// shared across concurrent searches.
-type syncTracer struct {
-	mu sync.Mutex
-	t  Tracer
-}
-
-func (s *syncTracer) WaveStart(wave int, latency float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t.WaveStart(wave, latency)
-}
-
-func (s *syncTracer) Visit(wave, node int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t.Visit(wave, node)
-}
-
-// SynchronizedTracer wraps t so every callback runs under one mutex,
-// making a single tracer safe to share across concurrent searches. The
-// merged observation interleaves the searches' waves in completion order,
-// so it is a fan-in for aggregate statistics, not a deterministic replay.
-// A nil t returns nil.
-func SynchronizedTracer(t Tracer) Tracer {
-	if t == nil {
-		return nil
-	}
-	if _, ok := t.(*syncTracer); ok {
-		return t
-	}
-	return &syncTracer{t: t}
 }
 
 // Options tune a search run. The zero value runs the algorithms exactly as
@@ -170,9 +130,8 @@ type Options struct {
 	// becomes three-dimensional (capacitance, delay, slack) and the winning
 	// wave is drained completely, so runs cost more than plain RBP.
 	MaximizeSlack bool
-	// Trace, when non-nil, observes the expansion. See the Tracer
-	// concurrency contract: a non-locking tracer must not be shared across
-	// concurrent searches (wrap it with SynchronizedTracer to share).
+	// Trace, when non-nil, observes the expansion of one search (see
+	// Tracer). A planner drops it: its searches report through Telemetry.
 	Trace Tracer
 	// Telemetry, when non-nil, receives structured span events from Route:
 	// search_start/search_end around the run and wave_start for every

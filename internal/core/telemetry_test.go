@@ -171,43 +171,6 @@ func TestRouteTelemetryNoAllocOverhead(t *testing.T) {
 	}
 }
 
-// TestSynchronizedTracerSafeUnderConcurrency shares one tracer across
-// parallel searches; run with -race.
-func TestSynchronizedTracerSafeUnderConcurrency(t *testing.T) {
-	p := traceProblem(t)
-	var tr countingTracer
-	shared := SynchronizedTracer(&tr)
-
-	const runs = 8
-	done := make(chan *Result, runs)
-	for i := 0; i < runs; i++ {
-		go func() {
-			res, err := RBP(p, 300, Options{Trace: shared})
-			if err != nil {
-				t.Error(err)
-				done <- nil
-				return
-			}
-			done <- res
-		}()
-	}
-	wantVisits := 0
-	for i := 0; i < runs; i++ {
-		if res := <-done; res != nil {
-			wantVisits += res.Stats.Configs
-		}
-	}
-	if tr.visits != wantVisits {
-		t.Errorf("fan-in lost visits: saw %d, want %d", tr.visits, wantVisits)
-	}
-	if SynchronizedTracer(nil) != nil {
-		t.Error("SynchronizedTracer(nil) must stay nil")
-	}
-	if SynchronizedTracer(shared) != shared {
-		t.Error("double wrapping must be idempotent")
-	}
-}
-
 // TestStatsElapsedFilledByEveryAlgorithm pins that all core entry points
 // report wall time (the latch extension is covered in its own package).
 func TestStatsElapsedFilledByEveryAlgorithm(t *testing.T) {

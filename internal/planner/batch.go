@@ -3,7 +3,6 @@ package planner
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"clockroute/internal/core"
@@ -34,21 +33,14 @@ import (
 // checks each name as it decodes the net, and the coordinator's degraded
 // path streams one net at a time.
 //
-// When the Options carry a Tracer and the pool has more than one worker,
-// the shared tracer is fanned in through core.SynchronizedTracer so
-// concurrent searches never race on it; the merged observation interleaves
-// nets in completion order. When the Options carry a telemetry sink, every
-// net's span events (see traceNet) and its searches' events are emitted
-// labeled with the net name and worker index.
+// A plan reports through Options.Telemetry: every net's span events (see
+// traceNet) and its searches' events are emitted labeled with the net name
+// and worker index. RunStream hands its searches no Tracer, which observes
+// one search at a time (core.Tracer); the planner's Options.Trace is
+// ignored here.
 func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetSpec, emit func(NetResult)) PlanStats {
 	opts := pl.opts
-	pool := workers
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
-	if pool > 1 {
-		opts.Trace = core.SynchronizedTracer(opts.Trace)
-	}
+	opts.Trace = nil
 
 	start := time.Now()
 	stats := PlanStats{}
@@ -56,7 +48,7 @@ func (pl *Planner) RunStream(ctx context.Context, workers int, specs <-chan NetS
 	// wrappers' own recovery: a panic escaping routeNet (verification,
 	// telemetry, a bug in this package) fails that one net instead of
 	// crashing the whole batch on a bare worker goroutine.
-	received := engine.StreamRecover(ctx, pool, specs,
+	received := engine.StreamRecover(ctx, workers, specs,
 		func(ctx context.Context, worker int, spec NetSpec) NetResult {
 			if opts.Telemetry == nil {
 				return pl.routeNet(ctx, spec, opts)

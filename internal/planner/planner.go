@@ -204,6 +204,10 @@ type Planner struct {
 	m    *elmore.Model
 	tc   *tech.Tech
 	opts core.Options
+	// held is set only on PlanNetsExclusive's private copy: each node an
+	// earlier net's element made an obstacle, mapped to that net. The
+	// copy's one worker reads it and its emit hook writes it, in turn.
+	held map[int]string
 }
 
 // New builds a planner. The floorplan's blockages are materialized once and
@@ -286,8 +290,27 @@ func (pl *Planner) routeNet(ctx context.Context, spec NetSpec, opts core.Options
 		best.Panicked = best.Panicked || panicked
 		best.Retried = true
 	}
+	if best.Err != nil {
+		best.Err = pl.nameHolder(spec, best.Err)
+	}
 	best.Elapsed = time.Since(start)
 	return best
+}
+
+// nameHolder appends to a failed net's error the endpoint an earlier
+// exclusive net's element took and that net's name, the source checked
+// first. Outside an exclusive plan nothing is held and err is returned as
+// it is.
+func (pl *Planner) nameHolder(spec NetSpec, err error) error {
+	for _, pt := range [2]geom.Point{spec.Src, spec.Dst} {
+		if !pl.g.InBounds(pt) {
+			continue
+		}
+		if net, ok := pl.held[pl.g.ID(pt)]; ok {
+			return fmt.Errorf("%w (endpoint %v is held by net %q)", err, pt, net)
+		}
+	}
+	return err
 }
 
 // retryable reports whether err warrants the planner's single retry: a
@@ -502,23 +525,13 @@ func (pl *Planner) traceNet(ctx context.Context, spec NetSpec, opts core.Options
 // runs RunStream with one worker, whose emit reserves each routed path
 // before the worker takes the next net. Panic containment, net spans and
 // the stats follow RunStream. A failed net whose source or sink an
-// earlier net's element took has that endpoint and net named in its error.
+// earlier net's element took has that endpoint and net named in its error,
+// and so in its net_end event.
 func (pl *Planner) PlanNetsExclusive(specs []NetSpec) (*Plan, error) {
-	work := &Planner{fp: pl.fp, g: pl.g.Clone(), m: pl.m, tc: pl.tc, opts: pl.opts}
-	held := make(map[int]string) // node -> the net whose element made it an obstacle
+	work := &Planner{fp: pl.fp, g: pl.g.Clone(), m: pl.m, tc: pl.tc, opts: pl.opts, held: make(map[int]string)}
 	return work.runSlice(context.Background(), 1, specs, func(res *NetResult) {
 		if res.Err == nil {
-			reserve(work.g, res.Path, res.Spec.Name, held)
-			return
-		}
-		for _, pt := range [2]geom.Point{res.Spec.Src, res.Spec.Dst} {
-			if !work.g.InBounds(pt) {
-				continue
-			}
-			if net, ok := held[work.g.ID(pt)]; ok {
-				res.Err = fmt.Errorf("%w (endpoint %v is held by net %q)", res.Err, pt, net)
-				return
-			}
+			reserve(work.g, res.Path, res.Spec.Name, work.held)
 		}
 	})
 }

@@ -343,7 +343,8 @@ func TestPlanNetsExclusiveContainsPanic(t *testing.T) {
 }
 
 // TestPlanNetsExclusiveEmitsNetSpans: an exclusive plan with a telemetry
-// sink opens and closes one net span per net, failed nets included.
+// sink opens and closes one net span per net, failed nets included, and a
+// net blocked by an earlier net's element names that net in its net_end.
 func TestPlanNetsExclusiveEmitsNetSpans(t *testing.T) {
 	fp, err := floorplan.SoC25mm(0.5)
 	if err != nil {
@@ -374,12 +375,18 @@ func TestPlanNetsExclusiveEmitsNetSpans(t *testing.T) {
 			started[e.Net]++
 		case telemetry.EventNetEnd:
 			ended[e.Net]++
+			if e.Net == "second" && e.Err != plan.Nets[1].Err.Error() {
+				t.Errorf("second net_end err %q, want the plan's %q", e.Err, plan.Nets[1].Err)
+			}
 		}
 	}
 	for _, s := range specs {
 		if started[s.Name] != 1 || ended[s.Name] != 1 {
 			t.Errorf("net %q spans: started %d ended %d, want 1/1", s.Name, started[s.Name], ended[s.Name])
 		}
+	}
+	if want := `(endpoint (0,0) is held by net "first")`; !strings.HasSuffix(plan.Nets[1].Err.Error(), want) {
+		t.Errorf("second net err %v, want one ending %q", plan.Nets[1].Err, want)
 	}
 }
 

@@ -1,19 +1,18 @@
 // Package resultcache is the content-addressed result cache of the routing
 // service: a sharded in-memory LRU keyed by api.ProblemHash, with a byte
-// budget enforced per shard, singleflight collapsing of concurrent
-// identical misses, and an optional persistent snapshot format (see
-// persist.go) so a warm cache survives restarts.
+// budget enforced per shard and an optional persistent snapshot format
+// (see persist.go) so a warm cache survives restarts.
 //
 // The cache stores opaque values with an explicit byte size; it never
-// inspects them. Correctness rests on the content address: the server only
-// keys entries by the canonical problem hash, and routing is deterministic,
-// so a stored value is exactly what recomputing would produce.
+// inspects them, and it never computes one: a caller that misses runs its
+// own search and stores the answer with Put. Correctness rests on the
+// content address: the server only keys entries by the canonical problem
+// hash, and routing is deterministic, so a stored value is exactly what
+// recomputing would produce, and two callers that miss on one key at once
+// store the same bytes.
 package resultcache
 
 import (
-	"context"
-	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -71,10 +70,6 @@ type shard struct {
 	tail   *entry // least recently used
 	bytes  int64
 	budget int64
-
-	// flights holds the in-progress computes of Do, one per key, so
-	// concurrent identical misses run the search once.
-	flights map[Key]*flight
 }
 
 type entry struct {
@@ -82,12 +77,6 @@ type entry struct {
 	val        any
 	size       int64
 	prev, next *entry
-}
-
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // New builds a cache from cfg (zero values select the documented
@@ -112,7 +101,6 @@ func New(cfg Config) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i].items = make(map[Key]*entry)
-		c.shards[i].flights = make(map[Key]*flight)
 		c.shards[i].budget = cfg.MaxBytes / int64(pow)
 	}
 	return c
@@ -126,6 +114,7 @@ func (c *Cache) shardFor(k Key) *shard {
 }
 
 // Get returns the cached value for k, marking it most recently used.
+// Every call counts one lookup, as a hit or as a miss.
 func (c *Cache) Get(k Key) (any, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -138,51 +127,19 @@ func (c *Cache) Get(k Key) (any, bool) {
 		v = e.val
 	}
 	s.mu.Unlock()
+	c.window.record(ok)
 	if ok {
-		c.countHit()
+		c.hits.Add(1)
+		if c.metrics != nil {
+			c.metrics.CacheHits.Inc()
+		}
 		return v, true
 	}
-	c.countMiss()
-	return nil, false
-}
-
-// countHit / countMiss bump the lifetime counters, the sliding window,
-// and the shared registry for one logical lookup.
-func (c *Cache) countHit() {
-	c.hits.Add(1)
-	c.window.record(true)
-	if c.metrics != nil {
-		c.metrics.CacheHits.Inc()
-	}
-}
-
-func (c *Cache) countMiss() {
 	c.misses.Add(1)
-	c.window.record(false)
 	if c.metrics != nil {
 		c.metrics.CacheMisses.Inc()
 	}
-}
-
-// Peek is Get for callers that fall through to Do on absence: a present
-// entry counts a hit and is marked most recently used, but absence counts
-// nothing — Do will count that same logical lookup as the miss, and one
-// request must not register as two.
-func (c *Cache) Peek(k Key) (any, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
-	var v any
-	if ok {
-		s.moveToFront(e)
-		v = e.val // copied under the lock; see Get
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	c.countHit()
-	return v, true
+	return nil, false
 }
 
 // Put stores v under k with the given byte size, replacing any existing
@@ -230,112 +187,6 @@ func (c *Cache) evictLocked(s *shard, e *entry) {
 	c.bytes.Add(-e.size)
 	c.entries.Add(-1)
 	c.evicts.Add(1)
-}
-
-// Do returns the value for k, computing it at most once across concurrent
-// callers. The compute runs on its own goroutine, detached from any one
-// caller: the first caller starts the flight and every caller — starter
-// included — waits on it bounded by its own ctx, so one caller giving up
-// (client gone, short deadline) neither aborts the shared compute nor
-// blocks the other waiters past their deadlines. ctx bounds only this
-// caller's wait, never the compute itself — cancel the compute through
-// whatever context the compute closure captures.
-//
-// hit reports whether this caller got the value without starting the
-// compute (a cache hit or a joined flight). A successful compute fills
-// the cache; a failed one fills nothing and delivers its error to every
-// waiter. A panicking compute is contained in the flight goroutine and
-// surfaces to every waiter as a *PanicError.
-//
-// With refresh set, the lookup is skipped — compute always runs (still
-// singleflighted) and overwrites the entry on success.
-func (c *Cache) Do(ctx context.Context, k Key, refresh bool, compute func() (any, int64, error)) (v any, hit bool, err error) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if !refresh {
-		if e, ok := s.items[k]; ok {
-			s.moveToFront(e)
-			v = e.val // copied under the lock; see Get
-			s.mu.Unlock()
-			c.countHit()
-			return v, true, nil
-		}
-	}
-	if f, ok := s.flights[k]; ok {
-		s.mu.Unlock()
-		v, err = c.waitFlight(ctx, f, true)
-		return v, err == nil, err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[k] = f
-	s.mu.Unlock()
-
-	c.countMiss()
-	go c.runFlight(s, k, f, compute)
-	v, err = c.waitFlight(ctx, f, false)
-	return v, false, err
-}
-
-// runFlight executes one compute, publishes the outcome on f, fills the
-// cache on success, and retires the flight. Completion is tracked
-// explicitly so a compute legitimately returning a nil value is not
-// mistaken for a panic; an actual panic is contained here (it must not
-// unwind into the runtime off this goroutine) and published as *PanicError.
-func (c *Cache) runFlight(s *shard, k Key, f *flight, compute func() (any, int64, error)) {
-	var (
-		val       any
-		size      int64
-		cerr      error
-		completed bool
-	)
-	defer func() {
-		switch {
-		case !completed:
-			f.err = &PanicError{Value: recover(), Stack: debug.Stack()}
-		case cerr != nil:
-			f.err = cerr
-		default:
-			f.val = val
-			c.Put(k, val, size)
-		}
-		s.mu.Lock()
-		delete(s.flights, k)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-	val, size, cerr = compute()
-	completed = true
-}
-
-// waitFlight blocks until f settles or ctx expires, whichever is first.
-// countHit records a shared success as a cache hit (joiners only — the
-// starter already counted its miss).
-func (c *Cache) waitFlight(ctx context.Context, f *flight, countHit bool) (any, error) {
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	if countHit {
-		c.countHit()
-	}
-	return f.val, nil
-}
-
-// PanicError is delivered to every waiter of a flight whose compute
-// panicked: the panic cannot unwind into any caller (the compute runs on
-// the flight's own goroutine), so it is contained and carried as a value
-// with the stack captured at the panic site.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("resultcache: result computation panicked: %v", e.Value)
 }
 
 // Len reports the number of live entries.

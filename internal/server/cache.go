@@ -216,10 +216,9 @@ func (s *Server) handleCacheLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"entries": entries})
 }
 
-// cachedRoute returns the encoding of a cached /v1/route answer. Absence
-// is counted by the Do call that follows, not here.
+// cachedRoute returns the encoding of a cached /v1/route answer.
 func (s *Server) cachedRoute(h api.ProblemHash) ([]byte, bool) {
-	v, _ := s.cache.Peek(cacheKey(h, cacheDomainRoute))
+	v, _ := s.cache.Get(cacheKey(h, cacheDomainRoute))
 	return storedAnswer(v, envRoute)
 }
 

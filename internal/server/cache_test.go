@@ -182,13 +182,18 @@ func TestRouteCacheModes(t *testing.T) {
 		t.Fatal("default mode did not serve the warm entry")
 	}
 
-	// refresh recomputes even though the entry exists, then refills.
+	// refresh recomputes even though the entry exists, then refills. It
+	// makes no lookup, so it counts no miss.
+	misses := m.CacheMisses.Value()
 	resp, _ = postJSON(t, ts.URL+"/v1/route", withMode("refresh"))
 	if resp.Header.Get("X-Cache") != "miss" {
 		t.Fatal("refresh served the stale entry")
 	}
 	if m.Searches.Value() != base+1 {
 		t.Fatalf("refresh ran %d searches, want %d", m.Searches.Value(), base+1)
+	}
+	if n := m.CacheMisses.Value() - misses; n != 0 {
+		t.Errorf("refresh counted %d cache misses, want none", n)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/route", withMode("default"))
 	if resp.Header.Get("X-Cache") != "hit" {

@@ -340,17 +340,6 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int) (context.
 	return ctx, func() { stop(); cancel() }
 }
 
-// flightContext bounds a shared cache-fill search. The flight serves
-// every concurrent request for the same problem and fills the cache for
-// later ones, so it is deliberately detached from any one client's
-// connection or requested timeout: only the server-wide ceiling and a
-// drain deadline can abort it.
-func (s *Server) flightContext() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
-	stop := context.AfterFunc(s.base, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// Always HTTP 200 with the state in the body: "degraded" (panic
 	// threshold crossed — still serving, but the instance should be
@@ -480,62 +469,35 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	run := func(ctx context.Context) (any, int64, error) {
-		// The algo pprof label joins the middleware's request_id label on
-		// this goroutine (and is inherited by a detached flight goroutine),
-		// so CPU profiles attribute search time per request and algorithm.
-		var res *core.Result
-		var err error
-		pprof.Do(ctx, pprof.Labels("algo", req.Kind), func(ctx context.Context) {
-			res, err = core.Route(ctx, prob, coreReq)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
+	endSearch := rec.Phase("search")
+	// The algo pprof label joins the middleware's request_id label on this
+	// goroutine, so CPU profiles attribute search time per request and
+	// algorithm.
+	var res *core.Result
+	pprof.Do(ctx, pprof.Labels("algo", req.Kind), func(ctx context.Context) {
+		res, err = core.Route(ctx, prob, coreReq)
+	})
+	var entry []byte
+	var size int64
+	if err == nil {
 		resp := routeResponse(res, prob.Grid)
 		resp.ProblemHash = hash.Hex()
-		entry, size, err := newEntry(envRoute, resp)
-		return entry, size, err
-	}
-
-	endSearch := rec.Phase("search")
-	var v any
-	var joined bool
-	if mode == api.CacheModeBypass {
-		v, _, err = run(ctx)
-	} else {
-		// Singleflight: concurrent identical misses run one search; the
-		// joiners share its result and count as hits. The flight outlives
-		// any single client — it runs under a detached context (server
-		// ceiling + drain only), so a winner that disconnects or carried a
-		// short timeout cannot abort the shared search out from under
-		// joiners with healthy connections. Each request's own wait is
-		// still bounded by its own ctx.
-		compute := func() (any, int64, error) {
-			fctx, fcancel := s.flightContext()
-			defer fcancel()
-			return run(fctx)
-		}
-		v, joined, err = s.cache.Do(ctx, cacheKey(hash, cacheDomainRoute), mode == api.CacheModeRefresh, compute)
+		entry, size, err = newEntry(envRoute, resp)
 	}
 	if err != nil {
-		// Failed searches (infeasible, aborted, contained panic) never
-		// populate the cache — Do only fills on success.
-		s.failSearch(w, searchErr(err))
+		// A failed search (infeasible, aborted, contained panic) stores
+		// nothing.
+		s.failSearch(w, err)
 		return
+	}
+	if mode != api.CacheModeBypass {
+		s.cache.Put(cacheKey(hash, cacheDomainRoute), entry, size)
 	}
 	endSearch()
-	enc, ok := storedAnswer(v, envRoute)
-	if !ok {
-		// A net answer under a route key (a snapshot record filed under
-		// the wrong domain) is never served as a route answer.
-		s.fail(w, http.StatusInternalServerError, errors.New("server: cached entry is not a route answer"))
-		return
-	}
 	endEncode := rec.Phase("encode")
 	w.Header().Set("ETag", hash.ETag())
-	w.Header().Set("X-Cache", xcache(joined))
-	writeRoute(w, enc, joined)
+	w.Header().Set("X-Cache", "miss")
+	writeRoute(w, entry[1:], false)
 	endEncode()
 }
 
@@ -565,23 +527,6 @@ func ifNoneMatchHits(header, etag string) bool {
 		}
 	}
 	return false
-}
-
-// searchErr adapts errors crossing the resultcache boundary back into the
-// taxonomy failSearch classifies: a waiter that hit its own deadline (or
-// whose client left) while the shared flight ran on is an abort, and a
-// compute panic contained by the flight goroutine is the same class of
-// fault as one recovered by the middleware.
-func searchErr(err error) error {
-	var pe *resultcache.PanicError
-	if errors.As(err, &pe) {
-		return core.NewInternalError(pe.Value, pe.Stack)
-	}
-	if !errors.Is(err, core.ErrAborted) &&
-		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		return fmt.Errorf("%w: %w", core.ErrAborted, err)
-	}
-	return err
 }
 
 // observeLatency records one request's wall time on the latency histogram.

@@ -223,24 +223,29 @@ func TestRouteRejectsRetiredVariant(t *testing.T) {
 
 // TestRouteDeadline: a deadline far below the search cost returns 504 and
 // the search is genuinely aborted (visible on the abort and search-error
-// counters, not just the status line). A buffered plan whose every net
-// aborts, with none cached, is the same deadline failure; its deadline
-// also covers building the planner, so the abort may land before any
-// search span opens.
+// counters, not just the status line). With the cache on, the route's
+// search runs on the request too: it has ended, aborted, by the time the
+// 504 arrives, and nothing fills the cache afterwards. A buffered plan
+// whose every net aborts, with none cached, is the same deadline failure;
+// its deadline also covers building the planner, so the abort may land
+// before any search span opens.
 func TestRouteDeadline(t *testing.T) {
 	// 201x201 at the paper's pitch with a tightish period takes far longer
 	// than 1 ms.
+	slowRoute := routeBody(201, 201, 0.125, 300, 1, 1, 199, 199, 1)
 	for _, tc := range []struct {
-		name, body string
-		searched   bool // the aborted search must show on search_errors
+		name, endpoint, body string
+		cfg                  Config
+		searched             bool // the aborted search must show on search_errors
 	}{
-		{"route", routeBody(201, 201, 0.125, 300, 1, 1, 199, 199, 1), true},
-		{"plan", `{"grid":{"w":201,"h":201,"pitch_mm":0.125},"timeout_ms":1,"nets":[` +
-			netJSON("slow", 1, 1, 199, 199, 300) + `]}`, false},
+		{"route", "route", slowRoute, Config{}, true},
+		{"route-cached", "route", slowRoute, cacheTestConfig(), true},
+		{"plan", "plan", `{"grid":{"w":201,"h":201,"pitch_mm":0.125},"timeout_ms":1,"nets":[` +
+			netJSON("slow", 1, 1, 199, 199, 300) + `]}`, Config{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts, m := newTestServer(t, Config{})
-			resp, body := postJSON(t, ts.URL+"/v1/"+tc.name, tc.body)
+			s, ts, m := newTestServer(t, tc.cfg)
+			resp, body := postJSON(t, ts.URL+"/v1/"+tc.endpoint, tc.body)
 			if resp.StatusCode != http.StatusGatewayTimeout {
 				t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
 			}
@@ -252,6 +257,12 @@ func TestRouteDeadline(t *testing.T) {
 			}
 			if tc.searched && m.SearchErrors.Value() < 1 {
 				t.Errorf("search span shows no abort (search_errors = %d)", m.SearchErrors.Value())
+			}
+			if c := s.Cache(); c != nil {
+				time.Sleep(200 * time.Millisecond)
+				if n := c.Len(); n != 0 {
+					t.Errorf("a timed-out request filled %d cache entries", n)
+				}
 			}
 		})
 	}

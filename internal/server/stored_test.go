@@ -180,11 +180,13 @@ func TestHitServesStoredBytes(t *testing.T) {
 	}
 }
 
-// TestJoinedFlightSplicesWinnerBody holds one search in flight while an
-// identical request joins it: the joiner's body is the winner's with
-// "cached":true spliced in.
-func TestJoinedFlightSplicesWinnerBody(t *testing.T) {
-	s, ts, _ := newTestServer(t, cacheTestConfig())
+// TestConcurrentMissesBothSearch holds one search in flight while an
+// identical request misses too: each request runs its own search and
+// answers a miss, the two bodies differ only in elapsed_ns, the later Put
+// leaves one entry, and a third request hits with that entry's bytes
+// spliced.
+func TestConcurrentMissesBothSearch(t *testing.T) {
+	s, ts, m := newTestServer(t, cacheTestConfig())
 	if err := faultpoint.Enable("core.search", "delay:300ms@1"); err != nil {
 		t.Fatal(err)
 	}
@@ -192,42 +194,60 @@ func TestJoinedFlightSplicesWinnerBody(t *testing.T) {
 	body := routeBody(20, 20, 0.25, 450, 2, 1, 16, 17, 0)
 
 	type reply struct {
+		status int
 		xcache string
 		body   []byte
 	}
-	replies := make([]reply, 2)
-	var wg sync.WaitGroup
-	post := func(i int) {
-		defer wg.Done()
+	post := func() reply {
 		resp, err := http.Post(ts.URL+"/v1/route", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
-			return
+			return reply{}
 		}
 		defer resp.Body.Close()
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Error(err)
 		}
-		replies[i] = reply{resp.Header.Get("X-Cache"), b}
+		return reply{resp.StatusCode, resp.Header.Get("X-Cache"), b}
 	}
+	replies := make([]reply, 2)
+	var wg sync.WaitGroup
 	wg.Add(2)
-	go post(0)
+	go func() { defer wg.Done(); replies[0] = post() }()
 	waitFor(t, func() bool { return s.InFlight() == 1 })
-	go post(1)
+	go func() { defer wg.Done(); replies[1] = post() }()
 	wg.Wait()
 
-	winner, joiner := replies[0], replies[1]
-	if winner.xcache == "hit" {
-		winner, joiner = joiner, winner
+	for i, r := range replies {
+		if r.status != http.StatusOK || r.xcache != "miss" || bytes.Contains(r.body, []byte(`"cached"`)) {
+			t.Errorf("request %d: status %d, X-Cache %q, body %s; want 200, an unflagged miss", i, r.status, r.xcache, r.body)
+		}
 	}
-	if winner.xcache != "miss" || joiner.xcache != "hit" {
-		t.Fatalf("X-Cache %q and %q, want one miss and one hit", winner.xcache, joiner.xcache)
+	if a, b := maskElapsed(replies[0].body), maskElapsed(replies[1].body); a != b {
+		t.Errorf("the two misses differ beyond elapsed_ns:\n%s\n%s", a, b)
 	}
-	if want := spliceCached(winner.body); !bytes.Equal(joiner.body, want) {
-		t.Errorf("joined body:\n got %s\nwant %s", joiner.body, want)
+	if n := m.Searches.Value(); n != 2 {
+		t.Errorf("%d searches, want one per request", n)
 	}
 	checkEntries(t, s, 1)
+
+	var stored []byte
+	s.Cache().ForEach(func(_ resultcache.Key, v any, _ int64) bool {
+		stored = v.([]byte)
+		return false
+	})
+	third := post()
+	if third.xcache != "hit" {
+		t.Fatalf("third request X-Cache %q, want hit", third.xcache)
+	}
+	if want := spliceCached(append(append([]byte(nil), stored[1:]...), '\n')); !bytes.Equal(third.body, want) {
+		t.Errorf("hit body:\n got %s\nwant %s", third.body, want)
+	}
+	if !bytes.Equal(stored[1:], bytes.TrimSuffix(replies[0].body, []byte("\n"))) &&
+		!bytes.Equal(stored[1:], bytes.TrimSuffix(replies[1].body, []byte("\n"))) {
+		t.Errorf("stored entry %s is neither miss's body", stored)
+	}
 }
 
 // TestStoredEntriesExactLength fills the cache through every path that

@@ -92,8 +92,7 @@ const maxSpansPerTree = 2048
 //
 // All methods are goroutine-safe and nil-safe: a nil *Recorder ignores
 // every call, so un-instrumented code paths need no guards. After Finish
-// the tree is immutable; late events (a detached singleflight search
-// finishing after its winner's response) are dropped.
+// the tree is immutable, and an event that arrives later is dropped.
 type Recorder struct {
 	mu       sync.Mutex
 	tree     *SpanTree
